@@ -212,15 +212,14 @@ pipelineStudy()
     auto segment = obs::SharedMetrics::create(1);
     serve::fleet::FleetLane lane(segment, 0, 64);
     const std::string bench_client = "bench";
+    const serve::Endpoint *analyze = serve::findEndpoint("/analyze");
     auto countOne = [&](std::chrono::steady_clock::time_point t0) {
         const auto us = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count());
-        lane.countRequest("analyze");
-        lane.countStatus(200);
-        lane.recordLatency(us);
-        lane.recordEndpointLatency("analyze", "miss", us);
+        lane.countRequest(analyze);
+        lane.recordResponse(analyze, "miss", 200, us);
         lane.clientRequest(bench_client);
     };
     const double segment_s = bestSeconds(timing_reps, [&] {

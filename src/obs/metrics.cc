@@ -89,28 +89,45 @@ appendFamilyHeader(std::string &out, std::string_view name,
     out += '\n';
 }
 
+std::string
+withLabels(std::string_view labels, std::string_view extra)
+{
+    std::string out(labels.empty() ? std::string_view("{")
+                                   : labels.substr(0, labels.size() - 1));
+    if (!labels.empty())
+        out += ',';
+    out += extra;
+    out += '}';
+    return out;
+}
+
 void
 appendHistogram(std::string &out, std::string_view name,
-                const Labels &labels,
+                std::string_view labels, std::string_view trailing,
                 const LatencyHistogram::Snapshot &snapshot)
 {
     const std::string bucket_name = std::string(name) + "_bucket";
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
         cumulative += snapshot.buckets[i];
-        Labels with_le = labels;
-        with_le["le"] =
-            LatencyHistogram::isOverflowBucket(i)
-                ? "+Inf"
-                : std::to_string(
-                      LatencyHistogram::upperBoundMicros(i));
-        appendSample(out, bucket_name, labelString(with_le),
+        std::string le = "le=\"";
+        le += LatencyHistogram::isOverflowBucket(i)
+                  ? "+Inf"
+                  : std::to_string(LatencyHistogram::upperBoundMicros(i));
+        le += '"';
+        if (!trailing.empty()) {
+            le += ',';
+            le += trailing;
+        }
+        appendSample(out, bucket_name, withLabels(labels, le),
                      cumulative);
     }
-    const std::string extra = labelString(labels);
-    appendSample(out, std::string(name) + "_sum", extra,
+    const std::string tail =
+        trailing.empty() ? std::string(labels)
+                         : withLabels(labels, trailing);
+    appendSample(out, std::string(name) + "_sum", tail,
                  snapshot.total_us);
-    appendSample(out, std::string(name) + "_count", extra,
+    appendSample(out, std::string(name) + "_count", tail,
                  snapshot.count);
 }
 
@@ -192,37 +209,9 @@ Registry::render(std::string &out) const
             break;
         case Kind::Histogram:
             appendFamilyHeader(out, fam.name, fam.help, "histogram");
-            for (const auto &[extra, histogram] : fam.histograms) {
-                // The label string was rendered at registration;
-                // rebuild the histogram series around it directly.
-                const auto snapshot = histogram->snapshot();
-                std::uint64_t cumulative = 0;
-                for (std::size_t i = 0;
-                     i < LatencyHistogram::kBuckets; ++i) {
-                    cumulative += snapshot.buckets[i];
-                    std::string le =
-                        LatencyHistogram::isOverflowBucket(i)
-                            ? "+Inf"
-                            : std::to_string(
-                                  LatencyHistogram::upperBoundMicros(
-                                      i));
-                    std::string with_le;
-                    if (extra.empty()) {
-                        with_le = "{le=\"" + le + "\"}";
-                    } else {
-                        // Insert before the closing brace.
-                        with_le = extra;
-                        with_le.insert(with_le.size() - 1,
-                                       ",le=\"" + le + "\"");
-                    }
-                    appendSample(out, fam.name + "_bucket", with_le,
-                                 cumulative);
-                }
-                appendSample(out, fam.name + "_sum", extra,
-                             snapshot.total_us);
-                appendSample(out, fam.name + "_count", extra,
-                             snapshot.count);
-            }
+            for (const auto &[extra, histogram] : fam.histograms)
+                appendHistogram(out, fam.name, extra, "",
+                                histogram->snapshot());
             break;
         }
     }

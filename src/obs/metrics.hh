@@ -183,13 +183,19 @@ void appendSample(std::string &out, std::string_view name,
 void appendFamilyHeader(std::string &out, std::string_view name,
                         std::string_view help, std::string_view type);
 
+/** `labels` ("" or "{...}") with a pre-rendered `k="v"` run added. */
+std::string withLabels(std::string_view labels, std::string_view extra);
+
 /**
- * Appends a full histogram exposition (cumulative `_bucket` series
- * with explicit `le` bounds from LatencyHistogram::upperBoundMicros,
- * then `+Inf`, `_sum`, `_count`) for one label set.
+ * Appends a full histogram exposition of one series (cumulative
+ * `_bucket` series with explicit `le` bounds from
+ * LatencyHistogram::upperBoundMicros, then `+Inf`, `_sum`, `_count`).
+ * `labels` is the series' pre-rendered label string; `trailing` an
+ * optional pre-rendered `k="v"` run placed after `le` and on
+ * `_sum`/`_count` (a fleet's worker label).
  */
 void appendHistogram(std::string &out, std::string_view name,
-                     const Labels &labels,
+                     std::string_view labels, std::string_view trailing,
                      const LatencyHistogram::Snapshot &snapshot);
 
 } // namespace obs

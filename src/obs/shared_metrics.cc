@@ -279,19 +279,6 @@ SharedMetrics::findCounter(std::string_view name) const
 }
 
 std::size_t
-SharedMetrics::findGauge(std::string_view name) const
-{
-    return findName(header_->gauge_names, header_->gauges, name);
-}
-
-std::size_t
-SharedMetrics::findHistogram(std::string_view name) const
-{
-    return findName(header_->histogram_names, header_->histograms,
-                    name);
-}
-
-std::size_t
 SharedMetrics::countersWithPrefix(std::string_view prefix) const
 {
     const std::size_t n = counterCount();

@@ -187,10 +187,8 @@ class SharedMetrics
      */
     std::size_t countersWithPrefix(std::string_view prefix) const;
 
-    /** Find-only lookups (kNoSlot when not registered; lock-free). */
+    /** Find-only lookup (kNoSlot when not registered; lock-free). */
     std::size_t findCounter(std::string_view name) const;
-    std::size_t findGauge(std::string_view name) const;
-    std::size_t findHistogram(std::string_view name) const;
 
   private:
     /** One fixed-width NUL-terminated name cell. */

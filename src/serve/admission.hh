@@ -1,7 +1,6 @@
 /**
  * @file
- * Admission control and observability counters for the analysis
- * server.
+ * Admission control for the analysis server.
  *
  * AdmissionController bounds the number of in-flight analysis
  * requests (admitted and not yet finished — queued behind the worker
@@ -17,11 +16,10 @@
  * their full share of the queue. The global path stays lock-free;
  * per-client accounting takes a small mutex only when enabled.
  *
- * LatencyHistogram and RequestCounters are the raw material of the
- * GET /stats and GET /metrics surfaces: lock-free atomic counters
- * safe to bump from connection threads and pool workers concurrently.
- * The histogram itself lives in src/common/histogram.hh, shared with
- * the observability layer (src/obs).
+ * The server's request, response, and latency counters live in its
+ * fleet lane (src/serve/fleet.hh), the one counter store behind
+ * GET /stats and GET /metrics; of the controller's state those
+ * surfaces read only its configuration and peak depth.
  */
 
 #ifndef MAESTRO_SERVE_ADMISSION_HH
@@ -33,8 +31,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-
-#include "src/common/histogram.hh"
 
 namespace maestro
 {
@@ -219,55 +215,6 @@ class AdmissionController
 
     mutable std::mutex clients_mutex_;
     std::map<std::string, std::size_t> client_depth_;
-};
-
-/**
- * The power-of-two microsecond latency histogram (lifted to
- * src/common/histogram.hh; re-exported here for the serve API).
- */
-using LatencyHistogram = ::maestro::LatencyHistogram;
-
-/**
- * Per-endpoint and per-outcome request counters.
- */
-struct RequestCounters
-{
-    std::atomic<std::uint64_t> total{0};
-    std::atomic<std::uint64_t> analyze{0};
-    std::atomic<std::uint64_t> dse{0};
-    std::atomic<std::uint64_t> tune{0};
-    std::atomic<std::uint64_t> simulate{0};
-    std::atomic<std::uint64_t> crossval{0};
-    std::atomic<std::uint64_t> jobs{0};
-    std::atomic<std::uint64_t> healthz{0};
-    std::atomic<std::uint64_t> stats{0};
-    std::atomic<std::uint64_t> metrics{0};
-    std::atomic<std::uint64_t> events{0};
-
-    std::atomic<std::uint64_t> ok_2xx{0};
-    std::atomic<std::uint64_t> client_err_4xx{0};
-    std::atomic<std::uint64_t> server_err_5xx{0};
-    std::atomic<std::uint64_t> deadline_408{0};
-    std::atomic<std::uint64_t> throttled_429{0};
-    std::atomic<std::uint64_t> rejected_503{0};
-
-    /** Bumps the status-class counter for one response. */
-    void
-    countStatus(int status)
-    {
-        if (status == 408)
-            deadline_408.fetch_add(1, std::memory_order_relaxed);
-        if (status == 429)
-            throttled_429.fetch_add(1, std::memory_order_relaxed);
-        if (status == 503)
-            rejected_503.fetch_add(1, std::memory_order_relaxed);
-        if (status >= 200 && status < 300)
-            ok_2xx.fetch_add(1, std::memory_order_relaxed);
-        else if (status >= 400 && status < 500)
-            client_err_4xx.fetch_add(1, std::memory_order_relaxed);
-        else if (status >= 500)
-            server_err_5xx.fetch_add(1, std::memory_order_relaxed);
-    }
 };
 
 } // namespace serve

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/version.hh"
 #include "src/obs/metrics.hh"
 
 namespace maestro
@@ -19,39 +20,14 @@ namespace
 
 using obs::SharedMetrics;
 
-/** Routable endpoints, alphabetical (the /metrics label order). */
-constexpr const char *kEndpointNames[] = {
-    "analyze", "crossval", "dse",   "events", "healthz",
-    "jobs",    "metrics",  "simulate", "stats", "tune",
-};
-constexpr std::size_t kEndpointCount =
-    sizeof(kEndpointNames) / sizeof(kEndpointNames[0]);
-
-/** Index used for paths that match no endpoint. */
-constexpr std::size_t kOtherEndpoint = kEndpointCount;
-
-/** Endpoints that run analysis work (admission + result cache). */
-constexpr bool kIsAnalysis[kEndpointCount] = {
-    true, true, true, false, false, false, false, true, false, true,
-};
-
-/** Job lifecycle events, alphabetical (the /metrics label order). */
+/** Job lifecycle events, in /stats key order. */
 constexpr const char *kJobEventNames[] = {
-    "cancelled", "completed",         "evicted",
-    "failed",    "rejected_capacity", "rejected_client",
-    "resubmitted", "submitted",
+    "submitted", "resubmitted",       "completed",
+    "failed",    "cancelled",         "evicted",
+    "rejected_capacity", "rejected_client",
 };
 constexpr std::size_t kJobEventCount =
     sizeof(kJobEventNames) / sizeof(kJobEventNames[0]);
-
-std::size_t
-endpointIndex(std::string_view endpoint)
-{
-    for (std::size_t i = 0; i < kEndpointCount; ++i)
-        if (endpoint == kEndpointNames[i])
-            return i;
-    return kOtherEndpoint;
-}
 
 std::size_t
 jobEventIndex(std::string_view event)
@@ -60,6 +36,13 @@ jobEventIndex(std::string_view event)
         if (event == kJobEventNames[i])
             return i;
     return SharedMetrics::kNoSlot;
+}
+
+/** The metric label of a row index (kEndpointCount: unrouted). */
+const char *
+endpointLabel(std::size_t i)
+{
+    return i == kEndpointCount ? "other" : endpoints()[i].name;
 }
 
 /** `family{key="value"}` for label values that need no escaping. */
@@ -85,59 +68,23 @@ clientSeries(std::string_view family, const std::string &client)
     return out;
 }
 
-/** Inserts a pre-rendered `k="v"[,...]` run into a label string. */
-std::string
-withExtraLabels(std::string_view base, std::string_view extra)
-{
-    if (base.empty()) {
-        std::string out = "{";
-        out += extra;
-        out += '}';
-        return out;
-    }
-    std::string out(base);
-    out.insert(out.size() - 1, "," + std::string(extra));
-    return out;
-}
-
 std::string
 workerLabel(std::size_t lane)
 {
     return "worker=\"" + std::to_string(lane) + "\"";
 }
 
-/** Emits one histogram series (buckets/+Inf/_sum/_count). `base` is
- *  the slot's pre-rendered label string, `worker` an optional
- *  `worker="i"` run appended after le. */
+/** A gauge sample, rendered as an integer when non-negative. */
 void
-emitHistogramSeries(std::string &out, std::string_view family,
-                    std::string_view base, std::string_view worker,
-                    const LatencyHistogram::Snapshot &snapshot)
+appendGauge(std::string &out, std::string_view family,
+            std::string_view labels, std::int64_t value)
 {
-    const std::string bucket_name = std::string(family) + "_bucket";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-        cumulative += snapshot.buckets[i];
-        std::string extra = "le=\"";
-        extra += LatencyHistogram::isOverflowBucket(i)
-                     ? "+Inf"
-                     : std::to_string(
-                           LatencyHistogram::upperBoundMicros(i));
-        extra += '"';
-        if (!worker.empty()) {
-            extra += ',';
-            extra += worker;
-        }
-        obs::appendSample(out, bucket_name,
-                          withExtraLabels(base, extra), cumulative);
-    }
-    const std::string tail_labels =
-        worker.empty() ? std::string(base)
-                       : withExtraLabels(base, worker);
-    obs::appendSample(out, std::string(family) + "_sum", tail_labels,
-                      snapshot.total_us);
-    obs::appendSample(out, std::string(family) + "_count",
-                      tail_labels, snapshot.count);
+    if (value >= 0)
+        obs::appendSample(out, family, labels,
+                          static_cast<std::uint64_t>(value));
+    else
+        obs::appendSample(out, family, labels,
+                          static_cast<double>(value));
 }
 
 /** True when `name` is `family` or `family{...}`. */
@@ -161,6 +108,271 @@ tickAge(std::int64_t stored, std::uint64_t now)
     return tick < now ? now - tick : 0;
 }
 
+/** How one /metrics family renders. */
+enum class FamilyKind : std::uint8_t
+{
+    Counter,
+    Gauge,
+    /** Gauge storing a steadyTickMicros(); renders now - stored
+     *  (age), 0 when unset; worker="all" is the max age. */
+    AgeGauge,
+    Histogram,
+};
+
+/** Appends a worker component's samples for one family. */
+using LocalSamples = void (*)(std::string &out, std::string_view name,
+                              const ComponentStats &c);
+
+/** One /metrics family. */
+struct Family
+{
+    const char *name;
+    const char *help;
+    FamilyKind kind;
+    /** Null: the family renders from the segment. Otherwise a
+     *  worker-only family read from the worker's components. */
+    LocalSamples local;
+};
+
+template <std::uint64_t ComponentStats::*Field>
+void
+componentSample(std::string &out, std::string_view name,
+                const ComponentStats &c)
+{
+    obs::appendSample(out, name, "", c.*Field);
+}
+
+template <std::uint64_t obs::EventLogStats::*Field>
+void
+eventSample(std::string &out, std::string_view name,
+            const ComponentStats &c)
+{
+    obs::appendSample(out, name, "", c.events.*Field);
+}
+
+void
+evaluationsSample(std::string &out, std::string_view name,
+                  const ComponentStats &c)
+{
+    obs::appendSample(out, name, "", c.pipeline.evaluations);
+}
+
+/** One sample per pipeline stage (plus the aggregate). */
+template <auto Field>
+void
+stageSamples(std::string &out, std::string_view name,
+             const ComponentStats &c)
+{
+    const PipelineStats &p = c.pipeline;
+    const CacheStats aggregate = p.aggregate();
+    const std::pair<const char *, const CacheStats *> stages[] = {
+        {"aggregate", &aggregate}, {"binding", &p.binding},
+        {"flat", &p.flat},         {"layer", &p.layer},
+        {"tensor", &p.tensor},
+    };
+    for (const auto &[stage, cs] : stages)
+        obs::appendSample(out, name,
+                          obs::labelString({{"stage", stage}}),
+                          static_cast<std::uint64_t>(cs->*Field));
+}
+
+/** Every /metrics family after the build info, in render order. */
+constexpr Family kFamilies[] = {
+    {"maestro_uptime_us", "Server uptime in microseconds",
+     FamilyKind::Gauge, &componentSample<&ComponentStats::uptime_us>},
+    {"maestro_requests_total", "Requests routed, by endpoint",
+     FamilyKind::Counter, nullptr},
+    {"maestro_responses_total", "Responses sent, by status class",
+     FamilyKind::Counter, nullptr},
+    {"maestro_deadline_expirations_total",
+     "Requests answered 408 (deadline expired)", FamilyKind::Counter,
+     nullptr},
+    {"maestro_queue_rejected_total",
+     "Requests rejected 503 by admission control",
+     FamilyKind::Counter, nullptr},
+    {"maestro_queue_capacity", "In-flight request bound",
+     FamilyKind::Gauge,
+     &componentSample<&ComponentStats::queue_capacity>},
+    {"maestro_queue_depth", "In-flight requests right now",
+     FamilyKind::Gauge, nullptr},
+    {"maestro_queue_peak_depth", "Highest in-flight depth observed",
+     FamilyKind::Gauge, &componentSample<&ComponentStats::peak_depth>},
+    {"maestro_client_rejected_total",
+     "Requests rejected 429 by a per-client budget",
+     FamilyKind::Counter, nullptr},
+    {"maestro_active_clients", "Clients with in-flight requests",
+     FamilyKind::Gauge, nullptr},
+    {"maestro_result_cache_requests_total",
+     "Content-addressed result-cache lookups, by outcome",
+     FamilyKind::Counter, nullptr},
+    {"maestro_result_cache_evictions_total",
+     "Result-cache LRU evictions", FamilyKind::Counter, nullptr},
+    {"maestro_result_cache_entries", "Result-cache resident entries",
+     FamilyKind::Gauge, nullptr},
+    {"maestro_result_cache_bytes", "Result-cache resident body bytes",
+     FamilyKind::Gauge, nullptr},
+    {"maestro_result_cache_served_bytes_total",
+     "Body bytes served from result-cache hits", FamilyKind::Counter,
+     nullptr},
+    {"maestro_jobs_total", "Async jobs, by lifecycle event",
+     FamilyKind::Counter, nullptr},
+    {"maestro_jobs_resident", "Resident jobs, by state",
+     FamilyKind::Gauge, nullptr},
+    {"maestro_jobs_capacity", "Resident job bound", FamilyKind::Gauge,
+     &componentSample<&ComponentStats::job_capacity>},
+    {"maestro_request_latency_us",
+     "Dispatch latency of served requests in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_pipeline_evaluations_total",
+     "analyzeLayer calls served by the shared pipeline",
+     FamilyKind::Counter, &evaluationsSample},
+    {"maestro_pipeline_cache_hits_total",
+     "Stage-cache hits, by pipeline stage", FamilyKind::Counter,
+     &stageSamples<&CacheStats::hits>},
+    {"maestro_pipeline_cache_misses_total",
+     "Stage-cache misses, by pipeline stage", FamilyKind::Counter,
+     &stageSamples<&CacheStats::misses>},
+    {"maestro_pipeline_cache_evictions_total",
+     "Stage-cache LRU evictions, by pipeline stage",
+     FamilyKind::Counter, &stageSamples<&CacheStats::evictions>},
+    {"maestro_pipeline_cache_entries",
+     "Stage-cache resident entries, by pipeline stage",
+     FamilyKind::Gauge, &stageSamples<&CacheStats::entries>},
+    {"maestro_jobs_oldest_queued_age_us",
+     "Age of the oldest queued async job in microseconds (0 when no "
+     "job is queued)",
+     FamilyKind::AgeGauge, nullptr},
+    {"maestro_endpoint_latency_us",
+     "Request latency by endpoint in microseconds (analysis "
+     "endpoints split by result-cache outcome)",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_queue_wait_us",
+     "Admission-to-execution queue wait of analysis requests in "
+     "microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_run_us",
+     "Handler execution time of analysis requests in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_client_requests_total",
+     "Requests, by client id (cardinality-capped; excess clients "
+     "fold into client=\"other\")",
+     FamilyKind::Counter, nullptr},
+    {"maestro_client_throttled_total",
+     "Per-client budget rejections (429s), by client id",
+     FamilyKind::Counter, nullptr},
+    {"maestro_client_cache_hits_total",
+     "Result-cache hits, by client id", FamilyKind::Counter, nullptr},
+    {"maestro_client_inflight",
+     "In-flight requests right now, by client id", FamilyKind::Gauge,
+     nullptr},
+    {"maestro_events_logged_total",
+     "Structured event-log lines emitted", FamilyKind::Counter,
+     &eventSample<&obs::EventLogStats::lines>},
+    {"maestro_events_bytes_total", "Bytes appended to the access log",
+     FamilyKind::Counter, &eventSample<&obs::EventLogStats::bytes>},
+    {"maestro_events_rotations_total",
+     "Access-log rotations performed", FamilyKind::Counter,
+     &eventSample<&obs::EventLogStats::rotations>},
+    {"maestro_events_dropped_total", "Event-ring entries overwritten",
+     FamilyKind::Counter, &eventSample<&obs::EventLogStats::dropped>},
+};
+
+/**
+ * Appends one family (header + every matching slot) rendered from
+ * the segment. With `worker_labels`, each slot emits one sample per
+ * lane (`worker="i"`) plus the `worker="all"` fleet total; without,
+ * each slot emits its fleet total unlabelled.
+ */
+void
+appendSegmentFamily(std::string &out, const SharedMetrics &m,
+                    const Family &f, bool worker_labels)
+{
+    const std::string_view family = f.name;
+    const bool histograms = f.kind == FamilyKind::Histogram;
+    const bool counters = f.kind == FamilyKind::Counter;
+    obs::appendFamilyHeader(out, family, f.help,
+                            histograms ? "histogram"
+                            : counters ? "counter"
+                                       : "gauge");
+
+    const std::size_t n = histograms  ? m.histogramCount()
+                          : counters ? m.counterCount()
+                                     : m.gaugeCount();
+    std::vector<std::pair<std::string_view, std::size_t>> slots;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string_view name = histograms ? m.histogramName(i)
+                                      : counters ? m.counterName(i)
+                                                 : m.gaugeName(i);
+        if (matchesFamily(name, family))
+            slots.emplace_back(name, i);
+    }
+    std::sort(slots.begin(), slots.end());
+
+    const std::size_t lanes = m.lanes();
+    const std::uint64_t now = steadyTickMicros();
+
+    for (const auto &[name, slot] : slots) {
+        const std::string_view base = name.substr(family.size());
+        // One sample of this slot: a lane's value (with its worker
+        // label) or, for lane == lanes, the fleet total (labelled
+        // worker="all" when lanes are broken out).
+        const auto emit = [&](std::size_t lane, std::string_view worker) {
+            const bool total = lane == lanes;
+            const std::string labels =
+                worker.empty() ? std::string(base)
+                               : obs::withLabels(base, worker);
+            switch (f.kind) {
+            case FamilyKind::Counter:
+                obs::appendSample(out, family, labels,
+                                  total ? m.counterTotal(slot)
+                                        : m.counterLane(slot, lane));
+                break;
+            case FamilyKind::Gauge:
+                appendGauge(out, family, labels,
+                            total ? m.gaugeTotal(slot)
+                                  : m.gaugeLane(slot, lane));
+                break;
+            case FamilyKind::AgeGauge: {
+                // The fleet's age is the oldest lane's.
+                std::uint64_t age = 0;
+                for (std::size_t l = total ? 0 : lane;
+                     l < (total ? lanes : lane + 1); ++l)
+                    age = std::max(age, tickAge(m.gaugeLane(slot, l),
+                                                now));
+                obs::appendSample(out, family, labels, age);
+                break;
+            }
+            case FamilyKind::Histogram:
+                obs::appendHistogram(out, family, base, worker,
+                                     total ? m.histogramTotal(slot)
+                                           : m.histogramLane(slot,
+                                                             lane));
+                break;
+            }
+        };
+        if (worker_labels) {
+            for (std::size_t lane = 0; lane < lanes; ++lane)
+                emit(lane, workerLabel(lane));
+            emit(lanes, "worker=\"all\"");
+        } else {
+            emit(lanes, "");
+        }
+    }
+}
+
+/** Writes one stage's CacheStats. */
+void
+writeCacheStats(JsonWriter &w, const char *name, const CacheStats &cs)
+{
+    w.key(name).beginObject();
+    w.key("hits").value(cs.hits);
+    w.key("misses").value(cs.misses);
+    w.key("evictions").value(cs.evictions);
+    w.key("entries").value(static_cast<std::uint64_t>(cs.entries));
+    w.key("hit_rate").value(cs.hitRate());
+    w.endObject();
+}
+
 } // namespace
 
 std::uint64_t
@@ -172,11 +384,14 @@ steadyTickMicros()
             .count());
 }
 
-/** Every statically-known slot, resolved once per process. */
+/** Every statically-known slot, resolved once per process. Arrays
+ *  indexed by endpoint row carry one extra entry for "other". */
 struct FleetLane::StaticSlots
 {
     std::size_t requests[kEndpointCount + 1];
     std::size_t resp_2xx, resp_4xx, resp_5xx, deadline;
+    /** /stats-only status totals (no /metrics family). */
+    std::size_t resp_429, resp_503;
     std::size_t queue_rejected, client_rejected;
     std::size_t cache_hit, cache_miss, cache_evictions, cache_served;
     std::size_t jobs_events[kJobEventCount];
@@ -199,14 +414,9 @@ FleetLane::StaticSlots::resolve(SharedMetrics &m)
 {
     StaticSlots s{};
 
-    for (std::size_t i = 0; i < kEndpointCount; ++i)
+    for (std::size_t i = 0; i <= kEndpointCount; ++i)
         s.requests[i] = m.counter(series("maestro_requests_total",
-                                         "endpoint",
-                                         kEndpointNames[i]));
-    // Unroutable paths still mirror into the request family so the
-    // fleet total matches the local `total`-minus-known arithmetic.
-    s.requests[kOtherEndpoint] = m.counter(
-        series("maestro_requests_total", "endpoint", "other"));
+                                         "endpoint", endpointLabel(i)));
 
     s.resp_2xx =
         m.counter(series("maestro_responses_total", "class", "2xx"));
@@ -215,6 +425,10 @@ FleetLane::StaticSlots::resolve(SharedMetrics &m)
     s.resp_5xx =
         m.counter(series("maestro_responses_total", "class", "5xx"));
     s.deadline = m.counter("maestro_deadline_expirations_total");
+    s.resp_429 =
+        m.counter(series("maestro_status_total", "status", "429"));
+    s.resp_503 =
+        m.counter(series("maestro_status_total", "status", "503"));
     s.queue_rejected = m.counter("maestro_queue_rejected_total");
     s.client_rejected = m.counter("maestro_client_rejected_total");
 
@@ -246,21 +460,14 @@ FleetLane::StaticSlots::resolve(SharedMetrics &m)
     s.latency = m.histogram("maestro_request_latency_us");
 
     for (std::size_t i = 0; i <= kEndpointCount; ++i) {
-        const char *name =
-            i == kOtherEndpoint ? "other" : kEndpointNames[i];
-        if (i != kOtherEndpoint && kIsAnalysis[i]) {
-            // Sorted-label convention (cache < endpoint), matching
-            // obs::labelString output.
-            std::string miss = "maestro_endpoint_latency_us{cache=\""
-                               "miss\",endpoint=\"";
-            miss += name;
-            miss += "\"}";
-            std::string hit = "maestro_endpoint_latency_us{cache=\""
-                              "hit\",endpoint=\"";
-            hit += name;
-            hit += "\"}";
-            s.endpoint_hist[i][0] = m.histogram(miss);
-            s.endpoint_hist[i][1] = m.histogram(hit);
+        const char *name = endpointLabel(i);
+        if (i != kEndpointCount &&
+            endpoints()[i].kind == EndpointKind::Analysis) {
+            for (const int hit : {0, 1})
+                s.endpoint_hist[i][hit] = m.histogram(
+                    "maestro_endpoint_latency_us" +
+                    obs::labelString({{"cache", hit ? "hit" : "miss"},
+                                      {"endpoint", name}}));
             s.queue_wait[i] = m.histogram(
                 series("maestro_queue_wait_us", "endpoint", name));
             s.run[i] = m.histogram(
@@ -302,7 +509,7 @@ FleetLane::FleetLane(std::shared_ptr<SharedMetrics> segment,
 }
 
 void
-FleetLane::countRequest(std::string_view endpoint)
+FleetLane::countRequest(const Endpoint *endpoint)
 {
     segment_->addCounter(slots_->requests[endpointIndex(endpoint)],
                          lane_);
@@ -311,16 +518,31 @@ FleetLane::countRequest(std::string_view endpoint)
 void
 FleetLane::countStatus(int status)
 {
-    // Mirrors RequestCounters::countStatus class arithmetic (429/503
-    // totals come from the admission mirrors, not from here).
     if (status == 408)
         segment_->addCounter(slots_->deadline, lane_);
+    if (status == 429)
+        segment_->addCounter(slots_->resp_429, lane_);
+    if (status == 503)
+        segment_->addCounter(slots_->resp_503, lane_);
     if (status >= 200 && status < 300)
         segment_->addCounter(slots_->resp_2xx, lane_);
     else if (status >= 400 && status < 500)
         segment_->addCounter(slots_->resp_4xx, lane_);
     else if (status >= 500)
         segment_->addCounter(slots_->resp_5xx, lane_);
+}
+
+void
+FleetLane::recordResponse(const Endpoint *endpoint, const char *cache,
+                          int status, std::uint64_t us)
+{
+    countStatus(status);
+    segment_->recordHistogram(slots_->latency, lane_, us);
+    const bool hit =
+        cache != nullptr && std::string_view(cache) == "hit";
+    segment_->recordHistogram(
+        slots_->endpoint_hist[endpointIndex(endpoint)][hit ? 1 : 0],
+        lane_, us);
 }
 
 void
@@ -336,16 +558,18 @@ FleetLane::countClientRejected()
 }
 
 void
-FleetLane::countResultCache(bool hit)
+FleetLane::countCacheHit(const std::string &client, std::uint64_t bytes)
 {
-    segment_->addCounter(hit ? slots_->cache_hit : slots_->cache_miss,
-                         lane_);
+    segment_->addCounter(slots_->cache_hit, lane_);
+    segment_->addCounter(slots_->cache_served, lane_, bytes);
+    if (!client.empty())
+        segment_->addCounter(resolveClient(client).cache_hits, lane_);
 }
 
 void
-FleetLane::addServedBytes(std::uint64_t bytes)
+FleetLane::countCacheMiss()
 {
-    segment_->addCounter(slots_->cache_served, lane_, bytes);
+    segment_->addCounter(slots_->cache_miss, lane_);
 }
 
 void
@@ -365,11 +589,30 @@ FleetLane::setCacheGauges(std::size_t entries, std::size_t bytes)
 }
 
 void
-FleetLane::countJobEvent(std::string_view event)
+FleetLane::addQueueDepth(std::int64_t delta)
 {
-    const std::size_t i = jobEventIndex(event);
+    segment_->addGauge(slots_->queue_depth, lane_, delta);
+}
+
+void
+FleetLane::setActiveClients(std::int64_t n)
+{
+    segment_->setGauge(slots_->active_clients, lane_, n);
+}
+
+void
+FleetLane::recordJobEvent(const obs::JobEvent &event)
+{
+    const std::size_t i = jobEventIndex(event.event);
     if (i != SharedMetrics::kNoSlot)
         segment_->addCounter(slots_->jobs_events[i], lane_);
+    const Endpoint *endpoint = findAnalysis(event.endpoint);
+    if (endpoint == nullptr)
+        return;
+    if (event.has_queue_wait)
+        recordQueueWait(*endpoint, event.queue_wait_us);
+    if (event.has_run)
+        recordRun(*endpoint, event.run_us);
 }
 
 void
@@ -388,50 +631,17 @@ FleetLane::setJobGauges(std::size_t queued, std::size_t running,
 }
 
 void
-FleetLane::recordLatency(std::uint64_t us)
+FleetLane::recordQueueWait(const Endpoint &endpoint, std::uint64_t us)
 {
-    segment_->recordHistogram(slots_->latency, lane_, us);
+    segment_->recordHistogram(
+        slots_->queue_wait[endpointIndex(&endpoint)], lane_, us);
 }
 
 void
-FleetLane::addQueueDepth(std::int64_t delta)
+FleetLane::recordRun(const Endpoint &endpoint, std::uint64_t us)
 {
-    segment_->addGauge(slots_->queue_depth, lane_, delta);
-}
-
-void
-FleetLane::setActiveClients(std::int64_t n)
-{
-    segment_->setGauge(slots_->active_clients, lane_, n);
-}
-
-void
-FleetLane::recordEndpointLatency(std::string_view endpoint,
-                                 const char *cache, std::uint64_t us)
-{
-    const std::size_t e = endpointIndex(endpoint);
-    const bool hit =
-        cache != nullptr && std::string_view(cache) == "hit";
-    segment_->recordHistogram(slots_->endpoint_hist[e][hit ? 1 : 0],
+    segment_->recordHistogram(slots_->run[endpointIndex(&endpoint)],
                               lane_, us);
-}
-
-void
-FleetLane::recordQueueWait(std::string_view endpoint,
-                           std::uint64_t us)
-{
-    const std::size_t slot = slots_->queue_wait[endpointIndex(
-        endpoint)];
-    if (slot != SharedMetrics::kNoSlot)
-        segment_->recordHistogram(slot, lane_, us);
-}
-
-void
-FleetLane::recordRun(std::string_view endpoint, std::uint64_t us)
-{
-    const std::size_t slot = slots_->run[endpointIndex(endpoint)];
-    if (slot != SharedMetrics::kNoSlot)
-        segment_->recordHistogram(slot, lane_, us);
 }
 
 FleetLane::ClientSlots
@@ -490,215 +700,167 @@ FleetLane::clientThrottled(const std::string &client)
 }
 
 void
-FleetLane::clientCacheHit(const std::string &client)
-{
-    segment_->addCounter(resolveClient(client).cache_hits, lane_);
-}
-
-void
 FleetLane::clientInflight(const std::string &client,
                           std::int64_t delta)
 {
     segment_->addGauge(resolveClient(client).inflight, lane_, delta);
 }
 
-void
-appendSegmentFamily(std::string &out, const SharedMetrics &m,
-                    std::string_view family, std::string_view help,
-                    FamilyKind kind, bool worker_labels)
+std::string
+FleetLane::statsJson(const ComponentStats &local) const
 {
-    const char *type = kind == FamilyKind::Counter ? "counter"
-                       : kind == FamilyKind::Histogram
-                           ? "histogram"
-                           : "gauge";
-    obs::appendFamilyHeader(out, family, help, type);
+    const StaticSlots &s = *slots_;
+    const SharedMetrics &m = *segment_;
+    const auto count = [&](std::size_t slot) {
+        return m.counterLane(slot, lane_);
+    };
+    const auto gauge = [&](std::size_t slot) {
+        return static_cast<std::uint64_t>(m.gaugeLane(slot, lane_));
+    };
 
-    const bool histograms = kind == FamilyKind::Histogram;
-    const bool counters = kind == FamilyKind::Counter;
-    const std::size_t n = histograms  ? m.histogramCount()
-                          : counters ? m.counterCount()
-                                     : m.gaugeCount();
-    std::vector<std::pair<std::string_view, std::size_t>> slots;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string_view name = histograms ? m.histogramName(i)
-                                      : counters ? m.counterName(i)
-                                                 : m.gaugeName(i);
-        if (matchesFamily(name, family))
-            slots.emplace_back(name, i);
+    JsonWriter w;
+    w.beginObject();
+    w.key("uptime_us").value(local.uptime_us);
+
+    // Unrouted requests count in the total, under no endpoint key.
+    std::uint64_t total = 0;
+    for (const std::size_t slot : s.requests)
+        total += count(slot);
+    w.key("requests").beginObject();
+    w.key("total").value(total);
+    for (std::size_t i = 0; i < kEndpointCount; ++i)
+        w.key(endpoints()[i].name).value(count(s.requests[i]));
+    w.endObject();
+
+    w.key("responses").beginObject();
+    w.key("2xx").value(count(s.resp_2xx));
+    w.key("4xx").value(count(s.resp_4xx));
+    w.key("5xx").value(count(s.resp_5xx));
+    w.key("deadline_408").value(count(s.deadline));
+    w.key("throttled_429").value(count(s.resp_429));
+    w.key("rejected_503").value(count(s.resp_503));
+    w.endObject();
+
+    w.key("queue").beginObject();
+    w.key("capacity").value(local.queue_capacity);
+    w.key("depth").value(gauge(s.queue_depth));
+    w.key("peak_depth").value(local.peak_depth);
+    w.key("rejected").value(count(s.queue_rejected));
+    w.key("client_share").value(local.client_share);
+    w.key("active_clients").value(gauge(s.active_clients));
+    w.key("rejected_client").value(count(s.client_rejected));
+    w.endObject();
+
+    w.key("result_cache").beginObject();
+    w.key("hits").value(count(s.cache_hit));
+    w.key("misses").value(count(s.cache_miss));
+    w.key("evictions").value(count(s.cache_evictions));
+    w.key("inserted").value(local.cache_inserted);
+    w.key("entries").value(gauge(s.cache_entries));
+    w.key("bytes").value(gauge(s.cache_bytes));
+    w.key("served_bytes").value(count(s.cache_served));
+    w.endObject();
+
+    w.key("jobs").beginObject();
+    for (std::size_t i = 0; i < kJobEventCount; ++i)
+        w.key(kJobEventNames[i]).value(count(s.jobs_events[i]));
+    w.key("queued").value(gauge(s.jobs_queued));
+    w.key("running").value(gauge(s.jobs_running));
+    w.key("resident").value(gauge(s.jobs_resident));
+    w.key("capacity").value(local.job_capacity);
+    w.endObject();
+
+    const LatencyHistogram::Snapshot latency =
+        m.histogramLane(s.latency, lane_);
+    w.key("latency_us").beginObject();
+    w.key("count").value(latency.count);
+    w.key("total").value(latency.total_us);
+    w.key("max").value(latency.max_us);
+    w.key("buckets").beginArray();
+    for (const std::uint64_t bucket : latency.buckets)
+        w.value(bucket);
+    w.endArray();
+    // Explicit bucket upper bounds: bucket i counts samples below
+    // le_us[i] microseconds; the catch-all bucket has no finite
+    // bound and renders null.
+    w.key("le_us").beginArray();
+    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        if (LatencyHistogram::isOverflowBucket(i))
+            w.null();
+        else
+            w.value(LatencyHistogram::upperBoundMicros(i));
     }
-    std::sort(slots.begin(), slots.end());
+    w.endArray();
+    w.endObject();
 
-    const std::size_t lanes = m.lanes();
-    const std::uint64_t now = steadyTickMicros();
+    const PipelineStats &pipeline = local.pipeline;
+    w.key("pipeline").beginObject();
+    w.key("evaluations").value(pipeline.evaluations);
+    w.key("stages").beginObject();
+    writeCacheStats(w, "tensor", pipeline.tensor);
+    writeCacheStats(w, "binding", pipeline.binding);
+    writeCacheStats(w, "flat", pipeline.flat);
+    writeCacheStats(w, "layer", pipeline.layer);
+    w.endObject();
+    writeCacheStats(w, "aggregate", pipeline.aggregate());
+    w.endObject();
 
-    for (const auto &[name, slot] : slots) {
-        const std::string_view base = name.substr(family.size());
-        switch (kind) {
-        case FamilyKind::Counter:
-            if (!worker_labels) {
-                obs::appendSample(out, family, base,
-                                  m.counterTotal(slot));
-                break;
-            }
-            for (std::size_t lane = 0; lane < lanes; ++lane)
-                obs::appendSample(
-                    out, family,
-                    withExtraLabels(base, workerLabel(lane)),
-                    m.counterLane(slot, lane));
-            obs::appendSample(out, family,
-                              withExtraLabels(base, "worker=\"all\""),
-                              m.counterTotal(slot));
-            break;
-        case FamilyKind::Gauge:
-            if (!worker_labels) {
-                obs::appendSample(
-                    out, family, base,
-                    static_cast<double>(m.gaugeTotal(slot)));
-                break;
-            }
-            for (std::size_t lane = 0; lane < lanes; ++lane)
-                obs::appendSample(
-                    out, family,
-                    withExtraLabels(base, workerLabel(lane)),
-                    static_cast<double>(m.gaugeLane(slot, lane)));
-            obs::appendSample(
-                out, family,
-                withExtraLabels(base, "worker=\"all\""),
-                static_cast<double>(m.gaugeTotal(slot)));
-            break;
-        case FamilyKind::AgeGauge: {
-            std::uint64_t max_age = 0;
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-                const std::uint64_t age =
-                    tickAge(m.gaugeLane(slot, lane), now);
-                if (age > max_age)
-                    max_age = age;
-                if (worker_labels)
-                    obs::appendSample(
-                        out, family,
-                        withExtraLabels(base, workerLabel(lane)),
-                        age);
-            }
-            if (worker_labels)
-                obs::appendSample(
-                    out, family,
-                    withExtraLabels(base, "worker=\"all\""),
-                    max_age);
-            else
-                obs::appendSample(out, family, base, max_age);
-            break;
-        }
-        case FamilyKind::Histogram:
-            if (!worker_labels) {
-                emitHistogramSeries(out, family, base, "",
-                                    m.histogramTotal(slot));
-                break;
-            }
-            for (std::size_t lane = 0; lane < lanes; ++lane)
-                emitHistogramSeries(out, family, base,
-                                    workerLabel(lane),
-                                    m.histogramLane(slot, lane));
-            emitHistogramSeries(out, family, base, "worker=\"all\"",
-                                m.histogramTotal(slot));
-            break;
+    writeEventStats(w, local.events);
+
+    // The fleet breakdown only exists when there IS a fleet: a
+    // single-lane segment would just repeat the numbers above.
+    if (m.lanes() > 1)
+        writeFleetStats(w, m, lane_);
+
+    w.endObject();
+    return w.str();
+}
+
+std::string
+metricsText(const SharedMetrics &m, const ComponentStats *local)
+{
+    std::string out;
+    out.reserve(16 * 1024);
+
+    obs::appendFamilyHeader(
+        out, "maestro_build_info",
+        "Build identity (constant 1; the version rides on the label)",
+        "gauge");
+    obs::appendSample(out, "maestro_build_info",
+                      obs::labelString({{"version", kVersion}}),
+                      std::uint64_t{1});
+    if (local == nullptr) {
+        obs::appendFamilyHeader(out, "maestro_workers",
+                                "Worker processes in the fleet",
+                                "gauge");
+        obs::appendSample(out, "maestro_workers", "",
+                          static_cast<std::uint64_t>(m.lanes()));
+    }
+
+    const bool worker_labels = m.lanes() > 1;
+    for (const Family &f : kFamilies) {
+        if (f.local == nullptr) {
+            appendSegmentFamily(out, m, f, worker_labels);
+        } else if (local != nullptr) {
+            obs::appendFamilyHeader(out, f.name, f.help,
+                                    f.kind == FamilyKind::Counter
+                                        ? "counter"
+                                        : "gauge");
+            f.local(out, f.name, *local);
         }
     }
+    return out;
 }
 
 void
-appendFleetOnlyFamilies(std::string &out, const SharedMetrics &m,
-                        bool worker_labels)
+writeEventStats(JsonWriter &w, const obs::EventLogStats &s)
 {
-    appendSegmentFamily(
-        out, m, "maestro_jobs_oldest_queued_age_us",
-        "Age of the oldest queued async job in microseconds (0 when "
-        "no job is queued)",
-        FamilyKind::AgeGauge, worker_labels);
-    appendSegmentFamily(
-        out, m, "maestro_endpoint_latency_us",
-        "Request latency by endpoint in microseconds (analysis "
-        "endpoints split by result-cache outcome)",
-        FamilyKind::Histogram, worker_labels);
-    appendSegmentFamily(
-        out, m, "maestro_queue_wait_us",
-        "Admission-to-execution queue wait of analysis requests in "
-        "microseconds",
-        FamilyKind::Histogram, worker_labels);
-    appendSegmentFamily(
-        out, m, "maestro_run_us",
-        "Handler execution time of analysis requests in microseconds",
-        FamilyKind::Histogram, worker_labels);
-    appendSegmentFamily(
-        out, m, "maestro_client_requests_total",
-        "Requests, by client id (cardinality-capped; excess clients "
-        "fold into client=\"other\")",
-        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_client_throttled_total",
-                        "Per-client budget rejections (429s), by "
-                        "client id",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_client_cache_hits_total",
-                        "Result-cache hits, by client id",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_client_inflight",
-                        "In-flight requests right now, by client id",
-                        FamilyKind::Gauge, worker_labels);
-}
-
-void
-appendMirroredFamilies(std::string &out, const SharedMetrics &m,
-                       bool worker_labels)
-{
-    appendSegmentFamily(out, m, "maestro_requests_total",
-                        "Requests routed, by endpoint",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_responses_total",
-                        "Responses sent, by status class",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_deadline_expirations_total",
-                        "Requests answered 408 (deadline expired)",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_queue_rejected_total",
-                        "Requests rejected 503 by admission control",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_queue_depth",
-                        "In-flight requests right now",
-                        FamilyKind::Gauge, worker_labels);
-    appendSegmentFamily(
-        out, m, "maestro_client_rejected_total",
-        "Requests rejected 429 by a per-client budget",
-        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_active_clients",
-                        "Clients with in-flight requests",
-                        FamilyKind::Gauge, worker_labels);
-    appendSegmentFamily(
-        out, m, "maestro_result_cache_requests_total",
-        "Content-addressed result-cache lookups, by outcome",
-        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m,
-                        "maestro_result_cache_evictions_total",
-                        "Result-cache LRU evictions",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_result_cache_entries",
-                        "Result-cache resident entries",
-                        FamilyKind::Gauge, worker_labels);
-    appendSegmentFamily(out, m, "maestro_result_cache_bytes",
-                        "Result-cache resident body bytes",
-                        FamilyKind::Gauge, worker_labels);
-    appendSegmentFamily(out, m,
-                        "maestro_result_cache_served_bytes_total",
-                        "Body bytes served from result-cache hits",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_jobs_total",
-                        "Async jobs, by lifecycle event",
-                        FamilyKind::Counter, worker_labels);
-    appendSegmentFamily(out, m, "maestro_jobs_resident",
-                        "Resident jobs, by state", FamilyKind::Gauge,
-                        worker_labels);
-    appendSegmentFamily(
-        out, m, "maestro_request_latency_us",
-        "Dispatch latency of served requests in microseconds",
-        FamilyKind::Histogram, worker_labels);
+    w.key("events").beginObject();
+    w.key("lines").value(s.lines);
+    w.key("bytes").value(s.bytes);
+    w.key("rotations").value(s.rotations);
+    w.key("dropped").value(s.dropped);
+    w.endObject();
 }
 
 void

@@ -1,26 +1,27 @@
 /**
  * @file
- * The serve layer's view of the shared-memory metrics segment.
+ * The serve layer's counter store: the shared-memory metrics segment
+ * in the server's vocabulary, and the renderers that read it.
  *
  * obs::SharedMetrics is a generic slot arena; this unit gives it the
  * server's vocabulary. Slot names are pre-rendered Prometheus series
  * (`family{label="x"}`), so the segment doubles as its own schema:
- * the renderers here group slots by family prefix and emit fleet
- * totals with per-worker breakdown labels (`worker="0..N-1"`,
- * `worker="all"`) without any side tables.
+ * the renderers group slots by family prefix and emit totals, with
+ * per-worker breakdown labels (`worker="0..N-1"`, `worker="all"`)
+ * when the segment has more than one lane, without side tables.
  *
  * Three roles:
  *  - registerSlots(): the static slot matrix, registered by the
  *    supervisor BEFORE fork() so every worker resolves identical
  *    indices.
- *  - FleetLane: a worker's write handle — one relaxed fetch_add per
- *    event into its own lane, mirroring the server's local counters
- *    one-for-one (the local structs stay the source of truth for the
- *    single-process render; the lanes make the same numbers visible
- *    fleet-wide).
- *  - appendSegmentFamily()/appendFleetOnlyFamilies()/
- *    writeFleetStats(): the read side backing GET /metrics,
- *    GET /stats, and the supervisor status port.
+ *  - FleetLane: a worker's write handle and the server's only
+ *    request/response/queue/cache/job counter store — one relaxed
+ *    atomic per event into its own lane. A single-process server
+ *    owns a private 1-lane segment, so it counts the same way.
+ *  - metricsText()/FleetLane::statsJson()/writeFleetStats(): the read
+ *    side backing GET /metrics, GET /stats, and the supervisor
+ *    status port. One ordered family table drives /metrics for any
+ *    lane count, on a worker and on the status port alike.
  *
  * Per-client label cardinality is capped (--metrics-max-clients):
  * the first `cap` distinct client ids get their own series, the rest
@@ -41,7 +42,10 @@
 #include <string_view>
 
 #include "src/common/json.hh"
+#include "src/core/pipeline.hh"
+#include "src/obs/event_log.hh"
 #include "src/obs/shared_metrics.hh"
+#include "src/serve/endpoints.hh"
 
 namespace maestro
 {
@@ -57,17 +61,6 @@ namespace fleet
  */
 std::uint64_t steadyTickMicros();
 
-/** How one segment family renders. */
-enum class FamilyKind : std::uint8_t
-{
-    Counter,
-    Gauge,
-    /** Gauge storing a steadyTickMicros(); renders now - stored
-     *  (age), 0 when unset; worker="all" is the max age. */
-    AgeGauge,
-    Histogram,
-};
-
 /**
  * Registers every static fleet slot (idempotent). The supervisor
  * calls this pre-fork; FleetLane re-resolves the same names.
@@ -75,34 +68,35 @@ enum class FamilyKind : std::uint8_t
 void registerSlots(obs::SharedMetrics &m);
 
 /**
- * Appends one family (header + every matching slot) rendered from
- * the segment. With `worker_labels`, each slot emits one sample per
- * lane (`worker="i"`) plus the `worker="all"` fleet total; without,
- * each slot emits its fleet total unlabelled (the lanes==1 path).
+ * What a worker's components report beyond its lane: capacities and
+ * other configuration, high-water marks, and the component-owned
+ * stage-cache and event-log counters.
  */
-void appendSegmentFamily(std::string &out, const obs::SharedMetrics &m,
-                         std::string_view family, std::string_view help,
-                         FamilyKind kind, bool worker_labels);
+struct ComponentStats
+{
+    std::uint64_t uptime_us = 0;
+    std::uint64_t queue_capacity = 0;
+    std::uint64_t peak_depth = 0;
+    std::uint64_t client_share = 0;
+    std::uint64_t cache_inserted = 0;
+    std::uint64_t job_capacity = 0;
+    PipelineStats pipeline;
+    obs::EventLogStats events;
+};
 
 /**
- * Appends every family that exists ONLY in the segment (per-endpoint
- * latency/queue-wait/run histograms, per-client series, job queue
- * age) in a fixed order.
+ * GET /metrics: Prometheus text exposition (v0.0.4) of the segment,
+ * one ordered family table for any lane count. With `local` (a
+ * worker), the worker's component families render in their table
+ * positions; without (the supervisor status port), they are skipped
+ * and a `maestro_workers` gauge follows the build info. Worker
+ * labels appear only when the segment has more than one lane.
  */
-void appendFleetOnlyFamilies(std::string &out,
-                             const obs::SharedMetrics &m,
-                             bool worker_labels);
+std::string metricsText(const obs::SharedMetrics &m,
+                        const ComponentStats *local);
 
-/**
- * Appends every MIRRORED family (the ones GET /metrics also renders
- * from local counters when single-lane) from the segment, in the
- * worker's family order and with the worker's help strings. The
- * supervisor status port uses this: it has no local counters, so the
- * segment is its only source.
- */
-void appendMirroredFamilies(std::string &out,
-                            const obs::SharedMetrics &m,
-                            bool worker_labels);
+/** Writes the GET /stats "events" object (event-log counters). */
+void writeEventStats(JsonWriter &w, const obs::EventLogStats &s);
 
 /**
  * Writes the GET /stats "fleet" object: worker count, this worker's
@@ -131,37 +125,50 @@ class FleetLane
     obs::SharedMetrics &segment() const { return *segment_; }
     std::size_t lane() const { return lane_; }
 
-    // ---- mirrors of the server's local counters ----
+    /** One request for `endpoint` (null: unrouted or unparsed). */
+    void countRequest(const Endpoint *endpoint);
 
-    void countRequest(std::string_view endpoint);
+    /** One response's status class (plus 408/429/503 totals). */
     void countStatus(int status);
+
+    /** countStatus plus the request and per-endpoint latency
+     *  histograms (`cache` is "hit"/"miss" for analysis, else null). */
+    void recordResponse(const Endpoint *endpoint, const char *cache,
+                        int status, std::uint64_t us);
+
     void countQueueRejected();
     void countClientRejected();
-    void countResultCache(bool hit);
-    void addServedBytes(std::uint64_t bytes);
+
+    /** A result-cache hit serving `bytes` (per-client series too,
+     *  unless `client` is empty). */
+    void countCacheHit(const std::string &client, std::uint64_t bytes);
+    void countCacheMiss();
     void addCacheEvictions(std::uint64_t n);
     void setCacheGauges(std::size_t entries, std::size_t bytes);
-    void countJobEvent(std::string_view event);
-    void setJobGauges(std::size_t queued, std::size_t running,
-                      std::size_t resident,
-                      std::uint64_t oldest_tick_us);
-    void recordLatency(std::uint64_t us);
     void addQueueDepth(std::int64_t delta);
     void setActiveClients(std::int64_t n);
 
-    // ---- fleet-only telemetry ----
+    /** Counts a job transition; records its queue wait / run time. */
+    void recordJobEvent(const obs::JobEvent &event);
+    void setJobGauges(std::size_t queued, std::size_t running,
+                      std::size_t resident,
+                      std::uint64_t oldest_tick_us);
 
-    /** `cache` is "hit"/"miss" for analysis endpoints, else null. */
-    void recordEndpointLatency(std::string_view endpoint,
-                               const char *cache, std::uint64_t us);
-    void recordQueueWait(std::string_view endpoint, std::uint64_t us);
-    void recordRun(std::string_view endpoint, std::uint64_t us);
+    /** Sync-path admission-to-start wait and handler time. */
+    void recordQueueWait(const Endpoint &endpoint, std::uint64_t us);
+    void recordRun(const Endpoint &endpoint, std::uint64_t us);
 
     void clientRequest(const std::string &client);
     void clientThrottled(const std::string &client);
-    void clientCacheHit(const std::string &client);
     void clientInflight(const std::string &client,
                         std::int64_t delta);
+
+    /**
+     * GET /stats: every count this lane holds, read from the lane,
+     * plus `local` for what it does not. With a multi-lane segment,
+     * a "fleet" object breaks request totals down per worker.
+     */
+    std::string statsJson(const ComponentStats &local) const;
 
   private:
     /** Slot indices of one client's four series. */

@@ -10,8 +10,6 @@
 #include "src/dse/explorer.hh"
 #include "src/mapper/mapper.hh"
 #include "src/frontend/parser.hh"
-#include "src/obs/metrics.hh"
-#include "src/serve/fleet.hh"
 #include "src/sim/crossval.hh"
 #include "src/sim/reference_sim.hh"
 
@@ -111,12 +109,13 @@ std::size_t
 paramCount(const QueryParams &params, const std::string &key,
            std::size_t fallback)
 {
-    const double v = paramDouble(params, key,
-                                 static_cast<double>(fallback));
-    fatalIf(v < 1.0 || v != static_cast<double>(
-                                static_cast<std::size_t>(v)), "query parameter '", key, "' must be a positive "
-                "integer");
-    return static_cast<std::size_t>(v);
+    const auto it = params.find(key);
+    if (it == params.end())
+        return fallback;
+    const std::optional<std::size_t> v = parseCount(it->second);
+    fatalIf(!v || *v < 1, "query parameter '", key,
+            "' must be a positive integer");
+    return *v;
 }
 
 /** Comma-separated Count list (e.g. ?clusters=1,4,16). */
@@ -195,19 +194,6 @@ writeMappedDataflow(JsonWriter &w, const mapper::MappedDataflow &md)
     w.key("edp").value(md.edp);
     w.key("utilization").value(md.utilization);
     w.key("objective_value").value(md.objective_value);
-    w.endObject();
-}
-
-/** Writes one stage's CacheStats. */
-void
-writeCacheStats(JsonWriter &w, const char *name, const CacheStats &cs)
-{
-    w.key(name).beginObject();
-    w.key("hits").value(cs.hits);
-    w.key("misses").value(cs.misses);
-    w.key("evictions").value(cs.evictions);
-    w.key("entries").value(static_cast<std::uint64_t>(cs.entries));
-    w.key("hit_rate").value(cs.hitRate());
     w.endObject();
 }
 
@@ -527,479 +513,6 @@ healthzJson(bool draining)
     w.key("version").value(kVersion);
     w.endObject();
     return w.str();
-}
-
-std::string
-statsJson(const PipelineStats &pipeline,
-          const AdmissionController &admission,
-          const RequestCounters &counters,
-          const LatencyHistogram &latency, std::uint64_t uptime_us,
-          const ResultCacheStats &result_cache,
-          const JobStoreStats &jobs, const obs::EventLogStats *events,
-          const obs::SharedMetrics *fleet, std::size_t lane)
-{
-    const auto load = [](const std::atomic<std::uint64_t> &a) {
-        return a.load(std::memory_order_relaxed);
-    };
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("uptime_us").value(uptime_us);
-
-    w.key("requests").beginObject();
-    w.key("total").value(load(counters.total));
-    w.key("analyze").value(load(counters.analyze));
-    w.key("dse").value(load(counters.dse));
-    w.key("tune").value(load(counters.tune));
-    w.key("simulate").value(load(counters.simulate));
-    w.key("crossval").value(load(counters.crossval));
-    w.key("jobs").value(load(counters.jobs));
-    w.key("healthz").value(load(counters.healthz));
-    w.key("stats").value(load(counters.stats));
-    w.key("metrics").value(load(counters.metrics));
-    w.key("events").value(load(counters.events));
-    w.endObject();
-
-    w.key("responses").beginObject();
-    w.key("2xx").value(load(counters.ok_2xx));
-    w.key("4xx").value(load(counters.client_err_4xx));
-    w.key("5xx").value(load(counters.server_err_5xx));
-    w.key("deadline_408").value(load(counters.deadline_408));
-    w.key("throttled_429").value(load(counters.throttled_429));
-    w.key("rejected_503").value(load(counters.rejected_503));
-    w.endObject();
-
-    w.key("queue").beginObject();
-    w.key("capacity")
-        .value(static_cast<std::uint64_t>(admission.capacity()));
-    w.key("depth").value(static_cast<std::uint64_t>(admission.depth()));
-    w.key("peak_depth")
-        .value(static_cast<std::uint64_t>(admission.peakDepth()));
-    w.key("rejected").value(admission.rejected());
-    w.key("client_share")
-        .value(static_cast<std::uint64_t>(admission.clientShare()));
-    w.key("active_clients")
-        .value(static_cast<std::uint64_t>(admission.activeClients()));
-    w.key("rejected_client").value(admission.rejectedClient());
-    w.endObject();
-
-    w.key("result_cache").beginObject();
-    w.key("hits").value(result_cache.hits);
-    w.key("misses").value(result_cache.misses);
-    w.key("evictions").value(result_cache.evictions);
-    w.key("inserted").value(result_cache.inserted);
-    w.key("entries")
-        .value(static_cast<std::uint64_t>(result_cache.entries));
-    w.key("bytes")
-        .value(static_cast<std::uint64_t>(result_cache.bytes));
-    w.key("served_bytes").value(result_cache.served_bytes);
-    w.endObject();
-
-    w.key("jobs").beginObject();
-    w.key("submitted").value(jobs.submitted);
-    w.key("resubmitted").value(jobs.resubmitted);
-    w.key("completed").value(jobs.completed);
-    w.key("failed").value(jobs.failed);
-    w.key("cancelled").value(jobs.cancelled);
-    w.key("evicted").value(jobs.evicted);
-    w.key("rejected_capacity").value(jobs.rejected_capacity);
-    w.key("rejected_client").value(jobs.rejected_client);
-    w.key("queued").value(static_cast<std::uint64_t>(jobs.queued));
-    w.key("running").value(static_cast<std::uint64_t>(jobs.running));
-    w.key("resident")
-        .value(static_cast<std::uint64_t>(jobs.resident));
-    w.key("capacity")
-        .value(static_cast<std::uint64_t>(jobs.capacity));
-    w.endObject();
-
-    w.key("latency_us").beginObject();
-    w.key("count").value(latency.count());
-    w.key("total").value(latency.totalMicros());
-    w.key("max").value(latency.maxMicros());
-    w.key("buckets").beginArray();
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i)
-        w.value(latency.bucket(i));
-    w.endArray();
-    // Explicit bucket upper bounds: bucket i counts samples below
-    // le_us[i] microseconds; the catch-all bucket has no finite
-    // bound and renders null.
-    w.key("le_us").beginArray();
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-        if (LatencyHistogram::isOverflowBucket(i))
-            w.null();
-        else
-            w.value(LatencyHistogram::upperBoundMicros(i));
-    }
-    w.endArray();
-    w.endObject();
-
-    w.key("pipeline").beginObject();
-    w.key("evaluations").value(pipeline.evaluations);
-    w.key("stages").beginObject();
-    writeCacheStats(w, "tensor", pipeline.tensor);
-    writeCacheStats(w, "binding", pipeline.binding);
-    writeCacheStats(w, "flat", pipeline.flat);
-    writeCacheStats(w, "layer", pipeline.layer);
-    w.endObject();
-    writeCacheStats(w, "aggregate", pipeline.aggregate());
-    w.endObject();
-
-    if (events) {
-        w.key("events").beginObject();
-        w.key("lines").value(events->lines);
-        w.key("bytes").value(events->bytes);
-        w.key("rotations").value(events->rotations);
-        w.key("dropped").value(events->dropped);
-        w.endObject();
-    }
-
-    // The fleet breakdown only exists when there IS a fleet: a
-    // single-lane segment would just repeat the local numbers.
-    if (fleet && fleet->lanes() > 1)
-        fleet::writeFleetStats(w, *fleet, lane);
-
-    w.endObject();
-    return w.str();
-}
-
-std::string
-metricsText(const PipelineStats &pipeline,
-            const AdmissionController &admission,
-            const RequestCounters &counters,
-            const LatencyHistogram &latency, std::uint64_t uptime_us,
-            const ResultCacheStats &result_cache,
-            const JobStoreStats &jobs,
-            const obs::SharedMetrics *fleet,
-            const obs::EventLogStats *events)
-{
-    const auto load = [](const std::atomic<std::uint64_t> &a) {
-        return a.load(std::memory_order_relaxed);
-    };
-
-    // Single lane: the historical single-process exposition renders
-    // from the LOCAL counters (byte-compatible with the pre-fleet
-    // server). Multi lane: the mirrored families render FROM the
-    // shared segment instead — one sample per worker plus the
-    // summed worker="all" fleet total, identical from any worker.
-    const bool multi = fleet && fleet->lanes() > 1;
-
-    std::string out;
-    out.reserve(16 * 1024);
-
-    obs::appendFamilyHeader(
-        out, "maestro_build_info",
-        "Build identity (constant 1; the version rides on the label)",
-        "gauge");
-    obs::appendSample(out, "maestro_build_info",
-                      obs::labelString({{"version", kVersion}}),
-                      std::uint64_t{1});
-
-    obs::appendFamilyHeader(out, "maestro_uptime_us",
-                            "Server uptime in microseconds", "gauge");
-    obs::appendSample(out, "maestro_uptime_us", "", uptime_us);
-
-    if (!multi) {
-        obs::appendFamilyHeader(out, "maestro_requests_total",
-                                "Requests routed, by endpoint",
-                                "counter");
-        const std::pair<const char *, std::uint64_t> endpoints[] = {
-            {"analyze", load(counters.analyze)},
-            {"crossval", load(counters.crossval)},
-            {"dse", load(counters.dse)},
-            {"events", load(counters.events)},
-            {"healthz", load(counters.healthz)},
-            {"jobs", load(counters.jobs)},
-            {"metrics", load(counters.metrics)},
-            {"simulate", load(counters.simulate)},
-            {"stats", load(counters.stats)},
-            {"tune", load(counters.tune)},
-        };
-        for (const auto &[name, value] : endpoints)
-            obs::appendSample(out, "maestro_requests_total",
-                              obs::labelString({{"endpoint", name}}),
-                              value);
-
-        obs::appendFamilyHeader(out, "maestro_responses_total",
-                                "Responses sent, by status class",
-                                "counter");
-        const std::pair<const char *, std::uint64_t> classes[] = {
-            {"2xx", load(counters.ok_2xx)},
-            {"4xx", load(counters.client_err_4xx)},
-            {"5xx", load(counters.server_err_5xx)},
-        };
-        for (const auto &[name, value] : classes)
-            obs::appendSample(out, "maestro_responses_total",
-                              obs::labelString({{"class", name}}),
-                              value);
-
-        obs::appendFamilyHeader(
-            out, "maestro_deadline_expirations_total",
-            "Requests answered 408 (deadline expired)", "counter");
-        obs::appendSample(out, "maestro_deadline_expirations_total",
-                          "", load(counters.deadline_408));
-
-        obs::appendFamilyHeader(
-            out, "maestro_queue_rejected_total",
-            "Requests rejected 503 by admission control", "counter");
-        obs::appendSample(out, "maestro_queue_rejected_total", "",
-                          admission.rejected());
-    } else {
-        fleet::appendSegmentFamily(out, *fleet,
-                                   "maestro_requests_total",
-                                   "Requests routed, by endpoint",
-                                   fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(out, *fleet,
-                                   "maestro_responses_total",
-                                   "Responses sent, by status class",
-                                   fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(
-            out, *fleet, "maestro_deadline_expirations_total",
-            "Requests answered 408 (deadline expired)",
-            fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(
-            out, *fleet, "maestro_queue_rejected_total",
-            "Requests rejected 503 by admission control",
-            fleet::FamilyKind::Counter, true);
-    }
-
-    obs::appendFamilyHeader(out, "maestro_queue_capacity",
-                            "In-flight request bound", "gauge");
-    obs::appendSample(
-        out, "maestro_queue_capacity", "",
-        static_cast<std::uint64_t>(admission.capacity()));
-    if (!multi) {
-        obs::appendFamilyHeader(out, "maestro_queue_depth",
-                                "In-flight requests right now",
-                                "gauge");
-        obs::appendSample(
-            out, "maestro_queue_depth", "",
-            static_cast<std::uint64_t>(admission.depth()));
-    } else {
-        fleet::appendSegmentFamily(out, *fleet, "maestro_queue_depth",
-                                   "In-flight requests right now",
-                                   fleet::FamilyKind::Gauge, true);
-    }
-    obs::appendFamilyHeader(out, "maestro_queue_peak_depth",
-                            "Highest in-flight depth observed",
-                            "gauge");
-    obs::appendSample(
-        out, "maestro_queue_peak_depth", "",
-        static_cast<std::uint64_t>(admission.peakDepth()));
-
-    if (!multi) {
-        obs::appendFamilyHeader(
-            out, "maestro_client_rejected_total",
-            "Requests rejected 429 by a per-client budget",
-            "counter");
-        obs::appendSample(out, "maestro_client_rejected_total", "",
-                          admission.rejectedClient());
-        obs::appendFamilyHeader(out, "maestro_active_clients",
-                                "Clients with in-flight requests",
-                                "gauge");
-        obs::appendSample(
-            out, "maestro_active_clients", "",
-            static_cast<std::uint64_t>(admission.activeClients()));
-
-        obs::appendFamilyHeader(
-            out, "maestro_result_cache_requests_total",
-            "Content-addressed result-cache lookups, by outcome",
-            "counter");
-        obs::appendSample(out, "maestro_result_cache_requests_total",
-                          obs::labelString({{"outcome", "hit"}}),
-                          result_cache.hits);
-        obs::appendSample(out, "maestro_result_cache_requests_total",
-                          obs::labelString({{"outcome", "miss"}}),
-                          result_cache.misses);
-        obs::appendFamilyHeader(
-            out, "maestro_result_cache_evictions_total",
-            "Result-cache LRU evictions", "counter");
-        obs::appendSample(out, "maestro_result_cache_evictions_total",
-                          "", result_cache.evictions);
-        obs::appendFamilyHeader(out, "maestro_result_cache_entries",
-                                "Result-cache resident entries",
-                                "gauge");
-        obs::appendSample(
-            out, "maestro_result_cache_entries", "",
-            static_cast<std::uint64_t>(result_cache.entries));
-        obs::appendFamilyHeader(out, "maestro_result_cache_bytes",
-                                "Result-cache resident body bytes",
-                                "gauge");
-        obs::appendSample(
-            out, "maestro_result_cache_bytes", "",
-            static_cast<std::uint64_t>(result_cache.bytes));
-        obs::appendFamilyHeader(
-            out, "maestro_result_cache_served_bytes_total",
-            "Body bytes served from result-cache hits", "counter");
-        obs::appendSample(out,
-                          "maestro_result_cache_served_bytes_total",
-                          "", result_cache.served_bytes);
-
-        obs::appendFamilyHeader(out, "maestro_jobs_total",
-                                "Async jobs, by lifecycle event",
-                                "counter");
-        const std::pair<const char *, std::uint64_t> job_events[] = {
-            {"cancelled", jobs.cancelled},
-            {"completed", jobs.completed},
-            {"evicted", jobs.evicted},
-            {"failed", jobs.failed},
-            {"rejected_capacity", jobs.rejected_capacity},
-            {"rejected_client", jobs.rejected_client},
-            {"resubmitted", jobs.resubmitted},
-            {"submitted", jobs.submitted},
-        };
-        for (const auto &[name, value] : job_events)
-            obs::appendSample(out, "maestro_jobs_total",
-                              obs::labelString({{"event", name}}),
-                              value);
-        obs::appendFamilyHeader(out, "maestro_jobs_resident",
-                                "Resident jobs, by state", "gauge");
-        obs::appendSample(out, "maestro_jobs_resident",
-                          obs::labelString({{"state", "queued"}}),
-                          static_cast<std::uint64_t>(jobs.queued));
-        obs::appendSample(out, "maestro_jobs_resident",
-                          obs::labelString({{"state", "running"}}),
-                          static_cast<std::uint64_t>(jobs.running));
-        obs::appendSample(out, "maestro_jobs_resident",
-                          obs::labelString({{"state", "total"}}),
-                          static_cast<std::uint64_t>(jobs.resident));
-    } else {
-        fleet::appendSegmentFamily(
-            out, *fleet, "maestro_client_rejected_total",
-            "Requests rejected 429 by a per-client budget",
-            fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(out, *fleet,
-                                   "maestro_active_clients",
-                                   "Clients with in-flight requests",
-                                   fleet::FamilyKind::Gauge, true);
-        fleet::appendSegmentFamily(
-            out, *fleet, "maestro_result_cache_requests_total",
-            "Content-addressed result-cache lookups, by outcome",
-            fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(
-            out, *fleet, "maestro_result_cache_evictions_total",
-            "Result-cache LRU evictions",
-            fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(out, *fleet,
-                                   "maestro_result_cache_entries",
-                                   "Result-cache resident entries",
-                                   fleet::FamilyKind::Gauge, true);
-        fleet::appendSegmentFamily(out, *fleet,
-                                   "maestro_result_cache_bytes",
-                                   "Result-cache resident body bytes",
-                                   fleet::FamilyKind::Gauge, true);
-        fleet::appendSegmentFamily(
-            out, *fleet, "maestro_result_cache_served_bytes_total",
-            "Body bytes served from result-cache hits",
-            fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(out, *fleet, "maestro_jobs_total",
-                                   "Async jobs, by lifecycle event",
-                                   fleet::FamilyKind::Counter, true);
-        fleet::appendSegmentFamily(out, *fleet,
-                                   "maestro_jobs_resident",
-                                   "Resident jobs, by state",
-                                   fleet::FamilyKind::Gauge, true);
-    }
-    obs::appendFamilyHeader(out, "maestro_jobs_capacity",
-                            "Resident job bound", "gauge");
-    obs::appendSample(out, "maestro_jobs_capacity", "",
-                      static_cast<std::uint64_t>(jobs.capacity));
-
-    if (!multi) {
-        obs::appendFamilyHeader(
-            out, "maestro_request_latency_us",
-            "Dispatch latency of served requests in microseconds",
-            "histogram");
-        obs::appendHistogram(out, "maestro_request_latency_us", {},
-                             latency.snapshot());
-    } else {
-        fleet::appendSegmentFamily(
-            out, *fleet, "maestro_request_latency_us",
-            "Dispatch latency of served requests in microseconds",
-            fleet::FamilyKind::Histogram, true);
-    }
-
-    obs::appendFamilyHeader(out, "maestro_pipeline_evaluations_total",
-                            "analyzeLayer calls served by the shared "
-                            "pipeline",
-                            "counter");
-    obs::appendSample(out, "maestro_pipeline_evaluations_total", "",
-                      pipeline.evaluations);
-
-    const std::pair<const char *, const CacheStats *> stages[] = {
-        {"aggregate", nullptr}, // rendered from pipeline.aggregate()
-        {"binding", &pipeline.binding},
-        {"flat", &pipeline.flat},
-        {"layer", &pipeline.layer},
-        {"tensor", &pipeline.tensor},
-    };
-    const CacheStats aggregate = pipeline.aggregate();
-    const auto stageStats = [&](const CacheStats *cs) -> const
-        CacheStats & { return cs ? *cs : aggregate; };
-    obs::appendFamilyHeader(out, "maestro_pipeline_cache_hits_total",
-                            "Stage-cache hits, by pipeline stage",
-                            "counter");
-    for (const auto &[name, cs] : stages)
-        obs::appendSample(out, "maestro_pipeline_cache_hits_total",
-                          obs::labelString({{"stage", name}}),
-                          stageStats(cs).hits);
-    obs::appendFamilyHeader(out, "maestro_pipeline_cache_misses_total",
-                            "Stage-cache misses, by pipeline stage",
-                            "counter");
-    for (const auto &[name, cs] : stages)
-        obs::appendSample(out, "maestro_pipeline_cache_misses_total",
-                          obs::labelString({{"stage", name}}),
-                          stageStats(cs).misses);
-    obs::appendFamilyHeader(
-        out, "maestro_pipeline_cache_evictions_total",
-        "Stage-cache LRU evictions, by pipeline stage", "counter");
-    for (const auto &[name, cs] : stages)
-        obs::appendSample(out, "maestro_pipeline_cache_evictions_total",
-                          obs::labelString({{"stage", name}}),
-                          stageStats(cs).evictions);
-    obs::appendFamilyHeader(out, "maestro_pipeline_cache_entries",
-                            "Stage-cache resident entries, by "
-                            "pipeline stage",
-                            "gauge");
-    for (const auto &[name, cs] : stages)
-        obs::appendSample(
-            out, "maestro_pipeline_cache_entries",
-            obs::labelString({{"stage", name}}),
-            static_cast<std::uint64_t>(stageStats(cs).entries));
-
-    // Families that exist only in the fleet segment: per-endpoint
-    // latency/queue-wait/run histograms, per-client series, and the
-    // job-queue age gauge. Rendered even with one lane (no worker
-    // labels there) — they have no local mirror.
-    if (fleet)
-        fleet::appendFleetOnlyFamilies(out, *fleet, multi);
-
-    if (events) {
-        obs::appendFamilyHeader(out, "maestro_events_logged_total",
-                                "Structured event-log lines emitted",
-                                "counter");
-        obs::appendSample(out, "maestro_events_logged_total", "",
-                          events->lines);
-        obs::appendFamilyHeader(out, "maestro_events_bytes_total",
-                                "Bytes appended to the access log",
-                                "counter");
-        obs::appendSample(out, "maestro_events_bytes_total", "",
-                          events->bytes);
-        obs::appendFamilyHeader(out, "maestro_events_rotations_total",
-                                "Access-log rotations performed",
-                                "counter");
-        obs::appendSample(out, "maestro_events_rotations_total", "",
-                          events->rotations);
-        obs::appendFamilyHeader(out, "maestro_events_dropped_total",
-                                "Event-ring entries overwritten",
-                                "counter");
-        obs::appendSample(out, "maestro_events_dropped_total", "",
-                          events->dropped);
-    }
-
-    // Process-wide instruments (pipeline stage-miss latencies, pool
-    // queue-wait, DSE sweep counters, ...) share the document.
-    obs::Registry::global().render(out);
-    return out;
 }
 
 std::string

@@ -23,12 +23,7 @@
 #include <string>
 
 #include "src/core/analyzer.hh"
-#include "src/obs/event_log.hh"
-#include "src/obs/shared_metrics.hh"
-#include "src/serve/admission.hh"
 #include "src/serve/http.hh"
-#include "src/serve/jobs.hh"
-#include "src/serve/result_cache.hh"
 
 namespace maestro
 {
@@ -156,51 +151,6 @@ std::string crossvalRunJson(const QueryParams &params,
  * load balancers stop routing to a stopping worker.
  */
 std::string healthzJson(bool draining = false);
-
-/**
- * GET /stats body: per-stage and aggregate cache counters, queue
- * state, request counters, result-cache and job-store counters, and
- * the latency histogram (bucket counts plus explicit `le_us` upper
- * bounds, null for the catch-all). With `events`, an event-log
- * counter object is appended; with a multi-lane `fleet` segment, a
- * "fleet" object breaks request totals down per worker.
- */
-std::string statsJson(const PipelineStats &pipeline,
-                      const AdmissionController &admission,
-                      const RequestCounters &counters,
-                      const LatencyHistogram &latency,
-                      std::uint64_t uptime_us,
-                      const ResultCacheStats &result_cache,
-                      const JobStoreStats &jobs,
-                      const obs::EventLogStats *events = nullptr,
-                      const obs::SharedMetrics *fleet = nullptr,
-                      std::size_t lane = 0);
-
-/**
- * GET /metrics body: Prometheus text exposition (v0.0.4) of the
- * per-server state (request/response counters, admission queue,
- * result cache, job store, request-latency histogram, pipeline
- * cache stats, build info) followed by every instrument in the
- * process-wide obs registry. Wall-clock data is allowed here —
- * /metrics is an observability surface, not an analysis result.
- *
- * With a single-lane `fleet` segment the body keeps the historical
- * single-process exposition (local counters, no worker labels) and
- * appends the fleet-only families (per-endpoint/per-client series).
- * With a multi-lane segment, every mirrored family renders FROM the
- * segment with one sample per worker (`worker="i"`) plus the summed
- * `worker="all"` fleet total, so any worker (or the supervisor
- * status port) serves identical fleet-wide totals.
- */
-std::string metricsText(const PipelineStats &pipeline,
-                        const AdmissionController &admission,
-                        const RequestCounters &counters,
-                        const LatencyHistogram &latency,
-                        std::uint64_t uptime_us,
-                        const ResultCacheStats &result_cache,
-                        const JobStoreStats &jobs,
-                        const obs::SharedMetrics *fleet = nullptr,
-                        const obs::EventLogStats *events = nullptr);
 
 /** {"error": message} body for failure responses. */
 std::string errorJson(std::string_view message);

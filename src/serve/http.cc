@@ -72,6 +72,20 @@ urlDecode(std::string_view s)
     return out;
 }
 
+std::optional<std::size_t>
+parseCount(std::string_view text)
+{
+    // from_chars takes no leading whitespace or '+', and no '-' for
+    // an unsigned target; the full-length check rejects trailing
+    // bytes, and out-of-range values come back as an error.
+    std::size_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size())
+        return std::nullopt;
+    return value;
+}
+
 std::string
 HttpRequest::path() const
 {

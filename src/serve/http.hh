@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -159,6 +160,13 @@ std::string serializeResponse(
 
 /** Percent-decodes a URL component ("%2F", '+' -> space). */
 std::string urlDecode(std::string_view s);
+
+/**
+ * Strict decimal count from an untrusted query string: the whole
+ * text must be digits (no sign, no whitespace, no exponent) and fit
+ * a std::size_t. nullopt otherwise.
+ */
+std::optional<std::size_t> parseCount(std::string_view text);
 
 } // namespace serve
 } // namespace maestro

@@ -74,7 +74,7 @@ JobStore::emitEventLocked(const Job &job, std::string_view event,
 {
     if (!event_observer_)
         return;
-    JobEventInfo info;
+    obs::JobEvent info;
     info.event = event;
     info.id = job.id;
     info.client = job.client;
@@ -123,16 +123,20 @@ JobStore::submit(const std::string &client, const std::string &id,
                 false, it->second.trace_id};
     }
 
+    // A turned-away submit still reports who asked, and why.
+    const auto reject = [&](const char *event) {
+        Job rejected;
+        rejected.id = id;
+        rejected.client = client;
+        rejected.trace_id = trace_id;
+        rejected.request = std::move(request);
+        emitEventLocked(rejected, event);
+    };
     if (per_client_active_ > 0) {
         const auto ac = active_.find(client);
         if (ac != active_.end() && ac->second >= per_client_active_) {
             ++stats_.rejected_client;
-            Job rejected;
-            rejected.id = id;
-            rejected.client = client;
-            rejected.trace_id = trace_id;
-            rejected.request = std::move(request);
-            emitEventLocked(rejected, "rejected_client");
+            reject("rejected_client");
             return {429,
                     errorJson(msg("client '", client, "' has ",
                                   ac->second, " active jobs (limit ",
@@ -144,12 +148,7 @@ JobStore::submit(const std::string &client, const std::string &id,
     while (jobs_.size() >= capacity_) {
         if (terminal_by_seq_.empty()) {
             ++stats_.rejected_capacity;
-            Job rejected;
-            rejected.id = id;
-            rejected.client = client;
-            rejected.trace_id = trace_id;
-            rejected.request = std::move(request);
-            emitEventLocked(rejected, "rejected_capacity");
+            reject("rejected_capacity");
             return {503,
                     errorJson(msg("job store full (", jobs_.size(),
                                   " active jobs)")),

@@ -48,6 +48,7 @@
 #include <utility>
 
 #include "src/common/thread_pool.hh"
+#include "src/obs/event_log.hh"
 #include "src/serve/http.hh"
 
 namespace maestro
@@ -98,28 +99,6 @@ struct JobStoreStats
 };
 
 /**
- * One job lifecycle transition, reported to the event observer.
- *
- * `event` is one of: submitted, resubmitted, started, completed,
- * failed, cancelled, evicted, rejected_capacity, rejected_client.
- * Views borrow from the store (valid only for the callback's
- * duration).
- */
-struct JobEventInfo
-{
-    std::string_view event;
-    std::string_view id;
-    std::string_view client;
-    std::string_view endpoint; ///< "analyze", "dse", ... (no slash)
-    std::string_view trace;    ///< submitter's trace id
-    int status = 0;            ///< terminal HTTP status (0 = n/a)
-    bool has_queue_wait = false;
-    std::uint64_t queue_wait_us = 0; ///< submit -> start (started)
-    bool has_run = false;
-    std::uint64_t run_us = 0;        ///< start -> terminal
-};
-
-/**
  * Bounded deterministic in-memory job store + fair dispatcher.
  */
 class JobStore
@@ -129,11 +108,14 @@ class JobStore
     using Executor = std::function<JobOutcome(const JobRequest &)>;
 
     /**
-     * Lifecycle observer. Called with the store mutex HELD — the
-     * callback must not re-enter the store (metrics bumps and log
-     * appends only).
+     * Lifecycle observer. `event` is one of: submitted, resubmitted,
+     * started, completed, failed, cancelled, evicted,
+     * rejected_capacity, rejected_client; the endpoint is the name
+     * without its slash, and the views borrow from the store. Called
+     * with the store mutex HELD — the callback must not re-enter the
+     * store (metrics bumps and log appends only).
      */
-    using EventObserver = std::function<void(const JobEventInfo &)>;
+    using EventObserver = std::function<void(const obs::JobEvent &)>;
 
     /**
      * Queue gauge observer: (queued, running, resident, oldest

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <optional>
 
 #include <arpa/inet.h>
@@ -36,7 +37,18 @@ closeFd(int &fd)
     }
 }
 
-/** send() the whole buffer, ignoring SIGPIPE. */
+/** Outcome of one sync request executed on the pool. */
+struct SyncState
+{
+    std::atomic<bool> cancelled{false};
+    std::promise<std::pair<int, std::string>> promise;
+};
+
+/** The span site of a request no endpoint row serves. */
+constexpr obs::Site kUnroutedSite{"http.other", "serve", nullptr};
+
+} // namespace
+
 bool
 sendAll(int fd, std::string_view data)
 {
@@ -54,98 +66,117 @@ sendAll(int fd, std::string_view data)
     return true;
 }
 
-/** Outcome of one sync request executed on the pool. */
-struct SyncState
+int
+bindTcp(const std::string &host, std::uint16_t port, bool reuse_port,
+        int backlog, std::uint16_t &bound_port)
 {
-    std::atomic<bool> cancelled{false};
-    std::promise<std::pair<int, std::string>> promise;
-};
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    fatalIf(fd < 0, "socket: ", std::strerror(errno));
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (reuse_port)
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
 
-/** Valid POST /jobs/<endpoint> suffixes. */
-bool
-isJobEndpoint(const std::string &name)
-{
-    return name == "analyze" || name == "dse" || name == "tune" ||
-           name == "simulate" || name == "crossval";
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+        ::close(fd);
+        throw Error(msg("bad bind address '", host, "'"));
+    }
+    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
+               sizeof(addr)) != 0) {
+        const int err = errno;
+        ::close(fd);
+        throw Error(msg("cannot bind ", host, ":", port, ": ",
+                        std::strerror(err)));
+    }
+    if (backlog > 0 && ::listen(fd, backlog) != 0) {
+        const int err = errno;
+        ::close(fd);
+        throw Error(msg("listen: ", std::strerror(err)));
+    }
+
+    sockaddr_in bound{};
+    socklen_t len = sizeof(bound);
+    ::getsockname(fd, reinterpret_cast<sockaddr *>(&bound), &len);
+    bound_port = ntohs(bound.sin_port);
+    return fd;
 }
 
-/** The metrics/event-log endpoint label of one request path. */
-const char *
-endpointName(const std::string &path)
+JobOutcome
+eventsTail(const obs::EventLog &log, const QueryParams &params)
 {
-    if (path == "/analyze")
-        return "analyze";
-    if (path == "/crossval")
-        return "crossval";
-    if (path == "/dse")
-        return "dse";
-    if (path == "/events")
-        return "events";
-    if (path == "/healthz")
-        return "healthz";
-    if (path == "/jobs" || path.rfind("/jobs/", 0) == 0)
-        return "jobs";
-    if (path == "/metrics")
-        return "metrics";
-    if (path == "/simulate")
-        return "simulate";
-    if (path == "/stats")
-        return "stats";
-    if (path == "/tune")
-        return "tune";
-    return "other";
+    const auto it = params.find("n");
+    const std::optional<std::size_t> n =
+        it == params.end() ? std::optional<std::size_t>(100)
+                           : parseCount(it->second);
+    if (!n)
+        return {400, errorJson("bad n parameter (want a count)")};
+    return {200, log.tailJson(*n)};
 }
 
-/** Per-endpoint request-dispatch instrumentation site. */
-const obs::Site &
-requestSite(const std::string &path)
+std::span<const Endpoint, kEndpointCount>
+endpoints()
 {
-    const auto make = [](const char *span, const char *endpoint) {
-        return obs::Site{
-            span, "serve",
-            &obs::Registry::global().histogram(
-                "maestro_http_request_us",
-                "Wall time spent dispatching HTTP requests in "
-                "microseconds",
-                {{"endpoint", endpoint}})};
+    using S = AnalysisServer;
+    constexpr EndpointKind kAnalysis = EndpointKind::Analysis;
+    constexpr EndpointKind kInline = EndpointKind::Inline;
+    static constexpr Endpoint kTable[] = {
+        {"analyze", "/analyze", "POST", kAnalysis,
+         {"http.analyze", "serve", nullptr}, &S::handleAnalyze},
+        {"dse", "/dse", "POST", kAnalysis,
+         {"http.dse", "serve", nullptr}, &S::handleDse},
+        {"tune", "/tune", "POST", kAnalysis,
+         {"http.tune", "serve", nullptr}, &S::handleTune},
+        {"simulate", "/simulate", "POST", kAnalysis,
+         {"http.simulate", "serve", nullptr}, &S::handleSimulate},
+        {"crossval", "/crossval", "POST", kAnalysis,
+         {"http.crossval", "serve", nullptr}, &S::handleCrossval},
+        {"jobs", "/jobs", nullptr, kInline,
+         {"http.jobs", "serve", nullptr}, &S::handleJobs},
+        {"healthz", "/healthz", "GET", kInline,
+         {"http.healthz", "serve", nullptr}, &S::handleHealthz},
+        {"stats", "/stats", "GET", kInline,
+         {"http.stats", "serve", nullptr}, &S::handleStats},
+        {"metrics", "/metrics", "GET", kInline,
+         {"http.metrics", "serve", nullptr}, &S::handleMetrics},
+        {"events", "/events", "GET", kInline,
+         {"http.events", "serve", nullptr}, &S::handleEvents},
     };
-    static const obs::Site analyze = make("http.analyze", "analyze");
-    static const obs::Site dse = make("http.dse", "dse");
-    static const obs::Site tune = make("http.tune", "tune");
-    static const obs::Site simulate =
-        make("http.simulate", "simulate");
-    static const obs::Site crossval =
-        make("http.crossval", "crossval");
-    static const obs::Site jobs = make("http.jobs", "jobs");
-    static const obs::Site healthz = make("http.healthz", "healthz");
-    static const obs::Site stats = make("http.stats", "stats");
-    static const obs::Site metrics = make("http.metrics", "metrics");
-    static const obs::Site events = make("http.events", "events");
-    static const obs::Site other = make("http.other", "other");
-    if (path == "/analyze")
-        return analyze;
-    if (path == "/dse")
-        return dse;
-    if (path == "/tune")
-        return tune;
-    if (path == "/simulate")
-        return simulate;
-    if (path == "/crossval")
-        return crossval;
-    if (path == "/jobs" || path.rfind("/jobs/", 0) == 0)
-        return jobs;
-    if (path == "/healthz")
-        return healthz;
-    if (path == "/stats")
-        return stats;
-    if (path == "/metrics")
-        return metrics;
-    if (path == "/events")
-        return events;
-    return other;
+    static_assert(std::size(kTable) == kEndpointCount);
+    return kTable;
 }
 
-} // namespace
+const Endpoint *
+findEndpoint(std::string_view path)
+{
+    for (const Endpoint &e : endpoints()) {
+        const std::string_view own = e.path;
+        if (path == own ||
+            (e.method == nullptr && path.starts_with(own) &&
+             path.size() > own.size() && path[own.size()] == '/'))
+            return &e;
+    }
+    return nullptr;
+}
+
+const Endpoint *
+findAnalysis(std::string_view name)
+{
+    for (const Endpoint &e : endpoints())
+        if (e.kind == EndpointKind::Analysis && name == e.name)
+            return &e;
+    return nullptr;
+}
+
+std::size_t
+endpointIndex(const Endpoint *e)
+{
+    return e == nullptr
+               ? kEndpointCount
+               : static_cast<std::size_t>(e - endpoints().data());
+}
 
 AnalysisServer::AnalysisServer(ServeContext context,
                                ServeOptions options)
@@ -174,39 +205,8 @@ AnalysisServer::start()
         return;
     fatalIf(::pipe(wake_pipe_) != 0, "pipe: ", std::strerror(errno));
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(fd < 0, "socket: ", std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (options_.reuse_port)
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.port);
-    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) !=
-        1) {
-        ::close(fd);
-        throw Error(msg("bad bind address '", options_.host, "'"));
-    }
-    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw Error(msg("cannot bind ", options_.host, ":",
-                        options_.port, ": ", std::strerror(err)));
-    }
-    if (::listen(fd, 128) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw Error(msg("listen: ", std::strerror(err)));
-    }
-
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(fd, reinterpret_cast<sockaddr *>(&bound), &len);
-    bound_port_ = ntohs(bound.sin_port);
-
+    const int fd = bindTcp(options_.host, options_.port,
+                           options_.reuse_port, 128, bound_port_);
     listen_fd_ = fd;
     pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
     jobs_ = std::make_unique<JobStore>(
@@ -241,26 +241,11 @@ AnalysisServer::start()
     events_->logWorker("started", static_cast<int>(::getpid()));
 
     jobs_->setObservers(
-        [this](const JobEventInfo &e) {
+        [this](const obs::JobEvent &e) {
             // Called with the job-store mutex held: metric bumps and
             // one log append only, no store re-entry.
-            fleet_->countJobEvent(e.event);
-            if (e.has_queue_wait)
-                fleet_->recordQueueWait(e.endpoint, e.queue_wait_us);
-            if (e.has_run)
-                fleet_->recordRun(e.endpoint, e.run_us);
-            obs::JobEvent ev;
-            ev.event = e.event;
-            ev.id = e.id;
-            ev.client = e.client;
-            ev.endpoint = e.endpoint;
-            ev.trace = e.trace;
-            ev.status = e.status;
-            ev.has_queue_wait = e.has_queue_wait;
-            ev.queue_wait_us = e.queue_wait_us;
-            ev.has_run = e.has_run;
-            ev.run_us = e.run_us;
-            events_->logJob(ev);
+            fleet_->recordJobEvent(e);
+            events_->logJob(e);
         },
         [this](std::size_t queued, std::size_t running,
                std::size_t resident, std::uint64_t oldest_tick) {
@@ -368,10 +353,8 @@ AnalysisServer::run()
     // queued jobs are cancelled and running work finishes.
     closeFd(listen_fd_);
     reapConnections(true);
-    if (jobs_)
-        jobs_->shutdown();
-    if (events_)
-        events_->logWorker("exited", static_cast<int>(::getpid()), 0);
+    jobs_->shutdown();
+    events_->logWorker("exited", static_cast<int>(::getpid()), 0);
 }
 
 void
@@ -455,41 +438,24 @@ AnalysisServer::serveConnection(int fd, Connection *slot,
             pending.append(chunk.substr(used));
         }
 
-        if (read_expired) {
-            counters_.total.fetch_add(1, std::memory_order_relaxed);
-            counters_.countStatus(408);
-            if (fleet_)
-                fleet_->countStatus(408);
-            if (events_) {
-                obs::RequestEvent ev;
-                ev.status = 408;
-                ev.client = peer;
-                ev.reject = "read_timeout";
-                events_->logRequest(ev);
-            }
-            sendAll(fd,
-                    serializeResponse(
-                        408,
-                        errorJson(msg("request not received within ",
-                                      options_.deadline_ms, " ms")),
-                        "application/json", false));
-            break;
-        }
-        if (parser.state() == HttpParser::State::Error) {
-            counters_.total.fetch_add(1, std::memory_order_relaxed);
-            counters_.countStatus(parser.errorStatus());
-            if (fleet_)
-                fleet_->countStatus(parser.errorStatus());
-            if (events_) {
-                obs::RequestEvent ev;
-                ev.status = parser.errorStatus();
-                ev.client = peer;
-                ev.reject = "parse_error";
-                events_->logRequest(ev);
-            }
+        // Answered before routing: counted under endpoint "other".
+        if (read_expired || parser.state() == HttpParser::State::Error) {
+            const int status = read_expired ? 408 : parser.errorStatus();
+            fleet_->countRequest(nullptr);
+            fleet_->countStatus(status);
+            obs::RequestEvent ev;
+            ev.status = status;
+            ev.client = peer;
+            ev.reject = read_expired ? "read_timeout" : "parse_error";
+            events_->logRequest(ev);
             sendAll(fd, serializeResponse(
-                            parser.errorStatus(),
-                            errorJson(parser.errorDetail()),
+                            status,
+                            errorJson(read_expired
+                                          ? msg("request not received "
+                                                "within ",
+                                                options_.deadline_ms,
+                                                " ms")
+                                          : parser.errorDetail()),
                             "application/json", false));
             break;
         }
@@ -497,6 +463,8 @@ AnalysisServer::serveConnection(int fd, Connection *slot,
             break;
 
         const HttpRequest &request = parser.request();
+        const std::string path = request.path();
+        const Endpoint *endpoint = findEndpoint(path);
 
         // The trace id is the client-sent x-trace-id echoed back,
         // else a per-server sequence number — never wall clock, so
@@ -516,9 +484,10 @@ AnalysisServer::serveConnection(int fd, Connection *slot,
         const auto t0 = std::chrono::steady_clock::now();
         Reply reply;
         {
-            obs::ScopedSpan span(requestSite(request.path()));
+            obs::ScopedSpan span(endpoint ? endpoint->site
+                                          : kUnroutedSite);
             span.arg("trace_seq", trace_seq);
-            reply = dispatch(request, peer, trace_id);
+            reply = dispatch(request, endpoint, path, peer, trace_id);
         }
         const auto elapsed =
             std::chrono::steady_clock::now() - t0;
@@ -526,26 +495,17 @@ AnalysisServer::serveConnection(int fd, Connection *slot,
             std::chrono::duration_cast<std::chrono::microseconds>(
                 elapsed)
                 .count());
-        latency_.record(us);
-        counters_.countStatus(reply.status);
-        const char *endpoint = endpointName(request.path());
-        if (fleet_) {
-            fleet_->countStatus(reply.status);
-            fleet_->recordLatency(us);
-            fleet_->recordEndpointLatency(endpoint, reply.cache, us);
-        }
-        if (events_) {
-            obs::RequestEvent ev;
-            ev.method = request.method;
-            ev.endpoint = endpoint;
-            ev.status = reply.status;
-            ev.latency_us = us;
-            ev.client = reply.client.empty() ? peer : reply.client;
-            ev.trace = trace_id;
-            ev.cache = reply.cache;
-            ev.reject = reply.reject;
-            events_->logRequest(ev);
-        }
+        fleet_->recordResponse(endpoint, reply.cache, reply.status, us);
+        obs::RequestEvent ev;
+        ev.method = request.method;
+        ev.endpoint = endpoint ? endpoint->name : "other";
+        ev.status = reply.status;
+        ev.latency_us = us;
+        ev.client = reply.client.empty() ? peer : reply.client;
+        ev.trace = trace_id;
+        ev.cache = reply.cache;
+        ev.reject = reply.reject;
+        events_->logRequest(ev);
         reply.extra_headers.push_back("X-Trace-Id: " + trace_id);
 
         keep = request.keepAlive() &&
@@ -562,13 +522,12 @@ AnalysisServer::serveConnection(int fd, Connection *slot,
     slot->done.store(true, std::memory_order_release);
 }
 
-AnalysisServer::Reply
+Reply
 AnalysisServer::dispatch(const HttpRequest &request,
+                         const Endpoint *endpoint, std::string_view path,
                          const std::string &peer,
                          const std::string &trace_id)
 {
-    counters_.total.fetch_add(1, std::memory_order_relaxed);
-
     // The client key for quotas and fair dequeue: an explicit
     // X-Client-Id header wins, else the peer address.
     std::string client = peer;
@@ -576,203 +535,142 @@ AnalysisServer::dispatch(const HttpRequest &request,
     if (id_it != request.headers.end() && !id_it->second.empty())
         client = id_it->second;
 
-    if (fleet_) {
-        fleet_->countRequest(endpointName(request.path()));
-        fleet_->clientRequest(client);
+    fleet_->countRequest(endpoint);
+    fleet_->clientRequest(client);
+    Reply reply;
+    if (endpoint == nullptr) {
+        reply = {404, errorJson(msg("no such endpoint '", path, "'")),
+                 {}};
+    } else if (endpoint->method != nullptr &&
+               request.method != endpoint->method) {
+        reply = {405,
+                 errorJson(msg("use ", endpoint->method, " ",
+                               endpoint->path)),
+                 {}};
+    } else {
+        const QueryParams params = request.query();
+        const Call call{request.method, path,   params,
+                        request.body,   client, trace_id};
+        reply = endpoint->kind == EndpointKind::Analysis
+                    ? dispatchAnalysis(*endpoint, call)
+                    : (this->*endpoint->handler)(call);
     }
-    Reply reply = route(request, client, trace_id);
     // 429s from ANY route (sync admission and job quotas alike)
     // count against the client's throttle series.
-    if (fleet_ && reply.status == 429)
+    if (reply.status == 429)
         fleet_->clientThrottled(client);
     reply.client = std::move(client);
     return reply;
 }
 
-AnalysisServer::Reply
-AnalysisServer::route(const HttpRequest &request,
-                      const std::string &client,
-                      const std::string &trace_id)
+RequestInputs
+AnalysisServer::resolve(const Call &call) const
 {
-    const std::string path = request.path();
-
-    if (path == "/healthz") {
-        counters_.healthz.fetch_add(1, std::memory_order_relaxed);
-        if (request.method != "GET")
-            return {405, errorJson("use GET /healthz"), {}};
-        // 503 during a graceful drain so load balancers stop
-        // routing to a stopping worker before the listener closes.
-        if (stopping_.load(std::memory_order_acquire))
-            return {503, healthzJson(true), {"Retry-After: 1"}};
-        return {200, healthzJson(), {}};
-    }
-    if (path == "/stats") {
-        counters_.stats.fetch_add(1, std::memory_order_relaxed);
-        if (request.method != "GET")
-            return {405, errorJson("use GET /stats"), {}};
-        const auto uptime =
-            std::chrono::steady_clock::now() - start_time_;
-        const obs::EventLogStats ev_stats =
-            events_ ? events_->stats() : obs::EventLogStats();
-        return {200,
-                statsJson(
-                    context_.pipeline->stats(), admission_, counters_,
-                    latency_,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(uptime)
-                            .count()),
-                    result_cache_.stats(),
-                    jobs_ ? jobs_->stats() : JobStoreStats(),
-                    events_ ? &ev_stats : nullptr,
-                    fleet_ ? &fleet_->segment() : nullptr,
-                    fleet_ ? fleet_->lane() : 0),
-                {}};
-    }
-    if (path == "/metrics") {
-        counters_.metrics.fetch_add(1, std::memory_order_relaxed);
-        if (request.method != "GET")
-            return {405, errorJson("use GET /metrics"), {}};
-        const auto uptime =
-            std::chrono::steady_clock::now() - start_time_;
-        const obs::EventLogStats ev_stats =
-            events_ ? events_->stats() : obs::EventLogStats();
-        Reply reply;
-        reply.body = metricsText(
-            context_.pipeline->stats(), admission_, counters_,
-            latency_,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    uptime)
-                    .count()),
-            result_cache_.stats(),
-            jobs_ ? jobs_->stats() : JobStoreStats(),
-            fleet_ ? &fleet_->segment() : nullptr,
-            events_ ? &ev_stats : nullptr);
-        reply.content_type = "text/plain; version=0.0.4; charset=utf-8";
-        return reply;
-    }
-    if (path == "/events") {
-        counters_.events.fetch_add(1, std::memory_order_relaxed);
-        if (request.method != "GET")
-            return {405, errorJson("use GET /events"), {}};
-        std::size_t n = 100;
-        const QueryParams params = request.query();
-        const auto nit = params.find("n");
-        if (nit != params.end()) {
-            try {
-                n = static_cast<std::size_t>(
-                    std::stoull(nit->second));
-            } catch (const std::exception &) {
-                return {400,
-                        errorJson("bad n parameter (want a count)"),
-                        {}};
-            }
-        }
-        return {200,
-                events_ ? events_->tailJson(n)
-                        : std::string("{\"count\":0,\"events\":[]}"),
-                {}};
-    }
-    if (path == "/jobs" || path.rfind("/jobs/", 0) == 0) {
-        counters_.jobs.fetch_add(1, std::memory_order_relaxed);
-        return dispatchJobs(request, client, trace_id);
-    }
-    if (path == "/analyze" || path == "/dse" || path == "/tune" ||
-        path == "/simulate" || path == "/crossval") {
-        if (path == "/analyze")
-            counters_.analyze.fetch_add(1, std::memory_order_relaxed);
-        else if (path == "/dse")
-            counters_.dse.fetch_add(1, std::memory_order_relaxed);
-        else if (path == "/simulate")
-            counters_.simulate.fetch_add(1, std::memory_order_relaxed);
-        else if (path == "/crossval")
-            counters_.crossval.fetch_add(1, std::memory_order_relaxed);
-        else
-            counters_.tune.fetch_add(1, std::memory_order_relaxed);
-        if (request.method != "POST")
-            return {405, errorJson(msg("use POST ", path)), {}};
-        return dispatchAnalysis(request, client);
-    }
-    return {404, errorJson(msg("no such endpoint '", path, "'")), {}};
+    return resolveRequest(call.body, call.params,
+                          context_.default_config);
 }
 
-JobOutcome
-AnalysisServer::evaluateRequest(const std::string &path,
-                                const QueryParams &params,
-                                const std::string &body)
+Reply
+AnalysisServer::handleAnalyze(const Call &call)
 {
-    try {
-        if (path == "/crossval")
-            return {200, crossvalRunJson(params,
-                                         options_.worker_threads)};
-        const RequestInputs inputs =
-            resolveRequest(body, params, context_.default_config);
-        std::string json;
-        if (path == "/analyze")
-            json = analyzeJson(inputs, context_.pipeline,
-                               context_.energy);
-        else if (path == "/dse")
-            json = dseJson(inputs, params, context_.pipeline,
-                           context_.energy);
-        else if (path == "/simulate")
-            json = simulateJson(inputs, params, context_.pipeline,
-                                context_.energy);
-        else
-            json = tuneJson(inputs, params, context_.pipeline,
-                            context_.energy, options_.worker_threads);
-        return {200, std::move(json)};
-    } catch (const Error &e) {
-        return {400, errorJson(e.what())};
-    } catch (const std::exception &e) {
-        return {500, errorJson(e.what())};
-    }
+    return {200,
+            analyzeJson(resolve(call), context_.pipeline,
+                        context_.energy),
+            {}};
 }
 
-JobOutcome
-AnalysisServer::evaluateCached(const JobRequest &request)
+Reply
+AnalysisServer::handleDse(const Call &call)
 {
-    if (const auto hit = result_cache_.get(request.canonical)) {
-        if (fleet_) {
-            fleet_->countResultCache(true);
-            fleet_->addServedBytes(hit->size());
-            if (!request.client.empty())
-                fleet_->clientCacheHit(request.client);
-        }
-        return {200, *hit};
-    }
-    if (fleet_)
-        fleet_->countResultCache(false);
-    return evaluateAndStore(request);
+    return {200,
+            dseJson(resolve(call), call.params, context_.pipeline,
+                    context_.energy),
+            {}};
 }
 
-JobOutcome
-AnalysisServer::evaluateAndStore(const JobRequest &request)
+Reply
+AnalysisServer::handleTune(const Call &call)
 {
-    JobOutcome outcome = evaluateRequest(request.path, request.params,
-                                         request.body);
-    if (outcome.first == 200) {
-        const std::size_t evicted = result_cache_.put(
-            request.canonical,
-            std::make_shared<const std::string>(outcome.second));
-        if (fleet_) {
-            if (evicted > 0)
-                fleet_->addCacheEvictions(evicted);
-            const ResultCacheStats cs = result_cache_.stats();
-            fleet_->setCacheGauges(cs.entries, cs.bytes);
-        }
-    }
-    return outcome;
+    return {200,
+            tuneJson(resolve(call), call.params, context_.pipeline,
+                     context_.energy, options_.worker_threads),
+            {}};
 }
 
-AnalysisServer::Reply
-AnalysisServer::dispatchJobs(const HttpRequest &request,
-                             const std::string &client,
-                             const std::string &trace_id)
+Reply
+AnalysisServer::handleSimulate(const Call &call)
 {
-    const std::string path = request.path();
-    if (path == "/jobs") {
-        if (request.method != "GET")
+    return {200,
+            simulateJson(resolve(call), call.params, context_.pipeline,
+                         context_.energy),
+            {}};
+}
+
+Reply
+AnalysisServer::handleCrossval(const Call &call)
+{
+    return {200, crossvalRunJson(call.params, options_.worker_threads),
+            {}};
+}
+
+Reply
+AnalysisServer::handleHealthz(const Call &)
+{
+    // 503 during a graceful drain so load balancers stop routing to
+    // a stopping worker before the listener closes.
+    if (stopping_.load(std::memory_order_acquire))
+        return {503, healthzJson(true), {"Retry-After: 1"}};
+    return {200, healthzJson(), {}};
+}
+
+fleet::ComponentStats
+AnalysisServer::componentStats() const
+{
+    fleet::ComponentStats c;
+    c.uptime_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start_time_)
+            .count());
+    c.queue_capacity = admission_.capacity();
+    c.peak_depth = admission_.peakDepth();
+    c.client_share = admission_.clientShare();
+    c.cache_inserted = result_cache_.stats().inserted;
+    c.job_capacity = jobs_->stats().capacity;
+    c.pipeline = context_.pipeline->stats();
+    c.events = events_->stats();
+    return c;
+}
+
+Reply
+AnalysisServer::handleStats(const Call &)
+{
+    return {200, fleet_->statsJson(componentStats()), {}};
+}
+
+Reply
+AnalysisServer::handleMetrics(const Call &)
+{
+    const fleet::ComponentStats local = componentStats();
+    Reply reply{200, fleet::metricsText(fleet_->segment(), &local), {}};
+    // Process-wide instruments (pipeline stage-miss latencies, pool
+    // queue-wait, DSE sweep counters, ...) share the document.
+    obs::Registry::global().render(reply.body);
+    reply.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    return reply;
+}
+
+Reply
+AnalysisServer::handleEvents(const Call &call)
+{
+    auto [status, body] = eventsTail(*events_, call.params);
+    return {status, std::move(body), {}};
+}
+
+Reply
+AnalysisServer::handleJobs(const Call &call)
+{
+    if (call.path == "/jobs") {
+        if (call.method != "GET")
             return {405,
                     errorJson("use GET /jobs, POST /jobs/<endpoint>, "
                               "or GET/DELETE /jobs/<id>"),
@@ -784,7 +682,8 @@ AnalysisServer::dispatchJobs(const HttpRequest &request,
     // X-Job-Trace-Id header — bodies stay byte-identical, but a poll
     // from another connection (or worker) still correlates back to
     // the submitting request's X-Trace-Id.
-    const auto annotate = [](Reply reply, const JobReply &r) {
+    const auto annotate = [](const JobReply &r) {
+        Reply reply{r.status, r.body, {}};
         if (r.retry_after)
             reply.extra_headers.push_back("Retry-After: 1");
         if (!r.trace_id.empty())
@@ -793,73 +692,112 @@ AnalysisServer::dispatchJobs(const HttpRequest &request,
         return reply;
     };
 
-    const std::string tail = path.substr(6);
-    if (request.method == "POST") {
-        if (!isJobEndpoint(tail))
+    const std::string tail(call.path.substr(6));
+    if (call.method == "POST") {
+        const Endpoint *target = findAnalysis(tail);
+        if (target == nullptr) {
+            std::string names;
+            for (const Endpoint &e : endpoints())
+                if (e.kind == EndpointKind::Analysis)
+                    names += (names.empty() ? "" : "|") +
+                             std::string(e.name);
             return {404,
-                    errorJson(msg(
-                        "no such job endpoint '", tail,
-                        "'; POST /jobs/{analyze|dse|tune|simulate|"
-                        "crossval}")),
+                    errorJson(msg("no such job endpoint '", tail,
+                                  "'; POST /jobs/{", names, "}")),
                     {}};
+        }
         JobRequest job;
-        job.path = "/" + tail;
-        job.params = request.query();
-        job.body = request.body;
+        job.path = target->path;
+        job.params = call.params;
+        job.body = call.body;
         job.canonical = ResultCache::canonicalKey(job.path, job.params,
                                                   job.body);
-        job.client = client;
+        job.client = call.client;
         // Content-addressed id: identical requests share one job.
         const std::string id = "j" + hashHex(hashBytes(job.canonical));
-        const JobReply r =
-            jobs_->submit(client, id, std::move(job), trace_id);
-        return annotate(Reply{r.status, r.body, {}}, r);
+        return annotate(
+            jobs_->submit(call.client, id, std::move(job), call.trace_id));
     }
-    if (request.method == "GET" || request.method == "DELETE") {
-        const JobReply r = request.method == "GET"
-                               ? jobs_->poll(tail)
-                               : jobs_->cancel(tail);
-        return annotate(Reply{r.status, r.body, {}}, r);
-    }
+    if (call.method == "GET")
+        return annotate(jobs_->poll(tail));
+    if (call.method == "DELETE")
+        return annotate(jobs_->cancel(tail));
     return {405, errorJson("use POST, GET, or DELETE under /jobs"),
             {}};
 }
 
-AnalysisServer::Reply
-AnalysisServer::dispatchAnalysis(const HttpRequest &request,
-                                 const std::string &client)
+JobOutcome
+AnalysisServer::evaluateCached(const JobRequest &request)
 {
-    const std::string path = request.path();
-    const QueryParams params = request.query();
+    if (const auto hit = result_cache_.get(request.canonical)) {
+        fleet_->countCacheHit(request.client, hit->size());
+        return {200, *hit};
+    }
+    fleet_->countCacheMiss();
+    return evaluateAndStore(*findEndpoint(request.path), request);
+}
+
+JobOutcome
+AnalysisServer::evaluateAndStore(const Endpoint &endpoint,
+                                 const JobRequest &request)
+{
+    JobOutcome outcome;
+    try {
+        const std::string no_trace;
+        const Call call{"POST",       request.path,   request.params,
+                        request.body, request.client, no_trace};
+        Reply reply = (this->*endpoint.handler)(call);
+        outcome = {reply.status, std::move(reply.body)};
+    } catch (const Error &e) {
+        return {400, errorJson(e.what())};
+    } catch (const std::exception &e) {
+        return {500, errorJson(e.what())};
+    }
+    if (outcome.first != 200)
+        return outcome;
+    fleet_->addCacheEvictions(result_cache_.put(
+        request.canonical,
+        std::make_shared<const std::string>(outcome.second)));
+    std::lock_guard<std::mutex> lock(gauge_mutex_);
+    const ResultCacheStats cs = result_cache_.stats();
+    fleet_->setCacheGauges(cs.entries, cs.bytes);
+    return outcome;
+}
+
+void
+AnalysisServer::publishActiveClients()
+{
+    std::lock_guard<std::mutex> lock(gauge_mutex_);
+    fleet_->setActiveClients(
+        static_cast<std::int64_t>(admission_.activeClients()));
+}
+
+Reply
+AnalysisServer::dispatchAnalysis(const Endpoint &endpoint,
+                                 const Call &call)
+{
     const std::string canonical =
-        ResultCache::canonicalKey(path, params, request.body);
+        ResultCache::canonicalKey(endpoint.path, call.params, call.body);
 
     // A resident result costs no evaluation slot: serve it inline,
     // bypassing admission (hits are the cheap, common case the
     // cache exists for). Bodies are byte-identical either way; only
     // the X-Result-Cache header tells the paths apart.
     if (const auto hit = result_cache_.get(canonical)) {
-        if (fleet_) {
-            fleet_->countResultCache(true);
-            fleet_->addServedBytes(hit->size());
-            fleet_->clientCacheHit(client);
-        }
+        fleet_->countCacheHit(call.client, hit->size());
         Reply reply{200, *hit, {"X-Result-Cache: hit"}};
         reply.cache = "hit";
         return reply;
     }
-    // The inline probe just counted a miss in the local stats; the
-    // lane mirrors it here (the worker below evaluates WITHOUT a
-    // second probe, so each logical miss counts once on both sides).
-    if (fleet_)
-        fleet_->countResultCache(false);
+    // The worker below evaluates WITHOUT a second probe, so each
+    // logical miss counts once.
+    fleet_->countCacheMiss();
 
-    switch (admission_.admit(client)) {
+    switch (admission_.admit(call.client)) {
       case AdmissionController::Admit::FullClient: {
-        if (fleet_)
-            fleet_->countClientRejected();
+        fleet_->countClientRejected();
         Reply reply{429,
-                    errorJson(msg("client '", client,
+                    errorJson(msg("client '", call.client,
                                   "' is over its request budget, "
                                   "retry later")),
                     {"Retry-After: 1"}};
@@ -867,8 +805,7 @@ AnalysisServer::dispatchAnalysis(const HttpRequest &request,
         return reply;
       }
       case AdmissionController::Admit::FullGlobal: {
-        if (fleet_)
-            fleet_->countQueueRejected();
+        fleet_->countQueueRejected();
         Reply reply{503,
                     errorJson("request queue full, retry later"),
                     {"Retry-After: 1"}};
@@ -879,14 +816,10 @@ AnalysisServer::dispatchAnalysis(const HttpRequest &request,
         break;
     }
 
-    const char *endpoint = endpointName(path);
     const std::uint64_t admit_tick = fleet::steadyTickMicros();
-    if (fleet_) {
-        fleet_->addQueueDepth(1);
-        fleet_->clientInflight(client, 1);
-        fleet_->setActiveClients(static_cast<std::int64_t>(
-            admission_.activeClients()));
-    }
+    fleet_->addQueueDepth(1);
+    fleet_->clientInflight(call.client, 1);
+    publishActiveClients();
 
     // The state owns everything the worker reads: the connection
     // thread may abandon the future on deadline expiry while the
@@ -894,22 +827,19 @@ AnalysisServer::dispatchAnalysis(const HttpRequest &request,
     auto state = std::make_shared<SyncState>();
     auto future = state->promise.get_future();
     JobRequest job;
-    job.path = path;
-    job.params = params;
-    job.body = request.body;
+    job.path = endpoint.path;
+    job.params = call.params;
+    job.body = call.body;
     job.canonical = canonical;
-    job.client = client;
+    job.client = call.client;
 
-    pool_->submit([this, state, job = std::move(job), client,
-                   endpoint, admit_tick] {
-        const auto settle = [this, &client] {
-            admission_.release(client);
-            if (fleet_) {
-                fleet_->addQueueDepth(-1);
-                fleet_->clientInflight(client, -1);
-                fleet_->setActiveClients(static_cast<std::int64_t>(
-                    admission_.activeClients()));
-            }
+    pool_->submit([this, state, job = std::move(job), ep = &endpoint,
+                   admit_tick] {
+        const auto settle = [this, &job] {
+            admission_.release(job.client);
+            fleet_->addQueueDepth(-1);
+            fleet_->clientInflight(job.client, -1);
+            publishActiveClients();
         };
         if (state->cancelled.load(std::memory_order_acquire)) {
             // Expired while queued: skip the evaluation entirely.
@@ -917,15 +847,9 @@ AnalysisServer::dispatchAnalysis(const HttpRequest &request,
             return;
         }
         const std::uint64_t start_tick = fleet::steadyTickMicros();
-        if (fleet_)
-            fleet_->recordQueueWait(endpoint,
-                                    start_tick - admit_tick);
-        // The inline probe above already missed: evaluate without a
-        // second probe so each logical miss counts once in stats.
-        JobOutcome outcome = evaluateAndStore(job);
-        if (fleet_)
-            fleet_->recordRun(endpoint, fleet::steadyTickMicros() -
-                                            start_tick);
+        fleet_->recordQueueWait(*ep, start_tick - admit_tick);
+        JobOutcome outcome = evaluateAndStore(*ep, job);
+        fleet_->recordRun(*ep, fleet::steadyTickMicros() - start_tick);
         settle();
         state->promise.set_value(std::move(outcome));
     });

@@ -2,20 +2,11 @@
  * @file
  * `maestro serve` — a long-lived analysis daemon over POSIX sockets.
  *
- * One process serves many clients over keep-alive HTTP/1.1:
- *
- *   POST /analyze    MAESTRO DSL body -> per-layer analysis JSON
- *   POST /dse        DSL body -> design-space exploration JSON
- *   POST /tune       DSL body -> dataflow auto-tuning JSON
- *   POST /simulate   DSL body -> reference-simulator cross-check
- *   POST /crossval   randomized analytical-vs-sim validation sweep
- *   POST /jobs/<ep>  submit any of the above as an async job
- *   GET  /jobs/<id>  job state; done/failed -> the response verbatim
- *   DELETE /jobs/<id> cancel queued / remove terminal work
- *   GET  /jobs       resident jobs in submission order
- *   GET  /healthz    liveness probe (503 "draining" during drain)
- *   GET  /stats      cache/queue/jobs/latency observability surface
- *   GET  /metrics    Prometheus text exposition (server + process)
+ * One process serves many clients over keep-alive HTTP/1.1. Its
+ * routes are the rows of the endpoint table (src/serve/endpoints.hh):
+ * POST analysis endpoints (analyze, dse, tune, simulate, crossval;
+ * each also submittable as an async job under /jobs), the /jobs
+ * store itself, and GET healthz/stats/metrics/events.
  *
  * Every response carries an X-Trace-Id header — the client-sent
  * x-trace-id echoed back, else a deterministic per-server sequence
@@ -63,11 +54,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/common/thread_pool.hh"
 #include "src/obs/event_log.hh"
+#include "src/serve/admission.hh"
 #include "src/serve/fleet.hh"
 #include "src/serve/handlers.hh"
 #include "src/serve/jobs.hh"
@@ -181,6 +174,25 @@ struct ServeOptions
     std::size_t worker_lane = 0;
 };
 
+/** send() the whole buffer (no SIGPIPE); false on a dead peer. */
+bool sendAll(int fd, std::string_view data);
+
+/**
+ * A TCP socket bound to host:port (SO_REUSEADDR, plus SO_REUSEPORT
+ * when `reuse_port`), listening unless `backlog` is 0. `bound_port`
+ * receives the resolved port (port 0 picks an ephemeral one).
+ *
+ * @throws Error when the address cannot be parsed or bound.
+ */
+int bindTcp(const std::string &host, std::uint16_t port,
+            bool reuse_port, int backlog, std::uint16_t &bound_port);
+
+/**
+ * GET /events?n=K: the newest K event-ring lines (default 100), or
+ * 400 when n is not a count. Shared with the supervisor status port.
+ */
+JobOutcome eventsTail(const obs::EventLog &log, const QueryParams &params);
+
 /**
  * The daemon. Construct, start(), then run() on the serving thread.
  */
@@ -220,24 +232,9 @@ class AnalysisServer
      */
     void requestStop();
 
-    /** Shared handler state (pipeline, default hardware). */
-    const ServeContext &context() const { return context_; }
-
-    const ServeOptions &options() const { return options_; }
-
-    /** The job store (created by start(); stats for /stats). */
-    const JobStore *jobStore() const { return jobs_.get(); }
-
-    /** The content-addressed result cache (stats for tests). */
-    const ResultCache &resultCache() const { return result_cache_; }
-
-    /** This worker's fleet metrics lane (created by start()). */
-    const fleet::FleetLane *fleetLane() const { return fleet_.get(); }
-
-    /** The structured event log (created by start()). */
-    const obs::EventLog *eventLog() const { return events_.get(); }
-
   private:
+    friend std::span<const Endpoint, kEndpointCount> endpoints();
+
     /** One tracked connection thread. */
     struct Connection
     {
@@ -248,55 +245,52 @@ class AnalysisServer
     /** Connection thread body: read -> parse -> respond loop. */
     void serveConnection(int fd, Connection *slot, std::string peer);
 
-    /** Routes one parsed request to a handler (+ admission). */
-    struct Reply
-    {
-        int status = 200;
-        std::string body;
-        std::vector<std::string> extra_headers;
-        /** Last brace-init field so short inits stay valid. */
-        std::string content_type = "application/json";
-        // Telemetry annotations (headers/bodies never carry them):
-        std::string client{};        ///< resolved client key
-        const char *cache = nullptr; ///< "hit"/"miss" for analysis
-        const char *reject = nullptr; ///< admission rejection kind
-    };
-    Reply dispatch(const HttpRequest &request,
-                   const std::string &peer,
+    /** Resolves the client key, counts, and routes one request
+     *  through the endpoint table (`endpoint` null: 404). */
+    Reply dispatch(const HttpRequest &request, const Endpoint *endpoint,
+                   std::string_view path, const std::string &peer,
                    const std::string &trace_id);
 
-    /** dispatch() minus the telemetry wrapper: the route table. */
-    Reply route(const HttpRequest &request, const std::string &client,
-                const std::string &trace_id);
+    /** Runs an Analysis endpoint: result-cache probe, admission
+     *  (503/429), the pool, and the deadline (408). */
+    Reply dispatchAnalysis(const Endpoint &endpoint, const Call &call);
 
-    /** Runs a sync POST endpoint through the pool (503/429/408). */
-    Reply dispatchAnalysis(const HttpRequest &request,
-                           const std::string &client);
+    // Endpoint handlers: the `handler` column of the table.
+    Reply handleAnalyze(const Call &call);
+    Reply handleDse(const Call &call);
+    Reply handleTune(const Call &call);
+    Reply handleSimulate(const Call &call);
+    Reply handleCrossval(const Call &call);
+    Reply handleJobs(const Call &call);
+    Reply handleHealthz(const Call &call);
+    Reply handleStats(const Call &call);
+    Reply handleMetrics(const Call &call);
+    Reply handleEvents(const Call &call);
 
-    /** Routes /jobs and /jobs/<suffix> to the job store. */
-    Reply dispatchJobs(const HttpRequest &request,
-                       const std::string &client,
-                       const std::string &trace_id);
+    /** The analysis inputs of a DSL request body. */
+    RequestInputs resolve(const Call &call) const;
+
+    /** What /stats and /metrics read from components, not the lane. */
+    fleet::ComponentStats componentStats() const;
+
+    /** Re-reads the admission's active-client count into the lane. */
+    void publishActiveClients();
 
     /**
-     * Evaluates one captured request to a rendered response —
-     * shared by the sync path and the job executor, consulting and
-     * filling the result cache (a pure function of the request, so
-     * sync and async bodies are byte-identical by construction).
+     * The job executor: evaluates one captured request to a rendered
+     * response, consulting and filling the result cache (a pure
+     * function of the request, so sync and async bodies are
+     * byte-identical by construction).
      */
     JobOutcome evaluateCached(const JobRequest &request);
 
     /**
-     * evaluateCached minus the probe: evaluates and stores a 200.
-     * For callers that already probed and missed (the sync worker),
-     * so one logical miss counts once in the cache stats.
+     * Evaluates and stores a 200, without a cache probe. For callers
+     * that already probed and missed (the sync worker), so one
+     * logical miss counts once.
      */
-    JobOutcome evaluateAndStore(const JobRequest &request);
-
-    /** The raw evaluation under evaluateCached (no cache). */
-    JobOutcome evaluateRequest(const std::string &path,
-                               const QueryParams &params,
-                               const std::string &body);
+    JobOutcome evaluateAndStore(const Endpoint &endpoint,
+                                const JobRequest &request);
 
     /** Joins finished connection threads; joins all when `all`. */
     void reapConnections(bool all);
@@ -322,8 +316,10 @@ class AnalysisServer
 
     std::unique_ptr<ThreadPool> pool_;
     AdmissionController admission_;
-    RequestCounters counters_;
-    LatencyHistogram latency_;
+
+    /** Serializes read-component-then-set-lane gauge updates, so the
+     *  last write always carries the latest component state. */
+    std::mutex gauge_mutex_;
 
     /** Per-server trace-id sequence (deterministic, no wall clock). */
     std::atomic<std::uint64_t> trace_seq_{0};

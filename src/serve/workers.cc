@@ -7,10 +7,9 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -20,7 +19,6 @@
 #include "src/common/json.hh"
 #include "src/common/version.hh"
 #include "src/obs/event_log.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/shared_metrics.hh"
 #include "src/serve/fleet.hh"
 
@@ -81,34 +79,7 @@ class StatusServer
         : segment_(std::move(segment)), events_(events),
           workers_(workers), serve_port_(serve_port)
     {
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        fatalIf(listen_fd_ < 0, "socket: ", std::strerror(errno));
-        const int one = 1;
-        ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) !=
-            1) {
-            ::close(listen_fd_);
-            throw Error(
-                msg("bad status-port address '", host, "'"));
-        }
-        if (::bind(listen_fd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(listen_fd_, 16) != 0) {
-            const int err = errno;
-            ::close(listen_fd_);
-            throw Error(msg("cannot bind status port ", host, ":",
-                            port, ": ", std::strerror(err)));
-        }
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        ::getsockname(listen_fd_,
-                      reinterpret_cast<sockaddr *>(&bound), &len);
-        bound_port_ = ntohs(bound.sin_port);
+        listen_fd_ = bindTcp(host, port, false, 16, bound_port_);
         fatalIf(::pipe(wake_pipe_) != 0,
                 "pipe: ", std::strerror(errno));
         thread_ = std::thread([this] { loop(); });
@@ -181,16 +152,8 @@ class StatusServer
         } else {
             respond(parser.request(), status, body, content_type);
         }
-        const std::string wire =
-            serializeResponse(status, body, content_type, false);
-        std::size_t off = 0;
-        while (off < wire.size()) {
-            const ssize_t n = ::send(fd, wire.data() + off,
-                                     wire.size() - off, MSG_NOSIGNAL);
-            if (n <= 0)
-                return;
-            off += static_cast<std::size_t>(n);
-        }
+        sendAll(fd,
+                serializeResponse(status, body, content_type, false));
     }
 
     void
@@ -215,25 +178,7 @@ class StatusServer
             return;
         }
         if (path == "/metrics") {
-            std::string out;
-            out.reserve(16 * 1024);
-            obs::appendFamilyHeader(out, "maestro_build_info",
-                                    "Build identity (constant 1; the "
-                                    "version rides on the label)",
-                                    "gauge");
-            obs::appendSample(out, "maestro_build_info",
-                              obs::labelString({{"version",
-                                                 kVersion}}),
-                              std::uint64_t{1});
-            obs::appendFamilyHeader(out, "maestro_workers",
-                                    "Worker processes in the fleet",
-                                    "gauge");
-            obs::appendSample(
-                out, "maestro_workers", "",
-                static_cast<std::uint64_t>(workers_));
-            fleet::appendMirroredFamilies(out, *segment_, true);
-            fleet::appendFleetOnlyFamilies(out, *segment_, true);
-            body = std::move(out);
+            body = fleet::metricsText(*segment_, nullptr);
             content_type =
                 "text/plain; version=0.0.4; charset=utf-8";
             return;
@@ -246,33 +191,13 @@ class StatusServer
             w.key("port").value(
                 static_cast<std::uint64_t>(serve_port_));
             fleet::writeFleetStats(w, *segment_, 0);
-            const obs::EventLogStats es = events_->stats();
-            w.key("events").beginObject();
-            w.key("lines").value(es.lines);
-            w.key("bytes").value(es.bytes);
-            w.key("rotations").value(es.rotations);
-            w.key("dropped").value(es.dropped);
-            w.endObject();
+            fleet::writeEventStats(w, events_->stats());
             w.endObject();
             body = w.str();
             return;
         }
         if (path == "/events") {
-            std::size_t n = 100;
-            const QueryParams params = request.query();
-            const auto nit = params.find("n");
-            if (nit != params.end()) {
-                try {
-                    n = static_cast<std::size_t>(
-                        std::stoull(nit->second));
-                } catch (const std::exception &) {
-                    status = 400;
-                    body =
-                        errorJson("bad n parameter (want a count)");
-                    return;
-                }
-            }
-            body = events_->tailJson(n);
+            std::tie(status, body) = eventsTail(*events_, request.query());
             return;
         }
         status = 404;
@@ -296,33 +221,7 @@ class StatusServer
 int
 openPortPlaceholder(ServeOptions &options)
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(fd < 0, "socket: ", std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options.port);
-    if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) !=
-        1) {
-        ::close(fd);
-        throw Error(msg("bad bind address '", options.host, "'"));
-    }
-    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw Error(msg("cannot bind ", options.host, ":",
-                        options.port, ": ", std::strerror(err)));
-    }
-
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(fd, reinterpret_cast<sockaddr *>(&bound), &len);
-    options.port = ntohs(bound.sin_port);
-    return fd;
+    return bindTcp(options.host, options.port, true, 0, options.port);
 }
 
 pid_t
@@ -445,7 +344,8 @@ runWorkers(ServeOptions options, std::size_t workers,
         } catch (const std::exception &e) {
             // A dead status port must not take the fleet down with
             // it: report and tear the group down cleanly.
-            std::fprintf(stderr, "maestro serve: %s\n", e.what());
+            std::fprintf(stderr, "maestro serve: status port: %s\n",
+                         e.what());
             forwardStopSignal(SIGTERM);
         }
     }

@@ -590,9 +590,6 @@ TEST(Jobs, ShutdownCancelsQueuedKeepsFinished)
 
 TEST(Jobs, ObserversSeeLifecycleEventsWithTraceAndTimings)
 {
-    ThreadPool pool(1);
-    JobStore store(&pool, echoExecutor, 8, 1, 1);
-
     /** One copied observation (views die with the callback). */
     struct Seen
     {
@@ -600,11 +597,16 @@ TEST(Jobs, ObserversSeeLifecycleEventsWithTraceAndTimings)
         int status;
         bool has_queue_wait, has_run;
     };
+    // Declared before the pool and the store: a job finishing on the
+    // pool thread while the test unwinds still reports into them.
     std::mutex seen_mutex;
     std::vector<Seen> seen;
     std::size_t gauge_calls = 0;
+
+    ThreadPool pool(1);
+    JobStore store(&pool, echoExecutor, 8, 1, 1);
     store.setObservers(
-        [&](const JobEventInfo &info) {
+        [&](const obs::JobEvent &info) {
             std::lock_guard<std::mutex> lock(seen_mutex);
             seen.push_back({std::string(info.event),
                             std::string(info.id),
@@ -640,10 +642,14 @@ TEST(Jobs, ObserversSeeLifecycleEventsWithTraceAndTimings)
                            store.stats().completed == 3; },
               "carol's second submit");
 
+    // Snapshot under the observers' lock: carol's jobs may still be
+    // reporting from the pool thread.
     std::vector<Seen> copy;
+    std::size_t gauges_seen = 0;
     {
         std::lock_guard<std::mutex> lock(seen_mutex);
         copy = seen;
+        gauges_seen = gauge_calls;
     }
     const auto find = [&](const char *event, const char *id) {
         for (const Seen &s : copy)
@@ -677,18 +683,19 @@ TEST(Jobs, ObserversSeeLifecycleEventsWithTraceAndTimings)
     EXPECT_EQ(resubmitted->client, "alice");
     EXPECT_EQ(resubmitted->trace, "trace-7");
 
-    EXPECT_GT(gauge_calls, 0u);
+    EXPECT_GT(gauges_seen, 0u);
 }
 
 TEST(Jobs, FailureAndEvictionEventsCarryTerminalStatus)
 {
-    ThreadPool pool(1);
-    JobStore store(&pool, echoExecutor, 2, 0, 1);
-
+    // Declared before the pool and the store (see above).
     std::mutex seen_mutex;
     std::vector<std::pair<std::string, int>> seen;
+
+    ThreadPool pool(1);
+    JobStore store(&pool, echoExecutor, 2, 0, 1);
     store.setObservers(
-        [&](const JobEventInfo &info) {
+        [&](const obs::JobEvent &info) {
             std::lock_guard<std::mutex> lock(seen_mutex);
             seen.emplace_back(std::string(info.event), info.status);
         },

@@ -346,13 +346,17 @@ TEST(MapperServe, TuneHandlerHonorsRequestKnobs)
          pos = body.find("\"dataflow\"", pos + 1))
         ++entries;
     EXPECT_EQ(entries, 2u);
-    EXPECT_THROW(serve::tuneJson(inputs,
-                                 serve::QueryParams{
-                                     {"layer", "conv"},
-                                     {"top_k", "0"},
-                                 },
-                                 pipeline, energy, 1),
-                 Error);
+    // Counts parse strictly: no zero, exponent, NaN, sign, or
+    // trailing bytes (1e30 must never reach a size_t cast).
+    for (const char *bad : {"0", "1e30", "nan", "inf", "-2", "2x"})
+        EXPECT_THROW(serve::tuneJson(inputs,
+                                     serve::QueryParams{
+                                         {"layer", "conv"},
+                                         {"top_k", bad},
+                                     },
+                                     pipeline, energy, 1),
+                     Error)
+            << bad;
 }
 
 TEST(MapperServe, TuneHandlerNetworkMode)

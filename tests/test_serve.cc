@@ -36,12 +36,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/common/version.hh"
 #include "src/frontend/serializer.hh"
 #include "src/model/zoo.hh"
+#include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
 #include "src/obs/shared_metrics.hh"
 #include "src/serve/admission.hh"
@@ -773,9 +775,12 @@ TEST(Serve, MetricsEndpointSpeaksPrometheusText)
     // timing by default, so stage-miss histograms have samples.
     EXPECT_NE(body.find("maestro_pipeline_stage_miss_us_bucket"),
               std::string::npos);
-    EXPECT_NE(body.find("maestro_http_request_us_bucket{endpoint="
-                        "\"analyze\""),
+    // Request latency is recorded once, in the segment's per-endpoint
+    // histogram; the registry carries no duplicate family for it.
+    EXPECT_NE(body.find("maestro_endpoint_latency_us_bucket{cache="
+                        "\"miss\",endpoint=\"analyze\""),
               std::string::npos);
+    EXPECT_EQ(body.find("maestro_http_request_us"), std::string::npos);
 
     // /metrics requests count themselves (incremented before the
     // render, so the first scrape already shows 1).
@@ -1285,10 +1290,17 @@ TEST(Serve, CrossvalEndpointSyncAndAsyncMatchDirectHandler)
     ASSERT_EQ(done.status, 200) << done.body;
     EXPECT_EQ(done.body, expected);
 
-    // Bad parameters surface as a 400, sync path.
-    EXPECT_EQ(oneShot(port, postRequest("/crossval?triples=0", ""))
-                  .status,
-              400);
+    // Bad parameters surface as a 400, sync path: counts parse
+    // strictly (no exponent, sign, whitespace, or out-of-range).
+    for (const char *bad : {"triples=0", "triples=1e30", "triples=nan",
+                            "triples=inf", "triples=-1", "triples=4.0",
+                            "seed=%204", "threads=12abc"})
+        EXPECT_EQ(oneShot(port, postRequest(std::string("/crossval?") +
+                                                bad,
+                                            ""))
+                      .status,
+                  400)
+            << bad;
 }
 
 // ---------------------------------------------------------------- //
@@ -1587,8 +1599,14 @@ TEST(ServeFleet, EventLogAndEventsTailShareTheRequestStory)
               std::string::npos);
     EXPECT_NE(tail.body.find("\"trace\":\"" + trace + "\""),
               std::string::npos);
-    EXPECT_EQ(oneShot(port, getRequest("/events?n=bogus")).status,
-              400);
+    for (const char *bad :
+         {"bogus", "12abc", "-1", "%20%207", "+7", "1e3",
+          "99999999999999999999999"})
+        EXPECT_EQ(
+            oneShot(port, getRequest(std::string("/events?n=") + bad))
+                .status,
+            400)
+            << bad;
 
     // /stats surfaces the log's counters.
     const std::string stats =
@@ -1618,6 +1636,313 @@ TEST(ServeFleet, EventLogAndEventsTailShareTheRequestStory)
     EXPECT_GE(lines, 3u);
     EXPECT_TRUE(saw_analyze);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------- //
+//          Wire surface of /stats and /metrics (fixed script)       //
+// ---------------------------------------------------------------- //
+
+/** Dotted key paths of every leaf under the object at `pos` (a
+ *  JsonWriter body: no whitespace; arrays count as leaves). */
+void
+collectKeyPaths(const std::string &json, std::size_t &pos,
+                const std::string &prefix, std::vector<std::string> &out)
+{
+    ++pos; // '{'
+    while (json[pos] != '}') {
+        if (json[pos] == ',')
+            ++pos;
+        const std::size_t close = json.find('"', pos + 1);
+        const std::string key = json.substr(pos + 1, close - pos - 1);
+        const std::string path = prefix.empty() ? key : prefix + "." + key;
+        pos = close + 2; // past '":'
+        if (json[pos] == '{') {
+            collectKeyPaths(json, pos, path, out);
+            continue;
+        }
+        out.push_back(path);
+        if (json[pos] == '[')
+            pos = json.find(']', pos) + 1;
+        else if (json[pos] == '"')
+            pos = json.find('"', pos + 1) + 1;
+        else
+            pos = json.find_first_of(",}", pos);
+    }
+    ++pos; // '}'
+}
+
+/** Family names declared by `# TYPE` lines, with their types. */
+std::map<std::string, std::string>
+familyTypes(const std::string &exposition)
+{
+    std::map<std::string, std::string> types;
+    std::size_t at = 0;
+    while ((at = exposition.find("# TYPE ", at)) != std::string::npos) {
+        const std::size_t name_end = exposition.find(' ', at + 7);
+        const std::size_t eol = exposition.find('\n', name_end);
+        types[exposition.substr(at + 7, name_end - at - 7)] =
+            exposition.substr(name_end + 1, eol - name_end - 1);
+        at = eol;
+    }
+    return types;
+}
+
+/**
+ * Series identities of a /metrics body: `family{labels}` with the
+ * sample value stripped, a histogram's bucket/sum/count lines folded
+ * into one series (le dropped), mapped to their line counts. Families
+ * the process-wide registry renders are left out.
+ */
+std::map<std::string, std::size_t>
+seriesIdentities(const std::string &body)
+{
+    std::string registry;
+    obs::Registry::global().render(registry);
+    const std::map<std::string, std::string> skip =
+        familyTypes(registry);
+    const std::map<std::string, std::string> types = familyTypes(body);
+
+    std::map<std::string, std::size_t> out;
+    std::size_t pos = 0;
+    while (pos < body.size()) {
+        const std::size_t eol = body.find('\n', pos);
+        const std::string line = body.substr(pos, eol - pos);
+        pos = eol + 1;
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::string id = line.substr(0, line.rfind(' '));
+        std::string name = id.substr(0, id.find('{'));
+        std::string labels = id.substr(name.size());
+        for (const char *suffix : {"_bucket", "_sum", "_count"}) {
+            const std::string s(suffix);
+            const std::string base =
+                name.size() > s.size() &&
+                        name.compare(name.size() - s.size(), s.size(),
+                                     s) == 0
+                    ? name.substr(0, name.size() - s.size())
+                    : "";
+            const auto t = types.find(base);
+            if (t != types.end() && t->second == "histogram") {
+                name = base;
+                const std::size_t le = labels.find("le=\"");
+                if (le != std::string::npos) {
+                    const std::size_t end = labels.find('"', le + 4);
+                    const bool comma = labels[end + 1] == ',';
+                    labels.erase(le, end + 1 - le + (comma ? 1 : 0));
+                    if (labels.size() > 1 &&
+                        labels[labels.size() - 2] == ',')
+                        labels.erase(labels.size() - 2, 1);
+                    if (labels == "{}")
+                        labels.clear();
+                }
+            }
+        }
+        if (!skip.count(name))
+            ++out[name + labels];
+    }
+    return out;
+}
+
+TEST(ServeSurface, FixedScriptKeepsStatsKeysAndMetricSeries)
+{
+    TestServer server;
+    const std::uint16_t port = server.port();
+    const std::string dsl = tinyNetwork(8);
+
+    // The fixed request script.
+    EXPECT_EQ(oneShot(port, getRequest("/healthz")).status, 200);
+    const std::string analyze =
+        postRequest("/analyze?dataflow=C-P", dsl);
+    EXPECT_EQ(oneShot(port, analyze).headers.at("x-result-cache"),
+              "miss");
+    EXPECT_EQ(oneShot(port, analyze).headers.at("x-result-cache"),
+              "hit");
+    EXPECT_EQ(oneShot(port, postRequest("/dse?dataflow=C-P", dsl)).status,
+              200);
+    EXPECT_EQ(
+        oneShot(port, postRequest("/simulate?dataflow=C-P", dsl)).status,
+        200);
+    EXPECT_EQ(oneShot(port, postRequest("/analyze", "Nonsense (")).status,
+              400);
+    EXPECT_EQ(oneShot(port, getRequest("/nope")).status, 404);
+    EXPECT_EQ(oneShot(port, getRequest("/analyze")).status, 405);
+    const ClientResponse job =
+        oneShot(port, postRequest("/jobs/analyze?dataflow=X-P", dsl));
+    ASSERT_EQ(job.status, 202) << job.body;
+    EXPECT_EQ(waitJob(port, jsonString(job.body, "id")).status, 200);
+    EXPECT_EQ(oneShot(port, getRequest("/events?n=3")).status, 200);
+    const std::string stats = oneShot(port, getRequest("/stats")).body;
+    const std::string metrics =
+        oneShot(port, getRequest("/metrics")).body;
+
+    // The /stats key paths, in order, are part of the wire contract
+    // (dashboards and the benchmark driver read them).
+    std::vector<std::string> keys;
+    std::size_t pos = 0;
+    collectKeyPaths(stats, pos, "", keys);
+    std::vector<std::string> expected_keys = {
+        "uptime_us", "requests.total"};
+    for (const char *ep :
+         {"analyze", "dse", "tune", "simulate", "crossval", "jobs",
+          "healthz", "stats", "metrics", "events"})
+        expected_keys.push_back(std::string("requests.") + ep);
+    for (const char *k :
+         {"responses.2xx", "responses.4xx", "responses.5xx",
+          "responses.deadline_408", "responses.throttled_429",
+          "responses.rejected_503", "queue.capacity", "queue.depth",
+          "queue.peak_depth", "queue.rejected", "queue.client_share",
+          "queue.active_clients", "queue.rejected_client",
+          "result_cache.hits", "result_cache.misses",
+          "result_cache.evictions", "result_cache.inserted",
+          "result_cache.entries", "result_cache.bytes",
+          "result_cache.served_bytes", "jobs.submitted",
+          "jobs.resubmitted", "jobs.completed", "jobs.failed",
+          "jobs.cancelled", "jobs.evicted", "jobs.rejected_capacity",
+          "jobs.rejected_client", "jobs.queued", "jobs.running",
+          "jobs.resident", "jobs.capacity", "latency_us.count",
+          "latency_us.total", "latency_us.max", "latency_us.buckets",
+          "latency_us.le_us", "pipeline.evaluations"})
+        expected_keys.push_back(k);
+    for (const char *stage :
+         {"stages.tensor", "stages.binding", "stages.flat",
+          "stages.layer", "aggregate"})
+        for (const char *field :
+             {"hits", "misses", "evictions", "entries", "hit_rate"})
+            expected_keys.push_back(std::string("pipeline.") + stage +
+                                    "." + field);
+    for (const char *k :
+         {"events.lines", "events.bytes", "events.rotations",
+          "events.dropped"})
+        expected_keys.push_back(k);
+    EXPECT_EQ(keys, expected_keys);
+
+    // Every series the server itself renders on this script, the
+    // process-wide registry aside. endpoint="other" counts unrouted
+    // and unparsed requests, so requests.total adds up.
+    std::vector<std::string> expected = {
+        "maestro_active_clients",
+        "maestro_build_info{version=\"" + std::string(kVersion) + "\"}",
+        "maestro_client_cache_hits_total{client=\"127.0.0.1\"}",
+        "maestro_client_cache_hits_total{client=\"other\"}",
+        "maestro_client_inflight{client=\"127.0.0.1\"}",
+        "maestro_client_inflight{client=\"other\"}",
+        "maestro_client_rejected_total",
+        "maestro_client_requests_total{client=\"127.0.0.1\"}",
+        "maestro_client_requests_total{client=\"other\"}",
+        "maestro_client_throttled_total{client=\"127.0.0.1\"}",
+        "maestro_client_throttled_total{client=\"other\"}",
+        "maestro_deadline_expirations_total",
+        "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"analyze\"}",
+        "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"crossval\"}",
+        "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"dse\"}",
+        "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"simulate\"}",
+        "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"tune\"}",
+        "maestro_endpoint_latency_us{cache=\"miss\",endpoint=\"analyze\"}",
+        "maestro_endpoint_latency_us{cache=\"miss\",endpoint=\"crossval\"}",
+        "maestro_endpoint_latency_us{cache=\"miss\",endpoint=\"dse\"}",
+        "maestro_endpoint_latency_us{cache=\"miss\",endpoint=\"simulate\"}",
+        "maestro_endpoint_latency_us{cache=\"miss\",endpoint=\"tune\"}",
+        "maestro_endpoint_latency_us{endpoint=\"events\"}",
+        "maestro_endpoint_latency_us{endpoint=\"healthz\"}",
+        "maestro_endpoint_latency_us{endpoint=\"jobs\"}",
+        "maestro_endpoint_latency_us{endpoint=\"metrics\"}",
+        "maestro_endpoint_latency_us{endpoint=\"other\"}",
+        "maestro_endpoint_latency_us{endpoint=\"stats\"}",
+        "maestro_events_bytes_total",
+        "maestro_events_dropped_total",
+        "maestro_events_logged_total",
+        "maestro_events_rotations_total",
+        "maestro_jobs_capacity",
+        "maestro_jobs_oldest_queued_age_us",
+        "maestro_jobs_resident{state=\"queued\"}",
+        "maestro_jobs_resident{state=\"running\"}",
+        "maestro_jobs_resident{state=\"total\"}",
+        "maestro_jobs_total{event=\"cancelled\"}",
+        "maestro_jobs_total{event=\"completed\"}",
+        "maestro_jobs_total{event=\"evicted\"}",
+        "maestro_jobs_total{event=\"failed\"}",
+        "maestro_jobs_total{event=\"rejected_capacity\"}",
+        "maestro_jobs_total{event=\"rejected_client\"}",
+        "maestro_jobs_total{event=\"resubmitted\"}",
+        "maestro_jobs_total{event=\"submitted\"}",
+        "maestro_pipeline_cache_entries{stage=\"aggregate\"}",
+        "maestro_pipeline_cache_entries{stage=\"binding\"}",
+        "maestro_pipeline_cache_entries{stage=\"flat\"}",
+        "maestro_pipeline_cache_entries{stage=\"layer\"}",
+        "maestro_pipeline_cache_entries{stage=\"tensor\"}",
+        "maestro_pipeline_cache_evictions_total{stage=\"aggregate\"}",
+        "maestro_pipeline_cache_evictions_total{stage=\"binding\"}",
+        "maestro_pipeline_cache_evictions_total{stage=\"flat\"}",
+        "maestro_pipeline_cache_evictions_total{stage=\"layer\"}",
+        "maestro_pipeline_cache_evictions_total{stage=\"tensor\"}",
+        "maestro_pipeline_cache_hits_total{stage=\"aggregate\"}",
+        "maestro_pipeline_cache_hits_total{stage=\"binding\"}",
+        "maestro_pipeline_cache_hits_total{stage=\"flat\"}",
+        "maestro_pipeline_cache_hits_total{stage=\"layer\"}",
+        "maestro_pipeline_cache_hits_total{stage=\"tensor\"}",
+        "maestro_pipeline_cache_misses_total{stage=\"aggregate\"}",
+        "maestro_pipeline_cache_misses_total{stage=\"binding\"}",
+        "maestro_pipeline_cache_misses_total{stage=\"flat\"}",
+        "maestro_pipeline_cache_misses_total{stage=\"layer\"}",
+        "maestro_pipeline_cache_misses_total{stage=\"tensor\"}",
+        "maestro_pipeline_evaluations_total",
+        "maestro_queue_capacity",
+        "maestro_queue_depth",
+        "maestro_queue_peak_depth",
+        "maestro_queue_rejected_total",
+        "maestro_queue_wait_us{endpoint=\"analyze\"}",
+        "maestro_queue_wait_us{endpoint=\"crossval\"}",
+        "maestro_queue_wait_us{endpoint=\"dse\"}",
+        "maestro_queue_wait_us{endpoint=\"simulate\"}",
+        "maestro_queue_wait_us{endpoint=\"tune\"}",
+        "maestro_request_latency_us",
+        "maestro_requests_total{endpoint=\"analyze\"}",
+        "maestro_requests_total{endpoint=\"crossval\"}",
+        "maestro_requests_total{endpoint=\"dse\"}",
+        "maestro_requests_total{endpoint=\"events\"}",
+        "maestro_requests_total{endpoint=\"healthz\"}",
+        "maestro_requests_total{endpoint=\"jobs\"}",
+        "maestro_requests_total{endpoint=\"metrics\"}",
+        "maestro_requests_total{endpoint=\"other\"}",
+        "maestro_requests_total{endpoint=\"simulate\"}",
+        "maestro_requests_total{endpoint=\"stats\"}",
+        "maestro_requests_total{endpoint=\"tune\"}",
+        "maestro_responses_total{class=\"2xx\"}",
+        "maestro_responses_total{class=\"4xx\"}",
+        "maestro_responses_total{class=\"5xx\"}",
+        "maestro_result_cache_bytes",
+        "maestro_result_cache_entries",
+        "maestro_result_cache_evictions_total",
+        "maestro_result_cache_requests_total{outcome=\"hit\"}",
+        "maestro_result_cache_requests_total{outcome=\"miss\"}",
+        "maestro_result_cache_served_bytes_total",
+        "maestro_run_us{endpoint=\"analyze\"}",
+        "maestro_run_us{endpoint=\"crossval\"}",
+        "maestro_run_us{endpoint=\"dse\"}",
+        "maestro_run_us{endpoint=\"simulate\"}",
+        "maestro_run_us{endpoint=\"tune\"}",
+        "maestro_uptime_us",
+    };
+    const std::map<std::string, std::string> types =
+        familyTypes(metrics);
+    std::vector<std::string> ids;
+    for (const auto &[id, lines] : seriesIdentities(metrics)) {
+        ids.push_back(id);
+        // Histograms keep every bucket plus _sum and _count.
+        const bool histogram =
+            types.at(id.substr(0, id.find('{'))) == "histogram";
+        EXPECT_EQ(lines,
+                  histogram ? LatencyHistogram::kBuckets + 2 : 1u)
+            << id;
+    }
+    EXPECT_EQ(ids, expected);
+
+    // requests.total is the sum over the endpoint keys plus the
+    // script's one unrouted request (/nope, labelled "other").
+    std::uint64_t routed = 0;
+    for (const Endpoint &e : endpoints())
+        routed += jsonField(stats, "requests", e.name);
+    EXPECT_EQ(jsonField(stats, "requests", "total"), routed + 1);
 }
 
 // ---------------------------------------------------------------- //
@@ -1694,18 +2019,18 @@ TEST(ServeLatencyHistogram, BucketsAndSummary)
 
 TEST(ServeCounters, StatusClassification)
 {
-    RequestCounters c;
-    c.countStatus(200);
-    c.countStatus(400);
-    c.countStatus(404);
-    c.countStatus(408);
-    c.countStatus(500);
-    c.countStatus(503);
-    EXPECT_EQ(c.ok_2xx.load(), 1u);
-    EXPECT_EQ(c.client_err_4xx.load(), 3u);
-    EXPECT_EQ(c.server_err_5xx.load(), 2u);
-    EXPECT_EQ(c.deadline_408.load(), 1u);
-    EXPECT_EQ(c.rejected_503.load(), 1u);
+    // The fleet lane is the one status classifier; read the class
+    // counts back through its /stats rendering.
+    fleet::FleetLane lane(obs::SharedMetrics::create(1), 0, 8);
+    for (const int status : {200, 400, 404, 408, 429, 500, 503})
+        lane.countStatus(status);
+    const std::string stats = lane.statsJson(fleet::ComponentStats());
+    EXPECT_EQ(jsonField(stats, "responses", "2xx"), 1u);
+    EXPECT_EQ(jsonField(stats, "responses", "4xx"), 4u);
+    EXPECT_EQ(jsonField(stats, "responses", "5xx"), 2u);
+    EXPECT_EQ(jsonField(stats, "responses", "deadline_408"), 1u);
+    EXPECT_EQ(jsonField(stats, "responses", "throttled_429"), 1u);
+    EXPECT_EQ(jsonField(stats, "responses", "rejected_503"), 1u);
 }
 
 } // namespace
