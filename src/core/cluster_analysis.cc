@@ -93,58 +93,53 @@ bindDataflow(const Dataflow &dataflow, const Layer &layer, Count num_pes)
     const Count stride =
         layer.type() == OpType::TransposedConv ? 1 : layer.strideVal();
 
-    // Split the directive list into per-level lists and evaluate the
-    // cluster sizes.
-    std::vector<std::vector<Directive>> level_dirs(1);
-    std::vector<Count> cluster_sizes;
-    for (const auto &d : dataflow.directives()) {
-        if (d.kind == DirectiveKind::Cluster) {
-            Count size = d.size.eval(layer_dims);
-            fatalIf(size <= 0, "dataflow ", dataflow.name(),
-                                   ": cluster size evaluates to ", size);
-            cluster_sizes.push_back(size);
-            level_dirs.emplace_back();
-        } else {
-            level_dirs.back().push_back(d);
-        }
-    }
-
-    // Units per level: level 0 spreads across num_pes / c0 clusters,
-    // level i across c_{i-1} / c_i sub-clusters, the last across
-    // c_last PEs (paper Sec. 3.2).
-    const std::size_t num_levels = level_dirs.size();
-    std::vector<Count> units(num_levels, 1);
-    if (cluster_sizes.empty()) {
-        units[0] = num_pes;
-    } else {
-        // Cluster sizes clamp to the available units, like map sizes
-        // clamp to dimension extents: Cluster(64) on a 32-PE array
-        // degrades to one 32-PE cluster.
-        cluster_sizes[0] = std::min(cluster_sizes[0], num_pes);
-        units[0] = num_pes / cluster_sizes[0];
-        for (std::size_t i = 1; i < cluster_sizes.size(); ++i) {
-            cluster_sizes[i] =
-                std::min(cluster_sizes[i], cluster_sizes[i - 1]);
-            units[i] = cluster_sizes[i - 1] / cluster_sizes[i];
-        }
-        units[num_levels - 1] = cluster_sizes.back();
+    // Evaluate and check every cluster size before binding any map
+    // directive, so the first reported error does not depend on the
+    // level it sits in.
+    const std::vector<Directive> &dirs = dataflow.directives();
+    std::size_t num_levels = 1;
+    for (const auto &d : dirs) {
+        if (d.kind != DirectiveKind::Cluster)
+            continue;
+        const Count size = d.size.eval(layer_dims);
+        fatalIf(size <= 0, "dataflow ", dataflow.name(),
+                               ": cluster size evaluates to ", size);
+        ++num_levels;
     }
 
     BoundDataflow bound;
     bound.total_pes = 1;
+    bound.levels.reserve(num_levels);
     DimMap<Count> extents = layer_dims;
 
+    // Each level spans the directives up to the next Cluster(c) (or
+    // the end). Units per level: level 0 spreads across num_pes / c0
+    // clusters, level i across c_{i-1} / c_i sub-clusters, the last
+    // across c_last PEs (paper Sec. 3.2). Cluster sizes clamp to the
+    // units available, like map sizes clamp to dimension extents:
+    // Cluster(64) on a 32-PE array degrades to one 32-PE cluster.
+    Count parent_units = num_pes;
+    std::size_t begin = 0;
     for (std::size_t lvl = 0; lvl < num_levels; ++lvl) {
-        BoundLevel level;
-        level.num_units = units[lvl];
+        std::size_t end = begin;
+        while (end < dirs.size() && dirs[end].kind != DirectiveKind::Cluster)
+            ++end;
+        const Count cluster_size =
+            end < dirs.size()
+                ? std::min(dirs[end].size.eval(layer_dims), parent_units)
+                : 1;
+
+        BoundLevel &level = bound.levels.emplace_back();
+        level.num_units = parent_units / cluster_size;
         level.extents = extents;
         level.stride = stride;
-        bound.total_pes *= units[lvl];
+        level.directives.reserve(kNumDims);
+        bound.total_pes *= level.num_units;
 
         DimMap<bool> mapped(false);
-        for (const auto &d : level_dirs[lvl]) {
-            BoundDirective bd =
-                bindMapDirective(d, layer_dims, extents, stride);
+        for (std::size_t i = begin; i < end; ++i) {
+            const BoundDirective bd =
+                bindMapDirective(dirs[i], layer_dims, extents, stride);
             mapped[bd.dim] = true;
             level.directives.push_back(bd);
         }
@@ -201,7 +196,8 @@ bindDataflow(const Dataflow &dataflow, const Layer &layer, Count num_pes)
         }
 
         extents = level.chunk;
-        bound.levels.push_back(std::move(level));
+        parent_units = cluster_size;
+        begin = end + 1;
     }
     return bound;
 }

@@ -1,6 +1,5 @@
 #include "src/core/dataflow.hh"
 
-#include <set>
 #include <sstream>
 
 #include "src/common/error.hh"
@@ -95,7 +94,7 @@ Dataflow::validate() const
     fatalIf(directives_.back().kind == DirectiveKind::Cluster, "dataflow ", name_,
                 ": Cluster must be followed by map directives");
 
-    std::set<Dim> seen;
+    DimMap<bool> seen(false);
     bool level_has_map = false;
     std::size_t level = 0;
     auto check_level_end = [&]() {
@@ -105,7 +104,7 @@ Dataflow::validate() const
     for (const auto &d : directives_) {
         if (d.kind == DirectiveKind::Cluster) {
             check_level_end();
-            seen.clear();
+            seen = DimMap<bool>(false);
             level_has_map = false;
             ++level;
             if (!d.size.dim) {
@@ -115,9 +114,9 @@ Dataflow::validate() const
             continue;
         }
         level_has_map = true;
-        fatalIf(seen.count(d.dim) > 0, "dataflow ", name_, ": dimension ", dimName(d.dim),
+        fatalIf(seen[d.dim], "dataflow ", name_, ": dimension ", dimName(d.dim),
                     " mapped twice in cluster level ", level);
-        seen.insert(d.dim);
+        seen[d.dim] = true;
         if (!d.size.dim) {
             fatalIf(d.size.constant <= 0, "dataflow ", name_, ": map size for ",
                         dimName(d.dim), " must be positive");

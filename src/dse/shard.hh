@@ -66,25 +66,6 @@ shardedRanges(std::size_t num_threads, std::size_t count,
         merge(slots[i], i);
 }
 
-/**
- * Per-index convenience form of shardedRanges: `fill(index, slot)` is
- * called once per index within the worker's shard.
- */
-template <typename Slot, typename Fill, typename Merge>
-void
-shardedSlots(std::size_t num_threads, std::size_t count,
-             const Fill &fill, const Merge &merge)
-{
-    shardedRanges<Slot>(
-        num_threads, count,
-        [&](std::size_t begin, std::size_t end,
-            std::vector<Slot> &slots) {
-            for (std::size_t i = begin; i < end; ++i)
-                fill(i, slots[i]);
-        },
-        merge);
-}
-
 } // namespace dse
 } // namespace maestro
 

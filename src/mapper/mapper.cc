@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -236,32 +237,43 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
             std::string key;
             double l1_lower = -1.0;
         };
-        std::unordered_set<std::string> seen;
+        const std::vector<ProbeSlot> probes = dse::shardedFill<ProbeSlot>(
+            options.num_threads, candidates.size(),
+            [&](std::size_t begin, std::size_t end,
+                std::vector<ProbeSlot> &slots) {
+                for (std::size_t i = begin; i < end; ++i) {
+                    // An unbindable candidate keeps the empty key and
+                    // is never cut; evaluation rejects it.
+                    BoundDataflow bound;
+                    try {
+                        bound = bindDataflow(candidates[i].dataflow,
+                                             layer, config.num_pes);
+                    } catch (const std::exception &) {
+                        continue;
+                    }
+                    slots[i].key = canonicalMappingKey(bound);
+                    if (options.enforce_l1_capacity)
+                        slots[i].l1_lower =
+                            l1LowerBoundBytes(bound, layer, config);
+                }
+            });
+        // The set views the keys in `probes`, which outlive it.
+        std::unordered_set<std::string_view> seen;
         seen.reserve(candidates.size() * 2);
         survivors.reserve(candidates.size());
-        dse::shardedSlots<ProbeSlot>(
-            options.num_threads, candidates.size(),
-            [&](std::size_t i, ProbeSlot &slot) {
-                slot.key = canonicalMappingKey(candidates[i].dataflow,
-                                               layer, config.num_pes);
-                if (options.enforce_l1_capacity)
-                    slot.l1_lower = l1LowerBoundBytes(
-                        candidates[i].dataflow, layer, config);
-            },
-            [&](const ProbeSlot &slot, std::size_t i) {
-                if (!slot.key.empty() &&
-                    !seen.insert(slot.key).second) {
-                    ++stats.pruned_symmetry;
-                    return;
-                }
-                if (options.enforce_l1_capacity &&
-                    slot.l1_lower >
-                        static_cast<double>(config.l1_bytes)) {
-                    ++stats.pruned_capacity;
-                    return;
-                }
-                survivors.push_back(i);
-            });
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            const ProbeSlot &slot = probes[i];
+            if (!slot.key.empty() && !seen.insert(slot.key).second) {
+                ++stats.pruned_symmetry;
+                continue;
+            }
+            if (options.enforce_l1_capacity &&
+                slot.l1_lower > static_cast<double>(config.l1_bytes)) {
+                ++stats.pruned_capacity;
+                continue;
+            }
+            survivors.push_back(i);
+        }
     }
 
     // Evaluation: sharded fill into per-candidate slots, serial
@@ -307,20 +319,25 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
         });
 
     // Rank by (objective value, enumeration index): "first
-    // encountered wins" made explicit and traversal-independent.
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored &a, const Scored &b) {
-                  if (a.value != b.value)
-                      return a.value < b.value;
-                  return a.cand < b.cand;
-              });
-    if (scored.size() > options.top_k)
-        scored.resize(options.top_k);
+    // encountered wins" made explicit and traversal-independent. The
+    // index breaks every tie, so ordering just the top_k prefix ranks
+    // exactly like a full sort.
+    const auto ranked_end =
+        scored.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(scored.size(), options.top_k));
+    std::partial_sort(scored.begin(), ranked_end, scored.end(),
+                      [](const Scored &a, const Scored &b) {
+                          if (a.value != b.value)
+                              return a.value < b.value;
+                          return a.cand < b.cand;
+                      });
+    scored.erase(ranked_end, scored.end());
 
     result.ranked.reserve(scored.size());
     for (const Scored &s : scored) {
+        const Dataflow &df = candidates[s.cand].dataflow;
         MappedDataflow md;
-        md.dataflow = candidates[s.cand].dataflow;
+        md.dataflow = Dataflow(candidateName(df), df.directives());
         md.runtime = s.slot.runtime;
         md.energy = s.slot.energy;
         md.edp = s.slot.edp;

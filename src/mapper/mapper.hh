@@ -20,14 +20,16 @@
  * (capacity), the pruned search's bests match the oracle's bests
  * byte-for-byte, names included.
  *
- * Evaluation path. Survivors run the pure stage engines directly
- * (bind -> reuse -> flat -> performance -> cost ->
+ * Evaluation path. The probe binds each candidate once, for both its
+ * canonical key and its capacity bound. Survivors run the pure stage
+ * engines directly (bind -> reuse -> flat -> performance -> cost ->
  * assembleLayerAnalysis), like the DSE fast sweep — bit-identical to
  * the memoizing pipeline by assembleLayerAnalysis's contract, without
  * thrashing the shared LRU caches with tens of thousands of
- * one-shot mappings. Network mode's best-single-dataflow scoring
- * goes through Analyzer::evaluateBatch instead, so repeated shapes
- * hit the warm pipeline caches.
+ * one-shot mappings. Candidates are unnamed: only the top_k ranked
+ * mappings get their candidateName. Network mode's
+ * best-single-dataflow scoring goes through Analyzer::evaluateBatch
+ * instead, so repeated shapes hit the warm pipeline caches.
  */
 
 #ifndef MAESTRO_MAPPER_MAPPER_HH

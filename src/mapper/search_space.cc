@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/error.hh"
-#include "src/core/cluster_analysis.hh"
 #include "src/core/reuse_analysis.hh"
 
 namespace maestro
@@ -73,6 +71,22 @@ temporalDirective(Dim d, Count t)
                       : Directive::temporal(Dim::X, sz(Dim::S, t - 1),
                                             c(t));
     return Directive::temporal(d, c(t), c(t));
+}
+
+/**
+ * Appends `value` as an LEB128 varint: seven bits per byte, low
+ * groups first, the high bit set on every byte but the last. Taken
+ * over the two's-complement bits, so it is injective on all of Count.
+ */
+void
+appendVarint(std::string &out, Count value)
+{
+    auto bits = static_cast<std::uint64_t>(value);
+    while (bits >= 0x80) {
+        out.push_back(static_cast<char>((bits & 0x7f) | 0x80));
+        bits >>= 7;
+    }
+    out.push_back(static_cast<char>(bits));
 }
 
 } // namespace
@@ -151,53 +165,57 @@ std::vector<Candidate>
 crossCandidates(const Layer &layer, const SearchSpace &space)
 {
     (void)layer;
-    std::vector<Candidate> out;
 
-    // Tile tuple iteration: the non-spatial dims in their loop-order
-    // positions, outermost ladder slowest — a deterministic odometer.
-    for (const OnChipChoice &oc : space.onchip) {
+    // The tiled (non-spatial) dims of each on-chip choice, in their
+    // loop-order positions.
+    const auto tiledDims = [](const OnChipChoice &oc) {
         std::array<Dim, 3> tiled{};
         std::size_t n = 0;
         for (std::size_t pos = 0; pos < oc.order.size(); ++pos)
             if (pos != oc.spatial_pos)
                 tiled[n++] = oc.order[pos];
+        return tiled;
+    };
+    std::size_t total = 0;
+    for (const OnChipChoice &oc : space.onchip) {
+        std::size_t tuples = 1;
+        for (Dim d : tiledDims(oc))
+            tuples *= space.ladders[d].size();
+        total += tuples;
+    }
+    std::vector<Candidate> out;
+    out.reserve(total);
 
+    // Tile tuple iteration: the non-spatial dims in their loop-order
+    // positions, outermost ladder slowest — a deterministic odometer.
+    for (const OnChipChoice &oc : space.onchip) {
+        const std::array<Dim, 3> tiled = tiledDims(oc);
         std::array<std::size_t, 3> idx{0, 0, 0};
         for (;;) {
             DimMap<Count> tiles;
             for (std::size_t i = 0; i < tiled.size(); ++i)
                 tiles[tiled[i]] = space.ladders[tiled[i]][idx[i]];
 
-            Candidate cand;
-            std::string name = "M-";
-            for (Dim d : oc.order)
-                name += dimName(d);
-            name += msg("-s", dimName(oc.spatialDim()));
-            if (oc.cluster_size > 1)
-                name += msg("-c", oc.cluster_size, "i",
-                            dimName(oc.inner_spatial));
-            name += "-t";
-            for (Dim d : kIterDims)
-                if (d != oc.spatialDim())
-                    name += msg(dimName(d), tiles[d]);
-
-            Dataflow df(std::move(name));
+            std::vector<Directive> dirs;
+            dirs.reserve(oc.cluster_size > 1 ? 8 : 6);
             for (std::size_t pos = 0; pos < oc.order.size(); ++pos) {
                 const Dim d = oc.order[pos];
                 if (pos == oc.spatial_pos)
-                    df.add(spatialDirective(d));
+                    dirs.push_back(spatialDirective(d));
                 else
-                    df.add(temporalDirective(d, tiles[d]));
+                    dirs.push_back(temporalDirective(d, tiles[d]));
             }
-            df.add(Directive::temporal(Dim::R, sz(Dim::R), sz(Dim::R)));
-            df.add(Directive::temporal(Dim::S, sz(Dim::S), sz(Dim::S)));
+            dirs.push_back(
+                Directive::temporal(Dim::R, sz(Dim::R), sz(Dim::R)));
+            dirs.push_back(
+                Directive::temporal(Dim::S, sz(Dim::S), sz(Dim::S)));
             if (oc.cluster_size > 1) {
-                df.add(Directive::cluster(c(oc.cluster_size)));
-                df.add(spatialDirective(oc.inner_spatial));
+                dirs.push_back(Directive::cluster(c(oc.cluster_size)));
+                dirs.push_back(spatialDirective(oc.inner_spatial));
             }
-            cand.dataflow = std::move(df);
-            cand.index = out.size();
-            out.push_back(std::move(cand));
+            Candidate &cand = out.emplace_back();
+            cand.dataflow = Dataflow(std::string(), std::move(dirs));
+            cand.index = out.size() - 1;
 
             // Advance the odometer (innermost tile fastest).
             std::size_t i = tiled.size();
@@ -216,20 +234,53 @@ crossCandidates(const Layer &layer, const SearchSpace &space)
 }
 
 std::string
-canonicalMappingKey(const Dataflow &dataflow, const Layer &layer,
-                    Count num_pes)
+candidateName(const Dataflow &dataflow)
 {
-    BoundDataflow bound;
-    try {
-        bound = bindDataflow(dataflow, layer, num_pes);
-    } catch (const std::exception &) {
-        return std::string();
+    // Level 0 opens with the four iterating dims in loop order; the
+    // one SpatialMap among them is the spatial choice, and every
+    // TemporalMap's offset is its tile (K/C: (t, t); Y/X: t output
+    // rows per step). A Cluster(n) is followed by the inner SpatialMap.
+    const std::vector<Directive> &dirs = dataflow.directives();
+    std::string name = "M-";
+    Dim spatial = Dim::K;
+    DimMap<Count> tiles;
+    for (std::size_t pos = 0; pos < kIterDims.size(); ++pos) {
+        const Directive &d = dirs[pos];
+        name += dimName(d.dim);
+        if (d.kind == DirectiveKind::SpatialMap)
+            spatial = d.dim;
+        else
+            tiles[d.dim] = d.offset.constant;
     }
+    name += "-s";
+    name += dimName(spatial);
+    for (std::size_t pos = kIterDims.size(); pos + 1 < dirs.size(); ++pos) {
+        if (dirs[pos].kind != DirectiveKind::Cluster)
+            continue;
+        name += "-c";
+        name += std::to_string(dirs[pos].size.constant);
+        name += "i";
+        name += dimName(dirs[pos + 1].dim);
+    }
+    name += "-t";
+    for (Dim d : kIterDims) {
+        if (d == spatial)
+            continue;
+        name += dimName(d);
+        name += std::to_string(tiles[d]);
+    }
+    return name;
+}
 
-    std::string key;
-    key.reserve(160);
+std::string
+canonicalMappingKey(const BoundDataflow &bound)
+{
+    // Built in a per-thread buffer so the returned key is one
+    // allocation of exactly its size.
+    thread_local std::string key;
+    key.clear();
     for (const BoundLevel &level : bound.levels) {
-        key += msg("L", level.num_units, "[");
+        appendVarint(key, level.num_units);
         for (const BoundDirective &bd : level.directives) {
             // Full-extent single-step temporal maps are loop-order
             // inert: they contribute only their (extent-sized) chunk,
@@ -237,26 +288,24 @@ canonicalMappingKey(const Dataflow &dataflow, const Layer &layer,
             if (!bd.spatial() && bd.steps <= 1 &&
                 bd.size >= level.extents[bd.dim])
                 continue;
-            key += msg(bd.spatial() ? "S" : "T", dimName(bd.dim), ":",
-                       bd.size, ",", bd.offset_in, ",", bd.offset_out,
-                       ",", bd.out_space ? 1 : 0, ",", bd.steps, ",",
-                       bd.edge_size, ";");
+            key.push_back(static_cast<char>(
+                1 + 2 * static_cast<int>(bd.dim) + (bd.spatial() ? 1 : 0)));
+            appendVarint(key, bd.size);
+            appendVarint(key, bd.offset_in);
+            appendVarint(key, bd.offset_out);
+            appendVarint(key, bd.out_space ? 1 : 0);
+            appendVarint(key, bd.steps);
+            appendVarint(key, bd.edge_size);
         }
-        key += "]";
+        key.push_back('\0');
     }
     return key;
 }
 
 double
-l1LowerBoundBytes(const Dataflow &dataflow, const Layer &layer,
+l1LowerBoundBytes(const BoundDataflow &bound, const Layer &layer,
                   const AcceleratorConfig &config)
 {
-    BoundDataflow bound;
-    try {
-        bound = bindDataflow(dataflow, layer, config.num_pes);
-    } catch (const std::exception &) {
-        return -1.0;
-    }
     const bool depthwise = layer.type() == OpType::DepthwiseConv;
     double elems = 0.0;
     for (TensorKind t : kAllTensors) {

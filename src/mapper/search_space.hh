@@ -36,9 +36,12 @@
  * directive list) are skipped by construction, and anything else that
  * still binds identically (e.g. a clamped tile colliding with a
  * different loop order) is caught by the canonical mapping key — a
- * rendering of the *bound* dataflow that drops directives which bind
- * to full-extent single-step temporal maps, the bound analog of
- * core/pipeline.hh's structural dataflowFingerprint.
+ * compact byte encoding of the *bound* dataflow that drops directives
+ * which bind to full-extent single-step temporal maps, the bound
+ * analog of core/pipeline.hh's structural dataflowFingerprint.
+ * Candidates are built unnamed: the search names only the mappings
+ * it ranks, from their directive lists (candidateName), so no
+ * candidate pays for text it never shows.
  *
  * Capacity cut. l1_bytes_required >= 2 * precision * sum of PE-level
  * storage chunks (flat_analysis only ever scales the resident set UP
@@ -56,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/cluster_analysis.hh"
 #include "src/core/dataflow.hh"
 #include "src/hw/accelerator.hh"
 #include "src/model/layer.hh"
@@ -134,12 +138,12 @@ SearchSpace buildSearchSpace(const Layer &layer,
                              const SpaceOptions &options);
 
 /**
- * One structural candidate of the cross product: the dataflow plus
- * its deterministic enumeration index (the ranking tiebreak).
+ * One structural candidate of the cross product: the unnamed dataflow
+ * plus its deterministic enumeration index (the ranking tiebreak).
  */
 struct Candidate
 {
-    Dataflow dataflow{"mapping"};
+    Dataflow dataflow{std::string()};
     std::size_t index = 0;
 };
 
@@ -147,34 +151,43 @@ struct Candidate
  * Takes the cross product of the pruned sides in deterministic order.
  * Tiles riding on the spatially mapped dimension are skipped by
  * construction (they cannot change the directive list); every emitted
- * candidate is a distinct directive list. Candidate names encode the
- * full choice (e.g. "M-KCYX-sC-c16iK-tK8C1Y1X4").
+ * candidate is a distinct directive list. Candidates carry no name;
+ * candidateName derives it when one is needed.
  */
 std::vector<Candidate> crossCandidates(const Layer &layer,
                                        const SearchSpace &space);
 
 /**
- * Canonical mapping key: binds the dataflow and renders only the
- * directives that can influence the analysis (spatial maps, and
- * temporal maps that either iterate or bind to less than their scope
- * extent), plus per-level unit counts. Directive lists differing only
- * in the placement of full-extent single-step temporal maps render to
- * the same key and analyze bit-identically (see file comment).
- *
- * @return The key, or an empty string when binding fails (callers
- *         keep such candidates; evaluation reports the error).
+ * The name of a crossCandidates dataflow, derived from its directive
+ * list: loop order, spatial dim, cluster size and inner spatial dim,
+ * then the tile of every temporally mapped iterating dim (e.g.
+ * "M-KCYX-sC-c16iK-tK8C1Y1X4").
  */
-std::string canonicalMappingKey(const Dataflow &dataflow,
-                                const Layer &layer, Count num_pes);
+std::string candidateName(const Dataflow &dataflow);
+
+/**
+ * Canonical mapping key of a bound candidate: per level, the unit
+ * count and then every directive that can influence the analysis
+ * (spatial maps, and temporal maps that either iterate or bind to
+ * less than their scope extent) as its kind, dim, size, offset_in,
+ * offset_out, out_space, steps and edge_size. Integers are LEB128
+ * varints of their full 64 bits, kind and dim share one nonzero tag
+ * byte, and a zero byte closes each level, so the key is an exact
+ * (injective) encoding of those fields: two bound dataflows share a
+ * key iff they agree on all of them. Directive lists differing only
+ * in the placement of full-extent single-step temporal maps share a
+ * key and analyze bit-identically (see file comment). Never empty.
+ */
+std::string canonicalMappingKey(const BoundDataflow &bound);
 
 /**
  * Conservative lower bound on cost_analysis's l1_bytes_required:
  * 2 * precision * sum over tensors of the PE-level storage-chunk
  * product. Never exceeds the analyzer's reported requirement.
  *
- * @return The bound in bytes, or -1.0 when binding fails.
+ * @return The bound in bytes.
  */
-double l1LowerBoundBytes(const Dataflow &dataflow, const Layer &layer,
+double l1LowerBoundBytes(const BoundDataflow &bound, const Layer &layer,
                          const AcceleratorConfig &config);
 
 } // namespace mapper

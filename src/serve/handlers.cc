@@ -144,26 +144,6 @@ paramCountList(const QueryParams &params, const std::string &key,
     return out;
 }
 
-/** Mapper options resolved from query knobs + the worker budget. */
-mapper::MapperOptions
-mapperOptions(const QueryParams &params, std::size_t worker_threads)
-{
-    mapper::MapperOptions options;
-    options.top_k = paramCount(params, "top_k", options.top_k);
-    options.enforce_l1_capacity = params.count("enforce_l1") > 0;
-    options.exact = params.count("exact") > 0;
-    const std::size_t budget = std::max<std::size_t>(worker_threads, 1);
-    options.num_threads =
-        std::min(budget, paramCount(params, "threads", budget));
-    options.space.cluster_sizes = paramCountList(
-        params, "clusters", options.space.cluster_sizes);
-    options.space.channel_tiles = paramCountList(
-        params, "tiles", options.space.channel_tiles);
-    options.space.activation_tiles = paramCountList(
-        params, "act_tiles", options.space.activation_tiles);
-    return options;
-}
-
 /** Writes the mapper's search accounting (no wall-clock fields —
  *  responses must stay byte-reproducible). */
 void
@@ -198,6 +178,25 @@ writeMappedDataflow(JsonWriter &w, const mapper::MappedDataflow &md)
 }
 
 } // namespace
+
+mapper::MapperOptions
+mapperOptions(const QueryParams &params, std::size_t worker_threads)
+{
+    mapper::MapperOptions options;
+    options.top_k = paramCount(params, "top_k", options.top_k);
+    options.enforce_l1_capacity = params.count("enforce_l1") > 0;
+    options.exact = params.count("exact") > 0;
+    const std::size_t budget = std::max<std::size_t>(worker_threads, 1);
+    options.num_threads =
+        std::min(budget, paramCount(params, "threads", budget));
+    options.space.cluster_sizes = paramCountList(
+        params, "clusters", options.space.cluster_sizes);
+    options.space.channel_tiles = paramCountList(
+        params, "tiles", options.space.channel_tiles);
+    options.space.activation_tiles = paramCountList(
+        params, "act_tiles", options.space.activation_tiles);
+    return options;
+}
 
 RequestInputs
 resolveRequest(const std::string &dsl, const QueryParams &params,

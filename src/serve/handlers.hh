@@ -27,6 +27,11 @@
 
 namespace maestro
 {
+namespace mapper
+{
+struct MapperOptions;
+} // namespace mapper
+
 namespace serve
 {
 
@@ -114,6 +119,18 @@ std::string
 tuneJson(const RequestInputs &inputs, const QueryParams &params,
          const std::shared_ptr<AnalysisPipeline> &pipeline,
          const EnergyModel &energy, std::size_t worker_threads = 1);
+
+/**
+ * The mapper knobs of a /tune request: ?top_k=, ?enforce_l1=,
+ * ?exact=, ?threads= (capped by `worker_threads`) and the
+ * ?clusters=/?tiles=/?act_tiles= lists. `tune` resolves its flags
+ * through this too, in both output formats.
+ *
+ * @throws Error when a count or list is not strictly positive
+ *         integers.
+ */
+mapper::MapperOptions mapperOptions(const QueryParams &params,
+                                    std::size_t worker_threads);
 
 /**
  * POST /simulate: the periodic reference simulator on one layer,

@@ -638,64 +638,15 @@ cmdDse(const Args &args, const Inputs &in)
     return 0;
 }
 
-/** Comma-separated positive Count list from a flag value. */
-std::vector<Count>
-parseCountList(const std::string &flag, const std::string &value)
-{
-    std::vector<Count> out;
-    std::size_t pos = 0;
-    while (pos <= value.size()) {
-        const std::size_t comma =
-            std::min(value.find(',', pos), value.size());
-        const std::string entry = value.substr(pos, comma - pos);
-        try {
-            out.push_back(std::stoll(entry));
-        } catch (const std::exception &) {
-            out.push_back(0);
-        }
-        fatalIf(out.back() < 1,
-                msg(flag, ": '", value,
-                    "' is not a comma-separated list of positive "
-                    "integers"));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-/** Mapper options resolved from the tune flags. */
-mapper::MapperOptions
-tuneOptions(const Args &args, const RunOptions &opts)
-{
-    mapper::MapperOptions options;
-    options.num_threads = opts.num_threads;
-    options.top_k = args.getInt("top-k", options.top_k);
-    fatalIf(options.top_k < 1, "--top-k must be positive");
-    options.enforce_l1_capacity = args.has("enforce-l1");
-    options.exact = args.has("tune-exact");
-    if (args.has("clusters"))
-        options.space.cluster_sizes =
-            parseCountList("--clusters", args.get("clusters"));
-    if (args.has("tiles"))
-        options.space.channel_tiles =
-            parseCountList("--tiles", args.get("tiles"));
-    if (args.has("act-tiles"))
-        options.space.activation_tiles =
-            parseCountList("--act-tiles", args.get("act-tiles"));
-    return options;
-}
-
 /**
- * tune --format json: the server's /tune JSON from the same code
- * path (serve::tuneJson), so CLI and server bodies are
- * byte-identical for equal inputs.
+ * The /tune query parameters equivalent to the tune flags. Both
+ * output formats resolve their knobs from these through the server's
+ * own parsing (serve::mapperOptions), so they accept and reject the
+ * same strings with the same messages.
  */
-int
-cmdTuneJson(const Args &args, const Inputs &in, const RunOptions &opts)
+serve::QueryParams
+tuneParams(const Args &args, const Inputs &in)
 {
-    serve::RequestInputs req;
-    req.network = in.network;
-    req.config = in.config;
-    req.layer_name = in.layer_name;
     serve::QueryParams params;
     params["objective"] = args.get("objective", "runtime");
     params["mode"] = args.get("mode", "layer");
@@ -717,9 +668,24 @@ cmdTuneJson(const Args &args, const Inputs &in, const RunOptions &opts)
         params["area"] = args.get("area");
     if (args.has("power"))
         params["power"] = args.get("power");
+    return params;
+}
+
+/**
+ * tune --format json: the server's /tune JSON from the same code
+ * path (serve::tuneJson), so CLI and server bodies are
+ * byte-identical for equal inputs.
+ */
+int
+cmdTuneJson(const Args &args, const Inputs &in, const RunOptions &opts)
+{
+    serve::RequestInputs req;
+    req.network = in.network;
+    req.config = in.config;
+    req.layer_name = in.layer_name;
     auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::tuneJson(req, params, pipeline, EnergyModel(),
-                                 opts.num_threads)
+    std::cout << serve::tuneJson(req, tuneParams(args, in), pipeline,
+                                 EnergyModel(), opts.num_threads)
               << "\n";
     if (args.has("profile"))
         printProfile(pipeline->stats());
@@ -762,7 +728,8 @@ cmdTune(const Args &args, const Inputs &in)
     fatalIf(mode != "layer" && mode != "network" && mode != "joint",
             "--mode must be layer, network, or joint");
 
-    const mapper::MapperOptions options = tuneOptions(args, opts);
+    const mapper::MapperOptions options =
+        serve::mapperOptions(tuneParams(args, in), opts.num_threads);
     const Analyzer analyzer(in.config);
 
     if (mode == "network") {
