@@ -29,7 +29,6 @@
 #include "src/obs/shared_metrics.hh"
 #include "src/serve/fleet.hh"
 #include "src/dataflows/catalog.hh"
-#include "src/dataflows/tuner.hh"
 #include "src/dse/explorer.hh"
 #include "src/mapper/mapper.hh"
 #include "src/model/zoo.hh"
@@ -421,31 +420,18 @@ dseSweepStudy()
 }
 
 /**
- * Mapper-vs-tuner coverage study: the decoupled mapper searches the
- * declared mapping space (7! loop orders x spatial choice x cluster
- * configs x tile ladders) with symmetry collapse, ladder clipping,
- * and capacity cuts, so its covered-mappings-per-second must beat
- * the old flat tuner's candidates-per-second by orders of magnitude
- * (the PR's acceptance bar is >= 100x). Emits the BENCH_tuner.json
- * payload as a third MAESTRO_BENCH_JSON line.
+ * Mapper coverage study: the decoupled mapper searches the declared
+ * mapping space (7! loop orders x spatial choice x cluster configs x
+ * tile ladders) with symmetry collapse, ladder clipping, and capacity
+ * cuts; this reports its covered mappings per second at 1/2/4
+ * threads. Emits the mapper rows of BENCH_tuner.json as a third
+ * MAESTRO_BENCH_JSON line.
  */
 void
 mapperSweepStudy()
 {
     const Analyzer analyzer(AcceleratorConfig::paperStudy());
     const Layer &layer = vgg().layer("CONV11");
-
-    // Baseline: the pre-PR tuner's structured enumeration (the shim
-    // keeps its candidate space and batch evaluation byte-for-byte).
-    dataflows::TunerResult tuner_res;
-    const double tuner_s = bestSeconds(3, [&] {
-        analyzer.pipeline()->clearCaches();
-        tuner_res = dataflows::tuneDataflow(
-            analyzer, layer, dataflows::Objective::Runtime);
-        benchmark::DoNotOptimize(tuner_res);
-    });
-    const double tuner_per_sec =
-        static_cast<double>(tuner_res.candidates) / tuner_s;
 
     // Mapper v2 over the default declared space, 1/2/4 threads.
     auto mapperSeconds = [&](std::size_t threads,
@@ -474,11 +460,6 @@ mapperSweepStudy()
     w.key("layer").value("CONV11");
     w.key("objective").value("runtime");
     w.key("hw_threads").value(std::thread::hardware_concurrency());
-    w.key("tuner").beginObject();
-    w.key("candidates")
-        .value(static_cast<std::uint64_t>(tuner_res.candidates));
-    w.key("mappings_per_sec").sci(tuner_per_sec, 3);
-    w.endObject();
     w.key("mapper").beginObject();
     w.key("covered").fixed(covered, 0);
     w.key("generated")
@@ -497,8 +478,6 @@ mapperSweepStudy()
     w.key("covered_per_sec_4t").sci(covered / map_4t, 3);
     w.key("evals_per_sec_1t").sci(evaluated / map_1t, 3);
     w.endObject();
-    w.key("coverage_speedup_vs_tuner")
-        .fixed((covered / map_1t) / tuner_per_sec, 1);
     w.endObject();
     std::printf("MAESTRO_BENCH_JSON %s\n", w.str().c_str());
 }

@@ -19,7 +19,7 @@
  *    conv blocks) analyze each distinct shape once,
  *  - a DSE sweep varying only buffer sizes or NoC bandwidth reuses
  *    the bound dataflow and flat nest across the whole sweep,
- *  - a tuner sweep over dataflows reuses the per-shape tensor info.
+ *  - a mapper sweep over dataflows reuses the per-shape tensor info.
  *
  * Results are byte-identical to the unstaged chain: stages are pure
  * functions of their keys, executed in the original order on a miss.

@@ -10,39 +10,10 @@ namespace dse
 {
 
 /*
- * Two implementations share this file: the default autovectorized
- * kernels (plain loops the compiler vectorizes at -O2/-O3; the CI
- * codegen check fails the build if they stop vectorizing) and an
- * explicit-SIMD path using GNU vector extensions behind
- * MAESTRO_EXPLICIT_SIMD. Both perform the same elementwise IEEE
- * operations in the same order per lane, so their results are
- * byte-identical — the explicit path exists to pin the vector shape
- * independently of the cost model heuristics, not to change the math.
+ * Plain loops the compiler autovectorizes at -O2/-O3; the CI codegen
+ * check (tools/check_vectorization.sh) fails the build if they stop
+ * vectorizing.
  */
-#if defined(MAESTRO_EXPLICIT_SIMD) && defined(__GNUC__)
-#define MAESTRO_SIMD_KERNELS 1
-namespace
-{
-
-typedef double v4df __attribute__((vector_size(32), aligned(8)));
-typedef long long v4di __attribute__((vector_size(32), aligned(8)));
-
-inline v4df
-loadu(const double *p)
-{
-    v4df v;
-    __builtin_memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-inline void
-storeu(double *p, v4df v)
-{
-    __builtin_memcpy(p, &v, sizeof(v));
-}
-
-} // namespace
-#endif
 
 void
 batchRuntimes(const PerfRuntimeProfile &profile, const double *bandwidths,
@@ -78,20 +49,7 @@ batchRuntimes(const PerfRuntimeProfile &profile, const double *bandwidths,
         }
         const double vol = c.volume;
         const double adv = c.advance;
-        std::size_t i = 0;
-#ifdef MAESTRO_SIMD_KERNELS
-        const v4df vvol = {vol, vol, vol, vol};
-        const v4df vlat = {noc_latency, noc_latency, noc_latency,
-                           noc_latency};
-        const v4df vpca = {pca, pca, pca, pca};
-        const v4df vadv = {adv, adv, adv, adv};
-        for (; i + 4 <= count; i += 4) {
-            const v4df d = vvol / loadu(bandwidths + i) + vlat;
-            const v4df m = d < vpca ? vpca : d;
-            storeu(out + i, loadu(out + i) + m * vadv);
-        }
-#endif
-        for (; i < count; ++i) {
+        for (std::size_t i = 0; i < count; ++i) {
             const double d = vol / bandwidths[i] + noc_latency;
             out[i] += std::max(d, pca) * adv;
         }
@@ -124,24 +82,7 @@ batchFeasibleRow(const double *area_l2, const double *power_l2,
     for (std::size_t i2 = 0; i2 < n2; ++i2) {
         const double area = area_l2[i2];
         const double power = power_l2[i2];
-        std::size_t ib = 0;
-#ifdef MAESTRO_SIMD_KERNELS
-        const v4df varea = {area, area, area, area};
-        const v4df vpower = {power, power, power, power};
-        const v4df va_budget = {area_budget, area_budget, area_budget,
-                                area_budget};
-        const v4df vp_budget = {power_budget, power_budget,
-                                power_budget, power_budget};
-        const v4df ones = {1.0, 1.0, 1.0, 1.0};
-        const v4df zeros = {0.0, 0.0, 0.0, 0.0};
-        for (; ib + 4 <= nbw; ib += 4) {
-            const v4di bad =
-                (varea + loadu(bus_area + ib) > va_budget) |
-                (vpower + loadu(bus_power + ib) > vp_budget);
-            storeu(hi2 + ib, loadu(hi2 + ib) + (bad ? zeros : ones));
-        }
-#endif
-        for (; ib < nbw; ++ib) {
+        for (std::size_t ib = 0; ib < nbw; ++ib) {
             // The scalar walk's budget comparisons, verbatim;
             // bitwise-| keeps the loop branch-free.
             const bool infeasible =

@@ -9,8 +9,7 @@
  * kernels then evaluate whole contiguous vectors of NoC bandwidths —
  * runtime closed forms, affine area/power budget cuts, and feasibility
  * counts — with tight, branch-free inner loops the compiler
- * autovectorizes (enforced by the CI codegen check; an explicit-SIMD
- * path exists behind MAESTRO_EXPLICIT_SIMD).
+ * autovectorizes (enforced by the CI codegen check).
  *
  * Byte-determinism discipline: every kernel replays the scalar path's
  * exact expressions in the exact association order, so the batch sweep

@@ -354,63 +354,6 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
     return result;
 }
 
-std::vector<MappedDataflow>
-rankDataflows(const Analyzer &analyzer, const Layer &layer,
-              Objective objective,
-              const std::vector<Dataflow> &candidates,
-              std::size_t top_k, bool enforce_l1_capacity,
-              std::size_t num_threads, std::size_t *rejected)
-{
-    std::vector<Analyzer::BatchJob> jobs;
-    jobs.reserve(candidates.size());
-    for (const Dataflow &df : candidates)
-        jobs.push_back(Analyzer::BatchJob{layer, df});
-    const std::vector<Analyzer::BatchEval> evals =
-        analyzer.evaluateBatch(jobs, num_threads);
-
-    struct Scored
-    {
-        double value;
-        std::size_t index;
-    };
-    std::vector<Scored> scored;
-    scored.reserve(evals.size());
-    for (std::size_t i = 0; i < evals.size(); ++i) {
-        const Analyzer::BatchEval &ev = evals[i];
-        if (!ev.ok ||
-            (enforce_l1_capacity && !ev.analysis.cost.fits_l1)) {
-            if (rejected != nullptr)
-                ++*rejected;
-            continue;
-        }
-        scored.push_back({objectiveValue(ev.analysis, objective), i});
-    }
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored &a, const Scored &b) {
-                  if (a.value != b.value)
-                      return a.value < b.value;
-                  return a.index < b.index;
-              });
-    if (scored.size() > top_k)
-        scored.resize(top_k);
-
-    std::vector<MappedDataflow> ranked;
-    ranked.reserve(scored.size());
-    for (const Scored &s : scored) {
-        const LayerAnalysis &analysis = evals[s.index].analysis;
-        MappedDataflow md;
-        md.dataflow = candidates[s.index];
-        md.runtime = analysis.runtime;
-        md.energy = analysis.onchipEnergy();
-        md.edp = analysis.edp();
-        md.utilization = analysis.utilization;
-        md.objective_value = s.value;
-        md.index = s.index;
-        ranked.push_back(std::move(md));
-    }
-    return ranked;
-}
-
 NetworkMapperResult
 mapNetwork(const Analyzer &analyzer, const Network &network,
            Objective objective, const MapperOptions &options)

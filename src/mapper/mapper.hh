@@ -1,9 +1,9 @@
 /**
  * @file
- * The mapping-space search engine (mapper v2), successor of
- * dataflows/tuner: searches the decoupled space built by
- * mapper/search_space over one layer, a whole network, or jointly
- * with the closed-form hardware sweep of dse/explorer.
+ * The mapping-space search engine (the paper's Sec. 7 auto-tuner):
+ * searches the decoupled space built by mapper/search_space over one
+ * layer, a whole network, or jointly with the closed-form hardware
+ * sweep of dse/explorer.
  *
  * Determinism. Candidates carry their enumeration index; evaluation
  * is sharded across the thread pool into per-candidate slots and
@@ -51,7 +51,7 @@ namespace maestro
 namespace mapper
 {
 
-/** The tuning objective, shared with the adaptive/tuner modules. */
+/** The tuning objective, shared with the adaptive module. */
 using dataflows::Objective;
 
 /**
@@ -162,20 +162,6 @@ double objectiveValue(const LayerAnalysis &analysis,
 MapperResult mapLayer(const Analyzer &analyzer, const Layer &layer,
                       Objective objective,
                       const MapperOptions &options = MapperOptions());
-
-/**
- * Evaluates and ranks an explicit candidate list through the
- * analyzer's batch path (pipeline caches), with the engine's
- * deterministic (objective value, list index) ranking. Used by the
- * dataflows::tuner compat shim; candidates failing to analyze — or
- * exceeding L1 capacity when enforced — are dropped and counted into
- * *rejected when non-null.
- */
-std::vector<MappedDataflow> rankDataflows(
-    const Analyzer &analyzer, const Layer &layer, Objective objective,
-    const std::vector<Dataflow> &candidates, std::size_t top_k,
-    bool enforce_l1_capacity, std::size_t num_threads,
-    std::size_t *rejected);
 
 /** Per-layer outcome of a whole-network search. */
 struct NetworkLayerBest

@@ -125,8 +125,6 @@ class EventLog
 
     EventLogStats stats() const;
 
-    const std::string &path() const { return options_.path; }
-
   private:
     /** Appends the finished line to the file + ring. */
     void emit(std::string line);

@@ -166,18 +166,6 @@ Registry::counter(std::string_view name, std::string_view help,
     return *slot;
 }
 
-Gauge &
-Registry::gauge(std::string_view name, std::string_view help,
-                const Labels &labels)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Family &fam = family(Kind::Gauge, name, help);
-    auto &slot = fam.gauges[labelString(labels)];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 LatencyHistogram &
 Registry::histogram(std::string_view name, std::string_view help,
                     const Labels &labels)
@@ -201,12 +189,6 @@ Registry::render(std::string &out) const
             for (const auto &[extra, counter] : fam.counters)
                 appendSample(out, fam.name, extra, counter->value());
             break;
-        case Kind::Gauge:
-            appendFamilyHeader(out, fam.name, fam.help, "gauge");
-            for (const auto &[extra, gauge] : fam.gauges)
-                appendSample(out, fam.name, extra,
-                             static_cast<double>(gauge->value()));
-            break;
         case Kind::Histogram:
             appendFamilyHeader(out, fam.name, fam.help, "histogram");
             for (const auto &[extra, histogram] : fam.histograms)
@@ -214,20 +196,6 @@ Registry::render(std::string &out) const
                                 histogram->snapshot());
             break;
         }
-    }
-}
-
-void
-Registry::resetForTest()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[name, fam] : families_) {
-        for (auto &[extra, counter] : fam.counters)
-            counter->reset();
-        for (auto &[extra, gauge] : fam.gauges)
-            gauge->set(0);
-        for (auto &[extra, histogram] : fam.histograms)
-            histogram->reset();
     }
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Process-wide metrics registry and Prometheus text exposition.
  *
- * The registry holds named instrument families (counter, gauge,
+ * The registry holds named instrument families (counter and
  * power-of-two latency histogram), each with zero or more label sets.
  * Lookup takes a mutex; hot paths call it once (function-local
  * static) and keep the returned reference — references are stable
@@ -10,7 +10,7 @@
  * and are never erased). Mutation is relaxed-atomic, safe from any
  * thread.
  *
- * renderPrometheus() produces the text exposition format (v0.0.4):
+ * Registry::render() produces the text exposition format (v0.0.4):
  * families sorted by name, label sets sorted by their rendered label
  * string, histograms as cumulative `_bucket{le="..."}` series plus
  * `_sum`/`_count` — so equal counter states always render to equal
@@ -53,41 +53,8 @@ class Counter
         return value_.load(std::memory_order_relaxed);
     }
 
-    /** Zeroes the counter (test isolation; see Registry). */
-    void
-    reset()
-    {
-        value_.store(0, std::memory_order_relaxed);
-    }
-
   private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-/** Settable instantaneous value. */
-class Gauge
-{
-  public:
-    void
-    set(std::int64_t value)
-    {
-        value_.store(value, std::memory_order_relaxed);
-    }
-
-    void
-    add(std::int64_t delta)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    std::int64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::int64_t> value_{0};
 };
 
 /** Sorted label set, e.g. {{"stage", "tensor"}}. */
@@ -114,10 +81,6 @@ class Registry
     Counter &counter(std::string_view name, std::string_view help,
                      const Labels &labels = {});
 
-    /** Same for gauges. */
-    Gauge &gauge(std::string_view name, std::string_view help,
-                 const Labels &labels = {});
-
     /** Same for power-of-two latency histograms (µs samples). */
     LatencyHistogram &histogram(std::string_view name,
                                 std::string_view help,
@@ -129,17 +92,10 @@ class Registry
      */
     void render(std::string &out) const;
 
-    /**
-     * Zeroes every registered value (families and label sets stay).
-     * Test isolation only — never called by production code.
-     */
-    void resetForTest();
-
   private:
     enum class Kind : std::uint8_t
     {
         Counter,
-        Gauge,
         Histogram,
     };
 
@@ -151,7 +107,6 @@ class Registry
         std::string help;
         /** Keyed by rendered label string (see labelString). */
         std::map<std::string, std::unique_ptr<Counter>> counters;
-        std::map<std::string, std::unique_ptr<Gauge>> gauges;
         std::map<std::string, std::unique_ptr<LatencyHistogram>>
             histograms;
     };

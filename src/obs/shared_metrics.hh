@@ -69,7 +69,7 @@ class SharedMetrics
     /** Maximum registered name length, including the NUL. */
     static constexpr std::size_t kMaxNameBytes = 120;
 
-    /** Worker-lane bound (matches the supervisor's worker cap). */
+    /** Worker-lane bound; also the supervisor's --workers cap. */
     static constexpr std::size_t kMaxLanes = 64;
 
     /** Registration failure: table full or name too long. */

@@ -66,10 +66,11 @@ class AdmissionController
     }
 
     /**
-     * Tries to admit one request for `client`.
+     * Tries to admit one request for `client` ("" = no per-client
+     * accounting).
      *
      * On Ok the caller must release() with the same client key.
-     * FullClient/FullGlobal map to 429/503 — both are counted.
+     * FullClient/FullGlobal map to 429/503; the caller counts them.
      */
     Admit
     admit(const std::string &client)
@@ -77,11 +78,8 @@ class AdmissionController
         if (client_share_ > 0 && !client.empty()) {
             std::lock_guard<std::mutex> lock(clients_mutex_);
             std::size_t &depth = client_depth_[client];
-            if (depth >= clientBudget(client)) {
-                rejected_client_.fetch_add(
-                    1, std::memory_order_relaxed);
+            if (depth >= clientBudget(client))
                 return Admit::FullClient;
-            }
             ++depth;
         }
         if (admitGlobal())
@@ -91,28 +89,13 @@ class AdmissionController
         return Admit::FullGlobal;
     }
 
-    /**
-     * Tries to admit one request (no client accounting).
-     *
-     * @return True when admitted (caller must release()); false when
-     *         the queue is full (the 503 path) — also counted.
-     */
-    bool tryAdmit() { return admitGlobal(); }
-
-    /** Returns one admitted request's slot. */
-    void
-    release()
-    {
-        depth_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-
     /** Returns a slot admitted via admit(client). */
     void
     release(const std::string &client)
     {
         if (client_share_ > 0 && !client.empty())
             releaseClient(client);
-        release();
+        depth_.fetch_sub(1, std::memory_order_acq_rel);
     }
 
     /** The in-flight budget of `client` (client_share * weight). */
@@ -139,20 +122,6 @@ class AdmissionController
     peakDepth() const
     {
         return peak_depth_.load(std::memory_order_relaxed);
-    }
-
-    /** Requests turned away by the global bound (503s). */
-    std::uint64_t
-    rejected() const
-    {
-        return rejected_.load(std::memory_order_relaxed);
-    }
-
-    /** Requests turned away by a per-client budget (429s). */
-    std::uint64_t
-    rejectedClient() const
-    {
-        return rejected_client_.load(std::memory_order_relaxed);
     }
 
     /** Clients with in-flight requests right now. */
@@ -187,7 +156,6 @@ class AdmissionController
                 return true;
             }
         }
-        rejected_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
 
@@ -210,8 +178,6 @@ class AdmissionController
     std::map<std::string, std::uint32_t> weights_;
     std::atomic<std::size_t> depth_{0};
     std::atomic<std::size_t> peak_depth_{0};
-    std::atomic<std::uint64_t> rejected_{0};
-    std::atomic<std::uint64_t> rejected_client_{0};
 
     mutable std::mutex clients_mutex_;
     std::map<std::string, std::size_t> client_depth_;

@@ -1,6 +1,5 @@
 #include "src/serve/handlers.hh"
 
-#include <charconv>
 #include <utility>
 
 #include "src/common/error.hh"
@@ -29,27 +28,10 @@ paramDouble(const QueryParams &params, const std::string &key,
     const auto it = params.find(key);
     if (it == params.end())
         return fallback;
-    const std::string &v = it->second;
-    double out = 0.0;
-    const auto res =
-        std::from_chars(v.data(), v.data() + v.size(), out);
-    fatalIf(res.ec != std::errc() || res.ptr != v.data() + v.size(), "query parameter '", key, "': '", v,
-                "' is not a number");
-    return out;
-}
-
-/** The layers a request operates on (borrowed from the network). */
-std::vector<const Layer *>
-selectLayers(const RequestInputs &in)
-{
-    std::vector<const Layer *> out;
-    if (in.layer_name) {
-        out.push_back(&in.network.layer(*in.layer_name));
-    } else {
-        for (const Layer &l : in.network.layers())
-            out.push_back(&l);
-    }
-    return out;
+    const std::optional<double> v = parseNumber<double>(it->second);
+    fatalIf(!v, "query parameter '", key, "': '", it->second,
+            "' is not a number");
+    return *v;
 }
 
 /** The single layer dse/tune operate on. */
@@ -112,7 +94,8 @@ paramCount(const QueryParams &params, const std::string &key,
     const auto it = params.find(key);
     if (it == params.end())
         return fallback;
-    const std::optional<std::size_t> v = parseCount(it->second);
+    const std::optional<std::size_t> v =
+        parseNumber<std::size_t>(it->second);
     fatalIf(!v || *v < 1, "query parameter '", key,
             "' must be a positive integer");
     return *v;
@@ -127,18 +110,16 @@ paramCountList(const QueryParams &params, const std::string &key,
     if (it == params.end())
         return fallback;
     std::vector<Count> out;
-    const std::string &v = it->second;
+    const std::string_view v = it->second;
     std::size_t pos = 0;
     while (pos <= v.size()) {
         const std::size_t comma = std::min(v.find(',', pos), v.size());
-        Count entry = 0;
-        const auto res = std::from_chars(v.data() + pos,
-                                         v.data() + comma, entry);
-        fatalIf(res.ec != std::errc() || res.ptr != v.data() + comma ||
-                    entry < 1, "query parameter '", key, "': '", v,
-                    "' is not a comma-separated list of positive "
-                    "integers");
-        out.push_back(entry);
+        const std::optional<Count> entry =
+            parseNumber<Count>(v.substr(pos, comma - pos));
+        fatalIf(!entry || *entry < 1, "query parameter '", key, "': '",
+                v, "' is not a comma-separated list of positive "
+                "integers");
+        out.push_back(*entry);
         pos = comma + 1;
     }
     return out;
@@ -178,6 +159,19 @@ writeMappedDataflow(JsonWriter &w, const mapper::MappedDataflow &md)
 }
 
 } // namespace
+
+std::vector<const Layer *>
+selectLayers(const RequestInputs &inputs)
+{
+    std::vector<const Layer *> out;
+    if (inputs.layer_name) {
+        out.push_back(&inputs.network.layer(*inputs.layer_name));
+    } else {
+        for (const Layer &l : inputs.network.layers())
+            out.push_back(&l);
+    }
+    return out;
+}
 
 mapper::MapperOptions
 mapperOptions(const QueryParams &params, std::size_t worker_threads)

@@ -50,7 +50,7 @@ struct ServeContext
 
 /**
  * Analysis inputs resolved from one request (DSL body + query
- * parameters), mirroring the CLI's --file resolution rules.
+ * parameters). The CLI resolves its flags into the same struct.
  */
 struct RequestInputs
 {
@@ -61,6 +61,10 @@ struct RequestInputs
     /** Restrict analysis to one layer (else all layers). */
     std::optional<std::string> layer_name;
 };
+
+/** The layers a request operates on: the selected one, else all
+ *  (borrowed from inputs.network). */
+std::vector<const Layer *> selectLayers(const RequestInputs &inputs);
 
 /**
  * Parses a DSL request body and resolves analysis inputs.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 
 #include "src/common/error.hh"
 
@@ -70,20 +69,6 @@ urlDecode(std::string_view s)
         }
     }
     return out;
-}
-
-std::optional<std::size_t>
-parseCount(std::string_view text)
-{
-    // from_chars takes no leading whitespace or '+', and no '-' for
-    // an unsigned target; the full-length check rejects trailing
-    // bytes, and out-of-range values come back as an error.
-    std::size_t value = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || end != text.data() + text.size())
-        return std::nullopt;
-    return value;
 }
 
 std::string
@@ -264,19 +249,17 @@ HttpParser::parseHeaderBlock()
     body_expected_ = 0;
     const auto cl = request_.headers.find("content-length");
     if (cl != request_.headers.end()) {
-        const std::string_view v = cl->second;
-        std::uint64_t n = 0;
-        const auto res =
-            std::from_chars(v.data(), v.data() + v.size(), n);
-        if (res.ec != std::errc() || res.ptr != v.data() + v.size()) {
+        const std::optional<std::uint64_t> n =
+            parseNumber<std::uint64_t>(cl->second);
+        if (!n) {
             fail(400, "malformed Content-Length");
             return;
         }
-        if (n > max_body_bytes_) {
+        if (*n > max_body_bytes_) {
             fail(413, "body larger than limit");
             return;
         }
-        body_expected_ = static_cast<std::size_t>(n);
+        body_expected_ = static_cast<std::size_t>(*n);
     }
     request_.body.reserve(body_expected_);
     state_ = body_expected_ == 0 ? State::Complete : State::Body;

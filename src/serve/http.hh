@@ -21,6 +21,7 @@
 #ifndef MAESTRO_SERVE_HTTP_HH
 #define MAESTRO_SERVE_HTTP_HH
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -162,11 +163,22 @@ std::string serializeResponse(
 std::string urlDecode(std::string_view s);
 
 /**
- * Strict decimal count from an untrusted query string: the whole
- * text must be digits (no sign, no whitespace, no exponent) and fit
- * a std::size_t. nullopt otherwise.
+ * Strict number from untrusted text (a query string, a header, a
+ * command-line flag): std::from_chars over the whole text, so no
+ * whitespace, no '+', no trailing bytes, and no sign for an unsigned
+ * T. nullopt when anything is left over or the value does not fit T.
  */
-std::optional<std::size_t> parseCount(std::string_view text);
+template <typename T>
+std::optional<T>
+parseNumber(std::string_view text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
+}
 
 } // namespace serve
 } // namespace maestro

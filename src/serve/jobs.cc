@@ -26,7 +26,6 @@ JobStore::JobStore(ThreadPool *pool, Executor executor,
 {
     panicIf(pool_ == nullptr, "job store needs a worker pool");
     panicIf(!executor_, "job store needs an executor");
-    stats_.capacity = capacity_;
 }
 
 const char *
@@ -97,7 +96,8 @@ JobStore::notifyGaugesLocked() const
         return;
     const std::uint64_t oldest_tick =
         queued_by_seq_.empty() ? 0 : queued_by_seq_.begin()->second;
-    gauge_observer_(queued_, running_, jobs_.size(), oldest_tick);
+    gauge_observer_(queued_by_seq_.size(), running_, jobs_.size(),
+                    oldest_tick);
 }
 
 JobReply
@@ -117,7 +117,6 @@ JobStore::submit(const std::string &client, const std::string &id,
             return {500, errorJson("job id collision; vary the "
                                    "request and retry"),
                     false, ""};
-        ++stats_.resubmitted;
         emitEventLocked(it->second, "resubmitted");
         return {200, statusBody(id, stateName(it->second.state)),
                 false, it->second.trace_id};
@@ -135,7 +134,6 @@ JobStore::submit(const std::string &client, const std::string &id,
     if (per_client_active_ > 0) {
         const auto ac = active_.find(client);
         if (ac != active_.end() && ac->second >= per_client_active_) {
-            ++stats_.rejected_client;
             reject("rejected_client");
             return {429,
                     errorJson(msg("client '", client, "' has ",
@@ -147,7 +145,6 @@ JobStore::submit(const std::string &client, const std::string &id,
 
     while (jobs_.size() >= capacity_) {
         if (terminal_by_seq_.empty()) {
-            ++stats_.rejected_capacity;
             reject("rejected_capacity");
             return {503,
                     errorJson(msg("job store full (", jobs_.size(),
@@ -165,7 +162,6 @@ JobStore::submit(const std::string &client, const std::string &id,
             jobs_.erase(vit);
         }
         terminal_by_seq_.erase(victim);
-        ++stats_.evicted;
     }
 
     Job job;
@@ -187,9 +183,7 @@ JobStore::submit(const std::string &client, const std::string &id,
                                                               w->second);
     }
     queue.ids.push_back(id);
-    ++queued_;
     ++active_[client];
-    ++stats_.submitted;
     emitEventLocked(inserted->second, "submitted");
     notifyGaugesLocked();
 
@@ -305,7 +299,6 @@ JobStore::pumpLocked(std::unique_lock<std::mutex> &lock)
         job.state = State::Running;
         job.started_tick = fleet::steadyTickMicros();
         queued_by_seq_.erase(job.seq);
-        --queued_;
         ++running_;
         emitEventLocked(job, "started", 0, true,
                         job.started_tick - job.submitted_tick);
@@ -330,29 +323,20 @@ JobStore::finishLocked(Job &job, State state, int status,
     job.status = status;
     job.body = std::move(body);
     terminal_by_seq_[job.seq] = job.id;
-    if (from == State::Queued) {
+    if (from == State::Queued)
         queued_by_seq_.erase(job.seq);
-        --queued_;
-    } else if (from == State::Running) {
+    else if (from == State::Running)
         --running_;
-    }
     const auto ac = active_.find(job.client);
     if (ac != active_.end() && --ac->second == 0)
         active_.erase(ac);
-    if (state == State::Done) {
-        ++stats_.completed;
-        emitEventLocked(job, "completed", status, false, 0, true,
-                        fleet::steadyTickMicros() -
-                            job.started_tick);
-    } else if (state == State::Failed) {
-        ++stats_.failed;
-        emitEventLocked(job, "failed", status, false, 0, true,
-                        fleet::steadyTickMicros() -
-                            job.started_tick);
-    } else {
-        ++stats_.cancelled;
+    if (state == State::Cancelled)
         emitEventLocked(job, "cancelled");
-    }
+    else
+        emitEventLocked(job,
+                        state == State::Done ? "completed" : "failed",
+                        status, false, 0, true,
+                        fleet::steadyTickMicros() - job.started_tick);
     notifyGaugesLocked();
     if (running_ == 0)
         idle_cv_.notify_all();
@@ -403,18 +387,6 @@ JobStore::listJson() const
     w.endArray();
     w.endObject();
     return w.str();
-}
-
-JobStoreStats
-JobStore::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    JobStoreStats out = stats_;
-    out.queued = queued_;
-    out.running = running_;
-    out.resident = jobs_.size();
-    out.capacity = capacity_;
-    return out;
 }
 
 void

@@ -81,23 +81,6 @@ struct JobReply
                               ///< in the body (byte-identity)
 };
 
-/** Counters surfaced on /stats and /metrics. */
-struct JobStoreStats
-{
-    std::uint64_t submitted = 0;   ///< new jobs accepted
-    std::uint64_t resubmitted = 0; ///< idempotent duplicate submits
-    std::uint64_t completed = 0;   ///< reached Done
-    std::uint64_t failed = 0;      ///< reached Failed
-    std::uint64_t cancelled = 0;   ///< cancelled while queued
-    std::uint64_t evicted = 0;     ///< terminal jobs evicted (FIFO)
-    std::uint64_t rejected_capacity = 0; ///< 503: store full
-    std::uint64_t rejected_client = 0;   ///< 429: client bound hit
-    std::size_t queued = 0;
-    std::size_t running = 0;
-    std::size_t resident = 0;
-    std::size_t capacity = 0;
-};
-
 /**
  * Bounded deterministic in-memory job store + fair dispatcher.
  */
@@ -172,7 +155,8 @@ class JobStore
     /** GET /jobs: resident jobs in submission order. */
     std::string listJson() const;
 
-    JobStoreStats stats() const;
+    /** The resident job bound. */
+    std::size_t capacity() const { return capacity_; }
 
     /**
      * Drain for shutdown: rejects new submits, cancels all queued
@@ -273,10 +257,8 @@ class JobStore
     std::map<std::string, std::size_t> active_; ///< client -> count
     std::string cursor_; ///< next client the fair dequeue considers
     std::uint64_t next_seq_ = 0;
-    std::size_t queued_ = 0;
     std::size_t running_ = 0;
     bool stopping_ = false;
-    JobStoreStats stats_;
 };
 
 } // namespace serve

@@ -41,13 +41,9 @@ ResultCache::get(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++stats_.misses;
+    if (it == index_.end())
         return nullptr;
-    }
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_.hits;
-    stats_.served_bytes += it->second->body->size();
     return it->second->body;
 }
 
@@ -67,11 +63,9 @@ ResultCache::put(const std::string &key,
     }
     lru_.push_front(Entry{key, std::move(body)});
     index_[key] = lru_.begin();
-    stats_.bytes += lru_.front().body->size();
-    ++stats_.inserted;
-    const std::size_t evicted = evictLocked();
-    stats_.entries = index_.size();
-    return evicted;
+    bytes_ += lru_.front().body->size();
+    ++inserted_;
+    return evictLocked();
 }
 
 std::size_t
@@ -79,12 +73,11 @@ ResultCache::evictLocked()
 {
     std::size_t evicted = 0;
     while (!lru_.empty() && (index_.size() > max_entries_ ||
-                             stats_.bytes > max_bytes_)) {
+                             bytes_ > max_bytes_)) {
         const Entry &victim = lru_.back();
-        stats_.bytes -= victim.body->size();
+        bytes_ -= victim.body->size();
         index_.erase(victim.key);
         lru_.pop_back();
-        ++stats_.evictions;
         ++evicted;
     }
     return evicted;
@@ -94,19 +87,7 @@ ResultCacheStats
 ResultCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ResultCacheStats out = stats_;
-    out.entries = index_.size();
-    return out;
-}
-
-void
-ResultCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-    stats_.entries = 0;
-    stats_.bytes = 0;
+    return {inserted_, index_.size(), bytes_};
 }
 
 } // namespace serve

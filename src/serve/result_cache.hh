@@ -39,16 +39,16 @@ namespace maestro
 namespace serve
 {
 
-/** Hit/miss/byte counters surfaced on /stats and /metrics. */
+/**
+ * Residency the cache alone knows. Hits, misses, evictions and
+ * served bytes are counted by the server's fleet lane at the call
+ * sites that see them.
+ */
 struct ResultCacheStats
 {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     std::uint64_t inserted = 0;
-    std::size_t entries = 0;       ///< resident entries right now
-    std::size_t bytes = 0;         ///< resident body bytes right now
-    std::uint64_t served_bytes = 0; ///< body bytes served from hits
+    std::size_t entries = 0; ///< resident entries right now
+    std::size_t bytes = 0;   ///< resident body bytes right now
 };
 
 /**
@@ -78,7 +78,7 @@ class ResultCache
                                     const QueryParams &params,
                                     std::string_view body);
 
-    /** Looks up `key`; counts a hit or a miss. */
+    /** Looks up `key`; a hit becomes the most recently used. */
     std::shared_ptr<const std::string> get(const std::string &key);
 
     /**
@@ -90,8 +90,6 @@ class ResultCache
                     std::shared_ptr<const std::string> body);
 
     ResultCacheStats stats() const;
-
-    void clear();
 
   private:
     /** Most-recently-used entries live at the front of lru_. */
@@ -111,7 +109,8 @@ class ResultCache
     mutable std::mutex mutex_;
     std::list<Entry> lru_;
     std::map<std::string, std::list<Entry>::iterator> index_;
-    ResultCacheStats stats_;
+    std::size_t bytes_ = 0; ///< resident body bytes
+    std::uint64_t inserted_ = 0;
 };
 
 } // namespace serve

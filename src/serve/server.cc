@@ -110,7 +110,7 @@ eventsTail(const obs::EventLog &log, const QueryParams &params)
     const auto it = params.find("n");
     const std::optional<std::size_t> n =
         it == params.end() ? std::optional<std::size_t>(100)
-                           : parseCount(it->second);
+                           : parseNumber<std::size_t>(it->second);
     if (!n)
         return {400, errorJson("bad n parameter (want a count)")};
     return {200, log.tailJson(*n)};
@@ -635,7 +635,7 @@ AnalysisServer::componentStats() const
     c.peak_depth = admission_.peakDepth();
     c.client_share = admission_.clientShare();
     c.cache_inserted = result_cache_.stats().inserted;
-    c.job_capacity = jobs_->stats().capacity;
+    c.job_capacity = jobs_->capacity();
     c.pipeline = context_.pipeline->stats();
     c.events = events_->stats();
     return c;

@@ -33,12 +33,12 @@ namespace
 /**
  * Supervisor signal-forwarding state. Signal handlers may only touch
  * async-signal-safe primitives, so the child pid table is a fixed
- * array of atomics published before the handlers are installed.
+ * array of atomics published before the handlers are installed. It
+ * holds one pid per metrics lane, the fleet's worker cap.
  */
-constexpr std::size_t kMaxWorkers = 64;
 volatile sig_atomic_t g_stop_requested = 0;
 volatile std::sig_atomic_t g_worker_count = 0;
-volatile pid_t g_worker_pids[kMaxWorkers] = {};
+volatile pid_t g_worker_pids[obs::SharedMetrics::kMaxLanes] = {};
 
 extern "C" void
 forwardStopSignal(int signum)
@@ -267,11 +267,8 @@ runWorkers(ServeOptions options, std::size_t workers,
            int status_port)
 {
     fatalIf(workers < 2, "runWorkers needs at least 2 workers");
-    fatalIf(workers > kMaxWorkers,
-            msg("--workers is capped at ", kMaxWorkers));
     fatalIf(workers > obs::SharedMetrics::kMaxLanes,
-            msg("--workers is capped at ",
-                obs::SharedMetrics::kMaxLanes, " metric lanes"));
+            "--workers is capped at ", obs::SharedMetrics::kMaxLanes);
 
     // Resolve an ephemeral port once so every worker binds the SAME
     // port; the placeholder never listens, so it steals no

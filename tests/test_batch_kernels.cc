@@ -7,7 +7,7 @@
  * replay the scalar path's exact expressions in the exact association
  * order; these tests drive every kernel against its scalar counterpart
  * on randomized inputs — including ragged lane counts that exercise
- * the explicit-SIMD path's tail loops — and compare with EXPECT_EQ
+ * the vectorized loops' scalar tails — and compare with EXPECT_EQ
  * (bitwise, no tolerances).
  *
  * The fused feasibility walk (sweepFeasibleCounts) additionally claims

@@ -11,15 +11,13 @@
  * The sweep spans zoo models with early/late conv, fully-connected,
  * depthwise, grouped, transposed-conv, and high-resolution layers,
  * both study hardware configs, and the Table-3 dataflow styles; plus
- * whole-network aggregates (serial and 2-thread), a DSE sweep, and a
- * tuner ranking.
+ * whole-network aggregates (serial and 2-thread) and a DSE sweep.
  */
 
 #include <gtest/gtest.h>
 
 #include "src/core/analyzer.hh"
 #include "src/dataflows/catalog.hh"
-#include "src/dataflows/tuner.hh"
 #include "src/dse/explorer.hh"
 #include "src/model/zoo.hh"
 
@@ -318,28 +316,6 @@ TEST(GoldenDse, FastSweepMatchesFrozenNumbers)
         EXPECT_EQ(p->energy, 50713798067.625099);
         EXPECT_EQ(p->edp, 5.0411565038730336e+17);
     }
-}
-
-/** The tuner's frozen ranking for a late VGG conv layer. */
-TEST(GoldenTuner, Vgg16Conv11RuntimeRankingMatches)
-{
-    const Network net = zoo::vgg16();
-    const Analyzer analyzer(AcceleratorConfig::paperStudy());
-    const dataflows::TunerResult res = dataflows::tuneDataflow(
-        analyzer, net.layer("CONV11"), dataflows::Objective::Runtime);
-
-    EXPECT_EQ(res.candidates, 186u);
-    EXPECT_EQ(res.rejected, 0u);
-    ASSERT_GE(res.ranked.size(), 3u);
-    EXPECT_EQ(res.ranked[0].dataflow.name(), "T-YC-c16-t8");
-    EXPECT_EQ(res.ranked[0].objective_value, 2065033.59375);
-    EXPECT_EQ(res.ranked[0].energy, 4105023979.5200005);
-    EXPECT_EQ(res.ranked[1].dataflow.name(), "T-YC-c16-t16");
-    EXPECT_EQ(res.ranked[1].objective_value, 2065650.1875);
-    EXPECT_EQ(res.ranked[1].energy, 3840672727.04);
-    EXPECT_EQ(res.ranked[2].dataflow.name(), "T-YC-c16-t32");
-    EXPECT_EQ(res.ranked[2].objective_value, 2066883.375);
-    EXPECT_EQ(res.ranked[2].energy, 3708497100.8000002);
 }
 
 } // namespace

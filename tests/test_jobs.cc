@@ -87,18 +87,18 @@ TEST(ResultCache, HitServesIdenticalBytesAndCounts)
     const std::string key =
         ResultCache::canonicalKey("/analyze", {}, "body");
     EXPECT_EQ(cache.get(key), nullptr);
-    cache.put(key, std::make_shared<const std::string>("rendered"));
+    const auto body = std::make_shared<const std::string>("rendered");
+    EXPECT_EQ(cache.put(key, body), 0u);
     const auto hit = cache.get(key);
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(*hit, "rendered");
+    // A hit shares the resident body; it never copies it.
+    EXPECT_EQ(hit, body);
 
     const ResultCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.inserted, 1u);
     EXPECT_EQ(stats.entries, 1u);
     EXPECT_EQ(stats.bytes, 8u);
-    EXPECT_EQ(stats.served_bytes, 8u);
 }
 
 TEST(ResultCache, LruEvictionByEntryCount)
@@ -107,51 +107,44 @@ TEST(ResultCache, LruEvictionByEntryCount)
     const auto body = [](const char *s) {
         return std::make_shared<const std::string>(s);
     };
-    cache.put("k1", body("v1"));
-    cache.put("k2", body("v2"));
-    ASSERT_NE(cache.get("k1"), nullptr); // k1 now most recent
-    cache.put("k3", body("v3"));         // evicts k2 (LRU)
+    EXPECT_EQ(cache.put("k1", body("v1")), 0u);
+    EXPECT_EQ(cache.put("k2", body("v2")), 0u);
+    ASSERT_NE(cache.get("k1"), nullptr);         // k1 now most recent
+    EXPECT_EQ(cache.put("k3", body("v3")), 1u); // evicts k2 (LRU)
     EXPECT_EQ(cache.get("k2"), nullptr);
     EXPECT_NE(cache.get("k1"), nullptr);
     EXPECT_NE(cache.get("k3"), nullptr);
-    EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.stats().inserted, 3u);
 }
 
 TEST(ResultCache, ByteBudgetBoundsResidency)
 {
     ResultCache cache(100, 10);
     cache.put("a", std::make_shared<const std::string>("123456"));
-    cache.put("b", std::make_shared<const std::string>("123456"));
     // 12 resident bytes > 10: the older entry must go.
+    EXPECT_EQ(cache.put("b", std::make_shared<const std::string>("123456")),
+              1u);
     EXPECT_EQ(cache.get("a"), nullptr);
     EXPECT_NE(cache.get("b"), nullptr);
     EXPECT_LE(cache.stats().bytes, 10u);
 
     // A body that alone exceeds the budget is never inserted.
-    cache.put("big",
-              std::make_shared<const std::string>("12345678901"));
+    EXPECT_EQ(cache.put("big", std::make_shared<const std::string>(
+                                   "12345678901")),
+              0u);
     EXPECT_EQ(cache.get("big"), nullptr);
+    EXPECT_EQ(cache.stats().inserted, 2u);
 }
 
 TEST(ResultCache, ZeroEntriesDisablesCaching)
 {
     ResultCache cache(0, 1 << 20);
-    cache.put("k", std::make_shared<const std::string>("v"));
+    EXPECT_EQ(cache.put("k", std::make_shared<const std::string>("v")),
+              0u);
     EXPECT_EQ(cache.get("k"), nullptr);
     EXPECT_EQ(cache.stats().inserted, 0u);
-}
-
-TEST(ResultCache, ClearDropsEntriesKeepsCounters)
-{
-    ResultCache cache(8, 1 << 20);
-    cache.put("k", std::make_shared<const std::string>("v"));
-    ASSERT_NE(cache.get("k"), nullptr);
-    cache.clear();
-    EXPECT_EQ(cache.get("k"), nullptr);
     EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_EQ(cache.stats().bytes, 0u);
-    EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 // ---------------------------------------------------------------
@@ -168,7 +161,6 @@ TEST(Admission, PerClientBudgetsWeighted)
               AdmissionController::Admit::Ok);
     EXPECT_EQ(admission.admit("alice"),
               AdmissionController::Admit::FullClient);
-    EXPECT_EQ(admission.rejectedClient(), 1u);
 
     // A weight-2 client gets twice the share; others are unaffected
     // by alice saturating hers.
@@ -198,7 +190,7 @@ TEST(Admission, GlobalBoundRollsBackClientSlot)
     // returned — otherwise retries would leak b's budget away.
     EXPECT_EQ(admission.admit("b"),
               AdmissionController::Admit::FullGlobal);
-    EXPECT_EQ(admission.rejected(), 1u);
+    EXPECT_EQ(admission.activeClients(), 1u);
     admission.release("a");
     EXPECT_EQ(admission.admit("b"), AdmissionController::Admit::Ok);
     admission.release("b");
@@ -212,7 +204,7 @@ TEST(Admission, ZeroShareDisablesClientAccounting)
     EXPECT_EQ(admission.admit("a"), AdmissionController::Admit::Ok);
     EXPECT_EQ(admission.admit("a"),
               AdmissionController::Admit::FullGlobal);
-    EXPECT_EQ(admission.rejectedClient(), 0u);
+    EXPECT_EQ(admission.activeClients(), 0u);
     admission.release("a");
     admission.release("a");
 }
@@ -263,6 +255,47 @@ waitUntil(Pred pred, const char *what)
     }
 }
 
+/** Spins until job `id` is terminal: its poll reply carries no
+ *  Retry-After (done, failed, cancelled, or no longer resident). */
+void
+waitTerminal(const JobStore &store, const std::string &id)
+{
+    waitUntil([&] { return !store.poll(id).retry_after; }, id.c_str());
+}
+
+/**
+ * Counts a store's lifecycle events by name through its observer,
+ * the hook the server's fleet lane counts through. Declare it before
+ * the pool and the store: a job finishing on the pool thread while
+ * the test unwinds still reports into it.
+ */
+class EventCounts
+{
+  public:
+    void
+    observe(JobStore &store)
+    {
+        store.setObservers(
+            [this](const obs::JobEvent &e) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                ++counts_[std::string(e.event)];
+            },
+            nullptr);
+    }
+
+    std::uint64_t
+    operator[](const std::string &event) const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = counts_.find(event);
+        return it == counts_.end() ? 0 : it->second;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::map<std::string, std::uint64_t> counts_;
+};
+
 JobRequest
 makeRequest(const std::string &body)
 {
@@ -286,8 +319,10 @@ echoExecutor(const JobRequest &request)
 
 TEST(Jobs, LifecycleServesTerminalBodyVerbatim)
 {
+    EventCounts events;
     ThreadPool pool(2);
     JobStore store(&pool, echoExecutor, 8, 0, 2);
+    events.observe(store);
 
     const JobReply accepted =
         store.submit("alice", "j1", makeRequest("x"));
@@ -295,18 +330,17 @@ TEST(Jobs, LifecycleServesTerminalBodyVerbatim)
     EXPECT_EQ(accepted.body, "{\"id\":\"j1\",\"state\":\"queued\"}");
     EXPECT_FALSE(accepted.retry_after);
 
-    waitUntil([&] { return store.stats().completed == 1; },
-              "job completion");
+    waitTerminal(store, "j1");
     const JobReply done = store.poll("j1");
     EXPECT_EQ(done.status, 200);
     EXPECT_EQ(done.body, "{\"echo\":\"x\"}");
     EXPECT_FALSE(done.retry_after);
 
-    const JobStoreStats stats = store.stats();
-    EXPECT_EQ(stats.submitted, 1u);
-    EXPECT_EQ(stats.completed, 1u);
-    EXPECT_EQ(stats.resident, 1u);
-    EXPECT_EQ(stats.running, 0u);
+    EXPECT_EQ(events["submitted"], 1u);
+    EXPECT_EQ(events["completed"], 1u);
+    // The finished job stays resident.
+    EXPECT_EQ(store.listJson(), "{\"count\":1,\"jobs\":["
+                                "{\"id\":\"j1\",\"state\":\"done\"}]}");
 }
 
 TEST(Jobs, FailedJobKeepsErrorStatusAndBody)
@@ -314,8 +348,7 @@ TEST(Jobs, FailedJobKeepsErrorStatusAndBody)
     ThreadPool pool(1);
     JobStore store(&pool, echoExecutor, 8, 0, 1);
     store.submit("alice", "jf", makeRequest("fail-me"));
-    waitUntil([&] { return store.stats().failed == 1; },
-              "job failure");
+    waitTerminal(store, "jf");
     const JobReply failed = store.poll("jf");
     EXPECT_EQ(failed.status, 400);
     EXPECT_EQ(failed.body, "{\"error\":\"fail-me\"}");
@@ -331,8 +364,7 @@ TEST(Jobs, ThrowingExecutorBecomesFailed500)
         },
         8, 0, 1);
     store.submit("alice", "jx", makeRequest("x"));
-    waitUntil([&] { return store.stats().failed == 1; },
-              "executor failure");
+    waitTerminal(store, "jx");
     const JobReply failed = store.poll("jx");
     EXPECT_EQ(failed.status, 500);
     EXPECT_NE(failed.body.find("executor exploded"),
@@ -342,6 +374,7 @@ TEST(Jobs, ThrowingExecutorBecomesFailed500)
 TEST(Jobs, ResubmitIsIdempotentCollisionIsExplicit)
 {
     Gate gate;
+    EventCounts events;
     ThreadPool pool(1);
     JobStore store(
         &pool,
@@ -350,6 +383,7 @@ TEST(Jobs, ResubmitIsIdempotentCollisionIsExplicit)
             return echoExecutor(request);
         },
         8, 0, 1);
+    events.observe(store);
 
     EXPECT_EQ(store.submit("alice", "j1", makeRequest("x")).status,
               202);
@@ -358,8 +392,8 @@ TEST(Jobs, ResubmitIsIdempotentCollisionIsExplicit)
     const JobReply dup = store.submit("bob", "j1", makeRequest("x"));
     EXPECT_EQ(dup.status, 200);
     EXPECT_NE(dup.body.find("\"id\":\"j1\""), std::string::npos);
-    EXPECT_EQ(store.stats().resubmitted, 1u);
-    EXPECT_EQ(store.stats().submitted, 1u);
+    EXPECT_EQ(events["resubmitted"], 1u);
+    EXPECT_EQ(events["submitted"], 1u);
 
     // Same id, different canonical: a hash collision must surface
     // as an error, never as someone else's result.
@@ -369,14 +403,14 @@ TEST(Jobs, ResubmitIsIdempotentCollisionIsExplicit)
     EXPECT_NE(clash.body.find("collision"), std::string::npos);
 
     gate.release();
-    waitUntil([&] { return store.stats().completed == 1; },
-              "job completion");
+    waitTerminal(store, "j1");
     EXPECT_EQ(store.poll("j1").body, "{\"echo\":\"x\"}");
 }
 
 TEST(Jobs, PerClientActiveBoundAnswers429)
 {
     Gate gate;
+    EventCounts events;
     ThreadPool pool(1);
     JobStore store(
         &pool,
@@ -385,6 +419,7 @@ TEST(Jobs, PerClientActiveBoundAnswers429)
             return echoExecutor(request);
         },
         8, 1, 1);
+    events.observe(store);
 
     EXPECT_EQ(store.submit("alice", "j1", makeRequest("a")).status,
               202);
@@ -393,44 +428,47 @@ TEST(Jobs, PerClientActiveBoundAnswers429)
     EXPECT_EQ(over.status, 429);
     EXPECT_TRUE(over.retry_after);
     EXPECT_NE(over.body.find("alice"), std::string::npos);
-    EXPECT_EQ(store.stats().rejected_client, 1u);
+    EXPECT_EQ(events["rejected_client"], 1u);
 
     // Another client is unaffected by alice's bound.
     EXPECT_EQ(store.submit("bob", "j3", makeRequest("c")).status,
               202);
 
     gate.release(2);
-    waitUntil([&] { return store.stats().completed == 2; },
-              "jobs completion");
+    waitTerminal(store, "j1");
+    waitTerminal(store, "j3");
     // Terminal jobs no longer count against the active bound.
     EXPECT_EQ(store.submit("alice", "j4", makeRequest("d")).status,
               202);
     gate.release();
-    waitUntil([&] { return store.stats().completed == 3; },
-              "third completion");
+    waitTerminal(store, "j4");
+    EXPECT_EQ(events["completed"], 3u);
 }
 
 TEST(Jobs, CapacityEvictsOldestSubmittedTerminal)
 {
+    EventCounts events;
     ThreadPool pool(1);
     JobStore store(&pool, echoExecutor, 2, 0, 1);
+    events.observe(store);
 
     store.submit("a", "j1", makeRequest("1"));
     store.submit("a", "j2", makeRequest("2"));
-    waitUntil([&] { return store.stats().completed == 2; },
-              "first two completions");
+    waitTerminal(store, "j1");
+    waitTerminal(store, "j2");
 
     // The store is at capacity with two terminal jobs; the next
     // submit evicts the oldest SUBMITTED one (j1).
     EXPECT_EQ(store.submit("a", "j3", makeRequest("3")).status, 202);
     EXPECT_EQ(store.poll("j1").status, 404);
     EXPECT_EQ(store.poll("j2").status, 200);
-    EXPECT_EQ(store.stats().evicted, 1u);
+    EXPECT_EQ(events["evicted"], 1u);
 }
 
 TEST(Jobs, FullOfActiveJobsAnswers503)
 {
     Gate gate;
+    EventCounts events;
     ThreadPool pool(1);
     JobStore store(
         &pool,
@@ -439,20 +477,21 @@ TEST(Jobs, FullOfActiveJobsAnswers503)
             return echoExecutor(request);
         },
         1, 0, 1);
+    events.observe(store);
 
     EXPECT_EQ(store.submit("a", "j1", makeRequest("1")).status, 202);
     const JobReply full = store.submit("a", "j2", makeRequest("2"));
     EXPECT_EQ(full.status, 503);
     EXPECT_TRUE(full.retry_after);
-    EXPECT_EQ(store.stats().rejected_capacity, 1u);
+    EXPECT_EQ(events["rejected_capacity"], 1u);
     gate.release();
-    waitUntil([&] { return store.stats().completed == 1; },
-              "completion");
+    waitTerminal(store, "j1");
 }
 
 TEST(Jobs, CancelSemanticsByState)
 {
     Gate gate;
+    EventCounts events;
     ThreadPool pool(1);
     std::atomic<int> started{0};
     JobStore store(
@@ -463,6 +502,7 @@ TEST(Jobs, CancelSemanticsByState)
             return echoExecutor(request);
         },
         8, 0, 1);
+    events.observe(store);
 
     store.submit("a", "j1", makeRequest("1"));
     waitUntil([&] { return started.load() == 1; }, "j1 to start");
@@ -479,12 +519,11 @@ TEST(Jobs, CancelSemanticsByState)
     EXPECT_EQ(store.cancel("j1").status, 409);
 
     gate.release();
-    waitUntil([&] { return store.stats().completed == 1; },
-              "j1 completion");
+    waitTerminal(store, "j1");
     // Terminal: removed outright.
     EXPECT_EQ(store.cancel("j1").status, 200);
     EXPECT_EQ(store.poll("j1").status, 404);
-    EXPECT_EQ(store.stats().cancelled, 1u);
+    EXPECT_EQ(events["cancelled"], 1u);
 }
 
 TEST(Jobs, WeightedFairDequeueOrder)
@@ -525,8 +564,8 @@ TEST(Jobs, WeightedFairDequeueOrder)
         waitUntil([&] { return started() == n; }, "next dispatch");
     }
     gate.release();
-    waitUntil([&] { return store.stats().completed == 6; },
-              "all completions");
+    for (const char *id : {"a2", "a3", "a4", "b1", "c1", "c2"})
+        waitTerminal(store, id);
 
     // Weighted round-robin from cursor "a\0" (a2 emptied client a):
     // b gets 1, c gets its weight of 2, then back to a's backlog —
@@ -543,8 +582,8 @@ TEST(Jobs, ListJsonInSubmissionOrder)
     JobStore store(&pool, echoExecutor, 8, 0, 1);
     store.submit("a", "jb", makeRequest("1"));
     store.submit("a", "ja", makeRequest("2"));
-    waitUntil([&] { return store.stats().completed == 2; },
-              "completions");
+    waitTerminal(store, "jb");
+    waitTerminal(store, "ja");
     // Submission order, not id order.
     EXPECT_EQ(store.listJson(),
               "{\"count\":2,\"jobs\":["
@@ -623,8 +662,7 @@ TEST(Jobs, ObserversSeeLifecycleEventsWithTraceAndTimings)
     const JobReply accepted =
         store.submit("alice", "j1", makeRequest("x"), "trace-7");
     EXPECT_EQ(accepted.trace_id, "trace-7");
-    waitUntil([&] { return store.stats().completed == 1; },
-              "job completion");
+    waitTerminal(store, "j1");
 
     // Polls and resubmits echo the FIRST submitter's trace id.
     EXPECT_EQ(store.poll("j1").trace_id, "trace-7");
@@ -638,9 +676,8 @@ TEST(Jobs, ObserversSeeLifecycleEventsWithTraceAndTimings)
     // terminal, so submit two fresh jobs back to back.
     store.submit("carol", "j2", makeRequest("y"), "t2");
     store.submit("carol", "j3", makeRequest("z"), "t3");
-    waitUntil([&] { return store.stats().rejected_client == 1 ||
-                           store.stats().completed == 3; },
-              "carol's second submit");
+    waitTerminal(store, "j2");
+    waitTerminal(store, "j3");
 
     // Snapshot under the observers' lock: carol's jobs may still be
     // reporting from the pool thread.
@@ -702,14 +739,13 @@ TEST(Jobs, FailureAndEvictionEventsCarryTerminalStatus)
         nullptr);
 
     store.submit("a", "f1", makeRequest("fail-1"));
-    waitUntil([&] { return store.stats().failed == 1; }, "failure");
+    waitTerminal(store, "f1");
     store.submit("a", "ok1", makeRequest("1"));
-    waitUntil([&] { return store.stats().completed == 1; }, "ok1");
+    waitTerminal(store, "ok1");
     // Capacity 2 with two terminal residents: the next submit
     // evicts the oldest terminal (f1, status 400).
     store.submit("a", "ok2", makeRequest("2"));
-    waitUntil([&] { return store.stats().evicted == 1; },
-              "eviction");
+    EXPECT_EQ(store.poll("f1").status, 404);
 
     std::lock_guard<std::mutex> lock(seen_mutex);
     bool saw_failed = false, saw_evicted = false;
@@ -762,16 +798,18 @@ struct ScriptResult
 ScriptResult
 runJobScript(std::size_t pool_threads, std::uint32_t seed)
 {
+    EventCounts events;
     ThreadPool pool(pool_threads);
     JobStore store(&pool, echoExecutor, 8, 0,
                    std::max<std::size_t>(1, pool_threads));
+    events.observe(store);
 
+    // Every resident job was submitted under one of these ids, so
+    // the store is idle once each of them is terminal.
+    std::vector<std::string> submitted_ids;
     const auto drain = [&] {
-        const auto idle = [&] {
-            const JobStoreStats s = store.stats();
-            return s.queued == 0 && s.running == 0;
-        };
-        waitUntil(idle, "drain");
+        for (const std::string &id : submitted_ids)
+            waitTerminal(store, id);
     };
 
     const auto bodyFor = [](int n) {
@@ -779,7 +817,6 @@ runJobScript(std::size_t pool_threads, std::uint32_t seed)
     };
 
     std::mt19937 rng(seed);
-    std::vector<std::string> submitted_ids;
     int next_id = 0;
     for (int op = 0; op < 200; ++op) {
         const std::uint32_t pick = rng() % 10;
@@ -826,12 +863,11 @@ runJobScript(std::size_t pool_threads, std::uint32_t seed)
         if (reply.status != 404)
             result.terminal[id] = {reply.status, reply.body};
     }
-    const JobStoreStats stats = store.stats();
-    result.evicted = stats.evicted;
-    result.submitted = stats.submitted;
-    result.resubmitted = stats.resubmitted;
-    result.completed = stats.completed;
-    result.failed = stats.failed;
+    result.evicted = events["evicted"];
+    result.submitted = events["submitted"];
+    result.resubmitted = events["resubmitted"];
+    result.completed = events["completed"];
+    result.failed = events["failed"];
     return result;
 }
 

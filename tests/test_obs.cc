@@ -141,7 +141,6 @@ TEST(ObsRegistry, RenderEmitsPrometheusFamilies)
     obs::Registry reg;
     reg.counter("t_requests_total", "Requests served", {{"ep", "a"}})
         .add(2);
-    reg.gauge("t_depth", "Queue depth").set(7);
     reg.histogram("t_lat_us", "Latency").record(3);
 
     std::string out;
@@ -152,8 +151,6 @@ TEST(ObsRegistry, RenderEmitsPrometheusFamilies)
               std::string::npos);
     EXPECT_NE(out.find("t_requests_total{ep=\"a\"} 2"),
               std::string::npos);
-    EXPECT_NE(out.find("# TYPE t_depth gauge"), std::string::npos);
-    EXPECT_NE(out.find("t_depth 7"), std::string::npos);
     EXPECT_NE(out.find("# TYPE t_lat_us histogram"),
               std::string::npos);
     EXPECT_NE(out.find("t_lat_us_bucket{le=\"4\"} 1"),
@@ -191,16 +188,6 @@ TEST(ObsRegistry, LabelStringEscapesSpecials)
               "{a=\"x\",b=\"y\"}");
     EXPECT_EQ(obs::labelString({{"k", "q\"b\\c\nd"}}),
               "{k=\"q\\\"b\\\\c\\nd\"}");
-}
-
-TEST(ObsRegistry, ResetForTestZeroesValuesButKeepsFamilies)
-{
-    obs::Registry reg;
-    reg.counter("r_total", "r").add(9);
-    reg.histogram("r_us", "r").record(5);
-    reg.resetForTest();
-    EXPECT_EQ(reg.counter("r_total", "r").value(), 0u);
-    EXPECT_EQ(reg.histogram("r_us", "r").count(), 0u);
 }
 
 // ---------------------------------------------------------------- //

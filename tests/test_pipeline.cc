@@ -19,7 +19,6 @@
 #include "src/core/analyzer.hh"
 #include "src/core/pipeline.hh"
 #include "src/dataflows/catalog.hh"
-#include "src/dataflows/tuner.hh"
 #include "src/dse/explorer.hh"
 #include "src/model/zoo.hh"
 
@@ -383,37 +382,8 @@ TEST(EvaluateBatch, ConcurrentSharedAnalyzerHammer)
 }
 
 // ---------------------------------------------------------------- //
-//                  Tuner / explorer thread parity                  //
+//                     Explorer thread parity                       //
 // ---------------------------------------------------------------- //
-
-TEST(ThreadParity, TunerFourThreadsMatchesSerial)
-{
-    const Network net = zoo::vgg16();
-    const Layer &layer = net.layer("CONV11");
-
-    dataflows::TunerOptions serial_opts;
-    const Analyzer a(AcceleratorConfig::paperStudy());
-    const auto serial = dataflows::tuneDataflow(
-        a, layer, dataflows::Objective::Edp, serial_opts);
-
-    dataflows::TunerOptions parallel_opts;
-    parallel_opts.num_threads = 4;
-    const Analyzer b(AcceleratorConfig::paperStudy());
-    const auto parallel = dataflows::tuneDataflow(
-        b, layer, dataflows::Objective::Edp, parallel_opts);
-
-    EXPECT_EQ(serial.candidates, parallel.candidates);
-    EXPECT_EQ(serial.rejected, parallel.rejected);
-    ASSERT_EQ(serial.ranked.size(), parallel.ranked.size());
-    for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
-        EXPECT_EQ(serial.ranked[i].dataflow.name(),
-                  parallel.ranked[i].dataflow.name());
-        EXPECT_EQ(serial.ranked[i].objective_value,
-                  parallel.ranked[i].objective_value);
-        EXPECT_EQ(serial.ranked[i].runtime, parallel.ranked[i].runtime);
-        EXPECT_EQ(serial.ranked[i].energy, parallel.ranked[i].energy);
-    }
-}
 
 TEST(ThreadParity, ExplorerFourThreadsMatchesSerial)
 {

@@ -1951,18 +1951,18 @@ TEST(ServeSurface, FixedScriptKeepsStatsKeysAndMetricSeries)
 
 TEST(ServeAdmission, BoundsInFlightAndCountsRejections)
 {
+    using Admit = AdmissionController::Admit;
     AdmissionController admission(2);
     EXPECT_EQ(admission.capacity(), 2u);
-    EXPECT_TRUE(admission.tryAdmit());
-    EXPECT_TRUE(admission.tryAdmit());
-    EXPECT_FALSE(admission.tryAdmit()); // full
+    EXPECT_EQ(admission.admit(""), Admit::Ok);
+    EXPECT_EQ(admission.admit(""), Admit::Ok);
+    EXPECT_EQ(admission.admit(""), Admit::FullGlobal); // full
     EXPECT_EQ(admission.depth(), 2u);
-    EXPECT_EQ(admission.rejected(), 1u);
-    admission.release();
-    EXPECT_TRUE(admission.tryAdmit());
+    admission.release("");
+    EXPECT_EQ(admission.admit(""), Admit::Ok);
     EXPECT_EQ(admission.peakDepth(), 2u);
-    admission.release();
-    admission.release();
+    admission.release("");
+    admission.release("");
     EXPECT_EQ(admission.depth(), 0u);
 
     AdmissionController degenerate(0); // clamped to 1
@@ -1979,7 +1979,8 @@ TEST(ServeAdmission, ConcurrentAdmitNeverExceedsCapacity)
     for (int t = 0; t < 8; ++t) {
         threads.emplace_back([&] {
             for (int i = 0; i < 2000; ++i) {
-                if (!admission.tryAdmit())
+                if (admission.admit("") !=
+                    AdmissionController::Admit::Ok)
                     continue;
                 const std::size_t now =
                     inside.fetch_add(1) + 1;
@@ -1988,7 +1989,7 @@ TEST(ServeAdmission, ConcurrentAdmitNeverExceedsCapacity)
                        !peak.compare_exchange_weak(p, now)) {
                 }
                 inside.fetch_sub(1);
-                admission.release();
+                admission.release("");
             }
         });
     }

@@ -40,15 +40,18 @@
  * stderr. Neither changes the command's stdout bytes. `maestro
  * --version` prints the build version.
  *
- * Exit codes: 0 success, 1 runtime error, 2 usage error (missing or
+ * Exit codes: 0 success, 1 runtime error (including a malformed or
+ * out-of-range flag value), 2 usage error (missing or
  * unknown subcommand; usage goes to stderr).
  */
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -147,18 +150,46 @@ struct Args
         return it == options.end() ? fallback : it->second;
     }
 
-    Count
-    getInt(const std::string &key, Count fallback) const
+    /**
+     * Integer flag --key in [lo, hi]; `fallback` when absent. Every
+     * numeric flag parses through serve::parseNumber, as the server
+     * parses query numbers.
+     * @throws Error naming the flag on any other value.
+     */
+    template <typename T>
+    T
+    getInt(const std::string &key, T fallback, T lo,
+           T hi = std::numeric_limits<T>::max()) const
     {
         const auto it = options.find(key);
-        return it == options.end() ? fallback : std::stoll(it->second);
+        if (it == options.end())
+            return fallback;
+        const std::optional<T> v = serve::parseNumber<T>(it->second);
+        if (v && *v >= lo && *v <= hi)
+            return *v;
+        if (hi == std::numeric_limits<T>::max())
+            throw Error(msg("--", key, " must be an integer >= ", lo,
+                            ", found '", it->second, "'"));
+        throw Error(msg("--", key, " must be an integer in [", lo, ", ",
+                        hi, "], found '", it->second, "'"));
     }
 
+    /**
+     * Real flag --key, which must be finite and positive (every
+     * real-valued flag is a positive quantity); `fallback` when
+     * absent. @throws Error naming the flag on any other value.
+     */
     double
-    getDouble(const std::string &key, double fallback) const
+    getPositive(const std::string &key, double fallback) const
     {
         const auto it = options.find(key);
-        return it == options.end() ? fallback : std::stod(it->second);
+        if (it == options.end())
+            return fallback;
+        const std::optional<double> v =
+            serve::parseNumber<double>(it->second);
+        fatalIf(!v || !std::isfinite(*v) || *v <= 0.0, "--", key,
+                " must be a positive number, found '", it->second, "'");
+        return *v;
     }
 };
 
@@ -184,15 +215,6 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
-/** Everything a subcommand needs, resolved from the arguments. */
-struct Inputs
-{
-    Network network{"none"};
-    std::optional<std::string> layer_name;
-    std::vector<Dataflow> dataflows;
-    AcceleratorConfig config = AcceleratorConfig::paperStudy();
-};
-
 /** Reads a DSL file; "-" means stdin (the same bytes a script would
  *  POST to the server). */
 frontend::ParsedFile
@@ -205,10 +227,14 @@ parseDslArg(const std::string &path)
     return frontend::parseString(buffer.str());
 }
 
-Inputs
+/**
+ * Everything an analysis subcommand needs, resolved from the
+ * arguments into the inputs the server resolves from a request.
+ */
+serve::RequestInputs
 resolveInputs(const Args &args)
 {
-    Inputs in;
+    serve::RequestInputs in;
     std::optional<frontend::ParsedFile> file;
     if (args.has("file"))
         file = parseDslArg(args.get("file"));
@@ -241,31 +267,15 @@ resolveInputs(const Args &args)
 
     if (file && file->accelerator)
         in.config = *file->accelerator;
-    in.config.num_pes = args.getInt("pes", in.config.num_pes);
+    in.config.num_pes = args.getInt<Count>("pes", in.config.num_pes, 1);
     if (args.has("noc-bw")) {
-        in.config.noc = NocModel(args.getDouble("noc-bw", 32.0),
+        in.config.noc = NocModel(args.getPositive("noc-bw", 32.0),
                                  in.config.noc.avgLatency());
     }
-    if (args.has("l1"))
-        in.config.l1_bytes = args.getInt("l1", in.config.l1_bytes);
-    if (args.has("l2"))
-        in.config.l2_bytes = args.getInt("l2", in.config.l2_bytes);
+    in.config.l1_bytes = args.getInt<Count>("l1", in.config.l1_bytes, 1);
+    in.config.l2_bytes = args.getInt<Count>("l2", in.config.l2_bytes, 1);
     in.config.validate();
     return in;
-}
-
-/** The layers a subcommand operates on. */
-std::vector<const Layer *>
-selectLayers(const Inputs &in)
-{
-    std::vector<const Layer *> out;
-    if (in.layer_name) {
-        out.push_back(&in.network.layer(*in.layer_name));
-    } else {
-        for (const Layer &l : in.network.layers())
-            out.push_back(&l);
-    }
-    return out;
 }
 
 /** Shared --threads/--stats options. */
@@ -279,9 +289,7 @@ RunOptions
 runOptions(const Args &args)
 {
     RunOptions opts;
-    opts.num_threads =
-        static_cast<std::size_t>(args.getInt("threads", 1));
-    fatalIf(opts.num_threads < 1, "--threads must be >= 1");
+    opts.num_threads = args.getInt<std::size_t>("threads", 1, 1);
     opts.print_stats = args.get("stats", "off") != "off";
     return opts;
 }
@@ -358,15 +366,10 @@ printProfile(const PipelineStats &stats)
  * byte-identical for equal inputs.
  */
 int
-cmdAnalyzeJson(const Args &args, const Inputs &in)
+cmdAnalyzeJson(const Args &args, const serve::RequestInputs &in)
 {
-    serve::RequestInputs req;
-    req.network = in.network;
-    req.dataflows = in.dataflows;
-    req.config = in.config;
-    req.layer_name = in.layer_name;
     auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::analyzeJson(req, pipeline, EnergyModel())
+    std::cout << serve::analyzeJson(in, pipeline, EnergyModel())
               << "\n";
     if (args.has("profile"))
         printProfile(pipeline->stats());
@@ -374,7 +377,7 @@ cmdAnalyzeJson(const Args &args, const Inputs &in)
 }
 
 int
-cmdAnalyze(const Args &args, const Inputs &in)
+cmdAnalyze(const Args &args, const serve::RequestInputs &in)
 {
     if (args.get("format", "table") == "json")
         return cmdAnalyzeJson(args, in);
@@ -390,7 +393,8 @@ cmdAnalyze(const Args &args, const Inputs &in)
                      "BW req", "bottleneck"});
         double total_runtime = 0.0;
         double total_energy = 0.0;
-        const std::vector<const Layer *> layers = selectLayers(in);
+        const std::vector<const Layer *> layers =
+            serve::selectLayers(in);
         std::vector<Analyzer::BatchJob> jobs;
         jobs.reserve(layers.size());
         for (const Layer *layer : layers)
@@ -436,9 +440,7 @@ simOptions(const Args &args)
 {
     SimOptions options;
     options.exact = args.has("sim-exact");
-    options.max_steps =
-        args.getDouble("max-steps", options.max_steps);
-    fatalIf(options.max_steps <= 0.0, "--max-steps must be positive");
+    options.max_steps = args.getPositive("max-steps", options.max_steps);
     return options;
 }
 
@@ -448,13 +450,8 @@ simOptions(const Args &args)
  * byte-identical for equal inputs.
  */
 int
-cmdSimulateJson(const Args &args, const Inputs &in)
+cmdSimulateJson(const Args &args, const serve::RequestInputs &in)
 {
-    serve::RequestInputs req;
-    req.network = in.network;
-    req.dataflows = in.dataflows;
-    req.config = in.config;
-    req.layer_name = in.layer_name;
     serve::QueryParams params;
     if (in.layer_name)
         params["layer"] = *in.layer_name;
@@ -463,7 +460,7 @@ cmdSimulateJson(const Args &args, const Inputs &in)
     if (args.has("max-steps"))
         params["max_steps"] = args.get("max-steps");
     auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::simulateJson(req, params, pipeline,
+    std::cout << serve::simulateJson(in, params, pipeline,
                                      EnergyModel())
               << "\n";
     if (args.has("profile"))
@@ -472,8 +469,11 @@ cmdSimulateJson(const Args &args, const Inputs &in)
 }
 
 int
-cmdSimulate(const Args &args, const Inputs &in)
+cmdSimulate(const Args &args, const serve::RequestInputs &in)
 {
+    // Validated up front so both formats reject a bad --max-steps
+    // alike (the JSON path hands the text to the server's parser).
+    const SimOptions options = simOptions(args);
     if (args.get("format", "table") == "json")
         return cmdSimulateJson(args, in);
     fatalIf(args.get("format", "table") != "table",
@@ -485,7 +485,6 @@ cmdSimulate(const Args &args, const Inputs &in)
     const Layer &layer = in.layer_name
                              ? in.network.layer(*in.layer_name)
                              : in.network.layers().front();
-    const SimOptions options = simOptions(args);
     const Analyzer analyzer(in.config);
     Table table({"dataflow", "analytical(cyc)", "simulated(cyc)",
                  "error(%)", "sim MACs", "sim active PEs",
@@ -513,11 +512,9 @@ cmdCrossval(const Args &args)
 {
     const RunOptions opts = runOptions(args);
     crossval::CrossvalOptions options;
-    options.seed = static_cast<std::uint64_t>(
-        args.getInt("seed", static_cast<Count>(options.seed)));
-    options.triples = static_cast<std::uint64_t>(
-        args.getInt("triples", static_cast<Count>(options.triples)));
-    fatalIf(options.triples < 1, "--triples must be positive");
+    options.seed = args.getInt<std::uint64_t>("seed", options.seed, 0);
+    options.triples =
+        args.getInt<std::uint64_t>("triples", options.triples, 1);
     options.threads = opts.num_threads;
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -581,7 +578,7 @@ cmdCrossval(const Args &args)
 }
 
 int
-cmdDse(const Args &args, const Inputs &in)
+cmdDse(const Args &args, const serve::RequestInputs &in)
 {
     fatalIf(!in.layer_name, "dse needs --layer");
     fatalIf(in.dataflows.size() != 1,
@@ -589,8 +586,8 @@ cmdDse(const Args &args, const Inputs &in)
     const Layer &layer = in.network.layer(*in.layer_name);
     const RunOptions opts = runOptions(args);
     dse::DseOptions options;
-    options.area_budget_mm2 = args.getDouble("area", 16.0);
-    options.power_budget_mw = args.getDouble("power", 450.0);
+    options.area_budget_mm2 = args.getPositive("area", 16.0);
+    options.power_budget_mw = args.getPositive("power", 450.0);
     options.num_threads = opts.num_threads;
     options.exact = args.has("dse-exact");
     auto pipeline = std::make_shared<AnalysisPipeline>();
@@ -645,7 +642,7 @@ cmdDse(const Args &args, const Inputs &in)
  * same strings with the same messages.
  */
 serve::QueryParams
-tuneParams(const Args &args, const Inputs &in)
+tuneParams(const Args &args, const serve::RequestInputs &in)
 {
     serve::QueryParams params;
     params["objective"] = args.get("objective", "runtime");
@@ -664,10 +661,14 @@ tuneParams(const Args &args, const Inputs &in)
         params["enforce_l1"] = "on";
     if (args.has("tune-exact"))
         params["exact"] = "on";
-    if (args.has("area"))
-        params["area"] = args.get("area");
-    if (args.has("power"))
-        params["power"] = args.get("power");
+    // Budgets pass through as text, checked here so both formats
+    // reject a bad one alike.
+    for (const char *budget : {"area", "power"}) {
+        if (args.has(budget)) {
+            args.getPositive(budget, 0.0);
+            params[budget] = args.get(budget);
+        }
+    }
     return params;
 }
 
@@ -677,14 +678,11 @@ tuneParams(const Args &args, const Inputs &in)
  * byte-identical for equal inputs.
  */
 int
-cmdTuneJson(const Args &args, const Inputs &in, const RunOptions &opts)
+cmdTuneJson(const Args &args, const serve::RequestInputs &in,
+            const RunOptions &opts)
 {
-    serve::RequestInputs req;
-    req.network = in.network;
-    req.config = in.config;
-    req.layer_name = in.layer_name;
     auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::tuneJson(req, tuneParams(args, in), pipeline,
+    std::cout << serve::tuneJson(in, tuneParams(args, in), pipeline,
                                  EnergyModel(), opts.num_threads)
               << "\n";
     if (args.has("profile"))
@@ -707,7 +705,7 @@ printSearchStats(const mapper::MapperStats &stats)
 }
 
 int
-cmdTune(const Args &args, const Inputs &in)
+cmdTune(const Args &args, const serve::RequestInputs &in)
 {
     const RunOptions opts = runOptions(args);
     if (args.get("format", "table") == "json")
@@ -760,8 +758,8 @@ cmdTune(const Args &args, const Inputs &in)
 
     if (mode == "joint") {
         dse::DseOptions dse_options;
-        dse_options.area_budget_mm2 = args.getDouble("area", 16.0);
-        dse_options.power_budget_mw = args.getDouble("power", 450.0);
+        dse_options.area_budget_mm2 = args.getPositive("area", 16.0);
+        dse_options.power_budget_mw = args.getPositive("power", 450.0);
         dse_options.num_threads = opts.num_threads;
         const mapper::JointMapperResult res = mapper::mapJoint(
             analyzer, layer, objective, dse::DesignSpace::figure13(),
@@ -820,20 +818,16 @@ parseClientWeights(const std::string &spec)
         if (item.empty())
             continue;
         const std::size_t eq = item.find('=');
-        const std::string digits =
-            eq == std::string::npos ? "" : item.substr(eq + 1);
-        fatalIf(eq == std::string::npos || eq == 0 ||
-                    digits.empty() || digits.size() > 9 ||
-                    digits.find_first_not_of("0123456789") !=
-                        std::string::npos,
-                msg("--client-weights expects name=weight entries, "
-                    "found '", item, "'"));
-        const long long weight = std::stoll(digits);
-        fatalIf(weight < 1, msg("--client-weights weight for '",
-                                item.substr(0, eq),
-                                "' must be >= 1"));
-        weights[item.substr(0, eq)] =
-            static_cast<std::uint32_t>(weight);
+        const std::optional<std::uint32_t> weight =
+            eq == std::string::npos
+                ? std::nullopt
+                : serve::parseNumber<std::uint32_t>(item.substr(eq + 1));
+        fatalIf(eq == std::string::npos || eq == 0 || !weight,
+                "--client-weights expects name=weight entries, found '",
+                item, "'");
+        fatalIf(*weight < 1, "--client-weights weight for '",
+                item.substr(0, eq), "' must be >= 1");
+        weights[item.substr(0, eq)] = *weight;
     }
     return weights;
 }
@@ -851,46 +845,39 @@ handleStopSignal(int)
 int
 cmdServe(const Args &args)
 {
+    using Size = std::size_t;
     serve::ServeOptions opts;
     opts.host = args.get("host", opts.host);
     opts.port = static_cast<std::uint16_t>(
-        args.getInt("port", opts.port));
-    opts.worker_threads = static_cast<std::size_t>(
-        args.getInt("threads", static_cast<Count>(opts.worker_threads)));
-    opts.queue_capacity = static_cast<std::size_t>(args.getInt(
-        "queue", static_cast<Count>(opts.queue_capacity)));
-    opts.deadline_ms = static_cast<int>(args.getInt(
-        "deadline-ms", static_cast<Count>(opts.deadline_ms)));
-    opts.max_connections = static_cast<std::size_t>(args.getInt(
-        "max-connections", static_cast<Count>(opts.max_connections)));
-    opts.job_capacity = static_cast<std::size_t>(
-        args.getInt("jobs", static_cast<Count>(opts.job_capacity)));
-    opts.jobs_per_client = static_cast<std::size_t>(args.getInt(
-        "jobs-per-client", static_cast<Count>(opts.jobs_per_client)));
-    opts.client_share = static_cast<std::size_t>(args.getInt(
-        "client-share", static_cast<Count>(opts.client_share)));
-    opts.result_cache_entries = static_cast<std::size_t>(args.getInt(
-        "cache-entries",
-        static_cast<Count>(opts.result_cache_entries)));
-    opts.result_cache_bytes = static_cast<std::size_t>(args.getInt(
-        "cache-bytes", static_cast<Count>(opts.result_cache_bytes)));
-    opts.drain_linger_ms = static_cast<int>(args.getInt(
-        "drain-linger-ms", static_cast<Count>(opts.drain_linger_ms)));
+        args.getInt<int>("port", opts.port, 0, 65535));
+    opts.worker_threads =
+        args.getInt<Size>("threads", opts.worker_threads, 1);
+    opts.queue_capacity =
+        args.getInt<Size>("queue", opts.queue_capacity, 1);
+    opts.deadline_ms = args.getInt<int>("deadline-ms", opts.deadline_ms, 1);
+    opts.max_connections =
+        args.getInt<Size>("max-connections", opts.max_connections, 1);
+    opts.job_capacity = args.getInt<Size>("jobs", opts.job_capacity, 1);
+    opts.jobs_per_client =
+        args.getInt<Size>("jobs-per-client", opts.jobs_per_client, 0);
+    opts.client_share =
+        args.getInt<Size>("client-share", opts.client_share, 0);
+    opts.result_cache_entries =
+        args.getInt<Size>("cache-entries", opts.result_cache_entries, 0);
+    opts.result_cache_bytes =
+        args.getInt<Size>("cache-bytes", opts.result_cache_bytes, 0);
+    opts.drain_linger_ms =
+        args.getInt<int>("drain-linger-ms", opts.drain_linger_ms, 0);
     opts.client_weights = parseClientWeights(args.get("client-weights"));
     opts.access_log = args.get("access-log", opts.access_log);
-    opts.access_log_max_bytes = static_cast<std::size_t>(args.getInt(
-        "access-log-max-bytes",
-        static_cast<Count>(opts.access_log_max_bytes)));
-    opts.events_ring = static_cast<std::size_t>(args.getInt(
-        "events-ring", static_cast<Count>(opts.events_ring)));
-    opts.metrics_max_clients = static_cast<std::size_t>(args.getInt(
-        "metrics-max-clients",
-        static_cast<Count>(opts.metrics_max_clients)));
+    opts.access_log_max_bytes = args.getInt<Size>(
+        "access-log-max-bytes", opts.access_log_max_bytes, 0);
+    opts.events_ring = args.getInt<Size>("events-ring", opts.events_ring, 0);
+    opts.metrics_max_clients = args.getInt<Size>(
+        "metrics-max-clients", opts.metrics_max_clients, 0);
 
-    const auto workers = static_cast<std::size_t>(
-        args.getInt("workers", 1));
-    const int status_port =
-        static_cast<int>(args.getInt("status-port", -1));
+    const Size workers = args.getInt<Size>("workers", 1, 1);
+    const int status_port = args.getInt<int>("status-port", -1, 0, 65535);
     fatalIf(status_port >= 0 && workers < 2,
             "--status-port needs --workers >= 2 (a single-process "
             "server already serves the fleet view on its own port)");
@@ -955,7 +942,7 @@ main(int argc, char **argv)
                 return cmdServe(args);
             if (args.command == "crossval")
                 return cmdCrossval(args);
-            const Inputs in = resolveInputs(args);
+            const serve::RequestInputs in = resolveInputs(args);
             if (args.command == "analyze")
                 return cmdAnalyze(args, in);
             if (args.command == "simulate")
