@@ -150,15 +150,14 @@ HttpParser::feed(std::string_view data)
     while (consumed < data.size() && state_ != State::Complete &&
            state_ != State::Error) {
         if (state_ == State::Headers) {
-            // Accumulate until the blank line; cap total header size.
-            const std::size_t take = std::min(
-                data.size() - consumed,
-                max_header_bytes_ + 4 - std::min(buffer_.size(),
-                                                 max_header_bytes_ + 4));
-            if (take == 0) {
-                fail(431, "header block too large");
-                break;
-            }
+            // Accumulate until the blank line. The request line and
+            // fields may fill max_header_bytes_ and the CRLFCRLF after
+            // them does not count, so the block is refused exactly
+            // when `cap` bytes hold no terminator, however the bytes
+            // were split across feeds.
+            const std::size_t cap = max_header_bytes_ + 4;
+            const std::size_t take =
+                std::min(data.size() - consumed, cap - buffer_.size());
             // Scan for CRLFCRLF across the old/new boundary.
             const std::size_t scan_from =
                 buffer_.size() < 3 ? 0 : buffer_.size() - 3;
@@ -166,7 +165,7 @@ HttpParser::feed(std::string_view data)
             consumed += take;
             const std::size_t end = buffer_.find("\r\n\r\n", scan_from);
             if (end == std::string::npos) {
-                if (buffer_.size() > max_header_bytes_)
+                if (buffer_.size() == cap)
                     fail(431, "header block too large");
                 continue;
             }

@@ -83,7 +83,8 @@ class HttpParser
     };
 
     /**
-     * @param max_header_bytes Cap on request line + headers.
+     * @param max_header_bytes Cap on request line + headers; the
+     *        blank line that ends them does not count.
      * @param max_body_bytes Cap on the declared Content-Length.
      */
     explicit HttpParser(std::size_t max_header_bytes = 16 * 1024,

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <string_view>
 
 #include "src/serve/http.hh"
 
@@ -191,6 +194,143 @@ TEST(HttpParser, OversizedHeadersAre431)
     p.feed(raw);
     ASSERT_EQ(p.state(), State::Error);
     EXPECT_EQ(p.errorStatus(), 431);
+}
+
+TEST(HttpParser, HeaderCapDoesNotDependOnSplit)
+{
+    // The request line and fields may fill max_header_bytes; the
+    // CRLFCRLF that ends them does not count. A block is accepted or
+    // refused on its length alone, however the bytes arrive.
+    constexpr std::size_t kMax = 64;
+    const struct
+    {
+        std::size_t length;
+        State state;
+    } kCases[] = {
+        {kMax, State::Complete},     {kMax + 1, State::Complete},
+        {kMax + 2, State::Complete}, {kMax + 3, State::Complete},
+        {kMax + 4, State::Complete}, {kMax + 5, State::Error},
+    };
+    for (const auto &c : kCases) {
+        std::string raw = "GET / HTTP/1.1\r\nX-Pad: ";
+        raw.append(c.length - raw.size() - 4, 'a');
+        raw += "\r\n\r\n";
+        ASSERT_EQ(raw.size(), c.length);
+        // Cut 0 feeds the block whole; every other cut splits it.
+        for (std::size_t cut = 0; cut < raw.size(); ++cut) {
+            HttpParser p(kMax, 32);
+            p.feed(std::string_view(raw).substr(0, cut));
+            p.feed(std::string_view(raw).substr(cut));
+            EXPECT_EQ(p.state(), c.state)
+                << "length " << c.length << ", cut at " << cut;
+            if (c.state == State::Error) {
+                EXPECT_EQ(p.errorStatus(), 431);
+            }
+        }
+    }
+}
+
+/** Where one feed sequence left the parser. */
+struct Outcome
+{
+    State state;
+    int status;
+    std::size_t consumed;
+    HttpRequest request;
+};
+
+/**
+ * Feeds `bytes` in pieces of 1..max_piece bytes drawn from `rng`
+ * (the whole input at once when max_piece is 0), until a feed leaves
+ * bytes unconsumed.
+ */
+Outcome
+feedPieces(std::string_view bytes, std::size_t max_piece,
+           std::mt19937 &rng)
+{
+    HttpParser p(/*max_header_bytes=*/64, /*max_body_bytes=*/32);
+    std::uniform_int_distribution<std::size_t> piece(
+        1, std::max<std::size_t>(max_piece, 1));
+    std::size_t consumed = 0;
+    while (consumed < bytes.size()) {
+        const std::size_t n =
+            max_piece == 0 ? bytes.size() - consumed
+                           : std::min(piece(rng), bytes.size() - consumed);
+        const std::size_t used = p.feed(bytes.substr(consumed, n));
+        consumed += used;
+        if (used < n)
+            break;
+    }
+    return {p.state(), p.errorStatus(), consumed, p.request()};
+}
+
+TEST(HttpParser, SeededFramingFuzz)
+{
+    // Deterministic fuzz: random runs of HTTP framing tokens around
+    // the 64-byte header cap. Every terminal outcome is Complete or
+    // an error status the server answers with, and splitting the
+    // bytes across feeds never changes the outcome.
+    static const std::string_view kTokens[] = {
+        "GET ",
+        "POST ",
+        "BREW ",
+        "/analyze?layer=conv%201 ",
+        "/a%2Fb%zz%4 ",
+        "/ ",
+        " ",
+        "HTTP/1.1",
+        "HTTP/1.0",
+        "HTTP/2.0",
+        "\r",
+        "\n",
+        "\r\n", // three times, so blocks often end
+        "\r\n",
+        "\r\n",
+        std::string_view("\0", 1),
+        "Content-Length: 5",
+        "Content-Length: 05",
+        "Content-Length: -1",
+        "Content-Length: 33",
+        "Content-Length: 18446744073709551616",
+        "Transfer-Encoding: chunked",
+        "Connection: close",
+        "X-Pad: aaaaaaaaaaaa",
+        ":",
+        "hello",
+    };
+    std::mt19937 rng(20191012); // fixed seed: reproducible corpus
+    std::uniform_int_distribution<std::size_t> pick(
+        0, sizeof(kTokens) / sizeof(kTokens[0]) - 1);
+    std::uniform_int_distribution<int> len(1, 30);
+    std::uniform_int_distribution<std::size_t> max_piece(1, 24);
+    for (int iter = 0; iter < 20000; ++iter) {
+        std::string bytes;
+        for (int i = len(rng); i > 0; --i)
+            bytes += kTokens[pick(rng)];
+        const Outcome whole = feedPieces(bytes, 0, rng);
+        const Outcome split = feedPieces(bytes, max_piece(rng), rng);
+        if (whole.state == State::Error) {
+            const int s = whole.status;
+            ASSERT_TRUE(s == 400 || s == 413 || s == 431 || s == 501 ||
+                        s == 505)
+                << s << " for " << testing::PrintToString(bytes);
+        }
+        ASSERT_EQ(whole.state, split.state)
+            << testing::PrintToString(bytes);
+        ASSERT_EQ(whole.status, split.status)
+            << testing::PrintToString(bytes);
+        if (whole.state == State::Complete) {
+            // Where the request ends is where a pipelined one starts.
+            ASSERT_EQ(whole.consumed, split.consumed)
+                << testing::PrintToString(bytes);
+        }
+        const HttpRequest &a = whole.request;
+        const HttpRequest &b = split.request;
+        ASSERT_TRUE(a.method == b.method && a.target == b.target &&
+                    a.version == b.version && a.headers == b.headers &&
+                    a.body == b.body)
+            << testing::PrintToString(bytes);
+    }
 }
 
 TEST(HttpParser, OversizedBodyIs413)
