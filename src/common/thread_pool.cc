@@ -221,19 +221,27 @@ ThreadPool::runChunked(
     std::size_t num_threads, std::size_t count,
     const std::function<void(std::size_t, std::size_t)> &body)
 {
-    if (count == 0)
+    const std::size_t chunks = chunkCount(num_threads, count);
+    if (chunks == 0)
         return;
-    if (num_threads <= 1 || count <= 1) {
+    if (chunks == 1) {
         body(0, count);
         return;
     }
-    const std::size_t chunks = std::min(count, num_threads * 4);
     run(num_threads, chunks, [&](std::size_t chunk) {
         const std::size_t begin = chunk * count / chunks;
         const std::size_t end = (chunk + 1) * count / chunks;
         if (begin < end)
             body(begin, end);
     });
+}
+
+std::size_t
+ThreadPool::chunkCount(std::size_t num_threads, std::size_t count)
+{
+    if (num_threads <= 1 || count <= 1)
+        return std::min<std::size_t>(count, 1);
+    return std::min(count, num_threads * 4);
 }
 
 } // namespace maestro

@@ -86,6 +86,14 @@ class ThreadPool
     runChunked(std::size_t num_threads, std::size_t count,
                const std::function<void(std::size_t, std::size_t)> &body);
 
+    /**
+     * How many body(begin, end) calls runChunked makes for
+     * [0, count) at `num_threads`: 0 for an empty range, 1 for a
+     * serial run or a single index.
+     */
+    static std::size_t chunkCount(std::size_t num_threads,
+                                  std::size_t count);
+
   private:
     /** Worker main loop: pop tasks until stopped. */
     void workerLoop();

@@ -16,7 +16,7 @@ namespace
  * come from the reuse engine's tensorStorageDims).
  */
 const StorageDimView *
-findStorage(const std::vector<StorageDimView> &dims, Dim map_dim)
+findStorage(const StorageDims &dims, Dim map_dim)
 {
     for (const auto &sd : dims) {
         if (sd.map_dim == map_dim)
@@ -158,7 +158,7 @@ analyzeFlat(const BoundDataflow &bound,
         flat.pe_psums_avg = flat.pe_psums_per_step * ratio;
     }
 
-    TensorMap<std::vector<StorageDimView>> storage;
+    TensorMap<StorageDims> storage;
     for (TensorKind t : kAllTensors) {
         storage[t] = tensorStorageDims(pe_level, t, depthwise);
         flat.pe_chunk[t] = 1.0;

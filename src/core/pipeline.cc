@@ -113,6 +113,12 @@ scaleCost(CostResult &cost, double factor)
 
 } // namespace
 
+double
+layerRuntime(const PerformanceResult &perf, const Layer &layer)
+{
+    return perf.runtime * static_cast<double>(layer.groupsVal());
+}
+
 LayerAnalysis
 assembleLayerAnalysis(const PerformanceResult &perf, CostResult cost,
                       const Layer &layer,
@@ -123,7 +129,7 @@ assembleLayerAnalysis(const PerformanceResult &perf, CostResult cost,
 
     LayerAnalysis out;
     out.op_class = layer.operatorClass();
-    out.runtime = perf.runtime * groups;
+    out.runtime = layerRuntime(perf, layer);
     out.total_macs = cost.total_macs;
     out.throughput =
         out.runtime > 0.0 ? out.total_macs / out.runtime : 0.0;

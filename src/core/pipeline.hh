@@ -94,6 +94,13 @@ std::string hardwareFingerprint(const AcceleratorConfig &config,
                                 const EnergyModel &energy);
 
 /**
+ * A layer's runtime from its performance result: the per-group cycles
+ * times the layer's groups. assembleLayerAnalysis reports exactly this
+ * value, so a caller that needs only the runtime can skip cost.
+ */
+double layerRuntime(const PerformanceResult &perf, const Layer &layer);
+
+/**
  * Final assembly of a layer analysis from the stage-4 engine outputs:
  * applies the grouped-convolution scaling to the cost counts and
  * derives the per-layer summary fields (runtime, throughput,

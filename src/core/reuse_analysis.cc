@@ -41,12 +41,11 @@ findDirective(const BoundLevel &level, Dim d)
 
 } // namespace
 
-std::vector<StorageDimView>
+StorageDims
 tensorStorageDims(const BoundLevel &level, TensorKind kind, bool depthwise)
 {
     const Count stride = level.stride;
-    std::vector<StorageDimView> dims;
-    dims.reserve(4);
+    StorageDims dims;
 
     auto direct = [&](Dim d) {
         const BoundDirective &bd = findDirective(level, d);

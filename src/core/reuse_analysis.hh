@@ -25,8 +25,11 @@
 #ifndef MAESTRO_CORE_REUSE_ANALYSIS_HH
 #define MAESTRO_CORE_REUSE_ANALYSIS_HH
 
+#include <array>
+#include <cstddef>
 #include <vector>
 
+#include "src/common/error.hh"
 #include "src/core/cluster_analysis.hh"
 #include "src/core/tensor_analysis.hh"
 
@@ -139,6 +142,36 @@ struct StorageDimView
 };
 
 /**
+ * The storage-dim views of one tensor at one level, held inline: a
+ * tensor has at most four storage dims, and the engines build these
+ * per tensor, per level and per fold loop, so they stay off the heap.
+ */
+class StorageDims
+{
+  public:
+    /** Most storage dims any tensor has. */
+    static constexpr std::size_t kCapacity = 4;
+
+    void
+    push_back(const StorageDimView &view)
+    {
+        panicIf(size_ == kCapacity, "StorageDims: more than ",
+                kCapacity, " views");
+        views_[size_++] = view;
+    }
+
+    std::size_t size() const { return size_; }
+    StorageDimView *begin() { return views_.data(); }
+    StorageDimView *end() { return views_.data() + size_; }
+    const StorageDimView *begin() const { return views_.data(); }
+    const StorageDimView *end() const { return views_.data() + size_; }
+
+  private:
+    std::array<StorageDimView, kCapacity> views_{};
+    std::size_t size_ = 0;
+};
+
+/**
  * Output positions covered by an activation chunk given a filter
  * chunk: uses the halo-extended window min(m_act + (E_f - m_f), E_act)
  * so partial filter chunks count the outputs they contribute to.
@@ -153,9 +186,8 @@ Count outputChunkSize(Count act_chunk, Count act_extent,
  * @param kind Which tensor.
  * @param depthwise Depth-wise layer flag (output coupled to C).
  */
-std::vector<StorageDimView> tensorStorageDims(const BoundLevel &level,
-                                              TensorKind kind,
-                                              bool depthwise);
+StorageDims tensorStorageDims(const BoundLevel &level, TensorKind kind,
+                              bool depthwise);
 
 /**
  * Reuse analysis engine entry point for one level.

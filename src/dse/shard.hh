@@ -1,7 +1,9 @@
 /**
  * @file
  * The deterministic shard-index merge discipline shared by the DSE
- * fast sweep and the mapper's candidate evaluation.
+ * fast sweep and the mapper's candidate search (bind, key, prune and
+ * score per candidate; when the candidates span several shards, the
+ * mapper's merge settles duplicate keys before any is scored).
  *
  * Pattern: split [0, count) into contiguous shards across the thread
  * pool, let each worker fill preallocated per-index slots for its
@@ -25,15 +27,22 @@ namespace maestro
 namespace dse
 {
 
+/** How many shards shardedFill splits [0, count) into: one for a
+ *  serial run, so a caller can skip cross-shard work. */
+inline std::size_t
+shardCount(std::size_t num_threads, std::size_t count)
+{
+    return ThreadPool::chunkCount(num_threads, count);
+}
+
 /**
- * Fill phase alone: one default-constructed `Slot` per index of
- * [0, count), filled across up to `num_threads` threads, returned for
- * the caller's own serial merge (useful when the merge needs random
- * access to every slot afterwards, like the DSE frontier pass).
+ * One default-constructed `Slot` per index of [0, count), filled
+ * across up to `num_threads` threads, returned for the caller's own
+ * serial merge in ascending index order.
  *
  * `fill_range(begin, end, slots)` runs concurrently and must only
- * write slots[begin..end) (shard-local instrumentation like a
- * per-shard span is fine). Exceptions thrown by `fill_range`
+ * write slots[begin..end) (shard-local state like a per-shard span or
+ * key set is fine). Exceptions thrown by `fill_range`
  * propagate — record per-slot errors instead to keep error reporting
  * deterministic.
  */
@@ -48,22 +57,6 @@ shardedFill(std::size_t num_threads, std::size_t count,
                                fill_range(begin, end, slots);
                            });
     return slots;
-}
-
-/**
- * Range form: shardedFill, then `merge(slot, index)` serially in
- * ascending index order on the calling thread. Every cross-slot
- * decision belongs in `merge`.
- */
-template <typename Slot, typename FillRange, typename Merge>
-void
-shardedRanges(std::size_t num_threads, std::size_t count,
-              const FillRange &fill_range, const Merge &merge)
-{
-    const std::vector<Slot> slots =
-        shardedFill<Slot>(num_threads, count, fill_range);
-    for (std::size_t i = 0; i < count; ++i)
-        merge(slots[i], i);
 }
 
 } // namespace dse

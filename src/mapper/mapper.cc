@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <numeric>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -107,70 +108,75 @@ countSearch(const MapperStats &stats)
                                           stats.pruned_capacity));
 }
 
-/** Metrics of one evaluated candidate (a slot of the sharded run). */
-struct EvalSlot
+/** What the stage engines read of one search, besides the bound
+ *  candidate itself. */
+struct StageInputs
 {
-    bool ok = false;
-    bool fits_l1 = true;
-    double runtime = 0.0;
-    double energy = 0.0;
-    double edp = 0.0;
-    double utilization = 0.0;
+    const Layer &layer;
+    const AcceleratorConfig &config;
+    const EnergyModel &energy_model;
+    TensorInfo tensors;
+    bool depthwise;
+    double compute_scale;
 };
 
 /**
- * Runs one candidate through the pure stage engines (the DSE fast
+ * Runs a bound candidate through the pure stage engines (the DSE fast
  * sweep's path; bit-identical to the pipeline by
- * assembleLayerAnalysis's contract). Failures are recorded in the
- * slot, never thrown — the serial merge reports them
- * deterministically.
+ * assembleLayerAnalysis's contract) and returns its objective value,
+ * or nullopt when ranking rejects it (L1 over capacity when
+ * enforced). Cost and assembly run only when ranking reads them or
+ * `report` asks for them: the runtime objective without the L1 check
+ * needs neither. A non-null `report` always receives the full
+ * analysis.
  */
-EvalSlot
-evaluateCandidate(const Dataflow &dataflow, const Layer &layer,
-                  const TensorInfo &tensors, bool depthwise,
-                  double compute_scale, const AcceleratorConfig &config,
-                  const EnergyModel &energy_model)
+std::optional<double>
+scoreBound(const BoundDataflow &bound, const StageInputs &in,
+           Objective objective, bool enforce_l1,
+           LayerAnalysis *report = nullptr)
 {
-    EvalSlot slot;
-    try {
-        const BoundDataflow bound =
-            bindDataflow(dataflow, layer, config.num_pes);
-        const std::vector<LevelReuse> reuse =
-            analyzeReuse(bound, tensors, depthwise);
-        const FlatAnalysis flat =
-            analyzeFlat(bound, reuse, tensors, depthwise, config);
-        const PerformanceResult perf = analyzePerformance(
-            bound, reuse, flat, layer, config, compute_scale);
-        CostResult cost = analyzeCost(bound, reuse, flat, perf, layer,
-                                      config, energy_model);
-        const LayerAnalysis analysis = assembleLayerAnalysis(
-            perf, std::move(cost), layer, config);
-        slot.ok = true;
-        slot.fits_l1 = analysis.cost.fits_l1;
-        slot.runtime = analysis.runtime;
-        slot.energy = analysis.onchipEnergy();
-        slot.edp = analysis.edp();
-        slot.utilization = analysis.utilization;
-    } catch (const std::exception &) {
-        slot.ok = false;
-    }
-    return slot;
+    const std::vector<LevelReuse> reuse =
+        analyzeReuse(bound, in.tensors, in.depthwise);
+    const FlatAnalysis flat =
+        analyzeFlat(bound, reuse, in.tensors, in.depthwise, in.config);
+    const PerformanceResult perf = analyzePerformance(
+        bound, reuse, flat, in.layer, in.config, in.compute_scale);
+    if (objective == Objective::Runtime && !enforce_l1 && !report)
+        return layerRuntime(perf, in.layer);
+    LayerAnalysis analysis = assembleLayerAnalysis(
+        perf,
+        analyzeCost(bound, reuse, flat, perf, in.layer, in.config,
+                    in.energy_model),
+        in.layer, in.config);
+    const bool fits = !enforce_l1 || analysis.cost.fits_l1;
+    const double value = objectiveValue(analysis, objective);
+    if (report)
+        *report = std::move(analysis);
+    if (!fits)
+        return std::nullopt;
+    return value;
 }
 
-/** The objective's value from an evaluation slot. */
-double
-slotObjective(const EvalSlot &slot, Objective objective)
+/** A shard's verdict on one candidate, settled by the serial merge. */
+enum class Verdict : std::uint8_t
 {
-    switch (objective) {
-    case Objective::Runtime:
-        return slot.runtime;
-    case Objective::Energy:
-        return slot.energy;
-    case Objective::Edp:
-        break;
-    }
-    return slot.edp;
-}
+    Rejected,    ///< bind or analysis failed, or ranking rejects it
+    Scored,      ///< `value` holds its objective value
+    Unscored,    ///< keyed and not cut; scored once the merge keeps it
+    Duplicate,   ///< its key repeats an earlier candidate's in the shard
+    CapacityCut, ///< the conservative L1 lower bound exceeds L1
+};
+
+/** Per-candidate state a shard leaves for the merge. */
+struct CandidateSlot
+{
+    /** Canonical key, which the merge looks up when the candidates
+     *  span several shards; empty on a bind failure, on a duplicate
+     *  the shard dropped and in exact mode. */
+    std::string key;
+    double value = 0.0;
+    Verdict verdict = Verdict::Rejected;
+};
 
 /** Seconds elapsed since a steady-clock mark. */
 double
@@ -221,129 +227,173 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
     stats.covered = space.covered;
     stats.generated = candidates.size();
 
-    const AcceleratorConfig &config = analyzer.config();
+    const StageInputs in{layer,
+                         analyzer.config(),
+                         analyzer.energyModel(),
+                         analyzeTensors(layer),
+                         layer.type() == OpType::DepthwiseConv,
+                         layer.inputDensityVal() *
+                             layer.weightDensityVal()};
 
-    // Cross-stage prune: canonical-key dedup + capacity cut. Probes
-    // are filled in parallel; every keep/drop decision happens in the
-    // serial index-order merge, so the survivor set is byte-identical
-    // at any thread count. The exact oracle skips this entirely.
-    std::vector<std::size_t> survivors;
-    if (options.exact) {
-        survivors.resize(candidates.size());
-        std::iota(survivors.begin(), survivors.end(), 0);
-    } else {
-        struct ProbeSlot
-        {
-            std::string key;
-            double l1_lower = -1.0;
-        };
-        const std::vector<ProbeSlot> probes = dse::shardedFill<ProbeSlot>(
+    // A shard cannot tell whether an earlier shard holds a candidate's
+    // key until the serial merge, and symmetry duplicates differ only
+    // in loop order, which the enumeration varies slowest, so they
+    // rarely share a shard. So when the candidates span several
+    // shards, the first pass only binds, keys and cuts, and the
+    // merge's survivors are bound again and scored in a second pass.
+    // In one shard, or in the exact oracle (which has no keys), each
+    // candidate is scored on its first binding.
+    const bool score_after_merge =
+        !options.exact &&
+        dse::shardCount(options.num_threads, candidates.size()) > 1;
+    const auto score = [&](CandidateSlot &slot,
+                           const BoundDataflow &bound) {
+        try {
+            const std::optional<double> value = scoreBound(
+                bound, in, objective, options.enforce_l1_capacity);
+            if (value) {
+                slot.value = *value;
+                slot.verdict = Verdict::Scored;
+            }
+        } catch (const std::exception &) {
+            // The verdict stays Rejected.
+        }
+    };
+    const auto bindCandidate =
+        [&](std::size_t i) -> std::optional<BoundDataflow> {
+        try {
+            return bindDataflow(candidates[i].dataflow, layer,
+                                in.config.num_pes);
+        } catch (const std::exception &) {
+            return std::nullopt;
+        }
+    };
+
+    const std::vector<CandidateSlot> slots =
+        dse::shardedFill<CandidateSlot>(
             options.num_threads, candidates.size(),
             [&](std::size_t begin, std::size_t end,
-                std::vector<ProbeSlot> &slots) {
+                std::vector<CandidateSlot> &out) {
+                obs::ScopedSpan shard_span(shardSite());
+                shard_span.arg("begin", begin);
+                shard_span.arg("end", end);
+                // Keys this shard kept, viewing into its slots. When
+                // the candidates span several shards, the merge
+                // settles every duplicate instead.
+                const bool dedup = !options.exact && !score_after_merge;
+                std::unordered_set<std::string_view> held;
+                if (dedup)
+                    held.reserve(end - begin);
                 for (std::size_t i = begin; i < end; ++i) {
-                    // An unbindable candidate keeps the empty key and
-                    // is never cut; evaluation rejects it.
-                    BoundDataflow bound;
-                    try {
-                        bound = bindDataflow(candidates[i].dataflow,
-                                             layer, config.num_pes);
-                    } catch (const std::exception &) {
+                    CandidateSlot &slot = out[i];
+                    // A candidate that does not bind is rejected
+                    // with an empty key, so it is never deduped.
+                    const std::optional<BoundDataflow> bound =
+                        bindCandidate(i);
+                    if (!bound)
                         continue;
+                    if (!options.exact) {
+                        slot.key = canonicalMappingKey(*bound);
+                        if (dedup && !held.insert(slot.key).second) {
+                            slot.key = std::string();
+                            slot.verdict = Verdict::Duplicate;
+                            continue;
+                        }
+                        if (options.enforce_l1_capacity &&
+                            l1LowerBoundBytes(*bound, layer, in.config) >
+                                static_cast<double>(in.config.l1_bytes)) {
+                            slot.verdict = Verdict::CapacityCut;
+                            continue;
+                        }
                     }
-                    slots[i].key = canonicalMappingKey(bound);
-                    if (options.enforce_l1_capacity)
-                        slots[i].l1_lower =
-                            l1LowerBoundBytes(bound, layer, config);
+                    if (score_after_merge)
+                        slot.verdict = Verdict::Unscored;
+                    else
+                        score(slot, *bound);
                 }
             });
-        // The set views the keys in `probes`, which outlive it.
-        std::unordered_set<std::string_view> seen;
-        seen.reserve(candidates.size() * 2);
-        survivors.reserve(candidates.size());
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            const ProbeSlot &slot = probes[i];
-            if (!slot.key.empty() && !seen.insert(slot.key).second) {
-                ++stats.pruned_symmetry;
-                continue;
-            }
-            if (options.enforce_l1_capacity &&
-                slot.l1_lower > static_cast<double>(config.l1_bytes)) {
-                ++stats.pruned_capacity;
-                continue;
-            }
-            survivors.push_back(i);
+
+    // A bounded max-heap on (value, index) keeps the top_k; the index
+    // breaks every tie, so it ranks exactly like a full sort.
+    using Ranked = std::pair<double, std::size_t>;
+    std::vector<Ranked> best;
+    best.reserve(std::min(options.top_k, candidates.size()));
+    const auto rank = [&](const CandidateSlot &slot, std::size_t i) {
+        if (slot.verdict != Verdict::Scored) {
+            ++stats.rejected;
+            return;
         }
-    }
-
-    // Evaluation: sharded fill into per-candidate slots, serial
-    // index-order merge (dse/shard.hh discipline).
-    const TensorInfo tensors = analyzeTensors(layer);
-    const bool depthwise = layer.type() == OpType::DepthwiseConv;
-    const double compute_scale =
-        layer.inputDensityVal() * layer.weightDensityVal();
-    const EnergyModel &energy_model = analyzer.energyModel();
-
-    struct Scored
-    {
-        double value;
-        std::size_t cand;
-        EvalSlot slot;
+        const Ranked entry{slot.value, i};
+        if (best.size() < options.top_k) {
+            best.push_back(entry);
+            std::push_heap(best.begin(), best.end());
+        } else if (!best.empty() && entry < best.front()) {
+            std::pop_heap(best.begin(), best.end());
+            best.back() = entry;
+            std::push_heap(best.begin(), best.end());
+        }
     };
-    std::vector<Scored> scored;
-    scored.reserve(survivors.size());
-    dse::shardedRanges<EvalSlot>(
-        options.num_threads, survivors.size(),
-        [&](std::size_t begin, std::size_t end,
-            std::vector<EvalSlot> &slots) {
-            obs::ScopedSpan shard_span(shardSite());
-            shard_span.arg("begin", begin);
-            shard_span.arg("end", end);
-            for (std::size_t i = begin; i < end; ++i)
-                slots[i] = evaluateCandidate(
-                    candidates[survivors[i]].dataflow, layer, tensors,
-                    depthwise, compute_scale, config, energy_model);
-        },
-        [&](const EvalSlot &slot, std::size_t i) {
-            ++stats.evaluated;
-            if (!slot.ok) {
-                ++stats.rejected;
-                return;
-            }
-            if (options.enforce_l1_capacity && !slot.fits_l1) {
-                ++stats.rejected;
-                return;
-            }
-            scored.push_back(
-                {slotObjective(slot, objective), survivors[i], slot});
-        });
 
-    // Rank by (objective value, enumeration index): "first
-    // encountered wins" made explicit and traversal-independent. The
-    // index breaks every tie, so ordering just the top_k prefix ranks
-    // exactly like a full sort.
-    const auto ranked_end =
-        scored.begin() + static_cast<std::ptrdiff_t>(
-                             std::min(scored.size(), options.top_k));
-    std::partial_sort(scored.begin(), ranked_end, scored.end(),
-                      [](const Scored &a, const Scored &b) {
-                          if (a.value != b.value)
-                              return a.value < b.value;
-                          return a.cand < b.cand;
-                      });
-    scored.erase(ranked_end, scored.end());
+    // Serial merge in index order. Across shards it settles every key
+    // as a serial pass would: a key an earlier candidate held makes a
+    // symmetry duplicate even when that candidate was capacity-cut.
+    std::unordered_set<std::string_view> held;
+    std::vector<std::size_t> unscored;
+    if (score_after_merge)
+        held.reserve(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        const CandidateSlot &slot = slots[i];
+        if (slot.verdict == Verdict::Duplicate ||
+            (score_after_merge && !slot.key.empty() &&
+             !held.insert(slot.key).second)) {
+            ++stats.pruned_symmetry;
+            continue;
+        }
+        if (slot.verdict == Verdict::CapacityCut) {
+            ++stats.pruned_capacity;
+            continue;
+        }
+        ++stats.evaluated;
+        if (slot.verdict == Verdict::Unscored)
+            unscored.push_back(i);
+        else
+            rank(slot, i);
+    }
+    if (score_after_merge) {
+        const std::vector<CandidateSlot> survivor_scores =
+            dse::shardedFill<CandidateSlot>(
+                options.num_threads, unscored.size(),
+                [&](std::size_t begin, std::size_t end,
+                    std::vector<CandidateSlot> &out) {
+                    obs::ScopedSpan shard_span(shardSite());
+                    shard_span.arg("begin", begin);
+                    shard_span.arg("end", end);
+                    for (std::size_t j = begin; j < end; ++j)
+                        if (const std::optional<BoundDataflow> bound =
+                                bindCandidate(unscored[j]))
+                            score(out[j], *bound);
+                });
+        for (std::size_t j = 0; j < unscored.size(); ++j)
+            rank(survivor_scores[j], unscored[j]);
+    }
+    std::sort_heap(best.begin(), best.end());
 
-    result.ranked.reserve(scored.size());
-    for (const Scored &s : scored) {
-        const Dataflow &df = candidates[s.cand].dataflow;
+    // Only the ranked entries rerun the full chain for the metrics
+    // they report; a failure here is a bug, so it is not caught.
+    result.ranked.reserve(best.size());
+    for (const auto &[value, i] : best) {
+        const Dataflow &df = candidates[i].dataflow;
+        LayerAnalysis analysis;
+        scoreBound(bindDataflow(df, layer, in.config.num_pes), in,
+                   objective, options.enforce_l1_capacity, &analysis);
         MappedDataflow md;
         md.dataflow = Dataflow(candidateName(df), df.directives());
-        md.runtime = s.slot.runtime;
-        md.energy = s.slot.energy;
-        md.edp = s.slot.edp;
-        md.utilization = s.slot.utilization;
-        md.objective_value = s.value;
-        md.index = candidates[s.cand].index;
+        md.runtime = analysis.runtime;
+        md.energy = analysis.onchipEnergy();
+        md.edp = analysis.edp();
+        md.utilization = analysis.utilization;
+        md.objective_value = value;
+        md.index = candidates[i].index;
         result.ranked.push_back(std::move(md));
     }
 

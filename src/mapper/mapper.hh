@@ -20,16 +20,26 @@
  * (capacity), the pruned search's bests match the oracle's bests
  * byte-for-byte, names included.
  *
- * Evaluation path. The probe binds each candidate once, for both its
- * canonical key and its capacity bound. Survivors run the pure stage
- * engines directly (bind -> reuse -> flat -> performance -> cost ->
- * assembleLayerAnalysis), like the DSE fast sweep — bit-identical to
- * the memoizing pipeline by assembleLayerAnalysis's contract, without
- * thrashing the shared LRU caches with tens of thousands of
- * one-shot mappings. Candidates are unnamed: only the top_k ranked
- * mappings get their candidateName. Network mode's
- * best-single-dataflow scoring goes through Analyzer::evaluateBatch
- * instead, so repeated shapes hit the warm pipeline caches.
+ * Evaluation path. A sharded pass binds each candidate once, takes
+ * its canonical key and, under enforce_l1_capacity, its capacity
+ * bound. In a serial search (one shard) it drops the candidate on a
+ * key seen before or on the cut, and runs every other candidate
+ * through the pure stage engines on that same binding (reuse -> flat
+ * -> performance), like the DSE fast sweep: bit-identical to the
+ * memoizing pipeline by assembleLayerAnalysis's contract, without
+ * thrashing the shared LRU caches with tens of thousands of one-shot
+ * mappings. Cost and assembleLayerAnalysis run only when ranking
+ * reads them (the energy and EDP objectives, or fits_l1 under
+ * enforce_l1_capacity). A shard cannot see the keys of other shards,
+ * so when the candidates span several shards the pass only keys and
+ * cuts, the serial merge settles every key, and a second sharded pass
+ * binds and scores just the survivors: no duplicate is analysed. The
+ * merge keeps a bounded top_k heap on (objective value, index). Only
+ * the ranked mappings rerun the full chain for the runtime, energy,
+ * EDP and utilization they report, and only they get their
+ * candidateName. Network mode's best-single-dataflow scoring goes
+ * through Analyzer::evaluateBatch instead, so repeated shapes hit the
+ * warm pipeline caches.
  */
 
 #ifndef MAESTRO_MAPPER_MAPPER_HH
@@ -119,7 +129,9 @@ struct MapperStats
     /** Candidates dropped by the conservative L1 capacity cut. */
     std::size_t pruned_capacity = 0;
 
-    /** Candidates fully evaluated through the stage engines. */
+    /** Candidates that survive both prunes (generated minus
+     *  pruned_symmetry and pruned_capacity) and so run the stage
+     *  engines; the same at any thread count. */
     std::size_t evaluated = 0;
 
     /** Evaluated candidates rejected (bind/analysis failure, or L1

@@ -154,29 +154,83 @@ TEST(MapperEquivalence, CapacityCutMatchesOracleUnderEnforcement)
 
 TEST(MapperEquivalence, ThreadCountIsByteInvariant)
 {
+    // 3 and 4 threads put the shard boundaries in different places.
+    // The enforced leg runs on a 512-byte L1, where the capacity cut
+    // fires: a later shard's duplicate of a cut key must still count
+    // as a symmetry prune, as it does serially.
+    AcceleratorConfig small_l1 = AcceleratorConfig::paperStudy();
+    small_l1.l1_bytes = 512;
     const Analyzer analyzer(AcceleratorConfig::paperStudy());
-    for (const Layer &layer : sampleLayers()) {
-        for (mapper::Objective objective : kObjectives) {
-            SCOPED_TRACE(layer.name());
-            mapper::MapperOptions serial;
-            serial.space = smallSpace();
-            serial.num_threads = 1;
-            mapper::MapperOptions threaded = serial;
-            threaded.num_threads = 4;
-
-            const mapper::MapperResult a =
-                mapLayer(analyzer, layer, objective, serial);
-            const mapper::MapperResult b =
-                mapLayer(analyzer, layer, objective, threaded);
-            ASSERT_EQ(a.ranked.size(), b.ranked.size());
-            for (std::size_t i = 0; i < a.ranked.size(); ++i) {
-                expectSameMapping(a.ranked[i], b.ranked[i], "ranked");
-                EXPECT_EQ(a.ranked[i].index, b.ranked[i].index);
+    const Analyzer enforced(small_l1);
+    for (bool enforce : {false, true}) {
+        for (const Layer &layer : sampleLayers()) {
+            for (mapper::Objective objective : kObjectives) {
+                SCOPED_TRACE(layer.name());
+                SCOPED_TRACE(enforce ? "enforce_l1" : "no capacity cut");
+                const Analyzer &an = enforce ? enforced : analyzer;
+                mapper::MapperOptions serial;
+                serial.space = smallSpace();
+                serial.enforce_l1_capacity = enforce;
+                serial.num_threads = 1;
+                const mapper::MapperResult a =
+                    mapLayer(an, layer, objective, serial);
+                for (std::size_t threads : {3u, 4u}) {
+                    SCOPED_TRACE(threads);
+                    mapper::MapperOptions threaded = serial;
+                    threaded.num_threads = threads;
+                    const mapper::MapperResult b =
+                        mapLayer(an, layer, objective, threaded);
+                    ASSERT_EQ(a.ranked.size(), b.ranked.size());
+                    for (std::size_t i = 0; i < a.ranked.size(); ++i) {
+                        expectSameMapping(a.ranked[i], b.ranked[i],
+                                          "ranked");
+                        EXPECT_EQ(a.ranked[i].index, b.ranked[i].index);
+                    }
+                    EXPECT_EQ(a.stats.generated, b.stats.generated);
+                    EXPECT_EQ(a.stats.pruned_symmetry,
+                              b.stats.pruned_symmetry);
+                    EXPECT_EQ(a.stats.pruned_capacity,
+                              b.stats.pruned_capacity);
+                    EXPECT_EQ(a.stats.evaluated, b.stats.evaluated);
+                    EXPECT_EQ(a.stats.rejected, b.stats.rejected);
+                }
             }
-            EXPECT_EQ(a.stats.evaluated, b.stats.evaluated);
-            EXPECT_EQ(a.stats.pruned_symmetry, b.stats.pruned_symmetry);
         }
     }
+}
+
+TEST(Mapper, RankedMetricsMatchAnalyzer)
+{
+    // Ranking reads only the objective, so the search skips cost for
+    // most candidates; every ranked entry must still report the
+    // analyzer's own numbers for its mapping.
+    const Analyzer analyzer(AcceleratorConfig::paperStudy());
+    auto check = [&](const Layer &layer, mapper::Objective objective,
+                     const mapper::MapperOptions &options) {
+        SCOPED_TRACE(layer.name());
+        const mapper::MapperResult res =
+            mapLayer(analyzer, layer, objective, options);
+        ASSERT_FALSE(res.ranked.empty());
+        for (const mapper::MappedDataflow &md : res.ranked) {
+            SCOPED_TRACE(md.dataflow.name());
+            const LayerAnalysis ref =
+                analyzer.analyzeLayer(layer, md.dataflow);
+            EXPECT_EQ(md.runtime, ref.runtime);
+            EXPECT_EQ(md.energy, ref.onchipEnergy());
+            EXPECT_EQ(md.edp, ref.edp());
+            EXPECT_EQ(md.utilization, ref.utilization);
+            EXPECT_EQ(md.objective_value,
+                      mapper::objectiveValue(ref, objective));
+        }
+    };
+    mapper::MapperOptions small;
+    small.space = smallSpace();
+    for (const Layer &layer : sampleLayers())
+        for (mapper::Objective objective : kObjectives)
+            check(layer, objective, small);
+    const Network net = zoo::vgg16();
+    check(net.layer("CONV11"), mapper::Objective::Runtime,
+          mapper::MapperOptions());
 }
 
 TEST(Mapper, SymmetryAccountingAndCoverage)

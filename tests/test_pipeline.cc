@@ -151,6 +151,29 @@ TEST(ThreadPool, RunHelperHandlesSerialAndParallel)
     }
 }
 
+TEST(ThreadPool, ChunkCountMatchesRunChunkedCalls)
+{
+    // The mapper reads chunkCount to know whether its candidates span
+    // more than one shard, so it must count runChunked's calls.
+    for (std::size_t threads : {0u, 1u, 2u, 3u, 4u}) {
+        for (std::size_t count : {0u, 1u, 2u, 5u, 16u, 97u}) {
+            SCOPED_TRACE(threads);
+            SCOPED_TRACE(count);
+            std::atomic<std::size_t> calls{0};
+            std::vector<std::atomic<int>> hits(count);
+            ThreadPool::runChunked(
+                threads, count, [&](std::size_t begin, std::size_t end) {
+                    ++calls;
+                    for (std::size_t i = begin; i < end; ++i)
+                        hits[i].fetch_add(1, std::memory_order_relaxed);
+                });
+            EXPECT_EQ(calls.load(), ThreadPool::chunkCount(threads, count));
+            for (const auto &h : hits)
+                EXPECT_EQ(h.load(), 1);
+        }
+    }
+}
+
 // ---------------------------------------------------------------- //
 //                          Fingerprints                            //
 // ---------------------------------------------------------------- //
