@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 
 #include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
@@ -28,9 +27,9 @@ taskSite()
     return site;
 }
 
-/** Span site of one parallelFor batch (the calling thread's view). */
+/** Span site of one run() batch (the calling thread's view). */
 const obs::Site &
-parallelForSite()
+forkJoinSite()
 {
     static const obs::Site site{
         "pool.parallel_for", "pool",
@@ -72,39 +71,6 @@ instrumentTask(std::function<void()> task)
         span.arg("queue_wait_us", wait_us);
         task();
     };
-}
-
-/** Shared state of one parallelFor batch. */
-struct ForState
-{
-    std::atomic<std::size_t> next{0}; ///< next unclaimed index
-    std::size_t count = 0;            ///< total indices
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t pending_helpers = 0;  ///< helpers still draining
-    std::exception_ptr error;         ///< first body exception
-};
-
-/**
- * Drains indices off the shared counter until exhausted (or until an
- * error cancels the batch).
- */
-void
-drain(ForState &state, const std::function<void(std::size_t)> &body)
-{
-    std::size_t i;
-    while ((i = state.next.fetch_add(1)) < state.count) {
-        try {
-            body(i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(state.mutex);
-            if (!state.error)
-                state.error = std::current_exception();
-            // Cancel the remaining indices.
-            state.next.store(state.count);
-            return;
-        }
-    }
 }
 
 } // namespace
@@ -161,49 +127,6 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 void
-ThreadPool::parallelFor(std::size_t count,
-                        const std::function<void(std::size_t)> &body)
-{
-    if (count == 0)
-        return;
-    if (threads_.empty() || count == 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-        return;
-    }
-
-    obs::ScopedSpan span(parallelForSite());
-    span.arg("count", count);
-
-    const auto state = std::make_shared<ForState>();
-    state->count = count;
-    const std::size_t helpers = std::min(threads_.size(), count - 1);
-    {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        state->pending_helpers = helpers;
-    }
-    for (std::size_t h = 0; h < helpers; ++h) {
-        // The state shared_ptr keeps the batch alive until every
-        // helper checked out; `body` outlives the batch because
-        // parallelFor blocks below until pending_helpers hits zero.
-        submit([state, &body] {
-            drain(*state, body);
-            std::lock_guard<std::mutex> lock(state->mutex);
-            if (--state->pending_helpers == 0)
-                state->done_cv.notify_all();
-        });
-    }
-
-    drain(*state, body);
-
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->done_cv.wait(
-        lock, [&] { return state->pending_helpers == 0; });
-    if (state->error)
-        std::rethrow_exception(state->error);
-}
-
-void
 ThreadPool::run(std::size_t num_threads, std::size_t count,
                 const std::function<void(std::size_t)> &body)
 {
@@ -212,8 +135,45 @@ ThreadPool::run(std::size_t num_threads, std::size_t count,
             body(i);
         return;
     }
-    ThreadPool pool(num_threads - 1);
-    pool.parallelFor(count, body);
+
+    obs::ScopedSpan span(forkJoinSite());
+    span.arg("count", count);
+
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    // Keeps the first exception and cancels the remaining indices.
+    const auto fail = [&](std::exception_ptr e) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error)
+            error = std::move(e);
+        next.store(count);
+    };
+    const auto drain = [&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < count;) {
+            try {
+                body(i);
+            } catch (...) {
+                fail(std::current_exception());
+                return;
+            }
+        }
+    };
+
+    const std::size_t wanted = std::min(num_threads, count) - 1;
+    std::vector<std::thread> helpers;
+    helpers.reserve(wanted);
+    try {
+        while (helpers.size() < wanted)
+            helpers.emplace_back(drain);
+    } catch (...) {
+        fail(std::current_exception());
+    }
+    drain();
+    for (std::thread &helper : helpers)
+        helper.join();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

@@ -1,13 +1,14 @@
 /**
  * @file
- * Small fixed-size worker pool for batch analysis.
+ * Fork-join helpers for the analysis layers, and the server's worker
+ * queue.
  *
- * The pool owns N worker threads draining a task queue. The only
- * high-level primitive the analysis layers need is parallelFor: split
- * an index range across the workers (the calling thread participates,
- * so a pool of W workers gives W+1-way concurrency) and block until
- * every index ran. Work items self-schedule off a shared atomic
- * counter, so uneven per-index costs balance automatically.
+ * ThreadPool::run splits an index range across plain threads started
+ * for the call beside the calling thread, and blocks until every
+ * index ran. Every thread takes its next index off one shared atomic
+ * counter, so uneven per-index costs balance automatically. A
+ * ThreadPool object is the analysis server's fixed worker queue
+ * (submit).
  */
 
 #ifndef MAESTRO_COMMON_THREAD_POOL_HH
@@ -31,8 +32,8 @@ class ThreadPool
 {
   public:
     /**
-     * Starts `workers` worker threads (0 is valid: parallelFor then
-     * runs entirely on the calling thread).
+     * Starts `workers` worker threads (0 is valid: submit then runs
+     * each task on the calling thread).
      */
     explicit ThreadPool(std::size_t workers);
 
@@ -54,21 +55,14 @@ class ThreadPool
     void submit(std::function<void()> task);
 
     /**
-     * Runs body(0) .. body(count - 1), split across the workers and
-     * the calling thread, and blocks until all indices completed.
+     * Runs body(0) .. body(count - 1) on up to `num_threads` threads
+     * in total, the calling thread included (0 or 1 means serial, and
+     * starts no thread), and blocks until all indices completed.
      *
-     * If a body invocation throws, the remaining indices are
-     * abandoned and the first exception is rethrown on the calling
-     * thread once in-flight invocations drain.
-     */
-    void parallelFor(std::size_t count,
-                     const std::function<void(std::size_t)> &body);
-
-    /**
-     * Concurrency helper used by the analysis APIs: interprets a
-     * user-facing `num_threads` knob (total concurrent threads; 0 or
-     * 1 means serial) and runs the loop accordingly. Serial execution
-     * does not spawn any thread.
+     * If a body invocation throws, or a helper thread fails to start,
+     * the remaining indices are abandoned and the first exception is
+     * rethrown on the calling thread once every started helper has
+     * joined.
      */
     static void run(std::size_t num_threads, std::size_t count,
                     const std::function<void(std::size_t)> &body);

@@ -209,9 +209,9 @@ hardwareFingerprint(const AcceleratorConfig &config,
     return out;
 }
 
-AnalysisPipeline::AnalysisPipeline(std::size_t stage_capacity)
-    : tensor_cache_(stage_capacity), binding_cache_(stage_capacity),
-      flat_cache_(stage_capacity), layer_cache_(stage_capacity)
+AnalysisPipeline::AnalysisPipeline()
+    : tensor_cache_(kStageCapacity), binding_cache_(kStageCapacity),
+      flat_cache_(kStageCapacity), layer_cache_(kStageCapacity)
 {
 }
 

@@ -119,12 +119,10 @@ LayerAnalysis assembleLayerAnalysis(const PerformanceResult &perf,
 class AnalysisPipeline
 {
   public:
-    /** Default per-stage LRU capacity (entries). */
-    static constexpr std::size_t kDefaultStageCapacity = 4096;
+    /** Per-stage LRU capacity (entries). */
+    static constexpr std::size_t kStageCapacity = 4096;
 
-    /** Creates a pipeline with the given per-stage LRU capacity. */
-    explicit AnalysisPipeline(
-        std::size_t stage_capacity = kDefaultStageCapacity);
+    AnalysisPipeline();
 
     /**
      * Analyzes one layer under one dataflow on the given hardware,

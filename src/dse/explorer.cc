@@ -30,6 +30,9 @@ namespace dse
 namespace
 {
 
+/** Cap on the scatter samples one explore() call keeps. */
+constexpr std::size_t kMaxSamples = 20000;
+
 /** Span site of one whole explore() call. */
 const obs::Site &
 exploreSite()
@@ -600,8 +603,7 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                             {point.throughput, point.energy, order});
 
                         if (options.sample_stride > 0 &&
-                            result.samples.size() <
-                                options.max_samples &&
+                            result.samples.size() < kMaxSamples &&
                             (sample_counter++ %
                              options.sample_stride) == 0) {
                             result.samples.push_back(point);
@@ -1104,7 +1106,7 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             frontier.insert({out.cand_energy.throughput,
                              out.cand_energy.energy, out.energy_order});
             if (options.sample_stride > 0 &&
-                result.samples.size() < options.max_samples &&
+                result.samples.size() < kMaxSamples &&
                 (sample_counter++ % options.sample_stride) == 0) {
                 result.samples.push_back(out.cand_energy);
             }

@@ -99,9 +99,6 @@ struct DseOptions
     /** Keep every Nth valid point for scatter plotting (0 = none). */
     std::size_t sample_stride = 997;
 
-    /** Cap on retained scatter samples. */
-    std::size_t max_samples = 20000;
-
     /**
      * Total concurrent threads for the sweep (<= 1 = serial). Results
      * are bit-identical for any value. Fast sweep: (PEs, BW) pairs are
@@ -148,9 +145,9 @@ struct DseResult
      * Subsampled valid points for scatter plots. The exact sweep keeps
      * every sample_stride'th valid grid point; the fast sweep keeps
      * every sample_stride'th per-pair energy-optimal representative
-     * (it never materializes the interior). Equivalence between the
-     * strategies is defined over bests, accounting, and the frontier —
-     * not over samples.
+     * (it never materializes the interior); either keeps at most
+     * 20000. Equivalence between the strategies is defined over
+     * bests, accounting, and the frontier — not over samples.
      */
     std::vector<DesignPoint> samples;
 

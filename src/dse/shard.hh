@@ -27,18 +27,13 @@ namespace maestro
 namespace dse
 {
 
-/** How many shards shardedFill splits [0, count) into: one for a
- *  serial run, so a caller can skip cross-shard work. */
-inline std::size_t
-shardCount(std::size_t num_threads, std::size_t count)
-{
-    return ThreadPool::chunkCount(num_threads, count);
-}
-
 /**
  * One default-constructed `Slot` per index of [0, count), filled
  * across up to `num_threads` threads, returned for the caller's own
  * serial merge in ascending index order.
+ *
+ * The shards are ThreadPool::runChunked's chunks, so
+ * ThreadPool::chunkCount says how many there are.
  *
  * `fill_range(begin, end, slots)` runs concurrently and must only
  * write slots[begin..end) (shard-local state like a per-shard span or

@@ -245,7 +245,8 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
     // candidate is scored on its first binding.
     const bool score_after_merge =
         !options.exact &&
-        dse::shardCount(options.num_threads, candidates.size()) > 1;
+        ThreadPool::chunkCount(options.num_threads,
+                               candidates.size()) > 1;
     const auto score = [&](CandidateSlot &slot,
                            const BoundDataflow &bound) {
         try {

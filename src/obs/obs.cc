@@ -43,18 +43,19 @@ void
 Tracer::start(std::size_t ring_capacity)
 {
     {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        rings_.clear();
-        ring_capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
+        std::lock_guard<std::mutex> lock(mutex_);
+        ring_ = std::vector<TraceEvent>();
+        capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
+        head_ = 0;
+        recorded_ = 0;
+        threads_ = 0;
+        ++generation_;
     }
     start_ns_.store(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count(),
         std::memory_order_relaxed);
-    // Bump the generation so every thread re-registers its ring; the
-    // release pairs with the acquire in threadRing().
-    generation_.fetch_add(1, std::memory_order_release);
     active_.store(true, std::memory_order_release);
     enableMode(kSpans | kTiming);
 }
@@ -86,78 +87,52 @@ Tracer::nowMicros() const
                : 0;
 }
 
-Tracer::Ring *
-Tracer::threadRing()
-{
-    // Each thread caches its ring per tracer generation; the
-    // shared_ptr keeps the ring alive for export even after the
-    // thread exits or a new generation clears the registry.
-    thread_local std::shared_ptr<Ring> tl_ring;
-    thread_local std::uint64_t tl_generation =
-        ~static_cast<std::uint64_t>(0);
-
-    const std::uint64_t generation =
-        generation_.load(std::memory_order_acquire);
-    if (tl_generation != generation) {
-        auto ring = std::make_shared<Ring>();
-        {
-            std::lock_guard<std::mutex> lock(registry_mutex_);
-            ring->slots.resize(ring_capacity_);
-            ring->tid = static_cast<std::uint32_t>(rings_.size());
-            rings_.push_back(ring);
-        }
-        tl_ring = std::move(ring);
-        tl_generation = generation;
-    }
-    return tl_ring.get();
-}
-
 void
 Tracer::record(const TraceEvent &event)
 {
     if (!active())
         return;
-    Ring *ring = threadRing();
-    std::lock_guard<std::mutex> lock(ring->mutex);
+    // The generation this thread's tid was handed out in.
+    thread_local std::uint64_t tl_generation = 0;
+    thread_local std::uint32_t tl_tid = 0;
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tl_generation != generation_) {
+        tl_generation = generation_;
+        tl_tid = threads_++;
+    }
     TraceEvent stamped = event;
-    stamped.tid = ring->tid;
-    stamped.seq = ring->seq++;
-    ring->slots[ring->head] = stamped;
-    ring->head = (ring->head + 1) % ring->slots.size();
-    if (ring->size < ring->slots.size())
-        ++ring->size;
+    stamped.tid = tl_tid;
+    ++recorded_;
+    if (ring_.size() < capacity_) {
+        ring_.push_back(stamped);
+    } else {
+        ring_[head_] = stamped;
+        head_ = (head_ + 1) % capacity_;
+    }
 }
 
 void
 Tracer::writeJson(JsonWriter &w) const
 {
-    std::vector<std::shared_ptr<Ring>> rings;
-    {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        rings = rings_;
-    }
-
     std::vector<TraceEvent> events;
     std::uint64_t dropped = 0;
-    for (const auto &ring : rings) {
-        std::lock_guard<std::mutex> lock(ring->mutex);
-        // Oldest-first unwrap of the circular buffer.
-        const std::size_t capacity = ring->slots.size();
-        const std::size_t oldest =
-            ring->size == capacity ? ring->head : 0;
-        for (std::size_t i = 0; i < ring->size; ++i)
-            events.push_back(
-                ring->slots[(oldest + i) % capacity]);
-        dropped += ring->seq - ring->size;
+    std::uint32_t threads = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Oldest first: head_ is 0 until the ring wraps.
+        events.insert(events.end(), ring_.begin() + head_, ring_.end());
+        events.insert(events.end(), ring_.begin(), ring_.begin() + head_);
+        dropped = recorded_ - ring_.size();
+        threads = threads_;
     }
-    std::sort(events.begin(), events.end(),
-              [](const TraceEvent &a, const TraceEvent &b) {
-                  if (a.ts_us != b.ts_us)
-                      return a.ts_us < b.ts_us;
-                  if (a.tid != b.tid)
-                      return a.tid < b.tid;
-                  return a.seq < b.seq;
-              });
+    // Stable, so equal (ts, tid) keep their record order.
+    std::stable_sort(events.begin(), events.end(),
+                     [](const TraceEvent &a, const TraceEvent &b) {
+                         if (a.ts_us != b.ts_us)
+                             return a.ts_us < b.ts_us;
+                         return a.tid < b.tid;
+                     });
 
     w.beginObject();
     w.key("traceEvents").beginArray();
@@ -182,7 +157,7 @@ Tracer::writeJson(JsonWriter &w) const
     w.endArray();
     w.key("maestro").beginObject();
     w.key("dropped_events").value(dropped);
-    w.key("threads").value(static_cast<std::uint64_t>(rings.size()));
+    w.key("threads").value(static_cast<std::uint64_t>(threads));
     w.endObject();
     w.endObject();
 }
@@ -198,33 +173,15 @@ Tracer::json() const
 std::size_t
 Tracer::eventCount() const
 {
-    std::vector<std::shared_ptr<Ring>> rings;
-    {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        rings = rings_;
-    }
-    std::size_t count = 0;
-    for (const auto &ring : rings) {
-        std::lock_guard<std::mutex> lock(ring->mutex);
-        count += ring->size;
-    }
-    return count;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ring_.size();
 }
 
 std::uint64_t
 Tracer::droppedCount() const
 {
-    std::vector<std::shared_ptr<Ring>> rings;
-    {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        rings = rings_;
-    }
-    std::uint64_t dropped = 0;
-    for (const auto &ring : rings) {
-        std::lock_guard<std::mutex> lock(ring->mutex);
-        dropped += ring->seq - ring->size;
-    }
-    return dropped;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return recorded_ - ring_.size();
 }
 
 // ------------------------------------------------------------------ //

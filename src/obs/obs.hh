@@ -16,16 +16,15 @@
  *     wall-clock data leaves the process only through the trace file
  *     and the metrics surfaces.
  *
- *  3. Thread safety under TSan. Span records go to per-thread ring
- *     buffers guarded by a per-buffer mutex (uncontended in steady
- *     state — only the exporting thread ever takes someone else's);
- *     buffer registration and export take the tracer registry mutex.
+ *  3. Thread safety under TSan. Span records go to one ring behind
+ *     one mutex, taken only while tracing; export takes the same
+ *     mutex.
  *
  * Two independent mode bits:
  *  - kTiming: sites record durations into registry histograms
  *    (the CLI's --profile, the server's /metrics latency families);
  *  - kSpans: sites additionally append events to the tracer's ring
- *    buffers for Chrome trace export (--trace).
+ *    for Chrome trace export (--trace).
  *
  * Span names and categories must be string literals (or otherwise
  * outlive the tracer): events store the pointers, not copies.
@@ -37,7 +36,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -56,7 +54,7 @@ namespace obs
 enum Mode : std::uint32_t
 {
     kTiming = 1u << 0, ///< record durations into site histograms
-    kSpans = 1u << 1,  ///< record events into the tracer ring buffers
+    kSpans = 1u << 1,  ///< record events into the tracer's ring
 };
 
 /** The process-wide mode word (see enabled()/setMode()). */
@@ -103,14 +101,14 @@ struct TraceEvent
     std::uint64_t ts_us = 0;  ///< start, µs since trace start
     std::uint64_t dur_us = 0; ///< duration, µs
     std::uint32_t tid = 0;    ///< tracer-assigned thread id
-    std::uint64_t seq = 0;    ///< per-thread record sequence
     /** Up to two numeric args (nullptr name = unused slot). */
     const char *arg_name[2] = {nullptr, nullptr};
     std::uint64_t arg_value[2] = {0, 0};
 };
 
 /**
- * The process-wide tracer: per-thread ring buffers of TraceEvents.
+ * The process-wide tracer: one ring of TraceEvents shared by every
+ * recording thread.
  *
  * start() begins a new trace generation (previous events are
  * discarded), stop() freezes it; writeJson() renders whatever the
@@ -120,15 +118,15 @@ struct TraceEvent
 class Tracer
 {
   public:
-    /** Default per-thread ring capacity (events). */
+    /** Default ring capacity (events). */
     static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
     static Tracer &instance();
 
     /**
-     * Starts (or restarts) tracing with the given per-thread ring
-     * capacity and sets kSpans | kTiming. Events from a previous
-     * generation are dropped.
+     * Starts (or restarts) tracing and sets kSpans | kTiming. The
+     * ring grows to `ring_capacity` events, then overwrites its
+     * oldest. Events from a previous generation are dropped.
      */
     void start(std::size_t ring_capacity = kDefaultCapacity);
 
@@ -139,23 +137,24 @@ class Tracer
     bool active() const;
 
     /**
-     * Appends one event to the calling thread's ring buffer
-     * (registering the thread on first use). No-op when inactive.
+     * Appends one event to the ring, giving the calling thread its
+     * tid on its first record in the generation. No-op when
+     * inactive.
      */
     void record(const TraceEvent &event);
 
     /**
      * Renders the captured trace: {"traceEvents": [...],
      * "maestro": {"dropped_events": N, "threads": M}}. Events are
-     * sorted by (ts, tid, seq) so equal-input traces differ only in
-     * their clock values.
+     * sorted by (ts, tid), then record order, so equal-input traces
+     * differ only in their clock values.
      */
     void writeJson(JsonWriter &w) const;
 
     /** writeJson() into a string (the --trace file body). */
     std::string json() const;
 
-    /** Events currently captured (across all thread buffers). */
+    /** Events currently captured. */
     std::size_t eventCount() const;
 
     /** Events overwritten by ring wrap-around this generation. */
@@ -167,24 +166,16 @@ class Tracer
   private:
     Tracer() = default;
 
-    /** One thread's ring (mutex guards slots/head/seq). */
-    struct Ring
-    {
-        mutable std::mutex mutex;
-        std::vector<TraceEvent> slots;
-        std::size_t head = 0;    ///< next write position
-        std::size_t size = 0;    ///< valid slots
-        std::uint64_t seq = 0;   ///< records ever written
-        std::uint32_t tid = 0;   ///< tracer-assigned thread id
-    };
-
-    /** The calling thread's ring for the current generation. */
-    Ring *threadRing();
-
-    mutable std::mutex registry_mutex_;
-    std::vector<std::shared_ptr<Ring>> rings_;
-    std::size_t ring_capacity_ = kDefaultCapacity;
-    std::atomic<std::uint64_t> generation_{0};
+    /** mutex_ guards every member up to active_. */
+    mutable std::mutex mutex_;
+    /** The ring: appended until it holds capacity_ events, then
+     *  overwritten from head_, its oldest event. */
+    std::vector<TraceEvent> ring_;
+    std::size_t capacity_ = kDefaultCapacity;
+    std::size_t head_ = 0;
+    std::uint64_t recorded_ = 0;   ///< records this generation
+    std::uint32_t threads_ = 0;    ///< tids handed out this generation
+    std::uint64_t generation_ = 0; ///< start() calls so far
     std::atomic<bool> active_{false};
     /** start() instant, ns since the steady-clock epoch (atomic so
      *  recording threads can compute relative timestamps without a

@@ -13,8 +13,10 @@
  * per-client budgets: each client key (X-Client-Id header or peer
  * address) gets `client_share * weight` in-flight slots, so one
  * tenant saturating its budget is answered 429 while others keep
- * their full share of the queue. The global path stays lock-free;
- * per-client accounting takes a small mutex only when enabled.
+ * their full share of the queue. The global bound is a lock-free
+ * CAS; per-client depths, which /stats and /metrics read as the
+ * active-client count, are kept under a small mutex for every
+ * request that has a client key, whether or not budgets are on.
  *
  * The server's request, response, and latency counters live in its
  * fleet lane (src/serve/fleet.hh), the one counter store behind
@@ -67,7 +69,8 @@ class AdmissionController
 
     /**
      * Tries to admit one request for `client` ("" = no per-client
-     * accounting).
+     * accounting). The client's budget is checked only when
+     * client_share > 0.
      *
      * On Ok the caller must release() with the same client key.
      * FullClient/FullGlobal map to 429/503; the caller counts them.
@@ -75,16 +78,16 @@ class AdmissionController
     Admit
     admit(const std::string &client)
     {
-        if (client_share_ > 0 && !client.empty()) {
+        if (!client.empty()) {
             std::lock_guard<std::mutex> lock(clients_mutex_);
             std::size_t &depth = client_depth_[client];
-            if (depth >= clientBudget(client))
+            if (client_share_ > 0 && depth >= clientBudget(client))
                 return Admit::FullClient;
             ++depth;
         }
         if (admitGlobal())
             return Admit::Ok;
-        if (client_share_ > 0 && !client.empty())
+        if (!client.empty())
             releaseClient(client);
         return Admit::FullGlobal;
     }
@@ -93,7 +96,7 @@ class AdmissionController
     void
     release(const std::string &client)
     {
-        if (client_share_ > 0 && !client.empty())
+        if (!client.empty())
             releaseClient(client);
         depth_.fetch_sub(1, std::memory_order_acq_rel);
     }

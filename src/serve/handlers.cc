@@ -1,5 +1,6 @@
 #include "src/serve/handlers.hh"
 
+#include <limits>
 #include <utility>
 
 #include "src/common/error.hh"
@@ -20,18 +21,32 @@ namespace serve
 namespace
 {
 
-/** Query-parameter double with a clean Error on garbage. */
+/** Query-parameter real, finite and positive like every real-valued
+ *  CLI flag (parsePositive), with a clean Error otherwise. */
 double
-paramDouble(const QueryParams &params, const std::string &key,
-            double fallback)
+paramPositive(const QueryParams &params, const std::string &key,
+              double fallback)
 {
     const auto it = params.find(key);
     if (it == params.end())
         return fallback;
-    const std::optional<double> v = parseNumber<double>(it->second);
-    fatalIf(!v, "query parameter '", key, "': '", it->second,
-            "' is not a number");
+    const std::optional<double> v = parsePositive(it->second);
+    fatalIf(!v, "query parameter '", key,
+            "' must be a positive number, found '", it->second, "'");
     return *v;
+}
+
+/** Query-parameter switch: on when `on`, off when absent, a clean
+ *  Error for any other value. */
+bool
+paramSwitch(const QueryParams &params, const std::string &key)
+{
+    const auto it = params.find(key);
+    if (it == params.end())
+        return false;
+    fatalIf(it->second != "on", "query parameter '", key,
+            "' must be 'on' or absent, found '", it->second, "'");
+    return true;
 }
 
 /** The single layer dse/tune operate on. */
@@ -86,19 +101,25 @@ writeDesignPoint(JsonWriter &w, const char *name,
     w.endObject();
 }
 
-/** Query-parameter count (positive integer) with a clean Error. */
+/** Query-parameter integer in [lo, hi] with a clean Error. */
 std::size_t
 paramCount(const QueryParams &params, const std::string &key,
-           std::size_t fallback)
+           std::size_t fallback, std::size_t lo = 1,
+           std::size_t hi = std::numeric_limits<std::size_t>::max())
 {
     const auto it = params.find(key);
     if (it == params.end())
         return fallback;
     const std::optional<std::size_t> v =
         parseNumber<std::size_t>(it->second);
-    fatalIf(!v || *v < 1, "query parameter '", key,
-            "' must be a positive integer");
-    return *v;
+    if (v && *v >= lo && *v <= hi)
+        return *v;
+    if (hi != std::numeric_limits<std::size_t>::max())
+        throw Error(msg("query parameter '", key,
+                        "' must be an integer in [", lo, ", ", hi, "]"));
+    throw Error(msg("query parameter '", key, "' must be ",
+                    lo == 0 ? "a non-negative" : "a positive",
+                    " integer"));
 }
 
 /** Comma-separated Count list (e.g. ?clusters=1,4,16). */
@@ -178,8 +199,8 @@ mapperOptions(const QueryParams &params, std::size_t worker_threads)
 {
     mapper::MapperOptions options;
     options.top_k = paramCount(params, "top_k", options.top_k);
-    options.enforce_l1_capacity = params.count("enforce_l1") > 0;
-    options.exact = params.count("exact") > 0;
+    options.enforce_l1_capacity = paramSwitch(params, "enforce_l1");
+    options.exact = paramSwitch(params, "exact");
     const std::size_t budget = std::max<std::size_t>(worker_threads, 1);
     options.num_threads =
         std::min(budget, paramCount(params, "threads", budget));
@@ -280,9 +301,9 @@ dseJson(const RequestInputs &inputs, const QueryParams &params,
     const Layer &layer = singleLayer(inputs, "dse");
 
     dse::DseOptions options;
-    options.area_budget_mm2 = paramDouble(params, "area", 16.0);
-    options.power_budget_mw = paramDouble(params, "power", 450.0);
-    options.exact = params.count("exact") > 0;
+    options.area_budget_mm2 = paramPositive(params, "area", 16.0);
+    options.power_budget_mw = paramPositive(params, "power", 450.0);
+    options.exact = paramSwitch(params, "exact");
     const dse::Explorer explorer(inputs.config, AreaPowerModel(),
                                  energy, pipeline);
     const dse::DseResult res =
@@ -372,9 +393,9 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
         const Layer &layer = singleLayer(inputs, "tune");
         dse::DseOptions dse_options;
         dse_options.area_budget_mm2 =
-            paramDouble(params, "area", 16.0);
+            paramPositive(params, "area", 16.0);
         dse_options.power_budget_mw =
-            paramDouble(params, "power", 450.0);
+            paramPositive(params, "power", 450.0);
         dse_options.num_threads = options.num_threads;
         const mapper::JointMapperResult res =
             mapper::mapJoint(analyzer, layer, objective,
@@ -425,11 +446,9 @@ simulateJson(const RequestInputs &inputs, const QueryParams &params,
     const Layer &layer = singleLayer(inputs, "simulate");
 
     SimOptions options;
-    options.exact = params.count("exact") > 0;
+    options.exact = paramSwitch(params, "exact");
     options.max_steps =
-        paramDouble(params, "max_steps", options.max_steps);
-    fatalIf(options.max_steps <= 0.0,
-            "query parameter 'max_steps' must be positive");
+        paramPositive(params, "max_steps", options.max_steps);
 
     const Analyzer analyzer(inputs.config, energy, pipeline);
 
@@ -479,10 +498,10 @@ crossvalRunJson(const QueryParams &params,
                 std::size_t worker_threads)
 {
     crossval::CrossvalOptions options;
-    options.seed = static_cast<std::uint64_t>(
-        paramCount(params, "seed", static_cast<Count>(options.seed)));
+    options.seed = static_cast<std::uint64_t>(paramCount(
+        params, "seed", static_cast<std::size_t>(options.seed), 0));
     options.triples = static_cast<std::uint64_t>(
-        paramCount(params, "triples", 100));
+        paramCount(params, "triples", 100, 1, kMaxCrossvalTriples));
     // The report is byte-identical at any thread count, so capping
     // by the server's worker budget never changes response bytes.
     const std::size_t budget = std::max<std::size_t>(1, worker_threads);
@@ -490,8 +509,7 @@ crossvalRunJson(const QueryParams &params,
         budget, static_cast<std::size_t>(
                     paramCount(params, "threads", 1)));
     options.max_steps =
-        paramDouble(params, "max_steps", options.max_steps);
-    fatalIf(options.triples == 0, "crossval needs triples >= 1");
+        paramPositive(params, "max_steps", options.max_steps);
     const crossval::CrossvalReport report =
         crossval::runCrossval(options);
     return crossval::crossvalJson(options, report);

@@ -93,7 +93,8 @@ analyzeJson(const RequestInputs &inputs,
 /**
  * POST /dse: hardware design-space exploration (Fig. 13 space) for
  * one layer under one dataflow. Query: ?layer= (required unless the
- * network has one layer), ?area=, ?power=, ?exact=on.
+ * network has one layer), ?area=, ?power= (finite and positive, as
+ * parsePositive checks), ?exact=on.
  *
  * @throws Error on bad parameters or infeasible sweeps.
  */
@@ -125,13 +126,13 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
          const EnergyModel &energy, std::size_t worker_threads = 1);
 
 /**
- * The mapper knobs of a /tune request: ?top_k=, ?enforce_l1=,
- * ?exact=, ?threads= (capped by `worker_threads`) and the
+ * The mapper knobs of a /tune request: ?top_k=, ?enforce_l1=on,
+ * ?exact=on, ?threads= (capped by `worker_threads`) and the
  * ?clusters=/?tiles=/?act_tiles= lists. `tune` resolves its flags
  * through this too, in both output formats.
  *
  * @throws Error when a count or list is not strictly positive
- *         integers.
+ *         integers, or a switch has a value other than `on`.
  */
 mapper::MapperOptions mapperOptions(const QueryParams &params,
                                     std::size_t worker_threads);
@@ -142,8 +143,8 @@ mapper::MapperOptions mapperOptions(const QueryParams &params,
  *
  * Query: ?layer= (required unless the network has one layer),
  * ?exact=on (walk every nest position — the oracle), ?max_steps=N
- * (work guard: nest steps on the exact path, step classes on the
- * periodic path).
+ * (finite and positive; work guard: nest steps on the exact path,
+ * step classes on the periodic path).
  *
  * @throws Error on bad parameters, unbindable dataflows, or a
  *         tripped work guard.
@@ -153,13 +154,18 @@ simulateJson(const RequestInputs &inputs, const QueryParams &params,
              const std::shared_ptr<AnalysisPipeline> &pipeline,
              const EnergyModel &energy);
 
+/** The most triples one /crossval request may ask for: the sweep
+ *  allocates its triples up front. */
+constexpr std::size_t kMaxCrossvalTriples = 100000;
+
 /**
  * POST /crossval: the randomized analytical-vs-simulator
  * cross-validation sweep (src/sim/crossval). The body is ignored;
- * everything rides on the query: ?triples=N (default 100), ?seed=N
- * (default 7), ?threads=N (capped by the server's worker budget),
- * ?max_steps=N. The report is byte-identical at any thread count
- * and carries no wall-clock fields.
+ * everything rides on the query: ?triples=N (default 100, at most
+ * kMaxCrossvalTriples), ?seed=N (default 7, 0 allowed), ?threads=N
+ * (capped by the server's worker budget), ?max_steps=N (finite and
+ * positive). The report is byte-identical at any thread count and
+ * carries no wall-clock fields.
  *
  * @throws Error on bad parameters.
  */

@@ -22,6 +22,7 @@
 #define MAESTRO_SERVE_HTTP_HH
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -179,6 +180,21 @@ parseNumber(std::string_view text)
     if (ec != std::errc() || ptr != end)
         return std::nullopt;
     return value;
+}
+
+/**
+ * A finite, strictly positive real from untrusted text, under
+ * parseNumber's rules: the one check of every real-valued knob, the
+ * CLI's flags and the server's query parameters alike. nullopt for
+ * anything else, "nan" and "inf" included.
+ */
+inline std::optional<double>
+parsePositive(std::string_view text)
+{
+    const std::optional<double> v = parseNumber<double>(text);
+    if (!v || !std::isfinite(*v) || *v <= 0.0)
+        return std::nullopt;
+    return v;
 }
 
 } // namespace serve

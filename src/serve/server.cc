@@ -47,6 +47,10 @@ struct SyncState
 /** The span site of a request no endpoint row serves. */
 constexpr obs::Site kUnroutedSite{"http.other", "serve", nullptr};
 
+/** How long a keep-alive connection may sit idle, between requests,
+ *  before the server closes it. */
+constexpr std::chrono::milliseconds kIdleTimeout{5000};
+
 } // namespace
 
 bool
@@ -254,8 +258,10 @@ AnalysisServer::start()
         });
 
     start_time_ = std::chrono::steady_clock::now();
-    if (options_.enable_timing)
-        obs::enableMode(obs::kTiming);
+    // A long-lived daemon wants the latency histograms behind GET
+    // /metrics populated; recording is a few relaxed atomics per
+    // sample and never touches response bodies.
+    obs::enableMode(obs::kTiming);
 }
 
 void
@@ -418,8 +424,7 @@ AnalysisServer::serveConnection(int fd, Connection *slot,
             if (rc <= 0) {
                 const auto idle = Clock::now() - last_activity;
                 if (!parser.started() &&
-                    idle > std::chrono::milliseconds(
-                               options_.idle_timeout_ms)) {
+                    idle > kIdleTimeout) {
                     closed = true;
                     break;
                 }

@@ -94,9 +94,6 @@ struct ServeOptions
     /** Concurrent connection bound (excess connections get 503). */
     std::size_t max_connections = 64;
 
-    /** Keep-alive idle timeout before the server closes. */
-    int idle_timeout_ms = 5000;
-
     /** HTTP parser caps (hostile-input bounds). */
     std::size_t max_header_bytes = 16 * 1024;
     std::size_t max_body_bytes = 1024 * 1024;
@@ -133,15 +130,6 @@ struct ServeOptions
     /** Content-addressed result-cache bounds (0 entries disables). */
     std::size_t result_cache_entries = 1024;
     std::size_t result_cache_bytes = 64 * 1024 * 1024;
-
-    /**
-     * Enables the process-wide obs timing mode on start() (latency
-     * histograms feeding GET /metrics). On by default — a long-lived
-     * daemon wants its metrics populated; histogram recording is a
-     * few relaxed atomics per sample and never touches response
-     * bodies.
-     */
-    bool enable_timing = true;
 
     /**
      * Structured JSONL event log path ("" = in-memory ring only).
@@ -303,6 +291,14 @@ class AnalysisServer
     ResultCache result_cache_;
     std::unique_ptr<JobStore> jobs_;
 
+    /** Also declared before pool_: a late pool task releases its
+     *  admission slot and republishes the active-client gauge. */
+    AdmissionController admission_;
+
+    /** Serializes read-component-then-set-lane gauge updates, so the
+     *  last write always carries the latest component state. */
+    std::mutex gauge_mutex_;
+
     /** Also declared before pool_: late pool tasks record into the
      *  fleet lane and the event log while draining. */
     std::unique_ptr<fleet::FleetLane> fleet_;
@@ -315,11 +311,6 @@ class AnalysisServer
     std::chrono::steady_clock::time_point start_time_{};
 
     std::unique_ptr<ThreadPool> pool_;
-    AdmissionController admission_;
-
-    /** Serializes read-component-then-set-lane gauge updates, so the
-     *  last write always carries the latest component state. */
-    std::mutex gauge_mutex_;
 
     /** Per-server trace-id sequence (deterministic, no wall clock). */
     std::atomic<std::uint64_t> trace_seq_{0};

@@ -51,14 +51,14 @@ forwardStopSignal(int signum)
     }
 }
 
-/** The worker process's server, for its own drain handler. */
-AnalysisServer *g_worker_server = nullptr;
+/** The process's running server, for its drain handler. */
+AnalysisServer *g_server = nullptr;
 
 extern "C" void
-workerStopSignal(int)
+stopServer(int)
 {
-    if (g_worker_server)
-        g_worker_server->requestStop(); // async-signal-safe
+    if (g_server)
+        g_server->requestStop(); // async-signal-safe
 }
 
 /**
@@ -218,6 +218,37 @@ class StatusServer
 
 } // namespace
 
+void
+runServer(const ServeOptions &options, bool worker)
+{
+    AnalysisServer server(ServeContext{}, options);
+    server.start();
+    g_server = &server;
+    std::signal(SIGTERM, stopServer);
+    std::signal(SIGINT, stopServer);
+    const int pid = static_cast<int>(::getpid());
+    const unsigned port = server.port();
+    if (worker) {
+        std::fprintf(stderr,
+                     "maestro serve: worker %d listening on "
+                     "http://%s:%u\n",
+                     pid, options.host.c_str(), port);
+    } else {
+        std::fprintf(stderr,
+                     "maestro serve: listening on http://%s:%u (%zu "
+                     "workers, queue %zu, deadline %d ms)\n",
+                     options.host.c_str(), port, options.worker_threads,
+                     options.queue_capacity, options.deadline_ms);
+    }
+    server.run();
+    g_server = nullptr;
+    if (worker)
+        std::fprintf(stderr, "maestro serve: worker %d drained\n", pid);
+    else
+        std::fprintf(stderr, "maestro serve: drained, exiting\n");
+    std::fflush(stderr);
+}
+
 int
 openPortPlaceholder(ServeOptions &options)
 {
@@ -237,22 +268,7 @@ spawnWorker(const ServeOptions &options)
     try {
         ServeOptions worker_options = options;
         worker_options.reuse_port = true;
-        AnalysisServer server(ServeContext{}, worker_options);
-        server.start();
-        g_worker_server = &server;
-        std::signal(SIGTERM, workerStopSignal);
-        std::signal(SIGINT, workerStopSignal);
-        std::fprintf(stderr,
-                     "maestro serve: worker %d listening on "
-                     "http://%s:%u\n",
-                     static_cast<int>(::getpid()),
-                     worker_options.host.c_str(),
-                     static_cast<unsigned>(server.port()));
-        server.run();
-        g_worker_server = nullptr;
-        std::fprintf(stderr, "maestro serve: worker %d drained\n",
-                     static_cast<int>(::getpid()));
-        std::fflush(stderr);
+        runServer(worker_options, true);
         ::_exit(0);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "maestro serve: worker %d failed: %s\n",

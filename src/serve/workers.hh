@@ -48,6 +48,18 @@ namespace serve
 {
 
 /**
+ * Runs one server process: starts an AnalysisServer on `options`,
+ * wires SIGTERM/SIGINT to its graceful drain, announces it on stderr,
+ * serves until stopped, and reports the drain. `worker` picks a
+ * fleet worker's lines ("worker PID listening on http://HOST:PORT")
+ * over the single-process ones ("listening on http://HOST:PORT (N
+ * workers, ...)").
+ *
+ * @throws Error when the address cannot be bound.
+ */
+void runServer(const ServeOptions &options, bool worker);
+
+/**
  * Resolves `options.port` for a SO_REUSEPORT worker group.
  *
  * Binds a placeholder socket (SO_REUSEPORT, never listening) to the

@@ -197,16 +197,25 @@ TEST(Admission, GlobalBoundRollsBackClientSlot)
     EXPECT_EQ(admission.activeClients(), 0u);
 }
 
-TEST(Admission, ZeroShareDisablesClientAccounting)
+TEST(Admission, ZeroShareDisablesClientBudgets)
 {
-    AdmissionController admission(2, 0);
+    // Share 0 turns the per-client budget (429) off, but in-flight
+    // clients are still counted for /stats and /metrics.
+    AdmissionController admission(3, 0);
     EXPECT_EQ(admission.admit("a"), AdmissionController::Admit::Ok);
     EXPECT_EQ(admission.admit("a"), AdmissionController::Admit::Ok);
-    EXPECT_EQ(admission.admit("a"),
+    EXPECT_EQ(admission.admit("b"), AdmissionController::Admit::Ok);
+    EXPECT_EQ(admission.activeClients(), 2u);
+    // The global bound still rejects, and rolls back c's slot.
+    EXPECT_EQ(admission.admit("c"),
               AdmissionController::Admit::FullGlobal);
+    EXPECT_EQ(admission.activeClients(), 2u);
+    admission.release("a");
+    EXPECT_EQ(admission.activeClients(), 2u);
+    admission.release("a");
+    admission.release("b");
     EXPECT_EQ(admission.activeClients(), 0u);
-    admission.release("a");
-    admission.release("a");
+    EXPECT_EQ(admission.depth(), 0u);
 }
 
 // ---------------------------------------------------------------

@@ -282,6 +282,46 @@ TEST_F(ObsTestBase, RingWrapKeepsNewestAndCountsDropped)
               std::string::npos);
 }
 
+TEST_F(ObsTestBase, ThreadsShareOneRing)
+{
+    const obs::Site site{"obs_test.shared", "test", nullptr};
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.start(/*ring_capacity=*/4);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t) {
+        threads.emplace_back([&] {
+            for (int i = 0; i < 4; ++i)
+                obs::ScopedSpan span(site);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    tracer.stop();
+    // One ring for the process: the 12 records keep only the newest 4.
+    EXPECT_EQ(tracer.eventCount(), 4u);
+    EXPECT_EQ(tracer.droppedCount(), 8u);
+    const std::string json = tracer.json();
+    EXPECT_NE(json.find("\"dropped_events\":8"), std::string::npos);
+    EXPECT_NE(json.find("\"threads\":3"), std::string::npos);
+}
+
+TEST_F(ObsTestBase, ShortLivedThreadsCostNoRingEach)
+{
+    const obs::Site site{"obs_test.short", "test", nullptr};
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.start(/*ring_capacity=*/8);
+    for (int t = 0; t < 64; ++t) {
+        std::thread([&] { obs::ScopedSpan span(site); }).join();
+    }
+    tracer.stop();
+    // Every thread gets a tid, but the events share one 8-slot ring.
+    EXPECT_EQ(tracer.eventCount(), 8u);
+    EXPECT_EQ(tracer.droppedCount(), 56u);
+    const std::string json = tracer.json();
+    EXPECT_NE(json.find("\"dropped_events\":56"), std::string::npos);
+    EXPECT_NE(json.find("\"threads\":64"), std::string::npos);
+}
+
 TEST_F(ObsTestBase, StartDiscardsThePreviousGeneration)
 {
     const obs::Site site{"obs_test.gen", "test", nullptr};
@@ -334,9 +374,9 @@ TEST_F(ObsTestBase, ObsConcurrentSpansAndCountersAreRaceFree)
 
     EXPECT_EQ(counter.value(), kIterations);
     EXPECT_EQ(hist.count(), kIterations);
-    // The pool itself also records spans (pool.task,
-    // pool.parallel_for) while tracing, so captured + dropped is at
-    // least the explicit span count.
+    // run() itself also records a pool.parallel_for span while
+    // tracing, so captured + dropped is at least the explicit span
+    // count.
     EXPECT_GE(static_cast<std::uint64_t>(tracer.eventCount()) +
                   tracer.droppedCount(),
               kIterations);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -113,10 +114,10 @@ TEST(LruCache, ConcurrentGetOrComputeIsConsistent)
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
 {
-    for (std::size_t workers : {0u, 1u, 3u}) {
-        ThreadPool pool(workers);
+    for (std::size_t threads : {0u, 1u, 4u}) {
+        SCOPED_TRACE(threads);
         std::vector<std::atomic<int>> hits(97);
-        pool.parallelFor(hits.size(), [&](std::size_t i) {
+        ThreadPool::run(threads, hits.size(), [&](std::size_t i) {
             hits[i].fetch_add(1, std::memory_order_relaxed);
         });
         for (const auto &h : hits)
@@ -126,17 +127,27 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
 
 TEST(ThreadPool, ParallelForPropagatesFirstException)
 {
-    ThreadPool pool(3);
-    EXPECT_THROW(pool.parallelFor(64,
-                                  [&](std::size_t i) {
-                                      if (i == 13)
-                                          throw Error("boom");
-                                  }),
-                 Error);
-    // The pool stays usable after an exception.
-    std::atomic<int> count{0};
-    pool.parallelFor(8, [&](std::size_t) { ++count; });
-    EXPECT_EQ(count.load(), 8);
+    for (std::size_t threads : {0u, 1u, 4u}) {
+        SCOPED_TRACE(threads);
+        // Every index from 13 on throws; the first one to throw
+        // cancels the rest, so far fewer than all of them run.
+        std::atomic<int> thrown{0};
+        EXPECT_THROW(ThreadPool::run(threads, 4096,
+                                     [&](std::size_t i) {
+                                         if (i >= 13) {
+                                             ++thrown;
+                                             throw Error("boom");
+                                         }
+                                     }),
+                     Error);
+        EXPECT_GE(thrown.load(), 1);
+        EXPECT_LE(thrown.load(), static_cast<int>(std::max<std::size_t>(
+                                     threads, 1)));
+        // A later call runs every index again.
+        std::atomic<int> count{0};
+        ThreadPool::run(threads, 8, [&](std::size_t) { ++count; });
+        EXPECT_EQ(count.load(), 8);
+    }
 }
 
 TEST(ThreadPool, RunHelperHandlesSerialAndParallel)

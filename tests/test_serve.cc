@@ -50,6 +50,7 @@
 #include "src/serve/handlers.hh"
 #include "src/serve/http.hh"
 #include "src/serve/server.hh"
+#include "src/sim/crossval.hh"
 
 namespace maestro
 {
@@ -1301,6 +1302,71 @@ TEST(Serve, CrossvalEndpointSyncAndAsyncMatchDirectHandler)
                       .status,
                   400)
             << bad;
+}
+
+// ---------------------------------------------------------------- //
+//                Query knobs end in 200 or 400                     //
+// ---------------------------------------------------------------- //
+
+TEST(Serve, QueryKnobsEndIn200Or400)
+{
+    TestServer server;
+    const std::uint16_t port = server.port();
+    const std::string dsl = tinyNetwork(8);
+
+    // Reals must be finite and positive (the CLI's rule), switches
+    // are `on` or absent, and counts stay in range.
+    const char *const rejected[] = {
+        "/dse?dataflow=C-P&area=nan",
+        "/dse?dataflow=C-P&area=inf",
+        "/dse?dataflow=C-P&area=-1",
+        "/dse?dataflow=C-P&area=0",
+        "/dse?dataflow=C-P&power=nan",
+        "/dse?dataflow=C-P&power=-inf",
+        "/dse?dataflow=C-P&exact=off",
+        "/dse?dataflow=C-P&exact=",
+        "/simulate?dataflow=C-P&max_steps=nan",
+        "/simulate?dataflow=C-P&max_steps=inf",
+        "/simulate?dataflow=C-P&max_steps=-1",
+        "/simulate?dataflow=C-P&exact=off",
+        "/simulate?dataflow=C-P&exact=0",
+        "/tune?enforce_l1=1",
+        "/tune?exact=true",
+        "/tune?mode=joint&area=nan",
+        "/crossval?max_steps=nan",
+        "/crossval?max_steps=-1",
+        "/crossval?seed=-1",
+        "/crossval?triples=100001",
+        "/crossval?triples=18446744073709551615",
+    };
+    for (const char *target : rejected) {
+        const ClientResponse r = oneShot(port, postRequest(target, dsl));
+        EXPECT_EQ(r.status, 400) << target << ": " << r.body;
+        EXPECT_NE(r.body.find("\"error\""), std::string::npos) << target;
+    }
+
+    // The documented forms still answer 200, with the bodies of the
+    // defaults they spell out.
+    const auto ok = [&](const std::string &target) {
+        const ClientResponse r = oneShot(port, postRequest(target, dsl));
+        EXPECT_EQ(r.status, 200) << target << ": " << r.body;
+        return r.body;
+    };
+    EXPECT_EQ(ok("/dse?dataflow=C-P&area=16&power=450"),
+              ok("/dse?dataflow=C-P"));
+    EXPECT_EQ(ok("/simulate?dataflow=C-P&exact=on&max_steps=1e12"),
+              referenceSimulate(dsl, QueryParams{{"dataflow", "C-P"},
+                                                 {"exact", "on"}}));
+    EXPECT_EQ(ok("/crossval?seed=7&triples=3"), ok("/crossval?triples=3"));
+    ok("/tune?enforce_l1=on&exact=on&top_k=2&clusters=4&tiles=1&"
+       "act_tiles=1");
+
+    // Seed 0 runs, as `maestro crossval --seed 0` does.
+    crossval::CrossvalOptions zero;
+    zero.seed = 0;
+    zero.triples = 3;
+    EXPECT_EQ(ok("/crossval?seed=0&triples=3"),
+              crossval::crossvalJson(zero, crossval::runCrossval(zero)));
 }
 
 // ---------------------------------------------------------------- //

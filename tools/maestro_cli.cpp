@@ -31,14 +31,14 @@
  * Shared options: --threads N runs analyzer evaluations on N worker
  * threads (results are bit-identical to --threads 1); --stats on
  * prints pipeline cache hit/miss counters and evaluation throughput
- * after the command's normal output. `analyze --format json` emits
- * the server's /analyze JSON (byte-identical for equal inputs).
+ * after the command's normal output. `--format json` emits the
+ * matching endpoint's JSON (byte-identical for equal inputs).
  *
  * Observability: --trace OUT.json captures spans (pipeline stages,
- * pool tasks, DSE shards) into a Chrome trace-event file loadable in
- * Perfetto; --profile prints a per-stage time/hit-rate table to
- * stderr. Neither changes the command's stdout bytes. `maestro
- * --version` prints the build version.
+ * fork-join batches, DSE shards) into a Chrome trace-event file
+ * loadable in Perfetto; --profile prints a per-stage time/hit-rate
+ * table to stderr. Neither changes the command's stdout bytes.
+ * `maestro --version` prints the build version.
  *
  * Exit codes: 0 success, 1 runtime error (including a malformed or
  * out-of-range flag value), 2 usage error (missing or
@@ -46,8 +46,6 @@
  */
 
 #include <chrono>
-#include <cmath>
-#include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -98,6 +96,7 @@ const char *const kUsage =
     "             error-tolerance gate and fails on violation)\n"
     "  dse       --model NAME --layer L --dataflow D "
     "[--area MM2] [--power MW] [--dse-exact]\n"
+    "            [--format json]\n"
     "  tune      --model NAME [--layer L] [--objective "
     "runtime|energy|edp]\n"
     "            [--mode layer|network|joint] [--top-k N] "
@@ -185,10 +184,9 @@ struct Args
         const auto it = options.find(key);
         if (it == options.end())
             return fallback;
-        const std::optional<double> v =
-            serve::parseNumber<double>(it->second);
-        fatalIf(!v || !std::isfinite(*v) || *v <= 0.0, "--", key,
-                " must be a positive number, found '", it->second, "'");
+        const std::optional<double> v = serve::parsePositive(it->second);
+        fatalIf(!v, "--", key, " must be a positive number, found '",
+                it->second, "'");
         return *v;
     }
 };
@@ -577,14 +575,53 @@ cmdCrossval(const Args &args)
     return kExitOk;
 }
 
+/**
+ * Copies the --area/--power budgets into `params` as query text,
+ * checked first so both output formats reject a bad one alike.
+ */
+void
+addBudgetParams(const Args &args, serve::QueryParams &params)
+{
+    for (const char *budget : {"area", "power"}) {
+        if (args.has(budget)) {
+            args.getPositive(budget, 0.0);
+            params[budget] = args.get(budget);
+        }
+    }
+}
+
+/**
+ * dse --format json: the server's /dse JSON from the same code path
+ * (serve::dseJson), so CLI and server bodies are byte-identical for
+ * equal inputs.
+ */
+int
+cmdDseJson(const Args &args, const serve::RequestInputs &in)
+{
+    serve::QueryParams params;
+    addBudgetParams(args, params);
+    if (args.has("dse-exact"))
+        params["exact"] = "on";
+    auto pipeline = std::make_shared<AnalysisPipeline>();
+    std::cout << serve::dseJson(in, params, pipeline, EnergyModel())
+              << "\n";
+    if (args.has("profile"))
+        printProfile(pipeline->stats());
+    return kExitOk;
+}
+
 int
 cmdDse(const Args &args, const serve::RequestInputs &in)
 {
     fatalIf(!in.layer_name, "dse needs --layer");
     fatalIf(in.dataflows.size() != 1,
             "dse needs exactly one --dataflow");
-    const Layer &layer = in.network.layer(*in.layer_name);
     const RunOptions opts = runOptions(args);
+    if (args.get("format", "table") == "json")
+        return cmdDseJson(args, in);
+    fatalIf(args.get("format", "table") != "table",
+            "--format must be table or json");
+    const Layer &layer = in.network.layer(*in.layer_name);
     dse::DseOptions options;
     options.area_budget_mm2 = args.getPositive("area", 16.0);
     options.power_budget_mw = args.getPositive("power", 450.0);
@@ -661,14 +698,7 @@ tuneParams(const Args &args, const serve::RequestInputs &in)
         params["enforce_l1"] = "on";
     if (args.has("tune-exact"))
         params["exact"] = "on";
-    // Budgets pass through as text, checked here so both formats
-    // reject a bad one alike.
-    for (const char *budget : {"area", "power"}) {
-        if (args.has(budget)) {
-            args.getPositive(budget, 0.0);
-            params[budget] = args.get(budget);
-        }
-    }
+    addBudgetParams(args, params);
     return params;
 }
 
@@ -832,16 +862,6 @@ parseClientWeights(const std::string &spec)
     return weights;
 }
 
-/** The running server, for the signal handlers' graceful drain. */
-serve::AnalysisServer *g_server = nullptr;
-
-extern "C" void
-handleStopSignal(int)
-{
-    if (g_server)
-        g_server->requestStop(); // async-signal-safe
-}
-
 int
 cmdServe(const Args &args)
 {
@@ -886,18 +906,7 @@ cmdServe(const Args &args)
                    ? kExitOk
                    : kExitError;
 
-    serve::AnalysisServer server(serve::ServeContext{}, opts);
-    server.start();
-    g_server = &server;
-    std::signal(SIGINT, handleStopSignal);
-    std::signal(SIGTERM, handleStopSignal);
-    std::cerr << "maestro serve: listening on http://" << opts.host
-              << ":" << server.port() << " (" << opts.worker_threads
-              << " workers, queue " << opts.queue_capacity
-              << ", deadline " << opts.deadline_ms << " ms)\n";
-    server.run();
-    g_server = nullptr;
-    std::cerr << "maestro serve: drained, exiting\n";
+    serve::runServer(opts, false);
     return kExitOk;
 }
 
