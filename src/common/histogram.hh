@@ -8,12 +8,13 @@
  * sub-µs samples); the last bucket is a catch-all. 28 buckets span
  * ~4.5 minutes.
  *
- * All mutation is relaxed-atomic, so one histogram may be bumped from
- * connection threads, pool workers, and analysis stages concurrently.
- * snapshot() reads a consistent-enough view for reporting (counters
- * are monotone; exact cross-field consistency is not required by any
- * consumer), and snapshots merge element-wise so per-thread or
- * per-server histograms can be aggregated.
+ * All mutation is relaxed-atomic on address-free atomics, so one
+ * histogram may be bumped from connection threads, pool workers, and
+ * analysis stages concurrently, and the metrics segment keeps one per
+ * worker lane in shared memory. snapshot() reads a consistent-enough
+ * view for reporting (counters are monotone; exact cross-field
+ * consistency is not required by any consumer), and snapshots merge
+ * element-wise so lanes can be aggregated.
  */
 
 #ifndef MAESTRO_COMMON_HISTOGRAM_HH
@@ -53,12 +54,7 @@ class LatencyHistogram
         return i + 1 == kBuckets;
     }
 
-    /**
-     * The bucket a sample of `micros` lands in. Exposed so external
-     * bucket storage (the shared-memory metrics segment aggregating
-     * per-worker lanes) uses the exact same bucketing convention and
-     * cross-source merges stay element-wise exact.
-     */
+    /** The bucket a sample of `micros` lands in. */
     static constexpr std::size_t
     bucketIndex(std::uint64_t micros)
     {

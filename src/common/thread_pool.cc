@@ -5,8 +5,8 @@
 #include <chrono>
 #include <exception>
 
-#include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
+#include "src/obs/shared_metrics.hh"
 
 namespace maestro
 {
@@ -15,59 +15,39 @@ namespace
 {
 
 /** Span site of one submitted task's execution. */
-const obs::Site &
-taskSite()
-{
-    static const obs::Site site{
-        "pool.task", "pool",
-        &obs::Registry::global().histogram(
-            "maestro_pool_task_run_us",
-            "Run time of tasks executed by the thread pool in "
-            "microseconds")};
-    return site;
-}
+constexpr obs::Site kTaskSite{"pool.task", "pool",
+                              "maestro_pool_task_run_us"};
 
 /** Span site of one run() batch (the calling thread's view). */
-const obs::Site &
-forkJoinSite()
-{
-    static const obs::Site site{
-        "pool.parallel_for", "pool",
-        &obs::Registry::global().histogram(
-            "maestro_pool_parallel_for_us",
-            "Wall time of parallelFor batches in microseconds")};
-    return site;
-}
-
-/** Queue-wait histogram (enqueue -> first execution). */
-LatencyHistogram &
-queueWaitHistogram()
-{
-    static LatencyHistogram &h = obs::Registry::global().histogram(
-        "maestro_pool_queue_wait_us",
-        "Time tasks spent queued behind the worker pool in "
-        "microseconds");
-    return h;
-}
+constexpr obs::Site kForkJoinSite{"pool.parallel_for", "pool",
+                                  "maestro_pool_parallel_for_us"};
 
 /**
- * Wraps a task so its execution records queue-wait and run-time
- * observability. Only called when instrumentation is enabled at
- * submit time (the disabled path costs one relaxed load).
+ * Wraps a task so it runs in the submitter's metrics lane and, when
+ * instrumentation is on at submit time, records its queue wait and
+ * run time (the disabled path costs one relaxed load).
  */
 std::function<void()>
-instrumentTask(std::function<void()> task)
+handOff(std::function<void()> task)
 {
-    const auto enqueued = std::chrono::steady_clock::now();
-    return [task = std::move(task), enqueued] {
+    const bool timed = obs::mode() != 0;
+    const auto enqueued = timed ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
+    return [task = std::move(task), lane = obs::boundLane(), timed,
+            enqueued] {
+        const obs::LaneBinding binding(lane);
+        if (!timed) {
+            task();
+            return;
+        }
         const auto started = std::chrono::steady_clock::now();
         const std::uint64_t wait_us = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 started - enqueued)
                 .count());
         if ((obs::mode() & obs::kTiming) != 0)
-            queueWaitHistogram().record(wait_us);
-        obs::ScopedSpan span(taskSite());
+            obs::recordHistogram("maestro_pool_queue_wait_us", wait_us);
+        obs::ScopedSpan span(kTaskSite);
         span.arg("queue_wait_us", wait_us);
         task();
     };
@@ -117,8 +97,7 @@ ThreadPool::submit(std::function<void()> task)
         task();
         return;
     }
-    if (obs::mode() != 0)
-        task = instrumentTask(std::move(task));
+    task = handOff(std::move(task));
     {
         std::lock_guard<std::mutex> lock(mutex_);
         tasks_.push_back(std::move(task));
@@ -136,8 +115,9 @@ ThreadPool::run(std::size_t num_threads, std::size_t count,
         return;
     }
 
-    obs::ScopedSpan span(forkJoinSite());
+    obs::ScopedSpan span(kForkJoinSite);
     span.arg("count", count);
+    const obs::Lane lane = obs::boundLane();
 
     std::atomic<std::size_t> next{0};
     std::mutex error_mutex;
@@ -150,6 +130,7 @@ ThreadPool::run(std::size_t num_threads, std::size_t count,
         next.store(count);
     };
     const auto drain = [&] {
+        const obs::LaneBinding binding(lane);
         for (std::size_t i; (i = next.fetch_add(1)) < count;) {
             try {
                 body(i);

@@ -50,7 +50,8 @@ class ThreadPool
      * Enqueues one task for the workers to run. Fire-and-forget: the
      * caller synchronizes completion itself (the analysis server
      * fulfils a promise per task). With zero workers the task runs
-     * inline on the calling thread.
+     * inline on the calling thread. The task records its metrics
+     * into the submitting thread's lane (obs::boundLane).
      */
     void submit(std::function<void()> task);
 
@@ -62,7 +63,8 @@ class ThreadPool
      * If a body invocation throws, or a helper thread fails to start,
      * the remaining indices are abandoned and the first exception is
      * rethrown on the calling thread once every started helper has
-     * joined.
+     * joined. Helpers record their metrics into the calling thread's
+     * lane (obs::boundLane).
      */
     static void run(std::size_t num_threads, std::size_t count,
                     const std::function<void(std::size_t)> &body);

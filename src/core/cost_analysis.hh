@@ -76,7 +76,7 @@ struct CostResult
      * layers). tensor_volumes and dram_fill_model are per-group;
      * every other count in this struct is already scaled by this
      * factor. Re-derivations of DRAM traffic from the per-group fill
-     * model (dse::energyFromCounts) must multiply by `groups`.
+     * model (dse::energyFromSums) must multiply by `groups`.
      */
     double groups = 1.0;
 

@@ -1,12 +1,10 @@
 #include "src/core/pipeline.hh"
 
-#include <array>
 #include <cstdio>
 
 #include "src/core/cluster_analysis.hh"
 #include "src/core/reuse_analysis.hh"
 #include "src/core/tensor_analysis.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
 
 namespace maestro
@@ -25,35 +23,20 @@ enum StageIndex : std::size_t
 };
 
 /**
- * Instrumentation site of one pipeline stage's miss path: a span for
- * the tracer plus a per-stage miss-latency histogram in the global
- * registry. Sites are created once (magic static); with tracing and
+ * Instrumentation site of each pipeline stage's miss path: a span for
+ * the tracer plus a per-stage miss-latency series. With tracing and
  * timing disabled each span costs one relaxed atomic load.
  */
-const obs::Site &
-stageSite(StageIndex stage)
-{
-    static const std::array<obs::Site, 4> sites = [] {
-        constexpr const char *kStageNames[4] = {"tensor", "binding",
-                                                "flat", "layer"};
-        constexpr const char *kSpanNames[4] = {
-            "pipeline.tensor", "pipeline.binding", "pipeline.flat",
-            "pipeline.layer"};
-        std::array<obs::Site, 4> out{};
-        for (std::size_t i = 0; i < 4; ++i) {
-            out[i] = obs::Site{
-                kSpanNames[i], "pipeline",
-                &obs::Registry::global().histogram(
-                    "maestro_pipeline_stage_miss_us",
-                    "Latency of pipeline stage-cache misses in "
-                    "microseconds (the layer stage spans the full "
-                    "miss chain)",
-                    {{"stage", kStageNames[i]}})};
-        }
-        return out;
-    }();
-    return sites[stage];
-}
+constexpr obs::Site kStageSites[4] = {
+    {"pipeline.tensor", "pipeline",
+     "maestro_pipeline_stage_miss_us{stage=\"tensor\"}"},
+    {"pipeline.binding", "pipeline",
+     "maestro_pipeline_stage_miss_us{stage=\"binding\"}"},
+    {"pipeline.flat", "pipeline",
+     "maestro_pipeline_stage_miss_us{stage=\"flat\"}"},
+    {"pipeline.layer", "pipeline",
+     "maestro_pipeline_stage_miss_us{stage=\"layer\"}"},
+};
 
 /** Appends a double to a fingerprint exactly (hexfloat round-trips). */
 void
@@ -84,7 +67,7 @@ appendExpr(std::string &out, const SizeExpr &expr)
 /**
  * Scales every activity count of a cost result (grouped convs), and
  * records the factor so downstream re-derivations (dse's
- * energyFromCounts) can scale the per-group DRAM fill model too.
+ * energyFromSums) can scale the per-group DRAM fill model too.
  */
 void
 scaleCost(CostResult &cost, double factor)
@@ -244,14 +227,14 @@ AnalysisPipeline::analyzeLayer(const Layer &layer,
         layer_cache_.getOrCompute(layer_key, [&] {
             // Full-chain miss span/latency; inner stage spans nest
             // inside it in the trace.
-            obs::ScopedSpan layer_span(stageSite(kStageLayer));
+            obs::ScopedSpan layer_span(kStageSites[kStageLayer]);
             const bool depthwise =
                 layer.type() == OpType::DepthwiseConv;
 
             // Stage 1: tensor coupling, keyed by shape only.
             const std::shared_ptr<const TensorInfo> tensors =
                 tensor_cache_.getOrCompute(shape_key, [&] {
-                    obs::ScopedSpan span(stageSite(kStageTensor));
+                    obs::ScopedSpan span(kStageSites[kStageTensor]);
                     return std::make_shared<const TensorInfo>(
                         analyzeTensors(layer));
                 });
@@ -265,7 +248,7 @@ AnalysisPipeline::analyzeLayer(const Layer &layer,
             bind_key += std::to_string(config.num_pes);
             const std::shared_ptr<const BindingArtifact> binding =
                 binding_cache_.getOrCompute(bind_key, [&] {
-                    obs::ScopedSpan span(stageSite(kStageBinding));
+                    obs::ScopedSpan span(kStageSites[kStageBinding]);
                     auto artifact = std::make_shared<BindingArtifact>();
                     artifact->bound =
                         bindDataflow(dataflow, layer, config.num_pes);
@@ -285,7 +268,7 @@ AnalysisPipeline::analyzeLayer(const Layer &layer,
             flat_key += config.temporal_reduction ? '1' : '0';
             const std::shared_ptr<const FlatAnalysis> flat =
                 flat_cache_.getOrCompute(flat_key, [&] {
-                    obs::ScopedSpan span(stageSite(kStageFlat));
+                    obs::ScopedSpan span(kStageSites[kStageFlat]);
                     return std::make_shared<const FlatAnalysis>(
                         analyzeFlat(binding->bound, binding->reuse,
                                     *tensors, depthwise, config));

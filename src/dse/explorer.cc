@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "src/common/error.hh"
+#include "src/common/thread_pool.hh"
 #include "src/core/cluster_analysis.hh"
 #include "src/core/flat_analysis.hh"
 #include "src/core/performance_analysis.hh"
@@ -18,9 +19,8 @@
 #include "src/core/reuse_analysis.hh"
 #include "src/core/tensor_analysis.hh"
 #include "src/dse/batch_kernels.hh"
-#include "src/dse/shard.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
+#include "src/obs/shared_metrics.hh"
 
 namespace maestro
 {
@@ -34,61 +34,26 @@ namespace
 constexpr std::size_t kMaxSamples = 20000;
 
 /** Span site of one whole explore() call. */
-const obs::Site &
-exploreSite()
-{
-    static const obs::Site site{
-        "dse.explore", "dse",
-        &obs::Registry::global().histogram(
-            "maestro_dse_explore_us",
-            "Wall time of whole DSE sweeps in microseconds")};
-    return site;
-}
+constexpr obs::Site kExploreSite{"dse.explore", "dse",
+                                 "maestro_dse_explore_us"};
 
 /** Span site of one PE-block artifact shard (bind/reuse/flat). */
-const obs::Site &
-shardSite()
-{
-    static const obs::Site site{
-        "dse.shard", "dse",
-        &obs::Registry::global().histogram(
-            "maestro_dse_shard_us",
-            "Wall time of per-PE-block artifact shards in "
-            "microseconds")};
-    return site;
-}
+constexpr obs::Site kShardSite{"dse.shard", "dse", "maestro_dse_shard_us"};
 
 /** Span site of one (PEs, BW) pair-outcome shard. */
-const obs::Site &
-pairsSite()
-{
-    static const obs::Site site{
-        "dse.pairs", "dse",
-        &obs::Registry::global().histogram(
-            "maestro_dse_pairs_us",
-            "Wall time of per-pair outcome shards in microseconds")};
-    return site;
-}
+constexpr obs::Site kPairsSite{"dse.pairs", "dse", "maestro_dse_pairs_us"};
 
-/** Bumps the per-sweep registry counters (cheap: once per explore). */
+/** Bumps the per-sweep counters (cheap: once per explore). */
 void
 countSweep(const DseResult &result)
 {
     if ((obs::mode() & obs::kTiming) == 0)
         return;
-    obs::Registry &reg = obs::Registry::global();
-    static obs::Counter &sweeps = reg.counter(
-        "maestro_dse_sweeps_total", "DSE sweeps completed");
-    static obs::Counter &explored = reg.counter(
-        "maestro_dse_explored_points_total",
-        "Design points covered by completed sweeps (including "
-        "budget-pruned subtrees)");
-    static obs::Counter &valid = reg.counter(
-        "maestro_dse_valid_points_total",
-        "Design points passing all budget and buffer checks");
-    sweeps.add(1);
-    explored.add(static_cast<std::uint64_t>(result.explored_points));
-    valid.add(static_cast<std::uint64_t>(result.valid_points));
+    obs::addCounter("maestro_dse_sweeps_total", 1);
+    obs::addCounter("maestro_dse_explored_points_total",
+                    static_cast<std::uint64_t>(result.explored_points));
+    obs::addCounter("maestro_dse_valid_points_total",
+                    static_cast<std::uint64_t>(result.valid_points));
 }
 
 /** KiB of a byte count (the area/power models are per-KiB). */
@@ -347,7 +312,7 @@ energyFromSums(const CostResult::AccessSums &sums, Count l1_bytes,
     total += sums.l2_reads * energy.l2ReadEnergy(l2_bytes);
     total += sums.l2_writes * energy.l2WriteEnergy(l2_bytes);
     total += sums.noc_elements * energy.nocEnergy(noc_avg_hops);
-    // Capacity-aware DRAM fill (see energyFromCounts): volumes and
+    // Capacity-aware DRAM fill (see energyFromSums): volumes and
     // fills are per-group; the residency decision is made per group
     // and the resulting fill scaled to all groups.
     double dram = sums.output_dram_writes;
@@ -363,15 +328,6 @@ energyFromSums(const CostResult::AccessSums &sums, Count l1_bytes,
                  : sums.input_fill);
     total += dram * energy.dramEnergy();
     return total;
-}
-
-double
-energyFromCounts(const CostResult &cost, Count l1_bytes, Count l2_bytes,
-                 Count precision_bytes, double noc_avg_hops,
-                 const EnergyModel &energy)
-{
-    return energyFromSums(cost.accessSums(), l1_bytes, l2_bytes,
-                          precision_bytes, noc_avg_hops, energy);
 }
 
 Explorer::Explorer(AcceleratorConfig base, AreaPowerModel area_power,
@@ -405,7 +361,7 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             "ascending");
 
     const auto t0 = std::chrono::steady_clock::now();
-    obs::ScopedSpan explore_span(exploreSite());
+    obs::ScopedSpan explore_span(kExploreSite);
     DseResult result;
 
     const AreaPowerCoefficients &co = area_power_.coefficients();
@@ -757,15 +713,14 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
         };
         std::vector<PeArtifacts> artifacts(blocks.size());
         if (layer_ok && !pair_refs.empty()) {
-            artifacts = shardedFill<PeArtifacts>(
+            ThreadPool::runChunked(
                 options.num_threads, blocks.size(),
-                [&](std::size_t begin, std::size_t end,
-                    std::vector<PeArtifacts> &slots) {
-                    obs::ScopedSpan span(shardSite());
+                [&](std::size_t begin, std::size_t end) {
+                    obs::ScopedSpan span(kShardSite);
                     span.arg("begin", begin);
                     span.arg("end", end);
                     for (std::size_t b = begin; b < end; ++b) {
-                        PeArtifacts &art = slots[b];
+                        PeArtifacts &art = artifacts[b];
                         try {
                             const AcceleratorConfig cfg =
                                 makeConfig(blocks[b].pes, min_bw);
@@ -851,7 +806,7 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
         ThreadPool::runChunked(
             options.num_threads, blocks.size(),
             [&](std::size_t bbegin, std::size_t bend) {
-                obs::ScopedSpan span(pairsSite());
+                obs::ScopedSpan span(kPairsSite);
                 span.arg("begin", bbegin);
                 span.arg("end", bend);
                 // SoA scratch rows, reused across the shard's blocks.

@@ -200,34 +200,25 @@ class Explorer
 
 /**
  * Recomputes total energy (including capacity-aware DRAM refetch
- * energy) from a cost result's activity counts for different buffer
- * capacities, without re-running the analyzer. Bigger L2s make whole
- * tensors resident and collapse their DRAM refetches — the mechanism
- * behind the paper's energy-optimized designs buying 10.6x the SRAM.
+ * energy) from a cost result's access-count sums
+ * (CostResult::accessSums) for different buffer capacities, without
+ * re-running the analyzer. Bigger L2s make whole tensors resident and
+ * collapse their DRAM refetches — the mechanism behind the paper's
+ * energy-optimized designs buying 10.6x the SRAM.
  *
- * Grouped convolutions: cost.tensor_volumes and cost.dram_fill_model
- * are per-group (the L2 residency check is per-group, since groups
- * run back-to-back), so the derived DRAM fill is scaled by
- * cost.groups to match the all-groups dram_reads/writes the analyzer
- * reports. With the analyzed configuration's own capacities this
- * function reproduces cost.energy.total() exactly for density-1
- * layers (see tests).
- */
-double energyFromCounts(const CostResult &cost, Count l1_bytes,
-                        Count l2_bytes, Count precision_bytes,
-                        double noc_avg_hops, const EnergyModel &energy);
-
-/**
- * Prices precomputed access-count sums at the given buffer capacities:
- * the affine dot product at the heart of the fast sweep. At fixed
- * counts, total energy is linear in the per-access energies, which
- * depend on (L1, L2) only through the sqrt capacity scaling and the
- * two per-tensor L2 residency predicates — so re-pricing a design is
- * ~10 multiply-adds instead of an analyzer call.
+ * At fixed counts, total energy is linear in the per-access
+ * energies, which depend on (L1, L2) only through the sqrt capacity
+ * scaling and the two per-tensor L2 residency predicates — so
+ * re-pricing a design is ~10 multiply-adds instead of an analyzer
+ * call; both sweep strategies price energy through this function.
  *
- * energyFromCounts(cost, ...) == energyFromSums(cost.accessSums(), ...)
- * bit-for-bit; both sweep strategies price energy through this
- * function.
+ * Grouped convolutions: the tensor volumes and DRAM fill model are
+ * per-group (the L2 residency check is per-group, since groups run
+ * back-to-back), so the derived DRAM fill is scaled by cost.groups
+ * to match the all-groups dram_reads/writes the analyzer reports.
+ * With the analyzed configuration's own capacities this function
+ * reproduces cost.energy.total() exactly for density-1 layers (see
+ * tests).
  */
 double energyFromSums(const CostResult::AccessSums &sums, Count l1_bytes,
                       Count l2_bytes, Count precision_bytes,

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "src/common/error.hh"
+#include "src/common/thread_pool.hh"
 #include "src/core/cluster_analysis.hh"
 #include "src/core/cost_analysis.hh"
 #include "src/core/flat_analysis.hh"
@@ -19,9 +20,8 @@
 #include "src/core/pipeline.hh"
 #include "src/core/reuse_analysis.hh"
 #include "src/core/tensor_analysis.hh"
-#include "src/dse/shard.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
+#include "src/obs/shared_metrics.hh"
 
 namespace maestro
 {
@@ -32,80 +32,35 @@ namespace
 {
 
 /** Span site of one whole mapLayer search. */
-const obs::Site &
-searchSite()
-{
-    static const obs::Site site{
-        "mapper.search", "mapper",
-        &obs::Registry::global().histogram(
-            "maestro_mapper_search_us",
-            "Wall time of whole mapper searches in microseconds")};
-    return site;
-}
+constexpr obs::Site kSearchSite{"mapper.search", "mapper",
+                                "maestro_mapper_search_us"};
 
 /** Span site of one candidate-evaluation shard. */
-const obs::Site &
-shardSite()
-{
-    static const obs::Site site{
-        "mapper.shard", "mapper",
-        &obs::Registry::global().histogram(
-            "maestro_mapper_shard_us",
-            "Wall time of mapper evaluation shards in microseconds")};
-    return site;
-}
+constexpr obs::Site kShardSite{"mapper.shard", "mapper",
+                               "maestro_mapper_shard_us"};
 
 /** Span site of one whole-network search. */
-const obs::Site &
-networkSite()
-{
-    static const obs::Site site{
-        "mapper.network", "mapper",
-        &obs::Registry::global().histogram(
-            "maestro_mapper_network_us",
-            "Wall time of whole-network mapper searches in "
-            "microseconds")};
-    return site;
-}
+constexpr obs::Site kNetworkSite{"mapper.network", "mapper",
+                                 "maestro_mapper_network_us"};
 
 /** Span site of one joint mapping x hardware search. */
-const obs::Site &
-jointSite()
-{
-    static const obs::Site site{
-        "mapper.joint", "mapper",
-        &obs::Registry::global().histogram(
-            "maestro_mapper_joint_us",
-            "Wall time of joint mapper + DSE searches in "
-            "microseconds")};
-    return site;
-}
+constexpr obs::Site kJointSite{"mapper.joint", "mapper",
+                               "maestro_mapper_joint_us"};
 
-/** Bumps the per-search registry counters (once per mapLayer). */
+/** Bumps the per-search counters (once per mapLayer). */
 void
 countSearch(const MapperStats &stats)
 {
     if ((obs::mode() & obs::kTiming) == 0)
         return;
-    obs::Registry &reg = obs::Registry::global();
-    static obs::Counter &searches = reg.counter(
-        "maestro_mapper_searches_total", "Mapper searches completed");
-    static obs::Counter &covered = reg.counter(
-        "maestro_mapper_covered_points_total",
-        "Declared mapping-space points covered by completed searches "
-        "(including pruned equivalence classes)");
-    static obs::Counter &evaluated = reg.counter(
-        "maestro_mapper_evaluated_total",
-        "Candidate mappings evaluated through the stage engines");
-    static obs::Counter &pruned = reg.counter(
-        "maestro_mapper_pruned_total",
-        "Candidate mappings pruned before evaluation (symmetry dedup "
-        "+ capacity cuts)");
-    searches.add(1);
-    covered.add(static_cast<std::uint64_t>(stats.covered));
-    evaluated.add(static_cast<std::uint64_t>(stats.evaluated));
-    pruned.add(static_cast<std::uint64_t>(stats.pruned_symmetry +
-                                          stats.pruned_capacity));
+    obs::addCounter("maestro_mapper_searches_total", 1);
+    obs::addCounter("maestro_mapper_covered_points_total",
+                    static_cast<std::uint64_t>(stats.covered));
+    obs::addCounter("maestro_mapper_evaluated_total",
+                    static_cast<std::uint64_t>(stats.evaluated));
+    obs::addCounter("maestro_mapper_pruned_total",
+                    static_cast<std::uint64_t>(stats.pruned_symmetry +
+                                               stats.pruned_capacity));
 }
 
 /** What the stage engines read of one search, besides the bound
@@ -214,7 +169,7 @@ MapperResult
 mapLayer(const Analyzer &analyzer, const Layer &layer,
          Objective objective, const MapperOptions &options)
 {
-    obs::ScopedSpan span(searchSite());
+    obs::ScopedSpan span(kSearchSite);
     const auto t0 = std::chrono::steady_clock::now();
     layer.validate();
 
@@ -270,49 +225,50 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
         }
     };
 
-    const std::vector<CandidateSlot> slots =
-        dse::shardedFill<CandidateSlot>(
-            options.num_threads, candidates.size(),
-            [&](std::size_t begin, std::size_t end,
-                std::vector<CandidateSlot> &out) {
-                obs::ScopedSpan shard_span(shardSite());
-                shard_span.arg("begin", begin);
-                shard_span.arg("end", end);
-                // Keys this shard kept, viewing into its slots. When
-                // the candidates span several shards, the merge
-                // settles every duplicate instead.
-                const bool dedup = !options.exact && !score_after_merge;
-                std::unordered_set<std::string_view> held;
-                if (dedup)
-                    held.reserve(end - begin);
-                for (std::size_t i = begin; i < end; ++i) {
-                    CandidateSlot &slot = out[i];
-                    // A candidate that does not bind is rejected
-                    // with an empty key, so it is never deduped.
-                    const std::optional<BoundDataflow> bound =
-                        bindCandidate(i);
-                    if (!bound)
+    // Each shard writes only its own slots; the serial merge below
+    // visits them in index order, so results match any thread count.
+    std::vector<CandidateSlot> slots(candidates.size());
+    ThreadPool::runChunked(
+        options.num_threads, candidates.size(),
+        [&](std::size_t begin, std::size_t end) {
+            obs::ScopedSpan shard_span(kShardSite);
+            shard_span.arg("begin", begin);
+            shard_span.arg("end", end);
+            // Keys this shard kept, viewing into its slots. When
+            // the candidates span several shards, the merge
+            // settles every duplicate instead.
+            const bool dedup = !options.exact && !score_after_merge;
+            std::unordered_set<std::string_view> held;
+            if (dedup)
+                held.reserve(end - begin);
+            for (std::size_t i = begin; i < end; ++i) {
+                CandidateSlot &slot = slots[i];
+                // A candidate that does not bind is rejected
+                // with an empty key, so it is never deduped.
+                const std::optional<BoundDataflow> bound =
+                    bindCandidate(i);
+                if (!bound)
+                    continue;
+                if (!options.exact) {
+                    slot.key = canonicalMappingKey(*bound);
+                    if (dedup && !held.insert(slot.key).second) {
+                        slot.key = std::string();
+                        slot.verdict = Verdict::Duplicate;
                         continue;
-                    if (!options.exact) {
-                        slot.key = canonicalMappingKey(*bound);
-                        if (dedup && !held.insert(slot.key).second) {
-                            slot.key = std::string();
-                            slot.verdict = Verdict::Duplicate;
-                            continue;
-                        }
-                        if (options.enforce_l1_capacity &&
-                            l1LowerBoundBytes(*bound, layer, in.config) >
-                                static_cast<double>(in.config.l1_bytes)) {
-                            slot.verdict = Verdict::CapacityCut;
-                            continue;
-                        }
                     }
-                    if (score_after_merge)
-                        slot.verdict = Verdict::Unscored;
-                    else
-                        score(slot, *bound);
+                    if (options.enforce_l1_capacity &&
+                        l1LowerBoundBytes(*bound, layer, in.config) >
+                            static_cast<double>(in.config.l1_bytes)) {
+                        slot.verdict = Verdict::CapacityCut;
+                        continue;
+                    }
                 }
-            });
+                if (score_after_merge)
+                    slot.verdict = Verdict::Unscored;
+                else
+                    score(slot, *bound);
+            }
+        });
 
     // A bounded max-heap on (value, index) keeps the top_k; the index
     // breaks every tie, so it ranks exactly like a full sort.
@@ -361,19 +317,18 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
             rank(slot, i);
     }
     if (score_after_merge) {
-        const std::vector<CandidateSlot> survivor_scores =
-            dse::shardedFill<CandidateSlot>(
-                options.num_threads, unscored.size(),
-                [&](std::size_t begin, std::size_t end,
-                    std::vector<CandidateSlot> &out) {
-                    obs::ScopedSpan shard_span(shardSite());
-                    shard_span.arg("begin", begin);
-                    shard_span.arg("end", end);
-                    for (std::size_t j = begin; j < end; ++j)
-                        if (const std::optional<BoundDataflow> bound =
-                                bindCandidate(unscored[j]))
-                            score(out[j], *bound);
-                });
+        std::vector<CandidateSlot> survivor_scores(unscored.size());
+        ThreadPool::runChunked(
+            options.num_threads, unscored.size(),
+            [&](std::size_t begin, std::size_t end) {
+                obs::ScopedSpan shard_span(kShardSite);
+                shard_span.arg("begin", begin);
+                shard_span.arg("end", end);
+                for (std::size_t j = begin; j < end; ++j)
+                    if (const std::optional<BoundDataflow> bound =
+                            bindCandidate(unscored[j]))
+                        score(survivor_scores[j], *bound);
+            });
         for (std::size_t j = 0; j < unscored.size(); ++j)
             rank(survivor_scores[j], unscored[j]);
     }
@@ -409,7 +364,7 @@ NetworkMapperResult
 mapNetwork(const Analyzer &analyzer, const Network &network,
            Objective objective, const MapperOptions &options)
 {
-    obs::ScopedSpan span(networkSite());
+    obs::ScopedSpan span(kNetworkSite);
     fatalIf(network.layers().empty(),
             "mapper: network has no layers");
 
@@ -508,7 +463,7 @@ mapJoint(const Analyzer &analyzer, const Layer &layer,
          const dse::DseOptions &dse_options,
          const MapperOptions &options)
 {
-    obs::ScopedSpan span(jointSite());
+    obs::ScopedSpan span(kJointSite);
     JointMapperResult joint;
     joint.mapping = mapLayer(analyzer, layer, objective, options);
 

@@ -7,7 +7,7 @@
  *
  * Determinism. Candidates carry their enumeration index; evaluation
  * is sharded across the thread pool into per-candidate slots and
- * merged serially in index order (dse/shard.hh), and ranking sorts by
+ * merged serially in index order (ThreadPool::runChunked), and ranking sorts by
  * (objective value, enumeration index) — results are byte-identical
  * for any num_threads.
  *

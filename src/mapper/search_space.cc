@@ -1,7 +1,9 @@
 #include "src/mapper/search_space.hh"
 
 #include <algorithm>
+#include <cstdint>
 
+#include "src/common/error.hh"
 #include "src/core/reuse_analysis.hh"
 
 namespace maestro
@@ -22,6 +24,19 @@ SizeExpr
 sz(Dim d, Count add = 0)
 {
     return SizeExpr::sizeOf(d, add);
+}
+
+/** The tiled (non-spatial) dims of an on-chip choice, in their
+ *  loop-order positions. */
+std::array<Dim, 3>
+tiledDims(const OnChipChoice &oc)
+{
+    std::array<Dim, 3> tiled{};
+    std::size_t n = 0;
+    for (std::size_t pos = 0; pos < oc.order.size(); ++pos)
+        if (pos != oc.spatial_pos)
+            tiled[n++] = oc.order[pos];
+    return tiled;
 }
 
 /** The four iterating dims, in canonical enumeration order. */
@@ -161,28 +176,31 @@ buildSearchSpace(const Layer &layer, const SpaceOptions &options)
     return space;
 }
 
+std::size_t
+candidateCount(const SearchSpace &space)
+{
+    std::size_t total = 0;
+    for (const OnChipChoice &oc : space.onchip) {
+        std::size_t tuples = 1;
+        for (Dim d : tiledDims(oc))
+            if (__builtin_mul_overflow(tuples, space.ladders[d].size(),
+                                       &tuples))
+                return SIZE_MAX;
+        if (__builtin_add_overflow(total, tuples, &total))
+            return SIZE_MAX;
+    }
+    return total;
+}
+
 std::vector<Candidate>
 crossCandidates(const Layer &layer, const SearchSpace &space)
 {
     (void)layer;
 
-    // The tiled (non-spatial) dims of each on-chip choice, in their
-    // loop-order positions.
-    const auto tiledDims = [](const OnChipChoice &oc) {
-        std::array<Dim, 3> tiled{};
-        std::size_t n = 0;
-        for (std::size_t pos = 0; pos < oc.order.size(); ++pos)
-            if (pos != oc.spatial_pos)
-                tiled[n++] = oc.order[pos];
-        return tiled;
-    };
-    std::size_t total = 0;
-    for (const OnChipChoice &oc : space.onchip) {
-        std::size_t tuples = 1;
-        for (Dim d : tiledDims(oc))
-            tuples *= space.ladders[d].size();
-        total += tuples;
-    }
+    const std::size_t total = candidateCount(space);
+    fatalIf(total > kMaxCandidates, "the mapping space has ", total,
+            " candidates, over the bound of ", kMaxCandidates,
+            "; narrow the tile, activation-tile or cluster lists");
     std::vector<Candidate> out;
     out.reserve(total);
 

@@ -148,11 +148,28 @@ struct Candidate
 };
 
 /**
+ * Most candidates one search may materialise: about 530 B each, so
+ * about 106 MB at the bound. No layer's default space comes near it:
+ * at most 312 on-chip choices for each of the four spatial dims, times
+ * 12, 12, 18 and 18 tile tuples, is 18,720.
+ */
+inline constexpr std::size_t kMaxCandidates = 200000;
+
+/**
+ * How many candidates crossCandidates emits for `space` (SIZE_MAX
+ * when the count does not fit), computed without building any.
+ */
+std::size_t candidateCount(const SearchSpace &space);
+
+/**
  * Takes the cross product of the pruned sides in deterministic order.
  * Tiles riding on the spatially mapped dimension are skipped by
  * construction (they cannot change the directive list); every emitted
  * candidate is a distinct directive list. Candidates carry no name;
  * candidateName derives it when one is needed.
+ *
+ * @throws Error when candidateCount(space) exceeds kMaxCandidates,
+ *         before allocating anything.
  */
 std::vector<Candidate> crossCandidates(const Layer &layer,
                                        const SearchSpace &space);

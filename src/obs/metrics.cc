@@ -131,73 +131,5 @@ appendHistogram(std::string &out, std::string_view name,
                  snapshot.count);
 }
 
-Registry &
-Registry::global()
-{
-    static Registry registry;
-    return registry;
-}
-
-Registry::Family &
-Registry::family(Kind kind, std::string_view name,
-                 std::string_view help)
-{
-    // Callers hold mutex_.
-    auto it = families_.find(name);
-    if (it == families_.end()) {
-        Family fam;
-        fam.kind = kind;
-        fam.name = std::string(name);
-        fam.help = std::string(help);
-        it = families_.emplace(fam.name, std::move(fam)).first;
-    }
-    return it->second;
-}
-
-Counter &
-Registry::counter(std::string_view name, std::string_view help,
-                  const Labels &labels)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Family &fam = family(Kind::Counter, name, help);
-    auto &slot = fam.counters[labelString(labels)];
-    if (!slot)
-        slot = std::make_unique<Counter>();
-    return *slot;
-}
-
-LatencyHistogram &
-Registry::histogram(std::string_view name, std::string_view help,
-                    const Labels &labels)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Family &fam = family(Kind::Histogram, name, help);
-    auto &slot = fam.histograms[labelString(labels)];
-    if (!slot)
-        slot = std::make_unique<LatencyHistogram>();
-    return *slot;
-}
-
-void
-Registry::render(std::string &out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, fam] : families_) {
-        switch (fam.kind) {
-        case Kind::Counter:
-            appendFamilyHeader(out, fam.name, fam.help, "counter");
-            for (const auto &[extra, counter] : fam.counters)
-                appendSample(out, fam.name, extra, counter->value());
-            break;
-        case Kind::Histogram:
-            appendFamilyHeader(out, fam.name, fam.help, "histogram");
-            for (const auto &[extra, histogram] : fam.histograms)
-                appendHistogram(out, fam.name, extra, "",
-                                histogram->snapshot());
-            break;
-        }
-    }
-}
-
 } // namespace obs
 } // namespace maestro

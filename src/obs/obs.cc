@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/json.hh"
+#include "src/obs/shared_metrics.hh"
 
 namespace maestro
 {
@@ -196,8 +197,8 @@ ScopedSpan::finish()
         std::chrono::duration_cast<std::chrono::microseconds>(t1 -
                                                               t0_)
             .count());
-    if ((mode_ & kTiming) != 0 && site_.histogram != nullptr)
-        site_.histogram->record(dur_us);
+    if ((mode_ & kTiming) != 0 && site_.series != nullptr)
+        recordHistogram(site_.series, dur_us);
     if ((mode_ & kSpans) != 0) {
         Tracer &tracer = Tracer::instance();
         if (tracer.active()) {

@@ -21,8 +21,10 @@
  *     mutex.
  *
  * Two independent mode bits:
- *  - kTiming: sites record durations into registry histograms
- *    (the CLI's --profile, the server's /metrics latency families);
+ *  - kTiming: sites record durations into their series in the
+ *    calling thread's metrics lane (see shared_metrics.hh: the
+ *    server's /metrics latency families, or the process segment the
+ *    CLI's --profile reads);
  *  - kSpans: sites additionally append events to the tracer's ring
  *    for Chrome trace export (--trace).
  *
@@ -39,8 +41,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "src/common/histogram.hh"
 
 namespace maestro
 {
@@ -82,15 +82,17 @@ void disableMode(std::uint32_t bits);
 
 /**
  * One instrumented code location: a span name/category for the
- * tracer plus an optional latency histogram for the metrics
- * registry. Sites are created once (function-local static) and
- * referenced from the hot path; all members are immutable.
+ * tracer plus the latency series its durations record into. Sites
+ * are constant data.
  */
 struct Site
 {
-    const char *name;              ///< span name, e.g. "pipeline.tensor"
-    const char *category;          ///< trace category, e.g. "pipeline"
-    LatencyHistogram *histogram;   ///< nullable duration sink (µs)
+    const char *name;     ///< span name, e.g. "pipeline.tensor"
+    const char *category; ///< trace category, e.g. "pipeline"
+    /** Histogram series (µs), e.g.
+     *  `maestro_pipeline_stage_miss_us{stage="tensor"}`; null for a
+     *  span with no histogram. */
+    const char *series;
 };
 
 /** One recorded trace event (Chrome "complete" event, ph = "X"). */
@@ -185,7 +187,7 @@ class Tracer
 
 /**
  * RAII span: times its scope and, per the mode word, records the
- * duration into the site histogram (kTiming) and/or a trace event
+ * duration into the site's series (kTiming) and/or a trace event
  * (kSpans). The mode word is sampled ONCE at construction.
  */
 class ScopedSpan

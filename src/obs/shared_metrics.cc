@@ -42,8 +42,7 @@ SharedMetrics::create(std::size_t lanes)
     const std::size_t gauge_bytes = alignUp(
         lanes * kMaxGauges * sizeof(std::atomic<std::int64_t>));
     const std::size_t histogram_bytes =
-        alignUp(lanes * kMaxHistograms * kHistogramWords *
-                sizeof(std::atomic<std::uint64_t>));
+        alignUp(lanes * kMaxHistograms * sizeof(LatencyHistogram));
     const std::size_t total = header_bytes + counter_bytes +
                               gauge_bytes + histogram_bytes;
 
@@ -80,11 +79,9 @@ SharedMetrics::SharedMetrics(void *base, std::size_t bytes,
     cursor += alignUp(lanes_ * kMaxGauges *
                       sizeof(std::atomic<std::int64_t>));
 
-    histograms_ =
-        reinterpret_cast<std::atomic<std::uint64_t> *>(cursor);
-    for (std::size_t i = 0;
-         i < lanes_ * kMaxHistograms * kHistogramWords; ++i)
-        new (histograms_ + i) std::atomic<std::uint64_t>(0);
+    histograms_ = reinterpret_cast<LatencyHistogram *>(cursor);
+    for (std::size_t i = 0; i < lanes_ * kMaxHistograms; ++i)
+        new (histograms_ + i) LatencyHistogram();
 }
 
 SharedMetrics::~SharedMetrics()
@@ -101,11 +98,18 @@ SharedMetrics::findName(const Name *names,
 {
     // The count is published with release after the name bytes are
     // written, so every slot below an acquired count holds a
-    // complete NUL-terminated name.
+    // complete NUL-terminated name, zero-filled past its end.
+    if (name.empty() || name.size() >= kMaxNameBytes)
+        return kNoSlot;
     const std::uint32_t n = count.load(std::memory_order_acquire);
-    for (std::uint32_t i = 0; i < n; ++i)
-        if (name == names[i].bytes)
+    for (std::uint32_t i = 0; i < n; ++i) {
+        // Two byte loads reject a name of another length.
+        const char *bytes = names[i].bytes;
+        if (bytes[name.size()] == '\0' &&
+            bytes[name.size() - 1] != '\0' &&
+            std::memcmp(bytes, name.data(), name.size()) == 0)
             return i;
+    }
     return kNoSlot;
 }
 
@@ -115,7 +119,8 @@ SharedMetrics::registerName(Name *names,
                             std::size_t capacity,
                             std::string_view name)
 {
-    if (name.empty() || name.size() >= kMaxNameBytes)
+    if (name.empty() || name.size() >= kMaxNameBytes ||
+        name.find('\0') != std::string_view::npos)
         return kNoSlot;
 
     // Fast path: already registered (by any process).
@@ -171,26 +176,6 @@ SharedMetrics::histogram(std::string_view name)
                         header_->histograms, kMaxHistograms, name);
 }
 
-void
-SharedMetrics::recordHistogram(std::size_t slot, std::size_t lane,
-                               std::uint64_t micros)
-{
-    std::atomic<std::uint64_t> *cells = histogramCells(slot, lane);
-    cells[LatencyHistogram::bucketIndex(micros)].fetch_add(
-        1, std::memory_order_relaxed);
-    cells[LatencyHistogram::kBuckets].fetch_add(
-        1, std::memory_order_relaxed);
-    cells[LatencyHistogram::kBuckets + 1].fetch_add(
-        micros, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> &max_cell =
-        cells[LatencyHistogram::kBuckets + 2];
-    std::uint64_t max = max_cell.load(std::memory_order_relaxed);
-    while (micros > max &&
-           !max_cell.compare_exchange_weak(
-               max, micros, std::memory_order_relaxed)) {
-    }
-}
-
 std::uint64_t
 SharedMetrics::counterTotal(std::size_t slot) const
 {
@@ -207,24 +192,6 @@ SharedMetrics::gaugeTotal(std::size_t slot) const
     for (std::size_t lane = 0; lane < lanes_; ++lane)
         total += gaugeLane(slot, lane);
     return total;
-}
-
-LatencyHistogram::Snapshot
-SharedMetrics::histogramLane(std::size_t slot,
-                             std::size_t lane) const
-{
-    const std::atomic<std::uint64_t> *cells =
-        histogramCells(slot, lane);
-    LatencyHistogram::Snapshot s;
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i)
-        s.buckets[i] = cells[i].load(std::memory_order_relaxed);
-    s.count = cells[LatencyHistogram::kBuckets].load(
-        std::memory_order_relaxed);
-    s.total_us = cells[LatencyHistogram::kBuckets + 1].load(
-        std::memory_order_relaxed);
-    s.max_us = cells[LatencyHistogram::kBuckets + 2].load(
-        std::memory_order_relaxed);
-    return s;
 }
 
 LatencyHistogram::Snapshot
@@ -287,6 +254,63 @@ SharedMetrics::countersWithPrefix(std::string_view prefix) const
         if (counterName(i).substr(0, prefix.size()) == prefix)
             ++matches;
     return matches;
+}
+
+namespace
+{
+
+thread_local Lane tl_lane;
+
+/** The lane a record on this thread lands in. */
+Lane
+recordingLane()
+{
+    return tl_lane.segment != nullptr ? tl_lane
+                                      : Lane{&processMetrics(), 0};
+}
+
+} // namespace
+
+Lane
+boundLane()
+{
+    return tl_lane;
+}
+
+LaneBinding::LaneBinding(Lane lane) : previous_(tl_lane)
+{
+    tl_lane = lane;
+}
+
+LaneBinding::~LaneBinding()
+{
+    tl_lane = previous_;
+}
+
+SharedMetrics &
+processMetrics()
+{
+    static const std::shared_ptr<SharedMetrics> segment =
+        SharedMetrics::create(1);
+    return *segment;
+}
+
+void
+recordHistogram(std::string_view series, std::uint64_t micros)
+{
+    const Lane lane = recordingLane();
+    const std::size_t slot = lane.segment->histogram(series);
+    if (slot != SharedMetrics::kNoSlot)
+        lane.segment->recordHistogram(slot, lane.index, micros);
+}
+
+void
+addCounter(std::string_view series, std::uint64_t delta)
+{
+    const Lane lane = recordingLane();
+    const std::size_t slot = lane.segment->counter(series);
+    if (slot != SharedMetrics::kNoSlot)
+        lane.segment->addCounter(slot, lane.index, delta);
 }
 
 } // namespace obs

@@ -9,8 +9,8 @@
  * LANE (one lane per worker process). A worker mutates only its own
  * lane — a single relaxed `fetch_add` per event, no cross-process
  * locking on the hot path — and any process can render fleet totals
- * by summing lanes at read time (histogram bucket merges are exact
- * element-wise sums; see LatencyHistogram::bucketIndex).
+ * by summing lanes at read time (each histogram cell is a
+ * LatencyHistogram, so bucket merges are exact element-wise sums).
  *
  * Slot registration is name-keyed and idempotent: the first
  * registration of a name claims the next free slot, later ones (in
@@ -19,12 +19,20 @@
  * IN the segment, so post-fork registrations (e.g. per-client label
  * sets) stay consistent across workers. When a name table is full,
  * registration returns kNoSlot and the caller falls back (the serve
- * layer folds excess clients into a `client="other"` series).
+ * layer folds excess clients into a `client="other"` series; the
+ * library's recorders skip the record).
  *
- * Names are capped at kMaxNameBytes-1 bytes; by convention the serve
- * layer stores pre-rendered Prometheus series names
+ * Names are capped at kMaxNameBytes-1 bytes; by convention every
+ * recorder stores pre-rendered Prometheus series names
  * (`family{label="x"}`) so the /metrics renderer can group and emit
  * slots without any side tables.
+ *
+ * The segment is the process's only metrics store. The serve layer
+ * counts into its worker's lane through fleet::FleetLane; library
+ * instruments (spans with a series, obs::addCounter) record into the
+ * calling thread's lane: the lane a LaneBinding bound it to, or, on
+ * a thread nobody bound, lane 0 of processMetrics(), a 1-lane
+ * segment created on the first such record.
  *
  * The segment is anonymous (inherited only through fork) — nothing
  * touches the filesystem and teardown is a plain munmap when the
@@ -72,16 +80,9 @@ class SharedMetrics
     /** Worker-lane bound; also the supervisor's --workers cap. */
     static constexpr std::size_t kMaxLanes = 64;
 
-    /** Registration failure: table full or name too long. */
+    /** Registration failure: table full or name unusable. */
     static constexpr std::size_t kNoSlot =
         static_cast<std::size_t>(-1);
-
-    /**
-     * Histogram slot layout: kBuckets bucket words, then count,
-     * total µs, and max µs.
-     */
-    static constexpr std::size_t kHistogramWords =
-        LatencyHistogram::kBuckets + 3;
 
     /**
      * Maps a `lanes`-lane anonymous shared arena (clamped to
@@ -102,7 +103,8 @@ class SharedMetrics
      * Registers (or finds) the counter slot `name`.
      *
      * @return The slot index, or kNoSlot when the table is full or
-     *         the name exceeds kMaxNameBytes-1 bytes.
+     *         the name is empty, holds a NUL byte, or exceeds
+     *         kMaxNameBytes-1 bytes.
      */
     std::size_t counter(std::string_view name);
 
@@ -137,9 +139,13 @@ class SharedMetrics
                                     std::memory_order_relaxed);
     }
 
-    /** Records one µs sample (LatencyHistogram bucketing). */
-    void recordHistogram(std::size_t slot, std::size_t lane,
-                         std::uint64_t micros);
+    /** Records one µs sample. */
+    void
+    recordHistogram(std::size_t slot, std::size_t lane,
+                    std::uint64_t micros)
+    {
+        histogramCell(slot, lane).record(micros);
+    }
 
     // ---- read-out ----
 
@@ -164,7 +170,10 @@ class SharedMetrics
 
     /** One lane of one histogram slot as a plain snapshot. */
     LatencyHistogram::Snapshot
-    histogramLane(std::size_t slot, std::size_t lane) const;
+    histogramLane(std::size_t slot, std::size_t lane) const
+    {
+        return histogramCell(slot, lane).snapshot();
+    }
 
     /** Element-wise merge of one histogram slot across lanes. */
     LatencyHistogram::Snapshot
@@ -236,11 +245,10 @@ class SharedMetrics
         return gauges_[lane * kMaxGauges + slot];
     }
 
-    std::atomic<std::uint64_t> *
-    histogramCells(std::size_t slot, std::size_t lane) const
+    LatencyHistogram &
+    histogramCell(std::size_t slot, std::size_t lane) const
     {
-        return histograms_ +
-               (lane * kMaxHistograms + slot) * kHistogramWords;
+        return histograms_[lane * kMaxHistograms + slot];
     }
 
     void *base_;
@@ -249,8 +257,52 @@ class SharedMetrics
     Header *header_;
     std::atomic<std::uint64_t> *counters_;
     std::atomic<std::int64_t> *gauges_;
-    std::atomic<std::uint64_t> *histograms_;
+    LatencyHistogram *histograms_;
 };
+
+/** One thread's slice of a segment: where its instruments record. */
+struct Lane
+{
+    SharedMetrics *segment = nullptr; ///< null: the thread is unbound
+    std::size_t index = 0;
+};
+
+/** The calling thread's lane ({nullptr, 0} when unbound). */
+Lane boundLane();
+
+/**
+ * Binds the calling thread to a lane for this object's scope and
+ * restores the previous binding after. The segment must outlive the
+ * binding. Binding {nullptr, 0} unbinds.
+ */
+class LaneBinding
+{
+  public:
+    explicit LaneBinding(Lane lane);
+    ~LaneBinding();
+
+    LaneBinding(const LaneBinding &) = delete;
+    LaneBinding &operator=(const LaneBinding &) = delete;
+
+  private:
+    Lane previous_;
+};
+
+/**
+ * The 1-lane segment unbound threads record into (the CLI's
+ * --profile reads it), created on the first call.
+ */
+SharedMetrics &processMetrics();
+
+/**
+ * Records one µs sample into the series `series` of the calling
+ * thread's lane, registering it on first sight. A series the segment
+ * cannot register (table full, name at the length cap) is skipped.
+ */
+void recordHistogram(std::string_view series, std::uint64_t micros);
+
+/** Same for counters. */
+void addCounter(std::string_view series, std::uint64_t delta);
 
 } // namespace obs
 } // namespace maestro

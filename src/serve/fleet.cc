@@ -275,38 +275,112 @@ constexpr Family kFamilies[] = {
      &eventSample<&obs::EventLogStats::rotations>},
     {"maestro_events_dropped_total", "Event-ring entries overwritten",
      FamilyKind::Counter, &eventSample<&obs::EventLogStats::dropped>},
+    // The library's instruments, in name order. Each renders only
+    // once some lane recorded into it.
+    {"maestro_dse_explore_us",
+     "Wall time of whole DSE sweeps in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_dse_explored_points_total",
+     "Design points covered by completed sweeps (including "
+     "budget-pruned subtrees)",
+     FamilyKind::Counter, nullptr},
+    {"maestro_dse_pairs_us",
+     "Wall time of per-pair outcome shards in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_dse_shard_us",
+     "Wall time of per-PE-block artifact shards in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_dse_sweeps_total", "DSE sweeps completed",
+     FamilyKind::Counter, nullptr},
+    {"maestro_dse_valid_points_total",
+     "Design points passing all budget and buffer checks",
+     FamilyKind::Counter, nullptr},
+    {"maestro_mapper_covered_points_total",
+     "Declared mapping-space points covered by completed searches "
+     "(including pruned equivalence classes)",
+     FamilyKind::Counter, nullptr},
+    {"maestro_mapper_evaluated_total",
+     "Candidate mappings evaluated through the stage engines",
+     FamilyKind::Counter, nullptr},
+    {"maestro_mapper_joint_us",
+     "Wall time of joint mapper + DSE searches in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_mapper_network_us",
+     "Wall time of whole-network mapper searches in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_mapper_pruned_total",
+     "Candidate mappings pruned before evaluation (symmetry dedup "
+     "+ capacity cuts)",
+     FamilyKind::Counter, nullptr},
+    {"maestro_mapper_search_us",
+     "Wall time of whole mapper searches in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_mapper_searches_total", "Mapper searches completed",
+     FamilyKind::Counter, nullptr},
+    {"maestro_mapper_shard_us",
+     "Wall time of mapper evaluation shards in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_pipeline_stage_miss_us",
+     "Latency of pipeline stage-cache misses in microseconds (the "
+     "layer stage spans the full miss chain)",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_pool_parallel_for_us",
+     "Wall time of parallelFor batches in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_pool_queue_wait_us",
+     "Time tasks spent queued behind the worker pool in microseconds",
+     FamilyKind::Histogram, nullptr},
+    {"maestro_pool_task_run_us",
+     "Run time of tasks executed by the thread pool in microseconds",
+     FamilyKind::Histogram, nullptr},
 };
+
+/** One kind's registered slots as (name, slot), sorted by name. */
+using SlotIndex = std::vector<std::pair<std::string_view, std::size_t>>;
+
+SlotIndex
+slotIndex(std::size_t count,
+          std::string_view (SharedMetrics::*name)(std::size_t) const,
+          const SharedMetrics &m)
+{
+    SlotIndex index;
+    index.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        index.emplace_back((m.*name)(i), i);
+    std::sort(index.begin(), index.end());
+    return index;
+}
 
 /**
  * Appends one family (header + every matching slot) rendered from
- * the segment. With `worker_labels`, each slot emits one sample per
- * lane (`worker="i"`) plus the `worker="all"` fleet total; without,
- * each slot emits its fleet total unlabelled.
+ * the segment; a family with no registered slot renders nothing.
+ * `index` holds the slots of the family's kind: the names starting
+ * with the family's name are one run of it. With `worker_labels`,
+ * each slot emits one sample per lane (`worker="i"`) plus the
+ * `worker="all"` fleet total; without, each slot emits its fleet
+ * total unlabelled.
  */
 void
 appendSegmentFamily(std::string &out, const SharedMetrics &m,
-                    const Family &f, bool worker_labels)
+                    const Family &f, const SlotIndex &index,
+                    bool worker_labels)
 {
     const std::string_view family = f.name;
     const bool histograms = f.kind == FamilyKind::Histogram;
     const bool counters = f.kind == FamilyKind::Counter;
+
+    SlotIndex slots;
+    for (auto it = std::lower_bound(index.begin(), index.end(),
+                                    std::pair{family, std::size_t{0}});
+         it != index.end() && it->first.starts_with(family); ++it)
+        if (matchesFamily(it->first, family))
+            slots.push_back(*it);
+    if (slots.empty())
+        return;
     obs::appendFamilyHeader(out, family, f.help,
                             histograms ? "histogram"
                             : counters ? "counter"
                                        : "gauge");
-
-    const std::size_t n = histograms  ? m.histogramCount()
-                          : counters ? m.counterCount()
-                                     : m.gaugeCount();
-    std::vector<std::pair<std::string_view, std::size_t>> slots;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string_view name = histograms ? m.histogramName(i)
-                                      : counters ? m.counterName(i)
-                                                 : m.gaugeName(i);
-        if (matchesFamily(name, family))
-            slots.emplace_back(name, i);
-    }
-    std::sort(slots.begin(), slots.end());
 
     const std::size_t lanes = m.lanes();
     const std::uint64_t now = steadyTickMicros();
@@ -838,9 +912,20 @@ metricsText(const SharedMetrics &m, const ComponentStats *local)
     }
 
     const bool worker_labels = m.lanes() > 1;
+    const SlotIndex counters =
+        slotIndex(m.counterCount(), &SharedMetrics::counterName, m);
+    const SlotIndex gauges =
+        slotIndex(m.gaugeCount(), &SharedMetrics::gaugeName, m);
+    const SlotIndex histograms =
+        slotIndex(m.histogramCount(), &SharedMetrics::histogramName, m);
     for (const Family &f : kFamilies) {
         if (f.local == nullptr) {
-            appendSegmentFamily(out, m, f, worker_labels);
+            appendSegmentFamily(out, m, f,
+                                f.kind == FamilyKind::Counter ? counters
+                                : f.kind == FamilyKind::Histogram
+                                    ? histograms
+                                    : gauges,
+                                worker_labels);
         } else if (local != nullptr) {
             obs::appendFamilyHeader(out, f.name, f.help,
                                     f.kind == FamilyKind::Counter

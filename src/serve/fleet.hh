@@ -86,11 +86,12 @@ struct ComponentStats
 
 /**
  * GET /metrics: Prometheus text exposition (v0.0.4) of the segment,
- * one ordered family table for any lane count. With `local` (a
- * worker), the worker's component families render in their table
- * positions; without (the supervisor status port), they are skipped
- * and a `maestro_workers` gauge follows the build info. Worker
- * labels appear only when the segment has more than one lane.
+ * one ordered family table (the serve families, then the library's
+ * instruments) for any lane count. With `local` (a worker), the
+ * worker's component families render in their table positions;
+ * without (the supervisor status port), they are skipped and a
+ * `maestro_workers` gauge follows the build info. Worker labels
+ * appear only when the segment has more than one lane.
  */
 std::string metricsText(const obs::SharedMetrics &m,
                         const ComponentStats *local);

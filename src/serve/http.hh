@@ -36,6 +36,12 @@ namespace maestro
 namespace serve
 {
 
+/** The server's cap on a request's line plus headers. */
+inline constexpr std::size_t kMaxHeaderBytes = 16 * 1024;
+
+/** The server's cap on a request's declared Content-Length. */
+inline constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
+
 /** Query parameters decoded from a request target. */
 using QueryParams = std::map<std::string, std::string>;
 
@@ -88,8 +94,8 @@ class HttpParser
      *        blank line that ends them does not count.
      * @param max_body_bytes Cap on the declared Content-Length.
      */
-    explicit HttpParser(std::size_t max_header_bytes = 16 * 1024,
-                        std::size_t max_body_bytes = 1024 * 1024);
+    explicit HttpParser(std::size_t max_header_bytes = kMaxHeaderBytes,
+                        std::size_t max_body_bytes = kMaxBodyBytes);
 
     /**
      * Feeds a chunk of bytes.

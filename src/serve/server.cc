@@ -16,8 +16,8 @@
 
 #include "src/common/error.hh"
 #include "src/common/hash.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
+#include "src/obs/shared_metrics.hh"
 
 namespace maestro
 {
@@ -370,9 +370,12 @@ AnalysisServer::serveConnection(int fd, Connection *slot,
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
+    // Everything this connection runs records into the worker's
+    // lane, including the pool tasks and fork-join helpers it starts.
+    const obs::LaneBinding lane({&fleet_->segment(), fleet_->lane()});
+
     using Clock = std::chrono::steady_clock;
-    HttpParser parser(options_.max_header_bytes,
-                      options_.max_body_bytes);
+    HttpParser parser;
     std::string pending; // pipelined bytes beyond the parsed request
     bool keep = true;
     auto last_activity = Clock::now();
@@ -657,9 +660,6 @@ AnalysisServer::handleMetrics(const Call &)
 {
     const fleet::ComponentStats local = componentStats();
     Reply reply{200, fleet::metricsText(fleet_->segment(), &local), {}};
-    // Process-wide instruments (pipeline stage-miss latencies, pool
-    // queue-wait, DSE sweep counters, ...) share the document.
-    obs::Registry::global().render(reply.body);
     reply.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return reply;
 }

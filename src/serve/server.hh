@@ -94,10 +94,6 @@ struct ServeOptions
     /** Concurrent connection bound (excess connections get 503). */
     std::size_t max_connections = 64;
 
-    /** HTTP parser caps (hostile-input bounds). */
-    std::size_t max_header_bytes = 16 * 1024;
-    std::size_t max_body_bytes = 1024 * 1024;
-
     /**
      * Grace window during a drain in which an already-open
      * keep-alive connection may still submit one request (answered

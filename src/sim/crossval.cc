@@ -262,7 +262,7 @@ runCrossval(const CrossvalOptions &options)
 
     // Shard across the pool into preallocated index slots, then merge
     // serially in index order: the report is byte-identical for any
-    // thread count (same discipline as dse::shardedFill).
+    // thread count (the DSE sweep and the mapper shard the same way).
     ThreadPool::runChunked(
         options.threads, count,
         [&](std::size_t begin, std::size_t end) {

@@ -151,9 +151,9 @@ TEST(Explorer, EnergyFromCountsMatchesAnalyzer)
     const Analyzer analyzer(cfg);
     const LayerAnalysis la =
         analyzer.analyzeLayer(layer, dataflows::kcPartitioned());
-    const double recomputed = dse::energyFromCounts(
-        la.cost, cfg.l1_bytes, cfg.l2_bytes, cfg.precision_bytes,
-        cfg.noc.avgLatency(), EnergyModel());
+    const double recomputed = dse::energyFromSums(
+        la.cost.accessSums(), cfg.l1_bytes, cfg.l2_bytes,
+        cfg.precision_bytes, cfg.noc.avgLatency(), EnergyModel());
     EXPECT_NEAR(recomputed, la.energy(), 1e-6 * la.energy());
 }
 
@@ -166,10 +166,10 @@ TEST(Explorer, BiggerL2CutsRecomputedDramEnergy)
     const Analyzer analyzer(cfg);
     const LayerAnalysis la =
         analyzer.analyzeLayer(layer, dataflows::kcPartitioned());
-    const double small = dse::energyFromCounts(
-        la.cost, 512, 16 * 1024, 1, 1.0, EnergyModel());
-    const double big = dse::energyFromCounts(
-        la.cost, 512, 1 << 20, 1, 1.0, EnergyModel());
+    const double small = dse::energyFromSums(
+        la.cost.accessSums(), 512, 16 * 1024, 1, 1.0, EnergyModel());
+    const double big = dse::energyFromSums(
+        la.cost.accessSums(), 512, 1 << 20, 1, 1.0, EnergyModel());
     // The 1 MiB L2 holds CONV11's input: its refetches leave DRAM.
     EXPECT_LT(big, small);
 }

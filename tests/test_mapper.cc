@@ -269,6 +269,34 @@ TEST(Mapper, SymmetryAccountingAndCoverage)
             << df.name();
 }
 
+TEST(Mapper, CandidateCountIsBoundedBeforeAnyIsBuilt)
+{
+    // The default space's largest layer stays far below the bound.
+    const Network net = zoo::vgg16();
+    const Layer &conv11 = net.layer("CONV11");
+    EXPECT_EQ(mapper::candidateCount(mapper::buildSearchSpace(
+                  conv11, mapper::SpaceOptions())),
+              18720u);
+
+    // One on-chip choice (spatial K) whose tiled dims C, Y and X take
+    // 400, 500 and 1 tiles sits exactly at the bound.
+    mapper::SearchSpace space;
+    space.onchip.resize(1);
+    space.ladders[Dim::K].assign(1, 1);
+    space.ladders[Dim::C].assign(400, 1);
+    space.ladders[Dim::Y].assign(500, 1);
+    space.ladders[Dim::X].assign(1, 1);
+    EXPECT_EQ(mapper::candidateCount(space), mapper::kMaxCandidates);
+
+    // A second choice (spatial C) adds 500 tuples: the cross product
+    // is refused with a clean Error before any candidate is built.
+    space.onchip.push_back(space.onchip[0]);
+    space.onchip[1].spatial_pos = 1;
+    EXPECT_EQ(mapper::candidateCount(space),
+              mapper::kMaxCandidates + 500);
+    EXPECT_THROW(mapper::crossCandidates(conv11, space), Error);
+}
+
 TEST(Mapper, TopKBoundsRankedSize)
 {
     const Analyzer analyzer(AcceleratorConfig::paperStudy());

@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for the observability layer: the power-of-two latency
- * histogram (bucketing, snapshot merge), the metrics registry and its
- * Prometheus rendering, the span tracer (ring-buffer wrap, trace-JSON
- * shape, generation restart), and the mode-word contract that
- * disabled sites record nothing. Suite names carry the "Obs" prefix
- * so the CI TSan job's regex picks them up.
+ * histogram (bucketing, snapshot merge), the metrics segment (slot
+ * registration, lanes, and the Prometheus rendering of its
+ * families), the span tracer (ring-buffer wrap, trace-JSON shape,
+ * generation restart), and the mode-word contract that disabled sites
+ * record nothing. Suite names carry the "Obs" prefix so the CI TSan
+ * job's regex picks them up.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -25,13 +27,18 @@
 #include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
 #include "src/obs/shared_metrics.hh"
+#include "src/serve/fleet.hh"
 
 namespace maestro
 {
 namespace
 {
 
-/** Restores a clean instrumentation state around each test. */
+/**
+ * Restores a clean instrumentation state around each test, and binds
+ * the test thread to a fresh 1-lane segment so what its sites record
+ * can be read back.
+ */
 class ObsTestBase : public ::testing::Test
 {
   protected:
@@ -48,7 +55,31 @@ class ObsTestBase : public ::testing::Test
         obs::Tracer::instance().stop();
         obs::disableMode(obs::kTiming | obs::kSpans);
     }
+
+    /** Samples the bound lane holds for `series` (0 if unregistered). */
+    std::uint64_t
+    samples(const char *series) const
+    {
+        for (std::size_t i = 0; i < segment_->histogramCount(); ++i)
+            if (segment_->histogramName(i) == series)
+                return segment_->histogramLane(i, 0).count;
+        return 0;
+    }
+
+    const std::shared_ptr<obs::SharedMetrics> segment_ =
+        obs::SharedMetrics::create(1);
+    const obs::LaneBinding lane_{{segment_.get(), 0}};
 };
+
+/** A series' value in one lane of `m` (0 when unregistered). */
+std::uint64_t
+counterIn(const obs::SharedMetrics &m, std::string_view series,
+          std::size_t lane = 0)
+{
+    const std::size_t slot = m.findCounter(series);
+    return slot == obs::SharedMetrics::kNoSlot ? 0
+                                               : m.counterLane(slot, lane);
+}
 
 // ---------------------------------------------------------------- //
 //                        LatencyHistogram                          //
@@ -119,66 +150,95 @@ TEST(ObsHistogram, ResetZeroesEverything)
 }
 
 // ---------------------------------------------------------------- //
-//                            Registry                              //
+//                     Series in the segment                        //
 // ---------------------------------------------------------------- //
 
 TEST(ObsRegistry, InstrumentReferencesAreStableAndShared)
 {
-    obs::Registry reg;
-    obs::Counter &a = reg.counter("t_total", "help");
-    obs::Counter &b = reg.counter("t_total", "other help ignored");
-    EXPECT_EQ(&a, &b);
-    a.add(3);
-    EXPECT_EQ(b.value(), 3u);
-
-    obs::Counter &labeled =
-        reg.counter("t_total", "help", {{"k", "v"}});
-    EXPECT_NE(&a, &labeled);
+    // A series names one slot: every record of it lands there, and
+    // a labelled series of the same family is a slot of its own.
+    const auto m = obs::SharedMetrics::create(1);
+    const obs::LaneBinding lane({m.get(), 0});
+    obs::addCounter("t_total", 1);
+    obs::addCounter("t_total", 2);
+    obs::addCounter("t_total{k=\"v\"}", 5);
+    EXPECT_EQ(m->counterCount(), 2u);
+    const std::size_t slot = m->findCounter("t_total");
+    ASSERT_NE(slot, obs::SharedMetrics::kNoSlot);
+    EXPECT_EQ(m->counter("t_total"), slot);
+    EXPECT_EQ(m->counterLane(slot, 0), 3u);
+    EXPECT_NE(m->findCounter("t_total{k=\"v\"}"), slot);
+    EXPECT_EQ(counterIn(*m, "t_total{k=\"v\"}"), 5u);
 }
 
 TEST(ObsRegistry, RenderEmitsPrometheusFamilies)
 {
-    obs::Registry reg;
-    reg.counter("t_requests_total", "Requests served", {{"ep", "a"}})
-        .add(2);
-    reg.histogram("t_lat_us", "Latency").record(3);
-
-    std::string out;
-    reg.render(out);
-    EXPECT_NE(out.find("# HELP t_requests_total Requests served"),
+    // Library series render from the one family table, with their
+    // HELP text; a family nobody recorded into renders nothing.
+    const auto m = obs::SharedMetrics::create(1);
+    {
+        const obs::LaneBinding lane({m.get(), 0});
+        obs::addCounter("maestro_dse_sweeps_total", 2);
+        obs::recordHistogram(
+            "maestro_pipeline_stage_miss_us{stage=\"tensor\"}", 3);
+    }
+    const std::string out = serve::fleet::metricsText(*m, nullptr);
+    EXPECT_NE(out.find("# HELP maestro_dse_sweeps_total DSE sweeps "
+                       "completed\n# TYPE maestro_dse_sweeps_total "
+                       "counter\nmaestro_dse_sweeps_total 2\n"),
               std::string::npos);
-    EXPECT_NE(out.find("# TYPE t_requests_total counter"),
+    EXPECT_NE(out.find("# TYPE maestro_pipeline_stage_miss_us histogram"),
               std::string::npos);
-    EXPECT_NE(out.find("t_requests_total{ep=\"a\"} 2"),
+    EXPECT_NE(out.find("maestro_pipeline_stage_miss_us_bucket{stage="
+                       "\"tensor\",le=\"4\"} 1\n"),
               std::string::npos);
-    EXPECT_NE(out.find("# TYPE t_lat_us histogram"),
+    EXPECT_NE(out.find("maestro_pipeline_stage_miss_us_bucket{stage="
+                       "\"tensor\",le=\"+Inf\"} 1\n"),
               std::string::npos);
-    EXPECT_NE(out.find("t_lat_us_bucket{le=\"4\"} 1"),
+    EXPECT_NE(out.find("maestro_pipeline_stage_miss_us_sum{stage="
+                       "\"tensor\"} 3\n"),
               std::string::npos);
-    EXPECT_NE(out.find("t_lat_us_bucket{le=\"+Inf\"} 1"),
+    EXPECT_NE(out.find("maestro_pipeline_stage_miss_us_count{stage="
+                       "\"tensor\"} 1\n"),
               std::string::npos);
-    EXPECT_NE(out.find("t_lat_us_sum 3"), std::string::npos);
-    EXPECT_NE(out.find("t_lat_us_count 1"), std::string::npos);
+    EXPECT_EQ(out.find("maestro_mapper_searches_total"),
+              std::string::npos);
+    EXPECT_EQ(out.find("maestro_requests_total"), std::string::npos);
 }
 
 TEST(ObsRegistry, RenderIsDeterministicForEqualState)
 {
-    obs::Registry reg1;
-    obs::Registry reg2;
-    for (obs::Registry *reg : {&reg2, &reg1}) {
-        reg->counter("b_total", "b").add(1);
-        reg->counter("a_total", "a", {{"z", "1"}}).add(2);
-        reg->counter("a_total", "a", {{"b", "0"}}).add(3);
+    // Equal counts render to equal bytes whatever order the series
+    // were registered in: families in table order, series sorted.
+    const auto m1 = obs::SharedMetrics::create(1);
+    const auto m2 = obs::SharedMetrics::create(1);
+    const char *const counters[] = {"maestro_mapper_searches_total",
+                                    "maestro_dse_sweeps_total"};
+    const char *const histograms[] = {
+        "maestro_pipeline_stage_miss_us{stage=\"tensor\"}",
+        "maestro_pipeline_stage_miss_us{stage=\"binding\"}"};
+    for (std::size_t i = 0; i < 2; ++i) {
+        m1->counter(counters[i]);
+        m1->histogram(histograms[i]);
+        m2->counter(counters[1 - i]);
+        m2->histogram(histograms[1 - i]);
     }
-    std::string out1;
-    std::string out2;
-    reg1.render(out1);
-    reg2.render(out2);
+    for (const auto &m : {m1, m2}) {
+        const obs::LaneBinding lane({m.get(), 0});
+        obs::addCounter("maestro_dse_sweeps_total", 1);
+        obs::addCounter("maestro_mapper_searches_total", 4);
+        obs::recordHistogram(
+            "maestro_pipeline_stage_miss_us{stage=\"tensor\"}", 9);
+    }
+    const std::string out1 = serve::fleet::metricsText(*m1, nullptr);
+    const std::string out2 = serve::fleet::metricsText(*m2, nullptr);
     EXPECT_EQ(out1, out2);
-    // Families sorted by name, label sets by rendered label string.
-    EXPECT_LT(out1.find("a_total{b=\"0\"}"),
-              out1.find("a_total{z=\"1\"}"));
-    EXPECT_LT(out1.find("a_total"), out1.find("b_total"));
+    EXPECT_LT(out1.find("maestro_dse_sweeps_total 1"),
+              out1.find("maestro_mapper_searches_total 4"));
+    EXPECT_LT(out1.find("maestro_pipeline_stage_miss_us_count{stage="
+                        "\"binding\"} 0"),
+              out1.find("maestro_pipeline_stage_miss_us_count{stage="
+                        "\"tensor\"} 1"));
 }
 
 TEST(ObsRegistry, LabelStringEscapesSpecials)
@@ -196,38 +256,39 @@ TEST(ObsRegistry, LabelStringEscapesSpecials)
 
 TEST_F(ObsTestBase, DisabledSpanRecordsNothing)
 {
-    LatencyHistogram hist;
-    const obs::Site site{"obs_test.disabled", "test", &hist};
+    const obs::Site site{"obs_test.disabled", "test",
+                         "obs_test_disabled_us"};
     {
         obs::ScopedSpan span(site);
         span.arg("ignored", 1);
     }
-    EXPECT_EQ(hist.count(), 0u);
+    // Not even a registration: the segment stays empty.
+    EXPECT_EQ(segment_->histogramCount(), 0u);
     EXPECT_EQ(obs::Tracer::instance().eventCount(), 0u);
 }
 
 TEST_F(ObsTestBase, TimingModeFeedsTheSiteHistogram)
 {
-    LatencyHistogram hist;
-    const obs::Site site{"obs_test.timing", "test", &hist};
+    const obs::Site site{"obs_test.timing", "test",
+                         "obs_test_timing_us"};
     obs::enableMode(obs::kTiming);
     {
         obs::ScopedSpan span(site);
     }
-    EXPECT_EQ(hist.count(), 1u);
+    EXPECT_EQ(samples("obs_test_timing_us"), 1u);
     // Timing alone must not create trace events.
     EXPECT_EQ(obs::Tracer::instance().eventCount(), 0u);
 }
 
 TEST_F(ObsTestBase, ModeIsSampledAtSpanConstruction)
 {
-    LatencyHistogram hist;
-    const obs::Site site{"obs_test.sampled", "test", &hist};
+    const obs::Site site{"obs_test.sampled", "test",
+                         "obs_test_sampled_us"};
     {
         obs::ScopedSpan span(site);
         obs::enableMode(obs::kTiming); // after construction: ignored
     }
-    EXPECT_EQ(hist.count(), 0u);
+    EXPECT_EQ(samples("obs_test_sampled_us"), 0u);
 }
 
 // ---------------------------------------------------------------- //
@@ -356,24 +417,21 @@ TEST_F(ObsTestBase, StopFreezesCaptureButKeepsEventsExportable)
 
 TEST_F(ObsTestBase, ObsConcurrentSpansAndCountersAreRaceFree)
 {
-    static LatencyHistogram hist;
-    static const obs::Site site{"obs_test.mt", "test", &hist};
-    obs::Registry reg;
-    obs::Counter &counter = reg.counter("mt_total", "mt");
+    static const obs::Site site{"obs_test.mt", "test", "obs_test_mt_us"};
     obs::Tracer &tracer = obs::Tracer::instance();
 
-    hist.reset();
     tracer.start(/*ring_capacity=*/256);
     constexpr std::size_t kIterations = 400;
     ThreadPool::run(4, kIterations, [&](std::size_t i) {
         obs::ScopedSpan span(site);
         span.arg("i", i);
-        counter.add(1);
+        obs::addCounter("mt_total", 1);
     });
     tracer.stop();
 
-    EXPECT_EQ(counter.value(), kIterations);
-    EXPECT_EQ(hist.count(), kIterations);
+    // Every helper recorded into the caller's lane.
+    EXPECT_EQ(counterIn(*segment_, "mt_total"), kIterations);
+    EXPECT_EQ(samples("obs_test_mt_us"), kIterations);
     // run() itself also records a pool.parallel_for span while
     // tracing, so captured + dropped is at least the explicit span
     // count.
@@ -533,6 +591,144 @@ TEST(ObsSharedMetrics, ConcurrentRegistrationAgreesOnSlots)
             EXPECT_EQ(slots[t][n], slots[0][n]);
         EXPECT_EQ(m->counterTotal(slots[0][n]), kThreads);
     }
+}
+
+TEST(ObsSharedMetrics, SlotRegistrationBoundsAreTableDriven)
+{
+    // Every kind's table takes names up to kMaxNameBytes-1 bytes and
+    // refuses empty names, names at the cap and names holding a NUL.
+    using Register = std::size_t (obs::SharedMetrics::*)(std::string_view);
+    const std::size_t cap = obs::SharedMetrics::kMaxNameBytes;
+    const struct
+    {
+        std::string name;
+        bool fits;
+    } names[] = {
+        {"", false},
+        {"a", true},
+        {std::string(cap - 1, 'y'), true},
+        {std::string(cap, 'x'), false},
+        {std::string(cap + 50, 'z'), false},
+        {"family{label=\"" + std::string(cap, 'v') + "\"}", false},
+        {std::string("nul\0byte", 8), false},
+        {std::string("trailing\0", 9), false},
+    };
+    for (const Register reg :
+         {&obs::SharedMetrics::counter, &obs::SharedMetrics::gauge,
+          &obs::SharedMetrics::histogram}) {
+        const auto m = obs::SharedMetrics::create(1);
+        for (const auto &row : names) {
+            const std::size_t slot = ((*m).*reg)(row.name);
+            EXPECT_EQ(slot != obs::SharedMetrics::kNoSlot, row.fits)
+                << row.name.size() << " bytes";
+        }
+    }
+}
+
+TEST(ObsSharedMetrics, RecordsSkipSeriesWithNoSlot)
+{
+    // A full table or an over-long name gives kNoSlot, and the
+    // lane's recorders then skip the record: no slot changes, and
+    // nothing is written past the tables.
+    const auto m = obs::SharedMetrics::create(1);
+    const obs::LaneBinding lane({m.get(), 0});
+    for (std::size_t i = 0; i < obs::SharedMetrics::kMaxCounters; ++i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        ASSERT_NE(m->counter(name), obs::SharedMetrics::kNoSlot);
+        if (i < obs::SharedMetrics::kMaxHistograms) {
+            ASSERT_NE(m->histogram(name), obs::SharedMetrics::kNoSlot);
+        }
+    }
+    const std::string too_long(obs::SharedMetrics::kMaxNameBytes, 'x');
+    for (const std::string &series : {std::string("one_too_many"),
+                                      too_long}) {
+        EXPECT_EQ(m->counter(series), obs::SharedMetrics::kNoSlot);
+        EXPECT_EQ(m->histogram(series), obs::SharedMetrics::kNoSlot);
+        obs::addCounter(series, 7);
+        obs::recordHistogram(series, 7);
+    }
+    EXPECT_EQ(m->counterCount(), obs::SharedMetrics::kMaxCounters);
+    EXPECT_EQ(m->histogramCount(), obs::SharedMetrics::kMaxHistograms);
+    for (std::size_t i = 0; i < obs::SharedMetrics::kMaxCounters; ++i)
+        EXPECT_EQ(m->counterTotal(i), 0u) << i;
+    for (std::size_t i = 0; i < obs::SharedMetrics::kMaxHistograms;
+         ++i)
+        EXPECT_EQ(m->histogramTotal(i).count, 0u) << i;
+}
+
+// ---------------------------------------------------------------- //
+//                  Lanes: where a thread records                   //
+// ---------------------------------------------------------------- //
+
+TEST(ObsLanes, BoundThreadRecordsIntoItsLane)
+{
+    const auto m = obs::SharedMetrics::create(2);
+    std::thread other([&] {
+        const obs::LaneBinding lane({m.get(), 1});
+        obs::addCounter("lane_total", 5);
+        obs::recordHistogram("lane_us", 9);
+    });
+    other.join();
+    {
+        const obs::LaneBinding lane({m.get(), 0});
+        obs::addCounter("lane_total", 2);
+        EXPECT_EQ(obs::boundLane().segment, m.get());
+        {
+            // Bindings nest; the inner one is undone at scope exit.
+            const obs::LaneBinding inner({m.get(), 1});
+            EXPECT_EQ(obs::boundLane().index, 1u);
+        }
+        EXPECT_EQ(obs::boundLane().index, 0u);
+    }
+    EXPECT_EQ(obs::boundLane().segment, nullptr);
+    EXPECT_EQ(counterIn(*m, "lane_total", 0), 2u);
+    EXPECT_EQ(counterIn(*m, "lane_total", 1), 5u);
+    EXPECT_EQ(m->histogramLane(m->histogram("lane_us"), 1).total_us, 9u);
+
+    // An unbound thread records into the process segment instead.
+    obs::SharedMetrics &process = obs::processMetrics();
+    const std::uint64_t before = counterIn(process, "lane_total");
+    obs::addCounter("lane_total", 3);
+    EXPECT_EQ(counterIn(process, "lane_total"), before + 3);
+    EXPECT_EQ(m->counterTotal(m->findCounter("lane_total")), 7u);
+}
+
+TEST(ObsLanes, PoolHelpersAndTasksRecordIntoTheCallersLane)
+{
+    const auto m = obs::SharedMetrics::create(2);
+    ThreadPool pool(2);
+    std::atomic<std::size_t> done{0};
+    {
+        const obs::LaneBinding lane({m.get(), 1});
+        // Fork-join helpers inherit the caller's lane...
+        ThreadPool::run(3, 30, [](std::size_t) {
+            obs::addCounter("run_total", 1);
+        });
+        // ...and so do queued tasks, whichever worker runs them.
+        for (int i = 0; i < 8; ++i)
+            pool.submit([&done] {
+                obs::addCounter("task_total", 1);
+                done.fetch_add(1);
+            });
+    }
+    while (done.load() < 8)
+        std::this_thread::yield();
+    EXPECT_EQ(counterIn(*m, "run_total", 1), 30u);
+    EXPECT_EQ(counterIn(*m, "task_total", 1), 8u);
+    EXPECT_EQ(counterIn(*m, "run_total", 0), 0u);
+    EXPECT_EQ(counterIn(*m, "task_total", 0), 0u);
+
+    // A task submitted from an unbound thread runs unbound, even on
+    // a worker that ran a bound task before.
+    std::atomic<bool> unbound{false};
+    pool.submit([&] {
+        unbound = obs::boundLane().segment == nullptr;
+        done.fetch_add(1);
+    });
+    while (done.load() < 9)
+        std::this_thread::yield();
+    EXPECT_TRUE(unbound.load());
 }
 
 // ---------------------------------------------------------------- //

@@ -3,7 +3,7 @@
  * Tests for the staged analysis pipeline and its supporting pieces:
  * the LRU memo cache, the worker pool, stage fingerprints, cross-layer
  * dedup, the thread-parallel batch API's determinism, and the
- * energyFromCounts consistency contract (including grouped
+ * energyFromSums consistency contract (including grouped
  * convolutions, the regression for the per-group DRAM fill scaling).
  */
 
@@ -459,7 +459,7 @@ TEST(ThreadParity, ExplorerFourThreadsMatchesSerial)
 }
 
 // ---------------------------------------------------------------- //
-//                  energyFromCounts consistency                    //
+//                   energyFromSums consistency                     //
 // ---------------------------------------------------------------- //
 
 /**
@@ -491,9 +491,9 @@ TEST_P(EnergyConsistency, ReproducesAnalyzerTotal)
     const LayerAnalysis la = analyzer.analyzeLayer(
         net.layer(cc.layer), dataflows::byName(cc.dataflow));
 
-    const double derived = dse::energyFromCounts(
-        la.cost, cfg.l1_bytes, cfg.l2_bytes, cfg.precision_bytes,
-        cfg.noc.avgLatency(), EnergyModel());
+    const double derived = dse::energyFromSums(
+        la.cost.accessSums(), cfg.l1_bytes, cfg.l2_bytes,
+        cfg.precision_bytes, cfg.noc.avgLatency(), EnergyModel());
     // Same terms in a different summation order: allow a few ulps.
     EXPECT_NEAR(derived, la.energy(), 1e-9 * la.energy());
 }
@@ -531,12 +531,12 @@ TEST(EnergyConsistency, GroupScalingMattersForGroupedConvs)
 
     CostResult ungrouped = la.cost;
     ungrouped.groups = 1.0;
-    const double fixed = dse::energyFromCounts(
-        la.cost, cfg.l1_bytes, cfg.l2_bytes, cfg.precision_bytes,
-        cfg.noc.avgLatency(), EnergyModel());
-    const double broken = dse::energyFromCounts(
-        ungrouped, cfg.l1_bytes, cfg.l2_bytes, cfg.precision_bytes,
-        cfg.noc.avgLatency(), EnergyModel());
+    const double fixed = dse::energyFromSums(
+        la.cost.accessSums(), cfg.l1_bytes, cfg.l2_bytes,
+        cfg.precision_bytes, cfg.noc.avgLatency(), EnergyModel());
+    const double broken = dse::energyFromSums(
+        ungrouped.accessSums(), cfg.l1_bytes, cfg.l2_bytes,
+        cfg.precision_bytes, cfg.noc.avgLatency(), EnergyModel());
     EXPECT_LT(broken, fixed);
     EXPECT_NEAR(fixed, la.energy(), 1e-9 * la.energy());
 }

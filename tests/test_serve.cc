@@ -772,12 +772,13 @@ TEST(Serve, MetricsEndpointSpeaksPrometheusText)
               std::string::npos);
     EXPECT_NE(body.find("maestro_queue_capacity"), std::string::npos);
 
-    // The process-wide registry rides along: the daemon enables
-    // timing by default, so stage-miss histograms have samples.
+    // The library's instruments share the document: the daemon
+    // enables timing by default, so stage-miss histograms have
+    // samples.
     EXPECT_NE(body.find("maestro_pipeline_stage_miss_us_bucket"),
               std::string::npos);
-    // Request latency is recorded once, in the segment's per-endpoint
-    // histogram; the registry carries no duplicate family for it.
+    // Request latency is recorded once, in the per-endpoint
+    // histogram; no second family duplicates it.
     EXPECT_NE(body.find("maestro_endpoint_latency_us_bucket{cache="
                         "\"miss\",endpoint=\"analyze\""),
               std::string::npos);
@@ -1268,6 +1269,45 @@ TEST(Serve, JobsRoutingErrorsAndFailedJob)
     EXPECT_EQ(jsonField(stats, "jobs", "failed"), 1u);
 }
 
+TEST(ServeRobustness, HostileJobIdsAnswer404WithAJsonError)
+{
+    // Job ids come straight off the request line. Whatever their
+    // bytes, every method under /jobs/ must end in a 404 with a JSON
+    // error body, never a 500 or a dropped connection.
+    TestServer server;
+    const std::uint16_t port = server.port();
+    const std::string ids[] = {
+        "",
+        "%00",
+        "j%00x",
+        "j" + std::string(7999, 'a'),
+        "..%2F..%2Fetc",
+        "%ZZ",
+        "%22%5C%0A",
+        "j\xc3\xa9\xe2\x9c\x93",
+    };
+    for (const std::string &id : ids) {
+        const std::string target = "/jobs/" + id;
+        for (const std::string &raw :
+             {getRequest(target),
+              "DELETE " + target + " HTTP/1.1\r\nHost: t\r\n\r\n",
+              postRequest(target, "x")}) {
+            const ClientResponse r = oneShot(port, raw);
+            const std::string method = raw.substr(0, raw.find(' '));
+            EXPECT_EQ(r.status, 404) << method << " " << id.size()
+                                     << " bytes: " << r.body;
+            const auto type = r.headers.find("content-type");
+            ASSERT_NE(type, r.headers.end()) << method;
+            EXPECT_EQ(type->second, "application/json") << method;
+            ASSERT_FALSE(r.body.empty()) << method;
+            EXPECT_EQ(r.body.rfind("{\"error\":\"", 0), 0u) << method;
+            EXPECT_EQ(r.body.back(), '}') << method;
+        }
+    }
+    // The server is still healthy afterwards.
+    EXPECT_EQ(oneShot(port, getRequest("/healthz")).status, 200);
+}
+
 TEST(Serve, CrossvalEndpointSyncAndAsyncMatchDirectHandler)
 {
     // The randomized sweep is seeded and thread-invariant, so the
@@ -1338,6 +1378,9 @@ TEST(Serve, QueryKnobsEndIn200Or400)
         "/crossval?seed=-1",
         "/crossval?triples=100001",
         "/crossval?triples=18446744073709551615",
+        // Over mapper::kMaxCandidates: refused before it allocates.
+        "/tune?tiles=1,2,3,4,5,6,7,8&act_tiles=1,2,3,4,5,6,7,8,9,10,11,"
+        "12,13,14",
     };
     for (const char *target : rejected) {
         const ClientResponse r = oneShot(port, postRequest(target, dsl));
@@ -1502,6 +1545,114 @@ TEST(ServeFleet, LaneSumsMatchASingleServerAndEveryWorkerAgrees)
     EXPECT_NE(stats.find("\"fleet\":{\"workers\":2,\"lane\":0,"),
               std::string::npos);
     EXPECT_NE(stats.find("\"per_worker\":["), std::string::npos);
+}
+
+TEST(ServeFleet, LibraryInstrumentsCountInTheLaneThatRanThem)
+{
+    // A DSE sweep counts in the lane of the worker that ran it, sync
+    // on a connection thread or async on a pool thread, so every
+    // worker and the status-port view render the same fleet totals.
+    auto segment = obs::SharedMetrics::create(2);
+    ServeOptions lane0;
+    lane0.shared_metrics = segment;
+    lane0.worker_lane = 0;
+    ServeOptions lane1;
+    lane1.shared_metrics = segment;
+    lane1.worker_lane = 1;
+    TestServer w0(lane0);
+    TestServer w1(lane1);
+
+    const std::string dsl = tinyNetwork(8);
+    ASSERT_EQ(
+        oneShot(w0.port(), postRequest("/dse?dataflow=C-P", dsl)).status,
+        200);
+    const ClientResponse job =
+        oneShot(w1.port(), postRequest("/jobs/dse?dataflow=C-P", dsl));
+    ASSERT_EQ(job.status, 202) << job.body;
+    ASSERT_EQ(waitJob(w1.port(), jsonString(job.body, "id")).status, 200);
+
+    const std::string bodies[] = {
+        oneShot(w0.port(), getRequest("/metrics")).body,
+        oneShot(w1.port(), getRequest("/metrics")).body,
+        fleet::metricsText(*segment, nullptr),
+    };
+    for (const std::string &body : bodies) {
+        EXPECT_NE(body.find("maestro_dse_sweeps_total{worker=\"0\"} 1\n"),
+                  std::string::npos);
+        EXPECT_NE(body.find("maestro_dse_sweeps_total{worker=\"1\"} 1\n"),
+                  std::string::npos);
+        EXPECT_NE(
+            body.find("maestro_dse_sweeps_total{worker=\"all\"} 2\n"),
+            std::string::npos);
+        EXPECT_NE(body.find("maestro_dse_explore_us_count{worker="
+                            "\"all\"} 2\n"),
+                  std::string::npos);
+    }
+}
+
+TEST(ServeFleet, ClientIdsRenderEscapedOrFoldIntoOther)
+{
+    // Label values escape `"` and `\` and keep a TAB as is (the text
+    // format allows it). An id whose series name would exceed the
+    // segment's name cap or hold a NUL byte folds into
+    // client="other", as does any id past --metrics-max-clients.
+    ServeOptions options;
+    options.metrics_max_clients = 3;
+    TestServer server(options);
+    const std::uint16_t port = server.port();
+
+    const std::string long_id(200, 'L');
+    const struct
+    {
+        std::string id;
+        std::string series; ///< rendered label value; "" = folded
+    } rows[] = {
+        {long_id, ""}, // first, while the cap still has room
+        {std::string("nul\0id", 6), ""},
+        {"q\"uote", "q\\\"uote"},
+        {"back\\slash", "back\\\\slash"},
+        {"t\tab", "t\tab"},
+        {"late", ""}, // past the cap of 3
+    };
+    for (const auto &row : rows)
+        ASSERT_EQ(oneShot(port, "GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                                "X-Client-Id: " +
+                                    row.id + "\r\n\r\n")
+                      .status,
+                  200)
+            << row.id;
+
+    // Scrape as an admitted client, so the scrape adds no new id.
+    const std::string body =
+        oneShot(port, "GET /metrics HTTP/1.1\r\nHost: t\r\n"
+                      "X-Client-Id: late\r\n\r\n")
+            .body;
+    for (const auto &row : rows) {
+        if (row.series.empty()) {
+            EXPECT_EQ(body.find("client=\"" + row.id), std::string::npos)
+                << row.id;
+            continue;
+        }
+        EXPECT_NE(body.find("maestro_client_requests_total{client=\"" +
+                            row.series + "\"} 1\n"),
+                  std::string::npos)
+            << row.series;
+    }
+    // The 200-byte id, the NUL id, "late" and the scrape (as "late").
+    EXPECT_NE(body.find("maestro_client_requests_total{client="
+                        "\"other\"} 4\n"),
+              std::string::npos);
+    // Every sample line closes its label set before its value.
+    std::size_t pos = 0;
+    while (pos < body.size()) {
+        const std::size_t eol = body.find('\n', pos);
+        const std::string line = body.substr(pos, eol - pos);
+        pos = eol + 1;
+        if (line.empty() || line[0] == '#' ||
+            line.find('{') == std::string::npos)
+            continue;
+        EXPECT_EQ(line[line.rfind(' ') - 1], '}') << line;
+    }
 }
 
 TEST(ServeFleet, CacheOutcomeAndClientSeriesWithCardinalityCap)
@@ -1756,16 +1907,11 @@ familyTypes(const std::string &exposition)
 /**
  * Series identities of a /metrics body: `family{labels}` with the
  * sample value stripped, a histogram's bucket/sum/count lines folded
- * into one series (le dropped), mapped to their line counts. Families
- * the process-wide registry renders are left out.
+ * into one series (le dropped), mapped to their line counts.
  */
 std::map<std::string, std::size_t>
 seriesIdentities(const std::string &body)
 {
-    std::string registry;
-    obs::Registry::global().render(registry);
-    const std::map<std::string, std::string> skip =
-        familyTypes(registry);
     const std::map<std::string, std::string> types = familyTypes(body);
 
     std::map<std::string, std::size_t> out;
@@ -1803,8 +1949,7 @@ seriesIdentities(const std::string &body)
                 }
             }
         }
-        if (!skip.count(name))
-            ++out[name + labels];
+        ++out[name + labels];
     }
     return out;
 }
@@ -1882,9 +2027,9 @@ TEST(ServeSurface, FixedScriptKeepsStatsKeysAndMetricSeries)
         expected_keys.push_back(k);
     EXPECT_EQ(keys, expected_keys);
 
-    // Every series the server itself renders on this script, the
-    // process-wide registry aside. endpoint="other" counts unrouted
-    // and unparsed requests, so requests.total adds up.
+    // Every series the server renders on this script, the library's
+    // instruments included. endpoint="other" counts unrouted and
+    // unparsed requests, so requests.total adds up.
     std::vector<std::string> expected = {
         "maestro_active_clients",
         "maestro_build_info{version=\"" + std::string(kVersion) + "\"}",
@@ -1898,6 +2043,12 @@ TEST(ServeSurface, FixedScriptKeepsStatsKeysAndMetricSeries)
         "maestro_client_throttled_total{client=\"127.0.0.1\"}",
         "maestro_client_throttled_total{client=\"other\"}",
         "maestro_deadline_expirations_total",
+        "maestro_dse_explore_us",
+        "maestro_dse_explored_points_total",
+        "maestro_dse_pairs_us",
+        "maestro_dse_shard_us",
+        "maestro_dse_sweeps_total",
+        "maestro_dse_valid_points_total",
         "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"analyze\"}",
         "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"crossval\"}",
         "maestro_endpoint_latency_us{cache=\"hit\",endpoint=\"dse\"}",
@@ -1952,6 +2103,12 @@ TEST(ServeSurface, FixedScriptKeepsStatsKeysAndMetricSeries)
         "maestro_pipeline_cache_misses_total{stage=\"layer\"}",
         "maestro_pipeline_cache_misses_total{stage=\"tensor\"}",
         "maestro_pipeline_evaluations_total",
+        "maestro_pipeline_stage_miss_us{stage=\"binding\"}",
+        "maestro_pipeline_stage_miss_us{stage=\"flat\"}",
+        "maestro_pipeline_stage_miss_us{stage=\"layer\"}",
+        "maestro_pipeline_stage_miss_us{stage=\"tensor\"}",
+        "maestro_pool_queue_wait_us",
+        "maestro_pool_task_run_us",
         "maestro_queue_capacity",
         "maestro_queue_depth",
         "maestro_queue_peak_depth",

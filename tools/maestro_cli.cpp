@@ -63,8 +63,8 @@
 #include "src/mapper/mapper.hh"
 #include "src/frontend/parser.hh"
 #include "src/model/zoo.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/obs.hh"
+#include "src/obs/shared_metrics.hh"
 #include "src/serve/server.hh"
 #include "src/serve/workers.hh"
 #include "src/sim/crossval.hh"
@@ -322,9 +322,9 @@ printPipelineStats(const PipelineStats &stats, double seconds)
 }
 
 /**
- * --profile: per-stage hit/miss counters joined with the global
- * registry's stage-miss latency histograms, printed to stderr so
- * stdout (tables, --format json) stays clean for pipes.
+ * --profile: per-stage hit/miss counters joined with the stage-miss
+ * latency histograms of the process's metrics segment, printed to
+ * stderr so stdout (tables, --format json) stays clean for pipes.
  */
 void
 printProfile(const PipelineStats &stats)
@@ -335,12 +335,15 @@ printProfile(const PipelineStats &stats)
                                &stats.flat, &stats.layer};
     Table table({"stage", "hits", "misses", "hit-rate", "miss-time(ms)",
                  "avg-miss(us)"});
+    obs::SharedMetrics &metrics = obs::processMetrics();
     for (std::size_t i = 0; i < 4; ++i) {
+        const std::size_t slot = metrics.histogram(
+            std::string("maestro_pipeline_stage_miss_us{stage=\"") +
+            kStages[i] + "\"}");
         const LatencyHistogram::Snapshot snap =
-            obs::Registry::global()
-                .histogram("maestro_pipeline_stage_miss_us", "",
-                           {{"stage", kStages[i]}})
-                .snapshot();
+            slot == obs::SharedMetrics::kNoSlot
+                ? LatencyHistogram::Snapshot{}
+                : metrics.histogramTotal(slot);
         const double avg_us =
             snap.count > 0 ? static_cast<double>(snap.total_us) /
                                  static_cast<double>(snap.count)
