@@ -53,6 +53,16 @@ handOff(std::function<void()> task)
     };
 }
 
+/** How many body(begin, end) calls runChunked makes for [0, count)
+ *  at `num_threads`. */
+std::size_t
+chunkCount(std::size_t num_threads, std::size_t count)
+{
+    if (num_threads <= 1 || count <= 1)
+        return std::min<std::size_t>(count, 1);
+    return std::min(count, num_threads * 4);
+}
+
 } // namespace
 
 ThreadPool::ThreadPool(std::size_t workers)
@@ -175,14 +185,6 @@ ThreadPool::runChunked(
         if (begin < end)
             body(begin, end);
     });
-}
-
-std::size_t
-ThreadPool::chunkCount(std::size_t num_threads, std::size_t count)
-{
-    if (num_threads <= 1 || count <= 1)
-        return std::min<std::size_t>(count, 1);
-    return std::min(count, num_threads * 4);
 }
 
 } // namespace maestro

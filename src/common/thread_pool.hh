@@ -71,24 +71,17 @@ class ThreadPool
 
     /**
      * Chunked variant of run() for sharded reductions: splits
-     * [0, count) into contiguous ranges (a few per thread, so uneven
-     * shards still balance) and runs body(begin, end) for each.
-     * Callers that write results into preallocated per-index slots get
-     * output independent of the chunking and of num_threads; with
-     * num_threads <= 1 this is a single body(0, count) call on the
-     * calling thread.
+     * [0, count) into min(count, 4 * num_threads) contiguous ranges (a
+     * few per thread, so uneven shards still balance) and runs
+     * body(begin, end) for each. Callers that write results into
+     * preallocated per-index slots get output independent of the
+     * chunking and of num_threads; with num_threads <= 1 this is a
+     * single body(0, count) call on the calling thread, and an empty
+     * range makes no call.
      */
     static void
     runChunked(std::size_t num_threads, std::size_t count,
                const std::function<void(std::size_t, std::size_t)> &body);
-
-    /**
-     * How many body(begin, end) calls runChunked makes for
-     * [0, count) at `num_threads`: 0 for an empty range, 1 for a
-     * serial run or a single index.
-     */
-    static std::size_t chunkCount(std::size_t num_threads,
-                                  std::size_t count);
 
   private:
     /** Worker main loop: pop tasks until stopped. */

@@ -82,6 +82,13 @@ analyzePerformance(const BoundDataflow &bound,
     }
     result.final_outputs = flat.final_outputs;
 
+    // Uniform sparsity (paper Sec. 4.4): only nonzero weights and
+    // inputs cross the NoC and the off-chip interface, as analyzeCost
+    // and the simulator count them.
+    TensorMap<double> density(1.0);
+    density[TensorKind::Weight] = layer.weightDensityVal();
+    density[TensorKind::Input] = layer.inputDensityVal();
+
     // Fraction of level-0 egress that is final (crosses to DRAM).
     const double top_egress =
         top.traffic[TensorKind::Output].traffic_per_unit *
@@ -113,11 +120,11 @@ analyzePerformance(const BoundDataflow &bound,
     {
         double noc_in = 0.0;
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input})
-            noc_in += flat.pe_chunk[t] * flat.noc_mult[t];
+            noc_in += flat.pe_chunk[t] * flat.noc_mult[t] * density[t];
         double dram_in = 0.0;
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
             dram_in += top.traffic[t].chunk_volume * top_unique_mult[t] *
-                       dram_ratio[t];
+                       dram_ratio[t] * density[t];
         }
         const double d_noc = config.noc.delay(noc_in);
         const double d_dram = config.offchip.delay(dram_in);
@@ -139,7 +146,7 @@ analyzePerformance(const BoundDataflow &bound,
 
         double noc_in = 0.0;
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input})
-            noc_in += fl.delta_pe[t] * flat.noc_mult[t];
+            noc_in += fl.delta_pe[t] * flat.noc_mult[t] * density[t];
         const double noc_out =
             fl.delta_pe[TensorKind::Output] * flat.out_noc_mult;
 
@@ -149,7 +156,8 @@ analyzePerformance(const BoundDataflow &bound,
             for (TensorKind t :
                  {TensorKind::Weight, TensorKind::Input}) {
                 dram_in += top.traffic[t].delta_per_loop[i] *
-                           top_unique_mult[t] * dram_ratio[t];
+                           top_unique_mult[t] * dram_ratio[t] *
+                           density[t];
             }
             dram_out = top.traffic[TensorKind::Output]
                            .delta_per_loop[i] *

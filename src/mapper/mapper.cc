@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -35,7 +34,7 @@ namespace
 constexpr obs::Site kSearchSite{"mapper.search", "mapper",
                                 "maestro_mapper_search_us"};
 
-/** Span site of one candidate-evaluation shard. */
+/** Span site of one search class's shard. */
 constexpr obs::Site kShardSite{"mapper.shard", "mapper",
                                "maestro_mapper_shard_us"};
 
@@ -112,25 +111,34 @@ scoreBound(const BoundDataflow &bound, const StageInputs &in,
     return value;
 }
 
-/** A shard's verdict on one candidate, settled by the serial merge. */
-enum class Verdict : std::uint8_t
-{
-    Rejected,    ///< bind or analysis failed, or ranking rejects it
-    Scored,      ///< `value` holds its objective value
-    Unscored,    ///< keyed and not cut; scored once the merge keeps it
-    Duplicate,   ///< its key repeats an earlier candidate's in the shard
-    CapacityCut, ///< the conservative L1 lower bound exceeds L1
-};
+/** A scored candidate: (objective value, enumeration index). The
+ *  index breaks every tie, so the order is total. */
+using Ranked = std::pair<double, std::size_t>;
 
-/** Per-candidate state a shard leaves for the merge. */
-struct CandidateSlot
+/** Keeps `entry` in `best`, a max-heap of the top_k smallest entries
+ *  seen; it ranks exactly like a full sort cut to top_k. */
+void
+keepBest(std::vector<Ranked> &best, const Ranked &entry,
+         std::size_t top_k)
 {
-    /** Canonical key, which the merge looks up when the candidates
-     *  span several shards; empty on a bind failure, on a duplicate
-     *  the shard dropped and in exact mode. */
-    std::string key;
-    double value = 0.0;
-    Verdict verdict = Verdict::Rejected;
+    if (best.size() < top_k) {
+        best.push_back(entry);
+        std::push_heap(best.begin(), best.end());
+    } else if (!best.empty() && entry < best.front()) {
+        std::pop_heap(best.begin(), best.end());
+        best.back() = entry;
+        std::push_heap(best.begin(), best.end());
+    }
+}
+
+/** What one class's shard leaves for the merge. */
+struct ClassResult
+{
+    /** Its generated, pruned, evaluated and rejected counts. */
+    MapperStats counts;
+
+    /** Its own top_k heap. */
+    std::vector<Ranked> best;
 };
 
 /** Seconds elapsed since a steady-clock mark. */
@@ -177,10 +185,7 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
     MapperStats &stats = result.stats;
 
     const SearchSpace space = buildSearchSpace(layer, options.space);
-    const std::vector<Candidate> candidates =
-        crossCandidates(layer, space);
     stats.covered = space.covered;
-    stats.generated = candidates.size();
 
     const StageInputs in{layer,
                          analyzer.config(),
@@ -189,156 +194,78 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
                          layer.type() == OpType::DepthwiseConv,
                          layer.inputDensityVal() *
                              layer.weightDensityVal()};
+    const auto l1_bytes = static_cast<double>(in.config.l1_bytes);
 
-    // A shard cannot tell whether an earlier shard holds a candidate's
-    // key until the serial merge, and symmetry duplicates differ only
-    // in loop order, which the enumeration varies slowest, so they
-    // rarely share a shard. So when the candidates span several
-    // shards, the first pass only binds, keys and cuts, and the
-    // merge's survivors are bound again and scored in a second pass.
-    // In one shard, or in the exact oracle (which has no keys), each
-    // candidate is scored on its first binding.
-    const bool score_after_merge =
-        !options.exact &&
-        ThreadPool::chunkCount(options.num_threads,
-                               candidates.size()) > 1;
-    const auto score = [&](CandidateSlot &slot,
-                           const BoundDataflow &bound) {
-        try {
-            const std::optional<double> value = scoreBound(
-                bound, in, objective, options.enforce_l1_capacity);
-            if (value) {
-                slot.value = *value;
-                slot.verdict = Verdict::Scored;
+    // One shard per class: candidates of different classes never
+    // share a canonical key (see kSearchClasses), so each shard dedups
+    // against its own keys and ranks on its own, and no state crosses
+    // shards. The exact oracle walks the same classes without keys or
+    // cuts.
+    std::vector<ClassResult> classes(kSearchClasses);
+    const auto shard = [&](std::size_t cls) {
+        obs::ScopedSpan shard_span(kShardSite);
+        shard_span.arg("class", cls);
+        ClassResult &out = classes[cls];
+        std::unordered_set<std::string> held;
+        const auto visit = [&](const Dataflow &df, std::size_t index) {
+            ++out.counts.generated;
+            // A candidate that does not bind is evaluated and
+            // rejected, never deduped or cut.
+            std::optional<BoundDataflow> bound;
+            try {
+                bound = bindDataflow(df, layer, in.config.num_pes);
+            } catch (const std::exception &) {
             }
-        } catch (const std::exception &) {
-            // The verdict stays Rejected.
-        }
-    };
-    const auto bindCandidate =
-        [&](std::size_t i) -> std::optional<BoundDataflow> {
-        try {
-            return bindDataflow(candidates[i].dataflow, layer,
-                                in.config.num_pes);
-        } catch (const std::exception &) {
-            return std::nullopt;
-        }
-    };
-
-    // Each shard writes only its own slots; the serial merge below
-    // visits them in index order, so results match any thread count.
-    std::vector<CandidateSlot> slots(candidates.size());
-    ThreadPool::runChunked(
-        options.num_threads, candidates.size(),
-        [&](std::size_t begin, std::size_t end) {
-            obs::ScopedSpan shard_span(kShardSite);
-            shard_span.arg("begin", begin);
-            shard_span.arg("end", end);
-            // Keys this shard kept, viewing into its slots. When
-            // the candidates span several shards, the merge
-            // settles every duplicate instead.
-            const bool dedup = !options.exact && !score_after_merge;
-            std::unordered_set<std::string_view> held;
-            if (dedup)
-                held.reserve(end - begin);
-            for (std::size_t i = begin; i < end; ++i) {
-                CandidateSlot &slot = slots[i];
-                // A candidate that does not bind is rejected
-                // with an empty key, so it is never deduped.
-                const std::optional<BoundDataflow> bound =
-                    bindCandidate(i);
-                if (!bound)
-                    continue;
-                if (!options.exact) {
-                    slot.key = canonicalMappingKey(*bound);
-                    if (dedup && !held.insert(slot.key).second) {
-                        slot.key = std::string();
-                        slot.verdict = Verdict::Duplicate;
-                        continue;
-                    }
-                    if (options.enforce_l1_capacity &&
-                        l1LowerBoundBytes(*bound, layer, in.config) >
-                            static_cast<double>(in.config.l1_bytes)) {
-                        slot.verdict = Verdict::CapacityCut;
-                        continue;
-                    }
+            if (bound && !options.exact) {
+                if (!held.insert(canonicalMappingKey(*bound)).second) {
+                    ++out.counts.pruned_symmetry;
+                    return;
                 }
-                if (score_after_merge)
-                    slot.verdict = Verdict::Unscored;
-                else
-                    score(slot, *bound);
+                if (options.enforce_l1_capacity &&
+                    l1LowerBoundBytes(*bound, layer, in.config) >
+                        l1_bytes) {
+                    ++out.counts.pruned_capacity;
+                    return;
+                }
             }
-        });
-
-    // A bounded max-heap on (value, index) keeps the top_k; the index
-    // breaks every tie, so it ranks exactly like a full sort.
-    using Ranked = std::pair<double, std::size_t>;
-    std::vector<Ranked> best;
-    best.reserve(std::min(options.top_k, candidates.size()));
-    const auto rank = [&](const CandidateSlot &slot, std::size_t i) {
-        if (slot.verdict != Verdict::Scored) {
-            ++stats.rejected;
-            return;
-        }
-        const Ranked entry{slot.value, i};
-        if (best.size() < options.top_k) {
-            best.push_back(entry);
-            std::push_heap(best.begin(), best.end());
-        } else if (!best.empty() && entry < best.front()) {
-            std::pop_heap(best.begin(), best.end());
-            best.back() = entry;
-            std::push_heap(best.begin(), best.end());
-        }
+            ++out.counts.evaluated;
+            std::optional<double> value;
+            if (bound) {
+                try {
+                    value = scoreBound(*bound, in, objective,
+                                       options.enforce_l1_capacity);
+                } catch (const std::exception &) {
+                }
+            }
+            if (value)
+                keepBest(out.best, {*value, index}, options.top_k);
+            else
+                ++out.counts.rejected;
+        };
+        forEachCandidate(space, cls, visit);
     };
+    ThreadPool::run(options.num_threads, classes.size(), shard);
 
-    // Serial merge in index order. Across shards it settles every key
-    // as a serial pass would: a key an earlier candidate held makes a
-    // symmetry duplicate even when that candidate was capacity-cut.
-    std::unordered_set<std::string_view> held;
-    std::vector<std::size_t> unscored;
-    if (score_after_merge)
-        held.reserve(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        const CandidateSlot &slot = slots[i];
-        if (slot.verdict == Verdict::Duplicate ||
-            (score_after_merge && !slot.key.empty() &&
-             !held.insert(slot.key).second)) {
-            ++stats.pruned_symmetry;
-            continue;
-        }
-        if (slot.verdict == Verdict::CapacityCut) {
-            ++stats.pruned_capacity;
-            continue;
-        }
-        ++stats.evaluated;
-        if (slot.verdict == Verdict::Unscored)
-            unscored.push_back(i);
-        else
-            rank(slot, i);
-    }
-    if (score_after_merge) {
-        std::vector<CandidateSlot> survivor_scores(unscored.size());
-        ThreadPool::runChunked(
-            options.num_threads, unscored.size(),
-            [&](std::size_t begin, std::size_t end) {
-                obs::ScopedSpan shard_span(kShardSite);
-                shard_span.arg("begin", begin);
-                shard_span.arg("end", end);
-                for (std::size_t j = begin; j < end; ++j)
-                    if (const std::optional<BoundDataflow> bound =
-                            bindCandidate(unscored[j]))
-                        score(survivor_scores[j], *bound);
-            });
-        for (std::size_t j = 0; j < unscored.size(); ++j)
-            rank(survivor_scores[j], unscored[j]);
+    // The serial merge: (value, index) is a total order, so the
+    // result does not depend on which shard ran which class.
+    std::vector<Ranked> best;
+    for (const ClassResult &c : classes) {
+        stats.generated += c.counts.generated;
+        stats.pruned_symmetry += c.counts.pruned_symmetry;
+        stats.pruned_capacity += c.counts.pruned_capacity;
+        stats.evaluated += c.counts.evaluated;
+        stats.rejected += c.counts.rejected;
+        for (const Ranked &entry : c.best)
+            keepBest(best, entry, options.top_k);
     }
     std::sort_heap(best.begin(), best.end());
 
-    // Only the ranked entries rerun the full chain for the metrics
-    // they report; a failure here is a bug, so it is not caught.
+    // Only the ranked entries rebuild their candidate and rerun the
+    // full chain for the metrics they report; a failure here is a
+    // bug, so it is not caught.
     result.ranked.reserve(best.size());
     for (const auto &[value, i] : best) {
-        const Dataflow &df = candidates[i].dataflow;
+        const Dataflow df = candidateAt(space, i);
         LayerAnalysis analysis;
         scoreBound(bindDataflow(df, layer, in.config.num_pes), in,
                    objective, options.enforce_l1_capacity, &analysis);
@@ -349,7 +276,7 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
         md.edp = analysis.edp();
         md.utilization = analysis.utilization;
         md.objective_value = value;
-        md.index = candidates[i].index;
+        md.index = i;
         result.ranked.push_back(std::move(md));
     }
 
@@ -468,7 +395,7 @@ mapJoint(const Analyzer &analyzer, const Layer &layer,
     joint.mapping = mapLayer(analyzer, layer, objective, options);
 
     const std::size_t shortlist =
-        std::min(options.joint_dataflows, joint.mapping.ranked.size());
+        std::min(kJointDataflows, joint.mapping.ranked.size());
     fatalIf(shortlist == 0,
             "mapper: joint mode needs at least one feasible mapping");
 

@@ -5,10 +5,11 @@
  * layer, a whole network, or jointly with the closed-form hardware
  * sweep of dse/explorer.
  *
- * Determinism. Candidates carry their enumeration index; evaluation
- * is sharded across the thread pool into per-candidate slots and
- * merged serially in index order (ThreadPool::runChunked), and ranking sorts by
- * (objective value, enumeration index) — results are byte-identical
+ * Determinism. Every candidate carries its enumeration index, and
+ * ranking orders by (objective value, index), a total order. The
+ * search shards by class (kSearchClasses in search_space.hh): each
+ * class's shard keeps its own counts and top_k, and the serial merge
+ * sums the counts and merges the heaps, so results are byte-identical
  * for any num_threads.
  *
  * Oracle. With MapperOptions::exact the engine skips the symmetry
@@ -20,26 +21,24 @@
  * (capacity), the pruned search's bests match the oracle's bests
  * byte-for-byte, names included.
  *
- * Evaluation path. A sharded pass binds each candidate once, takes
- * its canonical key and, under enforce_l1_capacity, its capacity
- * bound. In a serial search (one shard) it drops the candidate on a
- * key seen before or on the cut, and runs every other candidate
- * through the pure stage engines on that same binding (reuse -> flat
- * -> performance), like the DSE fast sweep: bit-identical to the
- * memoizing pipeline by assembleLayerAnalysis's contract, without
- * thrashing the shared LRU caches with tens of thousands of one-shot
- * mappings. Cost and assembleLayerAnalysis run only when ranking
- * reads them (the energy and EDP objectives, or fits_l1 under
- * enforce_l1_capacity). A shard cannot see the keys of other shards,
- * so when the candidates span several shards the pass only keys and
- * cuts, the serial merge settles every key, and a second sharded pass
- * binds and scores just the survivors: no duplicate is analysed. The
- * merge keeps a bounded top_k heap on (objective value, index). Only
- * the ranked mappings rerun the full chain for the runtime, energy,
- * EDP and utilization they report, and only they get their
- * candidateName. Network mode's best-single-dataflow scoring goes
- * through Analyzer::evaluateBatch instead, so repeated shapes hit the
- * warm pipeline caches.
+ * Evaluation path. Each class's shard builds its candidates one at a
+ * time in enumeration order (forEachCandidate), binds each once and
+ * takes its canonical key. It drops a candidate whose key it already
+ * holds, or, under enforce_l1_capacity, one the capacity cut rejects;
+ * candidates of different classes never share a key, so that is the
+ * whole space's dedup. Every other candidate runs through the pure
+ * stage engines on that same binding (reuse -> flat -> performance),
+ * like the DSE fast sweep: bit-identical to the memoizing pipeline by
+ * assembleLayerAnalysis's contract, without thrashing the shared LRU
+ * caches with tens of thousands of one-shot mappings. Cost and
+ * assembleLayerAnalysis run only when ranking reads them (the energy
+ * and EDP objectives, or fits_l1 under enforce_l1_capacity). No
+ * candidate outlives its visit: only the ranked mappings are rebuilt
+ * from their index (candidateAt) to rerun the full chain for the
+ * runtime, energy, EDP and utilization they report, and only they get
+ * their candidateName. Network mode's best-single-dataflow scoring
+ * goes through Analyzer::evaluateBatch instead, so repeated shapes
+ * hit the warm pipeline caches.
  */
 
 #ifndef MAESTRO_MAPPER_MAPPER_HH
@@ -89,11 +88,11 @@ struct MapperOptions
     /** Threads evaluating candidates (<= 1 = serial); results are
      *  byte-identical for any value. */
     std::size_t num_threads = 1;
-
-    /** Joint mode: how many shortlisted mappings enter the hardware
-     *  sweep. */
-    std::size_t joint_dataflows = 4;
 };
+
+/** Joint mode: how many shortlisted mappings enter the hardware
+ *  sweep. */
+inline constexpr std::size_t kJointDataflows = 4;
 
 /** One ranked mapping and its measured metrics. */
 struct MappedDataflow
@@ -270,7 +269,7 @@ struct JointMapperResult
 };
 
 /**
- * Joint mode: shortlists the mapper's top `joint_dataflows` mappings
+ * Joint mode: shortlists the mapper's top kJointDataflows mappings
  * at the base hardware, then runs the closed-form `(PEs, BW)` sweep
  * of dse::Explorer for each and reports the best pair. The objective
  * maps onto the sweep's OptTarget (Runtime -> Throughput).

@@ -104,6 +104,67 @@ appendVarint(std::string &out, Count value)
     out.push_back(static_cast<char>(bits));
 }
 
+/** The search class of an on-chip choice, in [0, kSearchClasses):
+ *  its level-0 spatial dim, then its inner-level choice. */
+std::size_t
+searchClass(const OnChipChoice &oc)
+{
+    const auto slot = [](Dim d) {
+        return static_cast<std::size_t>(
+            std::find(kIterDims.begin(), kIterDims.end(), d) -
+            kIterDims.begin());
+    };
+    const std::size_t inner =
+        oc.cluster_size > 1 ? 1 + slot(oc.inner_spatial) : 0;
+    return slot(oc.spatialDim()) * (1 + kIterDims.size()) + inner;
+}
+
+/** Tile tuples of an on-chip choice: the product of its tiled dims'
+ *  ladder sizes (candidateCount checks the product fits). */
+std::size_t
+tupleCount(const SearchSpace &space, const OnChipChoice &oc)
+{
+    std::size_t tuples = 1;
+    for (Dim d : tiledDims(oc))
+        tuples *= space.ladders[d].size();
+    return tuples;
+}
+
+/**
+ * The candidate of on-chip choice `oc` at tile tuple `tuple`: an
+ * odometer over the tiled dims in their loop-order positions,
+ * innermost tile fastest.
+ */
+Dataflow
+buildCandidate(const SearchSpace &space, const OnChipChoice &oc,
+               std::size_t tuple)
+{
+    const std::array<Dim, 3> tiled = tiledDims(oc);
+    DimMap<Count> tiles;
+    for (std::size_t i = tiled.size(); i-- > 0;) {
+        const std::vector<Count> &ladder = space.ladders[tiled[i]];
+        tiles[tiled[i]] = ladder[tuple % ladder.size()];
+        tuple /= ladder.size();
+    }
+
+    std::vector<Directive> dirs;
+    dirs.reserve(oc.cluster_size > 1 ? 8 : 6);
+    for (std::size_t pos = 0; pos < oc.order.size(); ++pos) {
+        const Dim d = oc.order[pos];
+        if (pos == oc.spatial_pos)
+            dirs.push_back(spatialDirective(d));
+        else
+            dirs.push_back(temporalDirective(d, tiles[d]));
+    }
+    dirs.push_back(Directive::temporal(Dim::R, sz(Dim::R), sz(Dim::R)));
+    dirs.push_back(Directive::temporal(Dim::S, sz(Dim::S), sz(Dim::S)));
+    if (oc.cluster_size > 1) {
+        dirs.push_back(Directive::cluster(c(oc.cluster_size)));
+        dirs.push_back(spatialDirective(oc.inner_spatial));
+    }
+    return Dataflow(std::string(), std::move(dirs));
+}
+
 } // namespace
 
 SearchSpace
@@ -192,63 +253,35 @@ candidateCount(const SearchSpace &space)
     return total;
 }
 
-std::vector<Candidate>
-crossCandidates(const Layer &layer, const SearchSpace &space)
+void
+forEachCandidate(
+    const SearchSpace &space, std::size_t cls,
+    const std::function<void(const Dataflow &, std::size_t)> &visit)
 {
-    (void)layer;
-
     const std::size_t total = candidateCount(space);
     fatalIf(total > kMaxCandidates, "the mapping space has ", total,
             " candidates, over the bound of ", kMaxCandidates,
             "; narrow the tile, activation-tile or cluster lists");
-    std::vector<Candidate> out;
-    out.reserve(total);
-
-    // Tile tuple iteration: the non-spatial dims in their loop-order
-    // positions, outermost ladder slowest — a deterministic odometer.
+    std::size_t first = 0;
     for (const OnChipChoice &oc : space.onchip) {
-        const std::array<Dim, 3> tiled = tiledDims(oc);
-        std::array<std::size_t, 3> idx{0, 0, 0};
-        for (;;) {
-            DimMap<Count> tiles;
-            for (std::size_t i = 0; i < tiled.size(); ++i)
-                tiles[tiled[i]] = space.ladders[tiled[i]][idx[i]];
-
-            std::vector<Directive> dirs;
-            dirs.reserve(oc.cluster_size > 1 ? 8 : 6);
-            for (std::size_t pos = 0; pos < oc.order.size(); ++pos) {
-                const Dim d = oc.order[pos];
-                if (pos == oc.spatial_pos)
-                    dirs.push_back(spatialDirective(d));
-                else
-                    dirs.push_back(temporalDirective(d, tiles[d]));
-            }
-            dirs.push_back(
-                Directive::temporal(Dim::R, sz(Dim::R), sz(Dim::R)));
-            dirs.push_back(
-                Directive::temporal(Dim::S, sz(Dim::S), sz(Dim::S)));
-            if (oc.cluster_size > 1) {
-                dirs.push_back(Directive::cluster(c(oc.cluster_size)));
-                dirs.push_back(spatialDirective(oc.inner_spatial));
-            }
-            Candidate &cand = out.emplace_back();
-            cand.dataflow = Dataflow(std::string(), std::move(dirs));
-            cand.index = out.size() - 1;
-
-            // Advance the odometer (innermost tile fastest).
-            std::size_t i = tiled.size();
-            while (i > 0) {
-                --i;
-                if (++idx[i] < space.ladders[tiled[i]].size())
-                    break;
-                idx[i] = 0;
-                if (i == 0)
-                    goto next_onchip;
-            }
-        }
-    next_onchip:;
+        const std::size_t tuples = tupleCount(space, oc);
+        if (searchClass(oc) == cls)
+            for (std::size_t tuple = 0; tuple < tuples; ++tuple)
+                visit(buildCandidate(space, oc, tuple), first + tuple);
+        first += tuples;
     }
-    return out;
+}
+
+Dataflow
+candidateAt(const SearchSpace &space, std::size_t index)
+{
+    for (const OnChipChoice &oc : space.onchip) {
+        const std::size_t tuples = tupleCount(space, oc);
+        if (index < tuples)
+            return buildCandidate(space, oc, index);
+        index -= tuples;
+    }
+    throw Error("candidate index out of range");
 }
 
 std::string

@@ -43,6 +43,11 @@
  * it ranks, from their directive lists (candidateName), so no
  * candidate pays for text it never shows.
  *
+ * Classes. The cross product is walked one class at a time (the
+ * level-0 spatial dim and the inner-level choice; see kSearchClasses),
+ * and each candidate is built when the walk reaches it and dropped
+ * after; candidateAt rebuilds one from its enumeration index.
+ *
  * Capacity cut. l1_bytes_required >= 2 * precision * sum of PE-level
  * storage chunks (flat_analysis only ever scales the resident set UP
  * from the chunk product, via fold residency), so that bound — cheap
@@ -56,6 +61,7 @@
 #define MAESTRO_MAPPER_SEARCH_SPACE_HH
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -138,46 +144,64 @@ SearchSpace buildSearchSpace(const Layer &layer,
                              const SpaceOptions &options);
 
 /**
- * One structural candidate of the cross product: the unnamed dataflow
- * plus its deterministic enumeration index (the ranking tiebreak).
- */
-struct Candidate
-{
-    Dataflow dataflow{std::string()};
-    std::size_t index = 0;
-};
-
-/**
- * Most candidates one search may materialise: about 530 B each, so
- * about 106 MB at the bound. No layer's default space comes near it:
- * at most 312 on-chip choices for each of the four spatial dims, times
+ * Most candidates one search may visit. The search builds each
+ * candidate inside its class's shard and keeps none, so this bounds
+ * work, not memory: about 3 µs of one thread per candidate, so under
+ * a second at the bound. No layer's default space comes near it: at
+ * most 312 on-chip choices for each of the four spatial dims, times
  * 12, 12, 18 and 18 tile tuples, is 18,720.
  */
 inline constexpr std::size_t kMaxCandidates = 200000;
 
 /**
- * How many candidates crossCandidates emits for `space` (SIZE_MAX
+ * How many candidates the cross product of `space` holds (SIZE_MAX
  * when the count does not fit), computed without building any.
  */
 std::size_t candidateCount(const SearchSpace &space);
 
 /**
- * Takes the cross product of the pruned sides in deterministic order.
- * Tiles riding on the spatially mapped dimension are skipped by
- * construction (they cannot change the directive list); every emitted
- * candidate is a distinct directive list. Candidates carry no name;
- * candidateName derives it when one is needed.
- *
- * @throws Error when candidateCount(space) exceeds kMaxCandidates,
- *         before allocating anything.
+ * How many search classes the cross product splits into. A class is
+ * the on-chip choices sharing a level-0 spatial dim and an
+ * inner-level choice (a cluster's inner spatial dim, or single level):
+ * four spatial dims times five inner-level choices. Loop order and
+ * cluster size are not part of it, so a class holds every loop order
+ * and every cluster size of its dims. canonicalMappingKey encodes
+ * every level's SpatialMap with its dim and closes each level, so
+ * candidates of different classes never share a key, and a class
+ * dedups on its own keys exactly as the whole space would. Cluster
+ * sizes must not split a class: on a small array Cluster(16) and
+ * Cluster(64) bind alike.
  */
-std::vector<Candidate> crossCandidates(const Layer &layer,
-                                       const SearchSpace &space);
+inline constexpr std::size_t kSearchClasses = 20;
 
 /**
- * The name of a crossCandidates dataflow, derived from its directive
- * list: loop order, spatial dim, cluster size and inner spatial dim,
- * then the tile of every temporally mapped iterating dim (e.g.
+ * Builds the candidates of class `cls` (in [0, kSearchClasses)) one
+ * at a time, in enumeration order, and calls visit(dataflow, index)
+ * on each, `index` being its position in the whole cross product (the
+ * ranking tiebreak). Tiles riding on the spatially mapped dimension
+ * are skipped by construction (they cannot change the directive
+ * list), so every candidate is a distinct directive list. Candidates
+ * carry no name; candidateName derives it when one is needed.
+ *
+ * @throws Error when candidateCount(space) exceeds kMaxCandidates,
+ *         before building any.
+ */
+void forEachCandidate(
+    const SearchSpace &space, std::size_t cls,
+    const std::function<void(const Dataflow &, std::size_t)> &visit);
+
+/**
+ * Rebuilds the candidate forEachCandidate yields at enumeration index
+ * `index`.
+ *
+ * @throws Error when `index` is not below candidateCount(space).
+ */
+Dataflow candidateAt(const SearchSpace &space, std::size_t index);
+
+/**
+ * The name of a candidate, derived from its directive list: loop
+ * order, spatial dim, cluster size and inner spatial dim, then the
+ * tile of every temporally mapped iterating dim (e.g.
  * "M-KCYX-sC-c16iK-tK8C1Y1X4").
  */
 std::string candidateName(const Dataflow &dataflow);

@@ -49,17 +49,6 @@ paramSwitch(const QueryParams &params, const std::string &key)
     return true;
 }
 
-/** The single layer dse/tune operate on. */
-const Layer &
-singleLayer(const RequestInputs &in, const char *endpoint)
-{
-    if (in.layer_name)
-        return in.network.layer(*in.layer_name);
-    fatalIf(in.network.layers().size() != 1, endpoint, " needs ?layer=NAME when the network has ",
-                in.network.layers().size(), " layers");
-    return in.network.layers().front();
-}
-
 /** Writes one LayerAnalysis as an object member sequence. */
 void
 writeLayerAnalysis(JsonWriter &w, const LayerAnalysis &la)
@@ -181,6 +170,17 @@ writeMappedDataflow(JsonWriter &w, const mapper::MappedDataflow &md)
 
 } // namespace
 
+const Layer &
+singleLayer(const RequestInputs &in, const char *endpoint)
+{
+    if (in.layer_name)
+        return in.network.layer(*in.layer_name);
+    fatalIf(in.network.layers().size() != 1, endpoint,
+            " needs ?layer=NAME when the network has ",
+            in.network.layers().size(), " layers");
+    return in.network.layers().front();
+}
+
 std::vector<const Layer *>
 selectLayers(const RequestInputs &inputs)
 {
@@ -194,10 +194,32 @@ selectLayers(const RequestInputs &inputs)
     return out;
 }
 
-mapper::MapperOptions
-mapperOptions(const QueryParams &params, std::size_t worker_threads)
+TuneQuery
+tuneQuery(const QueryParams &params, std::size_t worker_threads)
 {
-    mapper::MapperOptions options;
+    TuneQuery query;
+    const auto obj_it = params.find("objective");
+    if (obj_it != params.end())
+        query.objective_name = obj_it->second;
+    const std::string &obj = query.objective_name;
+    if (obj == "energy")
+        query.objective = mapper::Objective::Energy;
+    else if (obj == "edp")
+        query.objective = mapper::Objective::Edp;
+    else
+        fatalIf(obj != "runtime",
+                "objective must be runtime, energy, or edp; got '", obj,
+                "'");
+
+    const auto mode_it = params.find("mode");
+    if (mode_it != params.end())
+        query.mode = mode_it->second;
+    fatalIf(query.mode != "layer" && query.mode != "network" &&
+                query.mode != "joint",
+            "mode must be layer, network, or joint; got '", query.mode,
+            "'");
+
+    mapper::MapperOptions &options = query.options;
     options.top_k = paramCount(params, "top_k", options.top_k);
     options.enforce_l1_capacity = paramSwitch(params, "enforce_l1");
     options.exact = paramSwitch(params, "exact");
@@ -210,6 +232,17 @@ mapperOptions(const QueryParams &params, std::size_t worker_threads)
         params, "tiles", options.space.channel_tiles);
     options.space.activation_tiles = paramCountList(
         params, "act_tiles", options.space.activation_tiles);
+    return query;
+}
+
+dse::DseOptions
+dseBudgets(const QueryParams &params)
+{
+    dse::DseOptions options;
+    options.area_budget_mm2 =
+        paramPositive(params, "area", options.area_budget_mm2);
+    options.power_budget_mw =
+        paramPositive(params, "power", options.power_budget_mw);
     return options;
 }
 
@@ -300,9 +333,7 @@ dseJson(const RequestInputs &inputs, const QueryParams &params,
                 " (name one with ?dataflow=NAME)");
     const Layer &layer = singleLayer(inputs, "dse");
 
-    dse::DseOptions options;
-    options.area_budget_mm2 = paramPositive(params, "area", 16.0);
-    options.power_budget_mw = paramPositive(params, "power", 450.0);
+    dse::DseOptions options = dseBudgets(params);
     options.exact = paramSwitch(params, "exact");
     const dse::Explorer explorer(inputs.config, AreaPowerModel(),
                                  energy, pipeline);
@@ -334,26 +365,11 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
          const std::shared_ptr<AnalysisPipeline> &pipeline,
          const EnergyModel &energy, std::size_t worker_threads)
 {
-    const auto obj_it = params.find("objective");
-    const std::string obj =
-        obj_it == params.end() ? "runtime" : obj_it->second;
-    mapper::Objective objective = mapper::Objective::Runtime;
-    if (obj == "energy")
-        objective = mapper::Objective::Energy;
-    else if (obj == "edp")
-        objective = mapper::Objective::Edp;
-    else
-        fatalIf(obj != "runtime", "objective must be runtime, energy, or edp; got '",
-                    obj, "'");
-
-    const auto mode_it = params.find("mode");
-    const std::string mode =
-        mode_it == params.end() ? "layer" : mode_it->second;
-    fatalIf(mode != "layer" && mode != "network" && mode != "joint", "mode must be layer, network, or joint; got '", mode,
-                "'");
-
-    const mapper::MapperOptions options =
-        mapperOptions(params, worker_threads);
+    const TuneQuery query = tuneQuery(params, worker_threads);
+    const mapper::Objective objective = query.objective;
+    const std::string &obj = query.objective_name;
+    const std::string &mode = query.mode;
+    const mapper::MapperOptions &options = query.options;
     const Analyzer analyzer(inputs.config, energy, pipeline);
 
     JsonWriter w;
@@ -391,11 +407,7 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
         w.key("winner").value(res.best_single.dataflow.toString());
     } else if (mode == "joint") {
         const Layer &layer = singleLayer(inputs, "tune");
-        dse::DseOptions dse_options;
-        dse_options.area_budget_mm2 =
-            paramPositive(params, "area", 16.0);
-        dse_options.power_budget_mw =
-            paramPositive(params, "power", 450.0);
+        dse::DseOptions dse_options = dseBudgets(params);
         dse_options.num_threads = options.num_threads;
         const mapper::JointMapperResult res =
             mapper::mapJoint(analyzer, layer, objective,

@@ -23,15 +23,11 @@
 #include <string>
 
 #include "src/core/analyzer.hh"
+#include "src/mapper/mapper.hh"
 #include "src/serve/http.hh"
 
 namespace maestro
 {
-namespace mapper
-{
-struct MapperOptions;
-} // namespace mapper
-
 namespace serve
 {
 
@@ -65,6 +61,14 @@ struct RequestInputs
 /** The layers a request operates on: the selected one, else all
  *  (borrowed from inputs.network). */
 std::vector<const Layer *> selectLayers(const RequestInputs &inputs);
+
+/**
+ * The one layer a dse or tune request operates on: the selected one,
+ * else the network's only layer.
+ *
+ * @throws Error when none is selected and the network has several.
+ */
+const Layer &singleLayer(const RequestInputs &in, const char *endpoint);
 
 /**
  * Parses a DSL request body and resolves analysis inputs.
@@ -125,17 +129,43 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
          const std::shared_ptr<AnalysisPipeline> &pipeline,
          const EnergyModel &energy, std::size_t worker_threads = 1);
 
+/** A /tune request's mode, objective and mapper knobs. */
+struct TuneQuery
+{
+    /** layer, network or joint. */
+    std::string mode = "layer";
+
+    /** runtime, energy or edp, as the request spelled it. */
+    std::string objective_name = "runtime";
+
+    mapper::Objective objective = mapper::Objective::Runtime;
+
+    mapper::MapperOptions options;
+};
+
 /**
- * The mapper knobs of a /tune request: ?top_k=, ?enforce_l1=on,
- * ?exact=on, ?threads= (capped by `worker_threads`) and the
- * ?clusters=/?tiles=/?act_tiles= lists. `tune` resolves its flags
- * through this too, in both output formats.
+ * Parses a /tune request's ?mode=, ?objective= and mapper knobs:
+ * ?top_k=, ?enforce_l1=on, ?exact=on, ?threads= (capped by
+ * `worker_threads`) and the ?clusters=/?tiles=/?act_tiles= lists.
+ * `tune` resolves its flags through this in both output formats, so
+ * they accept and reject the same strings with the same messages.
  *
- * @throws Error when a count or list is not strictly positive
- *         integers, or a switch has a value other than `on`.
+ * @throws Error on an unknown mode or objective, when a count or list
+ *         is not strictly positive integers, or when a switch has a
+ *         value other than `on`.
  */
-mapper::MapperOptions mapperOptions(const QueryParams &params,
-                                    std::size_t worker_threads);
+TuneQuery tuneQuery(const QueryParams &params,
+                    std::size_t worker_threads);
+
+/**
+ * The ?area= and ?power= budgets of /dse and of /tune's joint mode
+ * (finite and positive; DseOptions's defaults when absent), the rest
+ * of the options at their defaults. `dse` and `tune` resolve their
+ * --area/--power flags through this too.
+ *
+ * @throws Error when a budget is not a finite positive number.
+ */
+dse::DseOptions dseBudgets(const QueryParams &params);
 
 /**
  * POST /simulate: the periodic reference simulator on one layer,

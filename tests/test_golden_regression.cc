@@ -96,8 +96,11 @@ const LayerGolden kLayerGoldens[] = {
     {"mobilenetv2", "B2_expand", "KC-P", "paper", 451642.01041666669,
      19267584, 64, 84, 52, 168, 574245416.96000004, 292952616.96000004,
      202240, 6022656, 38535168, 6022656},
-    {"dcgan", "TRCONV2", "KC-P", "paper", 1835084.0056818181, 134217728,
-     256, 1281, 66, 10248, 3661337886.7200003, 1976243486.7200003,
+    // Captured with the runtime engine charging the zero-inserted
+    // input at its density on the NoC and DRAM, as the cost engine
+    // does (not by the pre-pipeline analyzer).
+    {"dcgan", "TRCONV2", "KC-P", "paper", 868428.00142045459, 134217728,
+     256, 1089, 66, 10248, 3661337886.7200003, 1976243486.7200003,
      8392704, 20447232, 671088640, 20447232},
     {"unet", "DOWN3", "YX-P", "paper", 30587926.38237847, 5863145472,
      250.66666666666666, 65.271604938271594, 38, 1185.9999999999998,

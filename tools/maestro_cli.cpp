@@ -625,9 +625,9 @@ cmdDse(const Args &args, const serve::RequestInputs &in)
     fatalIf(args.get("format", "table") != "table",
             "--format must be table or json");
     const Layer &layer = in.network.layer(*in.layer_name);
-    dse::DseOptions options;
-    options.area_budget_mm2 = args.getPositive("area", 16.0);
-    options.power_budget_mw = args.getPositive("power", 450.0);
+    serve::QueryParams params;
+    addBudgetParams(args, params);
+    dse::DseOptions options = serve::dseBudgets(params);
     options.num_threads = opts.num_threads;
     options.exact = args.has("dse-exact");
     auto pipeline = std::make_shared<AnalysisPipeline>();
@@ -678,8 +678,8 @@ cmdDse(const Args &args, const serve::RequestInputs &in)
 /**
  * The /tune query parameters equivalent to the tune flags. Both
  * output formats resolve their knobs from these through the server's
- * own parsing (serve::mapperOptions), so they accept and reject the
- * same strings with the same messages.
+ * own parsing (serve::tuneQuery, serve::dseBudgets), so they accept
+ * and reject the same strings with the same messages.
  */
 serve::QueryParams
 tuneParams(const Args &args, const serve::RequestInputs &in)
@@ -746,21 +746,13 @@ cmdTune(const Args &args, const serve::RequestInputs &in)
     fatalIf(args.get("format", "table") != "table",
             "--format must be table or json");
 
-    const std::string obj = args.get("objective", "runtime");
-    mapper::Objective objective = mapper::Objective::Runtime;
-    if (obj == "energy")
-        objective = mapper::Objective::Energy;
-    else if (obj == "edp")
-        objective = mapper::Objective::Edp;
-    else
-        fatalIf(obj != "runtime",
-                "objective must be runtime, energy, or edp");
-    const std::string mode = args.get("mode", "layer");
-    fatalIf(mode != "layer" && mode != "network" && mode != "joint",
-            "--mode must be layer, network, or joint");
-
-    const mapper::MapperOptions options =
-        serve::mapperOptions(tuneParams(args, in), opts.num_threads);
+    const serve::QueryParams params = tuneParams(args, in);
+    const serve::TuneQuery query =
+        serve::tuneQuery(params, opts.num_threads);
+    const mapper::Objective objective = query.objective;
+    const std::string &obj = query.objective_name;
+    const std::string &mode = query.mode;
+    const mapper::MapperOptions &options = query.options;
     const Analyzer analyzer(in.config);
 
     if (mode == "network") {
@@ -786,13 +778,10 @@ cmdTune(const Args &args, const serve::RequestInputs &in)
         return 0;
     }
 
-    fatalIf(!in.layer_name, "tune needs --layer");
-    const Layer &layer = in.network.layer(*in.layer_name);
+    const Layer &layer = serve::singleLayer(in, "tune");
 
     if (mode == "joint") {
-        dse::DseOptions dse_options;
-        dse_options.area_budget_mm2 = args.getPositive("area", 16.0);
-        dse_options.power_budget_mw = args.getPositive("power", 450.0);
+        dse::DseOptions dse_options = serve::dseBudgets(params);
         dse_options.num_threads = opts.num_threads;
         const mapper::JointMapperResult res = mapper::mapJoint(
             analyzer, layer, objective, dse::DesignSpace::figure13(),
