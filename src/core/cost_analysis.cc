@@ -23,8 +23,8 @@ CostResult::accessSums() const
         sums.l1_reads += l1_reads[tensor];
         sums.l1_writes += l1_writes[tensor];
         sums.l2_reads += l2_reads[tensor];
-        sums.l2_writes += l2_writes[tensor];
     }
+    sums.l2_writes = l2_writes[TensorKind::Output];
     sums.noc_elements = noc_elements;
     sums.output_dram_writes = dram_writes[TensorKind::Output];
     sums.weight_volume = tensor_volumes[TensorKind::Weight];
@@ -169,15 +169,15 @@ analyzeCost(const BoundDataflow &bound, const std::vector<LevelReuse> &reuse,
     // ---- DRAM <-> L2 boundary. ----
     for (TensorKind t : kAllTensors) {
         cost.tensor_volumes[t] =
-            static_cast<double>(layer.tensorVolume(t));
+            static_cast<double>(layer.tensorVolume(t)) * density[t];
     }
     for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
         // The performance engine already applies the L2 capacity
-        // correction (a resident tensor is fetched exactly once).
-        cost.dram_fill_model[t] = perf.dram_fill_model[t] * density[t];
-        const double fill = perf.dram_fill[t] * density[t];
-        cost.dram_reads[t] = fill;
-        cost.l2_writes[t] = fill;
+        // correction (a resident tensor is fetched exactly once) and
+        // the density.
+        cost.dram_fill_model[t] = perf.dram_fill_model[t];
+        cost.dram_reads[t] = perf.dram_fill[t];
+        cost.l2_writes[t] = perf.dram_fill[t];
     }
     cost.dram_writes[TensorKind::Output] = perf.final_outputs;
     // Final outputs drain from L2 to DRAM: one L2 read each.
@@ -185,9 +185,9 @@ analyzeCost(const BoundDataflow &bound, const std::vector<LevelReuse> &reuse,
 
     // ---- L2 <-> L1 boundary (flattened nest). ----
     for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
-        cost.l2_reads[t] += perf.l2_supply[t] * density[t];
-        cost.noc_elements += perf.l2_supply[t] * density[t];
-        cost.l1_writes[t] += perf.l1_fill[t] * density[t];
+        cost.l2_reads[t] += perf.l2_supply[t];
+        cost.noc_elements += perf.l2_supply[t];
+        cost.l1_writes[t] += perf.l1_fill[t];
     }
     {
         const double commits = perf.output_commits;

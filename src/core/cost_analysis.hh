@@ -65,10 +65,10 @@ struct CostResult
      */
     TensorMap<double> dram_fill_model;
 
-    /** Per-tensor element counts (for capacity re-derivation).
-     *  Per-group, like dram_fill_model: grouped convolutions process
-     *  one group's tensors at a time, so the L2 residency check is
-     *  per-group (see `groups`). */
+    /** Per-tensor stored elements: nonzeros, volume x density (for
+     *  capacity re-derivation). Per-group, like dram_fill_model:
+     *  grouped convolutions process one group's tensors at a time, so
+     *  the L2 residency check is per-group (see `groups`). */
     TensorMap<double> tensor_volumes;
 
     /**
@@ -114,7 +114,10 @@ struct CostResult
      * DRAM-fill inputs. Total energy at fixed counts is affine in the
      * per-access energies, so these scalars — not the full per-tensor
      * breakdown — are all the DSE needs to re-price a design's buffer
-     * capacities.
+     * capacities. The weight and input DRAM fill depends on the L2
+     * size, so l2_writes leaves it out: the re-pricing derives the
+     * fill and charges each filled element one DRAM read and one L2
+     * write.
      */
     struct AccessSums
     {
@@ -122,11 +125,11 @@ struct CostResult
         double l1_reads = 0.0;
         double l1_writes = 0.0;
         double l2_reads = 0.0;
-        double l2_writes = 0.0;
+        double l2_writes = 0.0; ///< output writes only
         double noc_elements = 0.0;
         double output_dram_writes = 0.0;
-        double weight_volume = 0.0; ///< per-group elements
-        double input_volume = 0.0;  ///< per-group elements
+        double weight_volume = 0.0; ///< per-group stored elements
+        double input_volume = 0.0;  ///< per-group stored elements
         double weight_fill = 0.0;   ///< per-group DRAM fill model
         double input_fill = 0.0;    ///< per-group DRAM fill model
         double l2_required = 0.0;   ///< schedule's L2 working set (bytes)
@@ -179,6 +182,22 @@ inline double
 l2ResidencyBytes(double l2_bytes, double l2_required)
 {
     return std::max(0.5 * l2_bytes, l2_bytes - l2_required);
+}
+
+/**
+ * The one L2 residency rule every engine applies (the performance and
+ * cost engines, the DSE's energy re-pricing and its residency edges,
+ * and the reference simulator): a tensor is pinned in L2, and so
+ * fetched from DRAM once, when the bytes of the elements it stores fit
+ * under l2ResidencyBytes. A sparse tensor stores only its nonzeros, so
+ * `stored` is volume x density. Monotone nondecreasing in l2_bytes.
+ */
+inline bool
+l2Resident(double stored, Count precision_bytes, double l2_bytes,
+           double l2_required)
+{
+    return stored * static_cast<double>(precision_bytes) <=
+           l2ResidencyBytes(l2_bytes, l2_required);
 }
 
 /**

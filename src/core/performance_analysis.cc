@@ -9,34 +9,58 @@
 namespace maestro
 {
 
+double
+runtimeAt(const PerformanceResult &perf, const NocModel &noc)
+{
+    // Initial step: (dram + noc) + compute.
+    double runtime = perf.init_dram_delay +
+                     noc.delay(perf.initial.ingress()) + perf.pe_compute;
+    for (const TrafficCase &c : perf.cases) {
+        // Steady step: ingress and egress overlap compute. delay is
+        // monotone, so delay(max(in, out)) == max(delay(in),
+        // delay(out)) bit for bit. The edge-averaged compute makes the
+        // sum integrate correctly over partial tail chunks.
+        const double outstanding = std::max(
+            noc.delay(std::max(c.ingress(), c.noc[TensorKind::Output])),
+            perf.pe_compute_avg);
+        runtime += outstanding * c.advance;
+    }
+    // The off-chip interface must sustain the whole fill/drain volume.
+    return std::max(runtime, perf.offchip_busy);
+}
+
 PerformanceResult
 analyzePerformance(const BoundDataflow &bound,
                    const std::vector<LevelReuse> &reuse,
                    const FlatAnalysis &flat, const Layer &layer,
-                   const AcceleratorConfig &config, double compute_scale,
-                   PerfRuntimeProfile *profile)
+                   const AcceleratorConfig &config)
 {
     config.validate();
     panicIf(reuse.empty(), "analyzePerformance: no levels");
-    if (profile) {
-        *profile = PerfRuntimeProfile();
-        profile->cases.reserve(flat.loops.size());
-    }
 
     PerformanceResult result;
     result.active_pes = flat.active_pes;
-    result.total_pe_steps = flat.total_pe_steps;
+
+    // Uniform sparsity (paper Sec. 4.4): only nonzero weights and
+    // inputs are multiplied, cross the NoC and the off-chip interface.
+    TensorMap<double> density(1.0);
+    density[TensorKind::Weight] = layer.weightDensityVal();
+    density[TensorKind::Input] = layer.inputDensityVal();
+    const double compute_scale =
+        density[TensorKind::Input] * density[TensorKind::Weight];
 
     // Per-PE compute delay of one flattened step. The steady value
-    // paces the per-case maxima; the edge-averaged value integrates to
-    // the true compute-only runtime.
-    const double pe_compute = std::ceil(
+    // paces the initial step; the edge-averaged value integrates to
+    // the true compute-only runtime. Both are whole cycles: a PE
+    // cannot issue part of a vector operation.
+    result.pe_compute = std::ceil(
         std::max(1.0, flat.pe_psums_per_step * compute_scale) /
         static_cast<double>(config.vector_width));
-    const double pe_compute_avg = std::max(
-        1.0, flat.pe_psums_avg * compute_scale /
-                 static_cast<double>(config.vector_width));
-    result.compute_only_runtime = pe_compute_avg * flat.total_pe_steps;
+    result.pe_compute_avg = std::ceil(
+        std::max(1.0, flat.pe_psums_avg * compute_scale) /
+        static_cast<double>(config.vector_width));
+    result.compute_only_runtime =
+        result.pe_compute_avg * flat.total_pe_steps;
 
     // ---- DRAM <-> L2 side: level-0 transition profile. ----
     const LevelReuse &top = reuse.front();
@@ -57,37 +81,29 @@ analyzePerformance(const BoundDataflow &bound,
                 std::max(1.0, active0 * ot.spatial_unique_ratio);
         }
     }
-    // DRAM fill totals (weights/inputs) and drain (final outputs).
-    // L2 capacity correction: a tensor the L2 can pin alongside the
-    // schedule's streaming working set is fetched once, so its refetch
-    // traffic never reaches DRAM (see l2ResidencyBytes).
-    const double l2_resident_bytes = l2ResidencyBytes(
-        static_cast<double>(config.l2_bytes),
-        l2BytesRequired(bound, reuse, config.precision_bytes));
+    // DRAM fill totals (weights/inputs). L2 capacity correction: a
+    // tensor the L2 can pin alongside the schedule's streaming working
+    // set is fetched once, so its refetch traffic never reaches DRAM
+    // (see l2Resident).
+    const double l2_required =
+        l2BytesRequired(bound, reuse, config.precision_bytes);
     TensorMap<double> dram_ratio(1.0);
     for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
         const double model_fill =
             top.traffic[t].traffic_per_unit * top_unique_mult[t];
-        result.dram_fill_model[t] = model_fill;
         const double volume =
             static_cast<double>(layer.tensorVolume(t));
-        const bool resident =
-            volume * static_cast<double>(config.precision_bytes) <=
-            l2_resident_bytes;
+        const bool resident = l2Resident(
+            volume * density[t], config.precision_bytes,
+            static_cast<double>(config.l2_bytes), l2_required);
         const double fill = resident && model_fill > volume
                                 ? volume
                                 : model_fill;
-        result.dram_fill[t] = fill;
+        result.dram_fill_model[t] = model_fill * density[t];
+        result.dram_fill[t] = fill * density[t];
         dram_ratio[t] = model_fill > 0.0 ? fill / model_fill : 1.0;
     }
     result.final_outputs = flat.final_outputs;
-
-    // Uniform sparsity (paper Sec. 4.4): only nonzero weights and
-    // inputs cross the NoC and the off-chip interface, as analyzeCost
-    // and the simulator count them.
-    TensorMap<double> density(1.0);
-    density[TensorKind::Weight] = layer.weightDensityVal();
-    density[TensorKind::Input] = layer.inputDensityVal();
 
     // Fraction of level-0 egress that is final (crosses to DRAM).
     const double top_egress =
@@ -97,123 +113,77 @@ analyzePerformance(const BoundDataflow &bound,
         top_egress > 0.0 ? std::min(1.0, flat.final_outputs / top_egress)
                          : 1.0;
 
-    // Map level-0 flat loops to level-0 reuse loop indices: the flat
-    // loop list is the per-level loop lists concatenated in order.
-    // (Level-0 loops are the first reuse.front().loops.size() entries.)
+    // Level-0 flat loops come first: the flat loop list is the
+    // per-level loop lists concatenated in order.
     const std::size_t num_top_loops = top.loops.size();
 
-    // Span of steps from one advance of flat loop i to the next:
-    // product of the trip counts of all deeper loops.
-    std::vector<double> span(flat.loops.size(), 1.0);
-    for (std::size_t i = flat.loops.size(); i-- > 0;) {
-        span[i] = (i + 1 < flat.loops.size())
-                      ? span[i + 1] *
-                            static_cast<double>(flat.loops[i + 1].steps)
-                      : 1.0;
-    }
-
-    // ---- Per-case runtime. ----
-    double offchip_busy = 0.0;
-    double noc_busy = 0.0;
-
-    // Initial step: serial fill of everything.
-    {
-        double noc_in = 0.0;
-        for (TensorKind t : {TensorKind::Weight, TensorKind::Input})
-            noc_in += flat.pe_chunk[t] * flat.noc_mult[t] * density[t];
-        double dram_in = 0.0;
-        for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
-            dram_in += top.traffic[t].chunk_volume * top_unique_mult[t] *
+    // ---- The traffic record. ----
+    TrafficCase &init = result.initial;
+    init.advance = 1.0;
+    for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
+        init.noc[t] = flat.pe_chunk[t] * flat.noc_mult[t] * density[t];
+        init.dram[t] = top.traffic[t].chunk_volume * top_unique_mult[t] *
                        dram_ratio[t] * density[t];
-        }
-        const double d_noc = config.noc.delay(noc_in);
-        const double d_dram = config.offchip.delay(dram_in);
-        result.runtime += d_dram + d_noc + pe_compute;
-        offchip_busy += d_dram;
-        noc_busy += d_noc;
-        if (profile) {
-            profile->init_dram_delay = d_dram;
-            profile->init_noc_volume = noc_in;
-            profile->pe_compute = pe_compute;
-            profile->pe_compute_avg = pe_compute_avg;
-        }
     }
+    result.init_dram_delay = config.offchip.delay(
+        init.dram[TensorKind::Weight] + init.dram[TensorKind::Input]);
+    result.offchip_busy = result.init_dram_delay;
+    double noc_busy = config.noc.delay(init.ingress());
 
+    result.cases.reserve(flat.loops.size());
     for (std::size_t i = 0; i < flat.loops.size(); ++i) {
         const FlatLoop &fl = flat.loops[i];
         if (fl.advance_count <= 0.0)
             continue;
 
-        double noc_in = 0.0;
+        TrafficCase &c = result.cases.emplace_back();
+        c.advance = fl.advance_count;
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input})
-            noc_in += fl.delta_pe[t] * flat.noc_mult[t] * density[t];
-        const double noc_out =
+            c.noc[t] = fl.delta_pe[t] * flat.noc_mult[t] * density[t];
+        c.noc[TensorKind::Output] =
             fl.delta_pe[TensorKind::Output] * flat.out_noc_mult;
-
-        double dram_in = 0.0;
-        double dram_out = 0.0;
         if (fl.level == 0 && i < num_top_loops) {
             for (TensorKind t :
                  {TensorKind::Weight, TensorKind::Input}) {
-                dram_in += top.traffic[t].delta_per_loop[i] *
-                           top_unique_mult[t] * dram_ratio[t] *
-                           density[t];
+                c.dram[t] = top.traffic[t].delta_per_loop[i] *
+                            top_unique_mult[t] * dram_ratio[t] *
+                            density[t];
             }
-            dram_out = top.traffic[TensorKind::Output]
-                           .delta_per_loop[i] *
-                       top_unique_mult[TensorKind::Output] *
-                       final_fraction;
+            c.dram[TensorKind::Output] =
+                top.traffic[TensorKind::Output].delta_per_loop[i] *
+                top_unique_mult[TensorKind::Output] * final_fraction;
         }
 
-        const double d_in = config.noc.delay(noc_in);
-        const double d_out = config.noc.delay(noc_out);
-        if (profile)
-            profile->cases.push_back(
-                {std::max(noc_in, noc_out), fl.advance_count});
-
-        // Use the edge-averaged compute for steady steps so the sum
-        // integrates correctly over partial tail chunks.
-        const double outstanding =
-            std::max({d_in, d_out, pe_compute_avg});
-        result.runtime += outstanding * fl.advance_count;
-        noc_busy += (d_in + d_out) * fl.advance_count;
+        const double noc_in = c.ingress();
+        const double noc_out = c.noc[TensorKind::Output];
+        noc_busy += (config.noc.delay(noc_in) +
+                     config.noc.delay(noc_out)) *
+                    c.advance;
         // DRAM bursts pipeline behind the L2's double buffer: account
         // them as busy time on the off-chip interface.
-        offchip_busy += (dram_in + dram_out) /
-                        config.offchip.bandwidth() * fl.advance_count;
-
-        if (pe_compute > 0.0) {
-            result.noc_bw_requirement =
-                std::max(result.noc_bw_requirement,
-                         (noc_in + noc_out) / pe_compute);
-            result.offchip_bw_requirement = std::max(
-                result.offchip_bw_requirement,
-                (dram_in + dram_out) / (pe_compute * span[i]));
-        }
+        result.offchip_busy +=
+            (c.dram[TensorKind::Weight] + c.dram[TensorKind::Input] +
+             c.dram[TensorKind::Output]) /
+            config.offchip.bandwidth() * c.advance;
+        result.noc_bw_requirement =
+            std::max(result.noc_bw_requirement,
+                     (noc_in + noc_out) / result.pe_compute);
     }
-
-    // The off-chip interface must sustain the whole fill/drain volume;
-    // runtime is bounded below by its busy time.
-    if (profile)
-        profile->offchip_busy = offchip_busy;
-    result.runtime = std::max(result.runtime, offchip_busy);
+    result.runtime = runtimeAt(result, config.noc);
 
     // ---- Traffic totals. ----
     for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
-        result.l2_supply[t] = flat.l1_fill_per_pe[t] * flat.noc_mult[t];
+        result.l2_supply[t] =
+            flat.l1_fill_per_pe[t] * flat.noc_mult[t] * density[t];
         result.l1_fill[t] =
-            flat.l1_fill_per_pe[t] * flat.delivered_mult;
-        result.noc_elements += result.l2_supply[t];
+            flat.l1_fill_per_pe[t] * flat.delivered_mult * density[t];
     }
-    result.outputs_from_pes =
-        flat.egress_per_pe * flat.out_delivered_mult;
     result.output_commits = flat.egress_per_pe * flat.out_noc_mult;
-    result.noc_elements += result.output_commits;
 
     // ---- Bottleneck classification. ----
     if (result.runtime <= result.compute_only_runtime * 1.05) {
         result.bottleneck = "compute";
-    } else if (offchip_busy > noc_busy) {
+    } else if (result.offchip_busy > noc_busy) {
         result.bottleneck = "offchip";
     } else {
         result.bottleneck = "noc";

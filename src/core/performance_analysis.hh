@@ -5,29 +5,63 @@
  * Walks the iteration cases of the flattened nest: every PE step
  * belongs to a case (the initial step, or "flat loop i advanced");
  * each case has its own L2->L1 distribution traffic (from the flat
- * analysis deltas) and, for level-0 loops, a DRAM->L2 fill burst that
- * amortizes over the span of steps until that loop advances again.
- * Double buffering overlaps communication with compute: a steady step
- * costs max(NoC ingress, compute, NoC egress, amortized off-chip),
- * the initial step costs the sum (paper Fig. 8). Case delays weighted
- * by occurrence counts add up to the layer runtime.
+ * analysis deltas) and, for level-0 loops, a DRAM<->L2 fill and drain
+ * burst that pipelines behind the L2's double buffer.
+ *
+ * The cases, with their occurrence counts and per-tensor NoC and DRAM
+ * volumes, are the layer's single traffic record (`TrafficCase`).
+ * Density and L2 residency are applied once, when the record is
+ * built. `runtimeAt` prices the record: double buffering overlaps
+ * communication with compute, so a steady step costs max(NoC ingress,
+ * compute, NoC egress), the initial step costs the sum (paper Fig. 8),
+ * and the off-chip busy time bounds the total from below. The engine's
+ * own runtime is `runtimeAt` at the configured NoC; the DSE prices the
+ * same record across its bandwidth lanes (dse::batchRuntimes).
  */
 
 #ifndef MAESTRO_CORE_PERFORMANCE_ANALYSIS_HH
 #define MAESTRO_CORE_PERFORMANCE_ANALYSIS_HH
 
 #include <string>
+#include <vector>
 
 #include "src/core/flat_analysis.hh"
-#include "src/core/sweep_invariants.hh"
+#include "src/hw/noc.hh"
 #include "src/model/layer.hh"
 
 namespace maestro
 {
 
 /**
- * Whole-layer performance result, with the chip-wide traffic totals
- * the cost engine converts into buffer accesses.
+ * One iteration case of the flattened nest: how often it occurs and
+ * what one occurrence moves, chip-wide, at the tensors' densities and
+ * after the L2 residency correction.
+ */
+struct TrafficCase
+{
+    /** Occurrence count over the whole nest. */
+    double advance = 0.0;
+
+    /** NoC elements of one occurrence: ingress for weights and
+     *  inputs, egress for outputs. */
+    TensorMap<double> noc;
+
+    /** DRAM elements of one occurrence: fill for weights and inputs,
+     *  drain for outputs. */
+    TensorMap<double> dram;
+
+    /** NoC ingress of one occurrence (weights + inputs). */
+    double
+    ingress() const
+    {
+        return noc[TensorKind::Weight] + noc[TensorKind::Input];
+    }
+};
+
+/**
+ * Whole-layer performance result: the traffic record, the runtime it
+ * prices to, and the chip-wide totals the cost engine converts into
+ * buffer accesses.
  */
 struct PerformanceResult
 {
@@ -40,19 +74,36 @@ struct PerformanceResult
     /** Average simultaneously active PEs. */
     double active_pes = 1.0;
 
-    /** Total PE steps (flattened nest trip count). */
-    double total_pe_steps = 1.0;
-
     /** Steady-state NoC bandwidth needed to never stall (elem/cyc). */
     double noc_bw_requirement = 0.0;
-
-    /** Steady-state off-chip bandwidth requirement (elem/cyc). */
-    double offchip_bw_requirement = 0.0;
 
     /** "compute", "noc", or "offchip": dominant delay source. */
     std::string bottleneck;
 
-    // ---- Chip-wide traffic totals for the whole layer. ----
+    // ---- The traffic record and the terms runtimeAt prices. ----
+
+    /** The initial step: serial fill of everything. */
+    TrafficCase initial;
+
+    /** The flat loops that advance, in flat-loop order. */
+    std::vector<TrafficCase> cases;
+
+    /** Steady per-step compute delay (ceil form, initial step). */
+    double pe_compute = 0.0;
+
+    /** Edge-averaged per-step compute delay, in whole cycles (steady
+     *  cases). */
+    double pe_compute_avg = 1.0;
+
+    /** Off-chip delay of the initial fill (the off-chip interface is
+     *  not swept, so this is NoC-independent). */
+    double init_dram_delay = 0.0;
+
+    /** Total off-chip busy time: the runtime's lower bound. */
+    double offchip_busy = 0.0;
+
+    // ---- Chip-wide traffic totals for the whole layer (weights and
+    // ---- inputs at their densities). ----
 
     /** Elements read from L2 onto the NoC, per tensor. */
     TensorMap<double> l2_supply;
@@ -67,18 +118,21 @@ struct PerformanceResult
     /** DRAM fill the mapping alone implies (no capacity correction). */
     TensorMap<double> dram_fill_model;
 
-    /** Output (partial) elements leaving the PEs. */
-    double outputs_from_pes = 0.0;
-
     /** Output elements arriving at L2 (after any fan-in reduction). */
     double output_commits = 0.0;
 
     /** Unique final outputs of the layer (drained to DRAM). */
     double final_outputs = 0.0;
-
-    /** Total elements carried by the NoC. */
-    double noc_elements = 0.0;
 };
+
+/**
+ * Prices a traffic record at a NoC: the initial step's (DRAM + NoC) +
+ * compute, plus each case's max(NoC delay, steady compute) times its
+ * occurrence count, bounded below by the off-chip busy time. This is
+ * the engine's runtime (before group scaling) when `noc` is the
+ * analyzed configuration's NoC.
+ */
+double runtimeAt(const PerformanceResult &perf, const NocModel &noc);
 
 /**
  * Performance analysis engine entry point.
@@ -86,21 +140,15 @@ struct PerformanceResult
  * @param bound Bound dataflow.
  * @param reuse Per-level reuse profiles (level 0 drives the DRAM side).
  * @param flat Flattened analysis.
- * @param layer The analyzed layer (tensor volumes for the L2 capacity
- *        correction on DRAM refetches).
+ * @param layer The analyzed layer (densities, and tensor volumes for
+ *        the L2 capacity correction on DRAM refetches).
  * @param config Hardware configuration.
- * @param compute_scale Multiplier on per-step MACs (uniform sparsity).
- * @param profile Optional out-param: the bandwidth-invariant runtime
- *        terms, captured alongside the normal computation (see
- *        sweep_invariants.hh). Filling it does not perturb the result.
  */
 PerformanceResult analyzePerformance(const BoundDataflow &bound,
                                      const std::vector<LevelReuse> &reuse,
                                      const FlatAnalysis &flat,
                                      const Layer &layer,
-                                     const AcceleratorConfig &config,
-                                     double compute_scale = 1.0,
-                                     PerfRuntimeProfile *profile = nullptr);
+                                     const AcceleratorConfig &config);
 
 } // namespace maestro
 

@@ -1,6 +1,7 @@
 #include "src/core/pipeline.hh"
 
 #include <cstdio>
+#include <utility>
 
 #include "src/core/cluster_analysis.hh"
 #include "src/core/reuse_analysis.hh"
@@ -103,7 +104,7 @@ layerRuntime(const PerformanceResult &perf, const Layer &layer)
 }
 
 LayerAnalysis
-assembleLayerAnalysis(const PerformanceResult &perf, CostResult cost,
+assembleLayerAnalysis(PerformanceResult perf, CostResult cost,
                       const Layer &layer,
                       const AcceleratorConfig &config)
 {
@@ -121,7 +122,7 @@ assembleLayerAnalysis(const PerformanceResult &perf, CostResult cost,
         perf.active_pes / static_cast<double>(config.num_pes);
     out.noc_bw_requirement = perf.noc_bw_requirement;
     out.bottleneck = perf.bottleneck;
-    out.perf = perf;
+    out.perf = std::move(perf);
     out.cost = std::move(cost);
     return out;
 }
@@ -276,18 +277,15 @@ AnalysisPipeline::analyzeLayer(const Layer &layer,
 
             // Stage 4: performance + cost, keyed by the full hardware
             // and energy-model fingerprint (the layer_key).
-            const double compute_scale =
-                layer.inputDensityVal() * layer.weightDensityVal();
-            const PerformanceResult perf = analyzePerformance(
-                binding->bound, binding->reuse, *flat, layer, config,
-                compute_scale);
+            PerformanceResult perf = analyzePerformance(
+                binding->bound, binding->reuse, *flat, layer, config);
             CostResult cost =
                 analyzeCost(binding->bound, binding->reuse, *flat,
                             perf, layer, config, energy);
 
             return std::shared_ptr<const LayerAnalysis>(
                 std::make_shared<LayerAnalysis>(assembleLayerAnalysis(
-                    perf, std::move(cost), layer, config)));
+                    std::move(perf), std::move(cost), layer, config)));
         });
 
     // Names are call-specific, not part of the cached artifact.

@@ -109,7 +109,7 @@ double layerRuntime(const PerformanceResult &perf, const Layer &layer);
  * bit-identical LayerAnalysis values. layer_name / dataflow_name are
  * left empty (call-specific, not part of the computation).
  */
-LayerAnalysis assembleLayerAnalysis(const PerformanceResult &perf,
+LayerAnalysis assembleLayerAnalysis(PerformanceResult perf,
                                     CostResult cost, const Layer &layer,
                                     const AcceleratorConfig &config);
 

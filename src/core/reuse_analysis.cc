@@ -169,7 +169,6 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
             li.is_fold = false;
             li.dim = bd.dim;
             li.steps = bd.steps;
-            li.dir_index = i;
             out.loops.push_back(li);
         }
     }
@@ -199,19 +198,6 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
                          static_cast<double>(pairs_y) *
                          static_cast<double>(pairs_x);
 
-    const double out_k = static_cast<double>(
-        depthwise ? level.chunk[Dim::C] : level.chunk[Dim::K]);
-    out.outputs_per_step =
-        static_cast<double>(level.chunk[Dim::N]) * out_k *
-        static_cast<double>(
-            outputChunkSize(level.chunk[Dim::Y], level.extents[Dim::Y],
-                            level.chunk[Dim::R], level.extents[Dim::R],
-                            stride)) *
-        static_cast<double>(
-            outputChunkSize(level.chunk[Dim::X], level.extents[Dim::X],
-                            level.chunk[Dim::S], level.extents[Dim::S],
-                            stride));
-
     out.outputs_per_exec =
         static_cast<double>(level.extents[Dim::N]) *
         static_cast<double>(depthwise ? level.extents[Dim::C]
@@ -229,10 +215,10 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
         const auto coupled = temporalCoupling(level, tensors, kind);
 
         t.chunk_volume = 1.0;
-        t.avg_chunk_volume = 1.0;
+        double avg_chunk_volume = 1.0;
         for (const auto &sd : dims) {
             t.chunk_volume *= sd.chunk;
-            t.avg_chunk_volume *= sd.avg;
+            avg_chunk_volume *= sd.avg;
         }
 
         // Spatial structure across the level's active units.
@@ -256,16 +242,13 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
         if (!has_spatial) {
             t.fully_shared = false;
             t.spatial_unique_ratio = 1.0;
-            t.multicast_targets = 1.0;
         } else if (!any_shift) {
             t.fully_shared = true;
             t.spatial_unique_ratio = 1.0 / active;
-            t.multicast_targets = active;
         } else {
             t.fully_shared = false;
             t.spatial_unique_ratio =
                 std::min(1.0, total > 0.0 ? unique / total : 1.0);
-            t.multicast_targets = 1.0 / t.spatial_unique_ratio;
         }
         if (kind == TensorKind::Output)
             t.spatial_reduction = t.fully_shared;
@@ -293,9 +276,9 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
             double fold_steps = 1.0;
             for (std::size_t i : coupled_loops) {
                 fold_steps *= static_cast<double>(out.loops[i].steps);
-                t.delta_per_loop[i] = t.avg_chunk_volume;
+                t.delta_per_loop[i] = avg_chunk_volume;
             }
-            t.traffic_per_unit = t.avg_chunk_volume * fold_steps;
+            t.traffic_per_unit = avg_chunk_volume * fold_steps;
             continue;
         }
 
@@ -311,7 +294,7 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
             if (!is_innermost_coupled) {
                 // A loop with coupled loops inside it: their reset
                 // forces a full chunk refetch.
-                t.delta_per_loop[i] = t.avg_chunk_volume;
+                t.delta_per_loop[i] = avg_chunk_volume;
                 continue;
             }
             // Innermost coupled loop: sliding-delta credit applies.
@@ -329,12 +312,10 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
                     }
                 }
                 t.delta_per_loop[i] =
-                    shifted == 1 ? rest * partial : t.avg_chunk_volume;
+                    shifted == 1 ? rest * partial : avg_chunk_volume;
             } else {
                 // Temporal advance along loop.dim: sweep-exact new
                 // data along that storage dim, full chunk elsewhere.
-                const BoundDirective &bd =
-                    level.directives[loop.dir_index];
                 double delta = 1.0;
                 bool found = false;
                 for (const auto &sd : dims) {
@@ -351,17 +332,16 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
                         delta *= sd.avg;
                     }
                 }
-                (void)bd;
                 if (!found) {
                     // Coupled via a non-storage dim (partial filter
                     // chunk retargeting outputs): full chunk change.
-                    delta = t.avg_chunk_volume;
+                    delta = avg_chunk_volume;
                 }
                 t.delta_per_loop[i] = delta;
             }
         }
 
-        t.traffic_per_unit = t.avg_chunk_volume;
+        t.traffic_per_unit = avg_chunk_volume;
         for (std::size_t i = 0; i < out.loops.size(); ++i) {
             t.traffic_per_unit +=
                 out.loops[i].advance_count * t.delta_per_loop[i];

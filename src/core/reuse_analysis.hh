@@ -51,9 +51,6 @@ struct LoopInfo
     /** Trip count (> 1 by construction). */
     Count steps = 1;
 
-    /** Index into BoundLevel::directives (temporal loops only). */
-    std::size_t dir_index = 0;
-
     /**
      * Number of nest transitions in which this loop is the advancing
      * one: (steps - 1) x product of outer loops' steps.
@@ -69,9 +66,6 @@ struct TensorLevelTraffic
     /** Steady per-unit working-set volume (elements). */
     double chunk_volume = 0.0;
 
-    /** Edge-averaged per-unit working-set volume. */
-    double avg_chunk_volume = 0.0;
-
     /** True when every active unit holds an identical chunk. */
     bool fully_shared = false;
 
@@ -81,9 +75,6 @@ struct TensorLevelTraffic
      * for halo (sliding-window) overlap.
      */
     double spatial_unique_ratio = 1.0;
-
-    /** Average number of units sharing each unique datum. */
-    double multicast_targets = 1.0;
 
     /**
      * Output tensor only: true when the level's units produce partial
@@ -115,9 +106,6 @@ struct LevelReuse
 
     /** Steady per-unit partial sums per step. */
     double psums_per_step = 0.0;
-
-    /** Steady per-unit output-chunk volume per step. */
-    double outputs_per_step = 0.0;
 
     /** Unique outputs produced by one full level execution. */
     double outputs_per_exec = 0.0;

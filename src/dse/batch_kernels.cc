@@ -16,46 +16,46 @@ namespace dse
  */
 
 void
-batchRuntimes(const PerfRuntimeProfile &profile, const double *bandwidths,
+batchRuntimes(const PerformanceResult &perf, const double *bandwidths,
               std::size_t count, double noc_latency, double groups,
               double *out)
 {
-    // Initial step: (dram + noc) + compute in the engine's association
+    // Initial step: (dram + noc) + compute in runtimeAt's association
     // order. The volume <= 0 branch of NocModel::delay is
     // bw-independent, so it hoists out of the lane loop.
-    if (profile.init_noc_volume <= 0.0) {
-        const double r0 =
-            profile.init_dram_delay + 0.0 + profile.pe_compute;
+    const double init_vol = perf.initial.ingress();
+    if (init_vol <= 0.0) {
+        const double r0 = perf.init_dram_delay + 0.0 + perf.pe_compute;
         for (std::size_t i = 0; i < count; ++i)
             out[i] = r0;
     } else {
-        const double vol = profile.init_noc_volume;
-        const double dram = profile.init_dram_delay;
-        const double compute = profile.pe_compute;
+        const double dram = perf.init_dram_delay;
+        const double compute = perf.pe_compute;
         for (std::size_t i = 0; i < count; ++i)
-            out[i] = dram + (vol / bandwidths[i] + noc_latency) +
+            out[i] = dram + (init_vol / bandwidths[i] + noc_latency) +
                      compute;
     }
 
-    const double pca = profile.pe_compute_avg;
-    for (const PerfRuntimeCase &c : profile.cases) {
-        if (c.volume <= 0.0) {
-            // delay(v <= 0) == 0 and pe_compute_avg >= 1, so the
-            // three-way max collapses to a bw-independent constant.
-            const double term = pca * c.advance;
+    const double pca = perf.pe_compute_avg;
+    for (const TrafficCase &c : perf.cases) {
+        const double vol =
+            std::max(c.ingress(), c.noc[TensorKind::Output]);
+        const double adv = c.advance;
+        if (vol <= 0.0) {
+            // delay(v <= 0) == 0 and pe_compute_avg >= 1, so the max
+            // collapses to a bw-independent constant.
+            const double term = pca * adv;
             for (std::size_t i = 0; i < count; ++i)
                 out[i] += term;
             continue;
         }
-        const double vol = c.volume;
-        const double adv = c.advance;
         for (std::size_t i = 0; i < count; ++i) {
             const double d = vol / bandwidths[i] + noc_latency;
             out[i] += std::max(d, pca) * adv;
         }
     }
 
-    const double busy = profile.offchip_busy;
+    const double busy = perf.offchip_busy;
     for (std::size_t i = 0; i < count; ++i)
         out[i] = std::max(out[i], busy) * groups;
 }
@@ -179,12 +179,10 @@ scanFirstResident(const double *l2_sizes, std::size_t count,
                   double volume, Count precision_bytes,
                   double l2_required)
 {
-    const double bytes =
-        volume * static_cast<double>(precision_bytes);
     std::size_t idx = 0;
     for (std::size_t i = 0; i < count; ++i)
-        idx += static_cast<std::size_t>(
-            !(bytes <= l2ResidencyBytes(l2_sizes[i], l2_required)));
+        idx += static_cast<std::size_t>(!l2Resident(
+            volume, precision_bytes, l2_sizes[i], l2_required));
     return idx;
 }
 

@@ -4,12 +4,14 @@
  * sweep.
  *
  * The sweep interior is restructured from array-of-scalar-calls to
- * SoA: every per-(layer, dataflow, PE count) invariant is hoisted once
- * (see PerfRuntimeProfile in src/core/sweep_invariants.hh), and these
- * kernels then evaluate whole contiguous vectors of NoC bandwidths —
- * runtime closed forms, affine area/power budget cuts, and feasibility
- * counts — with tight, branch-free inner loops the compiler
- * autovectorizes (enforced by the CI codegen check).
+ * SoA: the performance engine runs once per (layer, dataflow, PE
+ * count) block, and its traffic record (PerformanceResult's cases,
+ * src/core/performance_analysis.hh) is the only thing the NoC
+ * bandwidth acts on. These kernels then evaluate whole contiguous
+ * vectors of NoC bandwidths — the record priced per lane, affine
+ * area/power budget cuts, and feasibility counts — with tight,
+ * branch-free inner loops the compiler autovectorizes (enforced by
+ * the CI codegen check).
  *
  * Byte-determinism discipline: every kernel replays the scalar path's
  * exact expressions in the exact association order, so the batch sweep
@@ -30,7 +32,7 @@
 #include <cstddef>
 
 #include "src/common/math_util.hh"
-#include "src/core/sweep_invariants.hh"
+#include "src/core/performance_analysis.hh"
 
 namespace maestro
 {
@@ -38,14 +40,14 @@ namespace dse
 {
 
 /**
- * Runtime closed form over a bandwidth vector:
- * out[i] = runtimeFromProfile(profile, NocModel(bandwidths[i],
- * noc_latency)) * groups, byte-identical to running the performance
- * engine (and group scaling) at each bandwidth. The bw-independent
- * branches of NocModel::delay (volume <= 0) are hoisted out of the
- * inner loops, which are pure div/add/max over contiguous doubles.
+ * runtimeAt lane by lane: out[i] = runtimeAt(perf, NocModel(
+ * bandwidths[i], noc_latency)) * groups, byte-identical to running the
+ * performance engine (and group scaling) at each bandwidth. The
+ * bw-independent branches of NocModel::delay (volume <= 0) are hoisted
+ * out of the inner loops, which are pure div/add/max over contiguous
+ * doubles.
  */
-void batchRuntimes(const PerfRuntimeProfile &profile,
+void batchRuntimes(const PerformanceResult &perf,
                    const double *bandwidths, std::size_t count,
                    double noc_latency, double groups, double *out);
 
@@ -134,8 +136,8 @@ std::size_t scanFirstFeasible(const double *sizes, std::size_t count,
 
 /**
  * Branch-free scan form of the sweep's firstResident partition point:
- * the number of L2 sizes where the tensor is NOT resident, with the
- * same l2Resident predicate expression as the scalar path.
+ * the number of L2 sizes where a tensor storing `volume` elements is
+ * NOT resident under l2Resident, the rule energyFromSums applies.
  */
 std::size_t scanFirstResident(const double *l2_sizes, std::size_t count,
                               double volume, Count precision_bytes,

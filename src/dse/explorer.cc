@@ -63,19 +63,6 @@ kibOf(Count bytes)
     return static_cast<double>(bytes) / 1024.0;
 }
 
-/** The per-tensor L2 residency predicate of energyFromSums — the same
- *  expression as the performance engine's DRAM correction (see
- *  l2ResidencyBytes). Monotone nondecreasing in l2_bytes, which makes
- *  the first resident L2 size a partition point of the sorted size
- *  list. */
-bool
-l2Resident(double volume, Count precision_bytes, Count l2_bytes,
-           double l2_required)
-{
-    return volume * static_cast<double>(precision_bytes) <=
-           l2ResidencyBytes(static_cast<double>(l2_bytes), l2_required);
-}
-
 /**
  * Per-PE-count terms of the area/power model shared by every inner
  * (L1, L2, BW) choice. Both sweep strategies derive all budget figures
@@ -306,27 +293,28 @@ energyFromSums(const CostResult::AccessSums &sums, Count l1_bytes,
                Count l2_bytes, Count precision_bytes,
                double noc_avg_hops, const EnergyModel &energy)
 {
+    // Capacity-aware DRAM fill: volumes and fills are per-group stored
+    // elements; the residency decision is made per group and the
+    // resulting fill scaled to all groups.
+    const auto fillAt = [&](double volume, double fill) {
+        return l2Resident(volume, precision_bytes,
+                          static_cast<double>(l2_bytes),
+                          sums.l2_required)
+                   ? std::min(fill, volume)
+                   : fill;
+    };
+    const double fill =
+        sums.groups * fillAt(sums.weight_volume, sums.weight_fill) +
+        sums.groups * fillAt(sums.input_volume, sums.input_fill);
+
     double total = sums.total_macs * energy.macEnergy();
     total += sums.l1_reads * energy.l1ReadEnergy(l1_bytes);
     total += sums.l1_writes * energy.l1WriteEnergy(l1_bytes);
     total += sums.l2_reads * energy.l2ReadEnergy(l2_bytes);
-    total += sums.l2_writes * energy.l2WriteEnergy(l2_bytes);
+    // Each filled element is one L2 write and one DRAM read.
+    total += (sums.l2_writes + fill) * energy.l2WriteEnergy(l2_bytes);
     total += sums.noc_elements * energy.nocEnergy(noc_avg_hops);
-    // Capacity-aware DRAM fill (see energyFromSums): volumes and
-    // fills are per-group; the residency decision is made per group
-    // and the resulting fill scaled to all groups.
-    double dram = sums.output_dram_writes;
-    dram += sums.groups *
-            (l2Resident(sums.weight_volume, precision_bytes, l2_bytes,
-                        sums.l2_required)
-                 ? std::min(sums.weight_fill, sums.weight_volume)
-                 : sums.weight_fill);
-    dram += sums.groups *
-            (l2Resident(sums.input_volume, precision_bytes, l2_bytes,
-                        sums.l2_required)
-                 ? std::min(sums.input_fill, sums.input_volume)
-                 : sums.input_fill);
-    total += dram * energy.dramEnergy();
+    total += (sums.output_dram_writes + fill) * energy.dramEnergy();
     return total;
 }
 
@@ -683,8 +671,6 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
         bool layer_ok = true;
         TensorInfo tensors;
         const bool depthwise = layer.type() == OpType::DepthwiseConv;
-        const double compute_scale =
-            layer.inputDensityVal() * layer.weightDensityVal();
         if (!pair_refs.empty()) {
             try {
                 layer.validate();
@@ -695,19 +681,16 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             }
         }
 
-        /** Dataflow binding + reuse + flat nest + one full engine run:
-         *  everything here depends only on the PE count (and support
-         *  flags). The NoC bandwidth enters the model solely through
-         *  the runtime closed form, captured in `profile`, so the
-         *  whole BW axis shares one analysis (the batch-kernel
-         *  restructuring; see src/dse/batch_kernels.hh). */
+        /** One full engine run per block: everything it yields
+         *  depends only on the PE count (and support flags). The NoC
+         *  bandwidth enters the model solely where runtimeAt prices
+         *  the traffic record, so the whole BW axis shares one
+         *  analysis (the batch-kernel restructuring; see
+         *  src/dse/batch_kernels.hh). */
         struct PeArtifacts
         {
-            BoundDataflow bound;
-            std::vector<LevelReuse> reuse;
-            FlatAnalysis flat;
-            PairScalars scalars;        ///< bw-independent but runtime
-            PerfRuntimeProfile profile; ///< runtime closed-form terms
+            PairScalars scalars;    ///< bw-independent but runtime
+            PerformanceResult perf; ///< the traffic record
             bool ok = false;
             std::string error;
         };
@@ -724,24 +707,23 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                         try {
                             const AcceleratorConfig cfg =
                                 makeConfig(blocks[b].pes, min_bw);
-                            art.bound = bindDataflow(dataflow, layer,
-                                                     cfg.num_pes);
-                            art.reuse = analyzeReuse(art.bound, tensors,
-                                                     depthwise);
-                            art.flat =
-                                analyzeFlat(art.bound, art.reuse,
-                                            tensors, depthwise, cfg);
-                            const PerformanceResult perf =
-                                analyzePerformance(
-                                    art.bound, art.reuse, art.flat,
-                                    layer, cfg, compute_scale,
-                                    &art.profile);
-                            CostResult cost = analyzeCost(
-                                art.bound, art.reuse, art.flat, perf,
-                                layer, cfg, energy_);
-                            art.scalars =
-                                pairScalars(assembleLayerAnalysis(
-                                    perf, std::move(cost), layer, cfg));
+                            const BoundDataflow bound = bindDataflow(
+                                dataflow, layer, cfg.num_pes);
+                            const std::vector<LevelReuse> reuse =
+                                analyzeReuse(bound, tensors, depthwise);
+                            const FlatAnalysis flat = analyzeFlat(
+                                bound, reuse, tensors, depthwise, cfg);
+                            PerformanceResult perf = analyzePerformance(
+                                bound, reuse, flat, layer, cfg);
+                            CostResult cost =
+                                analyzeCost(bound, reuse, flat, perf,
+                                            layer, cfg, energy_);
+                            LayerAnalysis analysis =
+                                assembleLayerAnalysis(std::move(perf),
+                                                      std::move(cost),
+                                                      layer, cfg);
+                            art.scalars = pairScalars(analysis);
+                            art.perf = std::move(analysis.perf);
                             art.ok = true;
                         } catch (const std::exception &e) {
                             art.error = e.what();
@@ -850,11 +832,11 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                     if (!block_ok)
                         continue;
 
-                    // Runtime closed form over the whole reached BW
-                    // prefix: the engine ran once per block in the
-                    // artifact stage; here one vectorized pass prices
-                    // every bandwidth lane.
-                    batchRuntimes(art.profile,
+                    // The block's traffic record priced over the
+                    // whole reached BW prefix: the engine ran once per
+                    // block in the artifact stage; here one vectorized
+                    // pass prices every bandwidth lane.
+                    batchRuntimes(art.perf,
                                   space.noc_bandwidths.data(), nb,
                                   base_.noc.avgLatency(), groups_d,
                                   runtimes.data());

@@ -216,9 +216,10 @@ class Explorer
  * per-group (the L2 residency check is per-group, since groups run
  * back-to-back), so the derived DRAM fill is scaled by cost.groups
  * to match the all-groups dram_reads/writes the analyzer reports.
- * With the analyzed configuration's own capacities this function
- * reproduces cost.energy.total() exactly for density-1 layers (see
- * tests).
+ * Volumes and fills count stored elements (nonzeros), and residency
+ * follows l2Resident, as in the analyzer. So at any (L1, L2) this
+ * function returns the energy an analysis at those capacities reports,
+ * up to summation order (see tests).
  */
 double energyFromSums(const CostResult::AccessSums &sums, Count l1_bytes,
                       Count l2_bytes, Count precision_bytes,

@@ -71,7 +71,6 @@ struct StageInputs
     const EnergyModel &energy_model;
     TensorInfo tensors;
     bool depthwise;
-    double compute_scale;
 };
 
 /**
@@ -93,15 +92,14 @@ scoreBound(const BoundDataflow &bound, const StageInputs &in,
         analyzeReuse(bound, in.tensors, in.depthwise);
     const FlatAnalysis flat =
         analyzeFlat(bound, reuse, in.tensors, in.depthwise, in.config);
-    const PerformanceResult perf = analyzePerformance(
-        bound, reuse, flat, in.layer, in.config, in.compute_scale);
+    PerformanceResult perf =
+        analyzePerformance(bound, reuse, flat, in.layer, in.config);
     if (objective == Objective::Runtime && !enforce_l1 && !report)
         return layerRuntime(perf, in.layer);
+    CostResult cost = analyzeCost(bound, reuse, flat, perf, in.layer,
+                                  in.config, in.energy_model);
     LayerAnalysis analysis = assembleLayerAnalysis(
-        perf,
-        analyzeCost(bound, reuse, flat, perf, in.layer, in.config,
-                    in.energy_model),
-        in.layer, in.config);
+        std::move(perf), std::move(cost), in.layer, in.config);
     const bool fits = !enforce_l1 || analysis.cost.fits_l1;
     const double value = objectiveValue(analysis, objective);
     if (report)
@@ -191,9 +189,7 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
                          analyzer.config(),
                          analyzer.energyModel(),
                          analyzeTensors(layer),
-                         layer.type() == OpType::DepthwiseConv,
-                         layer.inputDensityVal() *
-                             layer.weightDensityVal()};
+                         layer.type() == OpType::DepthwiseConv};
     const auto l1_bytes = static_cast<double>(in.config.l1_bytes);
 
     // One shard per class: candidates of different classes never

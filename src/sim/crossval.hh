@@ -99,16 +99,16 @@ struct CrossvalGate
 {
     double max_macs_pct = 0.01;
     /** Cycles: paper Fig. 9 reports a 3.9% mean error. The tail bound
-     *  needs a sample of thousands of triples to mean anything (2% of
-     *  200 is 4 triples), so CI runs 2,000 per seed. */
-    double mean_cycles_pct = 4.0;
-    double tail_cycles_fraction = 0.02;
+     *  needs a sample of thousands of triples to mean anything (1.5%
+     *  of 200 is 3 triples), so CI runs 2,000 per seed. */
+    double mean_cycles_pct = 3.0;
+    double tail_cycles_fraction = 0.015;
     double mean_l2_pct = 25.0;
     /** DRAM fill is bounded by mean AND tail (like cycles): the
      *  residency-aware fill model tracks the simulator closely, so a
      *  regression shows up as outliers long before the mean moves. */
-    double mean_dram_pct = 5.0;
-    double tail_dram_fraction = 0.02;
+    double mean_dram_pct = 1.0;
+    double tail_dram_fraction = 0.005;
 };
 
 /** Aggregated crossval run result. */

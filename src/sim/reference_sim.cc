@@ -175,22 +175,18 @@ simulateLayer(const Layer &layer, const Dataflow &dataflow,
     // once. The walker itself tracks only the previous level-0 rect
     // (no capacity), so cyclic revisits of a pinnable tensor surface
     // as organic refetches; the clamp removes them under the same
-    // residency bound the analytical model uses (l2ResidencyBytes).
-    const double l2_resident_bytes = l2ResidencyBytes(
-        static_cast<double>(config.l2_bytes),
-        l2BytesRequired(bound,
-                        analyzeReuse(bound, analyzeTensors(layer),
-                                     depthwise),
-                        config.precision_bytes));
+    // residency rule the analytical model uses (l2Resident).
+    const double l2_required = l2BytesRequired(
+        bound, analyzeReuse(bound, analyzeTensors(layer), depthwise),
+        config.precision_bytes);
     for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
         const double volume =
             static_cast<double>(layer.tensorVolume(t)) *
             (t == TensorKind::Input ? layer.inputDensityVal()
                                     : layer.weightDensityVal());
-        const bool resident =
-            volume * static_cast<double>(config.precision_bytes) <=
-            l2_resident_bytes;
-        if (resident)
+        if (l2Resident(volume, config.precision_bytes,
+                       static_cast<double>(config.l2_bytes),
+                       l2_required))
             result.dram_fill[t] = std::min(result.dram_fill[t], volume);
         result.dram_busy +=
             result.dram_fill[t] / config.offchip.bandwidth();

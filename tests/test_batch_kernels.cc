@@ -29,7 +29,6 @@
 #include "src/core/flat_analysis.hh"
 #include "src/core/performance_analysis.hh"
 #include "src/core/reuse_analysis.hh"
-#include "src/core/sweep_invariants.hh"
 #include "src/core/tensor_analysis.hh"
 #include "src/dataflows/catalog.hh"
 #include "src/dse/batch_kernels.hh"
@@ -54,20 +53,27 @@ TEST(BatchKernels, BatchRuntimesMatchesScalarClosedForm)
     std::uniform_int_distribution<int> num_cases(0, 6);
 
     for (int trial = 0; trial < 200; ++trial) {
-        PerfRuntimeProfile profile;
-        profile.init_dram_delay = volume(rng);
+        PerformanceResult perf;
+        perf.init_dram_delay = volume(rng);
         // Exercise the hoisted volume <= 0 branch in 1/4 of trials.
-        profile.init_noc_volume =
-            trial % 4 == 0 ? 0.0 : volume(rng);
-        profile.pe_compute = volume(rng);
-        profile.pe_compute_avg = 1.0 + volume(rng);
-        profile.offchip_busy = volume(rng) * (trial % 3 == 0 ? 10 : 1);
+        if (trial % 4 != 0) {
+            perf.initial.noc[TensorKind::Weight] = volume(rng);
+            perf.initial.noc[TensorKind::Input] = volume(rng);
+        }
+        perf.pe_compute = volume(rng);
+        perf.pe_compute_avg = 1.0 + volume(rng);
+        perf.offchip_busy = volume(rng) * (trial % 3 == 0 ? 10 : 1);
         const int cases = num_cases(rng);
         for (int c = 0; c < cases; ++c) {
-            PerfRuntimeCase pc;
-            pc.volume = c % 3 == 2 ? 0.0 : volume(rng);
-            pc.advance = std::floor(volume(rng));
-            profile.cases.push_back(pc);
+            TrafficCase tc;
+            if (c % 3 != 2) {
+                // Ingress dominates in some cases, egress in others.
+                tc.noc[TensorKind::Weight] = volume(rng);
+                tc.noc[TensorKind::Input] = volume(rng);
+                tc.noc[TensorKind::Output] = 2.0 * volume(rng);
+            }
+            tc.advance = std::floor(volume(rng));
+            perf.cases.push_back(tc);
         }
         const double noc_latency = std::floor(10.0 * unit(rng));
         const double groups = 1.0 + std::floor(8.0 * unit(rng));
@@ -76,12 +82,11 @@ TEST(BatchKernels, BatchRuntimesMatchesScalarClosedForm)
             std::vector<double> bw(count), out(count, -1.0);
             for (auto &b : bw)
                 b = 1.0 + 63.0 * unit(rng);
-            dse::batchRuntimes(profile, bw.data(), count, noc_latency,
+            dse::batchRuntimes(perf, bw.data(), count, noc_latency,
                                groups, out.data());
             for (std::size_t i = 0; i < count; ++i) {
                 const NocModel noc(bw[i], noc_latency);
-                EXPECT_EQ(out[i],
-                          runtimeFromProfile(profile, noc) * groups)
+                EXPECT_EQ(out[i], runtimeAt(perf, noc) * groups)
                     << "trial " << trial << " lane " << i << " of "
                     << count;
             }
@@ -91,14 +96,12 @@ TEST(BatchKernels, BatchRuntimesMatchesScalarClosedForm)
 
 TEST(BatchKernels, BatchRuntimesMatchesPerformanceEngine)
 {
-    // The profile captured from one engine run must price every other
-    // bandwidth exactly as re-running the engine there would.
+    // The record of one engine run must price every other bandwidth
+    // exactly as re-running the engine there would.
     const Network net = zoo::vgg16();
     const Layer &layer = net.layer("CONV2");
     const TensorInfo tensors = analyzeTensors(layer);
     const AcceleratorConfig base = AcceleratorConfig::paperStudy();
-    const double compute_scale =
-        layer.inputDensityVal() * layer.weightDensityVal();
 
     for (const char *name : {"KC-P", "YX-P", "C-P"}) {
         const Dataflow df = dataflows::byName(name);
@@ -110,21 +113,20 @@ TEST(BatchKernels, BatchRuntimesMatchesPerformanceEngine)
             const auto reuse = analyzeReuse(bound, tensors, false);
             const FlatAnalysis flat =
                 analyzeFlat(bound, reuse, tensors, false, cfg);
-            PerfRuntimeProfile profile;
-            analyzePerformance(bound, reuse, flat, layer, cfg,
-                               compute_scale, &profile);
+            const PerformanceResult record =
+                analyzePerformance(bound, reuse, flat, layer, cfg);
 
             std::vector<double> bw, out;
             for (Count b = 1; b <= 17; ++b)
                 bw.push_back(static_cast<double>(b));
             out.resize(bw.size());
-            dse::batchRuntimes(profile, bw.data(), bw.size(),
+            dse::batchRuntimes(record, bw.data(), bw.size(),
                                base.noc.avgLatency(), 1.0, out.data());
             for (std::size_t i = 0; i < bw.size(); ++i) {
                 AcceleratorConfig at = cfg;
                 at.noc = NocModel(bw[i], base.noc.avgLatency());
-                const PerformanceResult perf = analyzePerformance(
-                    bound, reuse, flat, layer, at, compute_scale);
+                const PerformanceResult perf =
+                    analyzePerformance(bound, reuse, flat, layer, at);
                 EXPECT_EQ(out[i], perf.runtime)
                     << name << " pes=" << pes << " bw=" << bw[i];
             }
@@ -134,25 +136,30 @@ TEST(BatchKernels, BatchRuntimesMatchesPerformanceEngine)
 
 TEST(BatchKernels, ProfileCaptureDoesNotPerturbResult)
 {
+    // The engine's runtime is runtimeAt over its own traffic record,
+    // bit for bit: no second derivation of the runtime exists.
     const Network net = zoo::vgg16();
     const Layer &layer = net.layer("CONV2");
     const TensorInfo tensors = analyzeTensors(layer);
-    const AcceleratorConfig cfg = AcceleratorConfig::paperStudy();
-    const Dataflow df = dataflows::byName("KC-P");
-    const BoundDataflow bound = bindDataflow(df, layer, cfg.num_pes);
-    const auto reuse = analyzeReuse(bound, tensors, false);
-    const FlatAnalysis flat =
-        analyzeFlat(bound, reuse, tensors, false, cfg);
+    const AcceleratorConfig base = AcceleratorConfig::paperStudy();
 
-    const PerformanceResult plain =
-        analyzePerformance(bound, reuse, flat, layer, cfg, 1.0);
-    PerfRuntimeProfile profile;
-    const PerformanceResult probed = analyzePerformance(
-        bound, reuse, flat, layer, cfg, 1.0, &profile);
-    EXPECT_EQ(plain.runtime, probed.runtime);
-    EXPECT_EQ(plain.compute_only_runtime, probed.compute_only_runtime);
-    EXPECT_EQ(plain.active_pes, probed.active_pes);
-    EXPECT_EQ(runtimeFromProfile(profile, cfg.noc), probed.runtime);
+    for (const char *name : {"KC-P", "YX-P", "C-P"}) {
+        const Dataflow df = dataflows::byName(name);
+        for (const Count pes : {Count(64), Count(256)}) {
+            AcceleratorConfig cfg = base;
+            cfg.num_pes = pes;
+            const BoundDataflow bound = bindDataflow(df, layer, pes);
+            const auto reuse = analyzeReuse(bound, tensors, false);
+            const FlatAnalysis flat =
+                analyzeFlat(bound, reuse, tensors, false, cfg);
+            const PerformanceResult perf =
+                analyzePerformance(bound, reuse, flat, layer, cfg);
+            EXPECT_EQ(runtimeAt(perf, cfg.noc), perf.runtime)
+                << name << " pes=" << pes;
+            EXPECT_FALSE(perf.cases.empty()) << name << " pes=" << pes;
+            EXPECT_LE(perf.cases.size(), flat.loops.size());
+        }
+    }
 }
 
 TEST(BatchKernels, ScanFirstFeasibleMatchesPartitionPoint)

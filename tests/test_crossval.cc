@@ -8,6 +8,15 @@
 
 #include "src/sim/crossval.hh"
 
+#include <cmath>
+#include <map>
+#include <string>
+
+#include "src/common/error.hh"
+#include "src/core/analyzer.hh"
+#include "src/dataflows/catalog.hh"
+#include "src/sim/reference_sim.hh"
+
 namespace maestro
 {
 namespace crossval
@@ -98,6 +107,70 @@ TEST(Crossval, JsonIsDeterministicAndStructured)
     EXPECT_NE(a.find("\"endpoint\":\"crossval\""), std::string::npos);
     EXPECT_NE(a.find("\"metrics\""), std::string::npos);
     EXPECT_NE(a.find("\"hist\""), std::string::npos);
+}
+
+TEST(Crossval, SparseInputResidencyTriple1408)
+{
+    // Seed 7, triple #1408: a 1x1 conv whose 0.75-dense input fits the
+    // 64 KiB L2 only as nonzeros. Both engines must decide residency
+    // on the stored elements: a model that tests the dense volume
+    // refetches the input from DRAM, 206% over the simulator's cycles
+    // and 1469% over its DRAM fill.
+    const TripleSpec spec = sampleTriple(7, 1408);
+    ASSERT_EQ(spec.describe(),
+              "conv n1 k16 c64 y32 x32 r1 s1 stride1 pad0 din0.75 dw1 "
+              "| C-P | pes128 noc16/1 dram4/4 l2_65536 vw1");
+    const Layer layer = spec.layer();
+    const Dataflow df = dataflows::byName(spec.dataflow);
+    const AcceleratorConfig cfg = spec.config();
+    const SimResult sim = simulateLayer(layer, df, cfg);
+    const LayerAnalysis la = Analyzer(cfg).analyzeLayer(layer, df);
+
+    EXPECT_NEAR(la.runtime, sim.cycles, 0.01 * sim.cycles);
+    const double sim_dram = sim.dram_fill[TensorKind::Weight] +
+                            sim.dram_fill[TensorKind::Input];
+    const double ana_dram = la.cost.dram_reads[TensorKind::Weight] +
+                            la.cost.dram_reads[TensorKind::Input];
+    EXPECT_NEAR(ana_dram, sim_dram, 0.01 * sim_dram);
+}
+
+TEST(Crossval, RecordIngressVersusL2SupplyDisagreementIsPinned)
+{
+    // The runtime engine's traffic record and the cost engine's L2
+    // supply count still derive weight and input ingress separately:
+    // the record from the per-case deltas, the count from the flat
+    // analysis's L1 fill. On seed 7's first 1000 triples they differ
+    // by more than 1% on 53 (40 KC-P, 5 C-P, 5 YX-P, 3 YR-P), never
+    // on X-P. Making the count a sum over the record removes the
+    // disagreement; until then this bound may only move down.
+    std::map<std::string, int> differing;
+    int total = 0;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        const TripleSpec spec = sampleTriple(7, i);
+        LayerAnalysis la;
+        try {
+            la = Analyzer(spec.config())
+                     .analyzeLayer(spec.layer(),
+                                   dataflows::byName(spec.dataflow));
+        } catch (const Error &) {
+            continue;
+        }
+        const PerformanceResult &perf = la.perf;
+        double ingress = perf.initial.advance * perf.initial.ingress();
+        for (const TrafficCase &c : perf.cases)
+            ingress += c.advance * c.ingress();
+        const double supply = perf.l2_supply[TensorKind::Weight] +
+                              perf.l2_supply[TensorKind::Input];
+        if (std::abs(ingress - supply) > 0.01 * supply) {
+            ++differing[spec.dataflow];
+            ++total;
+        }
+    }
+    std::string breakdown;
+    for (const auto &[dataflow, count] : differing)
+        breakdown += dataflow + ": " + std::to_string(count) + "  ";
+    EXPECT_LE(total, 53) << breakdown;
+    EXPECT_EQ(differing["X-P"], 0) << breakdown;
 }
 
 TEST(Crossval, StepClassesFarFewerThanSteps)

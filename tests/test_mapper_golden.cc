@@ -314,7 +314,7 @@ const GoldenSearch kGoldenSearches[] = {
     {"alexnet", "CONV1", mapper::Objective::Edp, true,
      {13728, 3744, 4320, 5664, 240},
      {
-         {"M-KCYX-sY-c64iK-tK64C3X4", "0x1.0803dd125c9fbp+48",
+         {"M-KCYX-sY-c64iK-tK64C3X4", "0x1.08ccd49a29191p+48",
           "TemporalMap(64,64) K;\n"
           "TemporalMap(3,3) C;\n"
           "SpatialMap(Sz(R),1) Y;\n"
@@ -323,7 +323,7 @@ const GoldenSearch kGoldenSearches[] = {
           "TemporalMap(Sz(S),Sz(S)) S;\n"
           "Cluster(64);\n"
           "SpatialMap(1,1) K;\n"},
-         {"M-KCXY-sX-c64iK-tK64C3Y4", "0x1.0803dd125c9fbp+48",
+         {"M-KCXY-sX-c64iK-tK64C3Y4", "0x1.08ccd49a29191p+48",
           "TemporalMap(64,64) K;\n"
           "TemporalMap(3,3) C;\n"
           "SpatialMap(Sz(S),1) X;\n"
@@ -332,7 +332,7 @@ const GoldenSearch kGoldenSearches[] = {
           "TemporalMap(Sz(S),Sz(S)) S;\n"
           "Cluster(64);\n"
           "SpatialMap(1,1) K;\n"},
-         {"M-KCYX-sY-c64iK-tK64C3X1", "0x1.088d256efd2dp+48",
+         {"M-KCYX-sY-c64iK-tK64C3X1", "0x1.0946b97ad938bp+48",
           "TemporalMap(64,64) K;\n"
           "TemporalMap(3,3) C;\n"
           "SpatialMap(Sz(R),1) Y;\n"
@@ -341,7 +341,7 @@ const GoldenSearch kGoldenSearches[] = {
           "TemporalMap(Sz(S),Sz(S)) S;\n"
           "Cluster(64);\n"
           "SpatialMap(1,1) K;\n"},
-         {"M-KCXY-sX-c64iK-tK64C3Y1", "0x1.088d256efd2dp+48",
+         {"M-KCXY-sX-c64iK-tK64C3Y1", "0x1.0946b97ad938bp+48",
           "TemporalMap(64,64) K;\n"
           "TemporalMap(3,3) C;\n"
           "SpatialMap(Sz(S),1) X;\n"
@@ -350,43 +350,7 @@ const GoldenSearch kGoldenSearches[] = {
           "TemporalMap(Sz(S),Sz(S)) S;\n"
           "Cluster(64);\n"
           "SpatialMap(1,1) K;\n"},
-         {"M-KCYX-sY-c64iK-tK64C1X4", "0x1.1071972aae202p+48",
-          "TemporalMap(64,64) K;\n"
-          "TemporalMap(1,1) C;\n"
-          "SpatialMap(Sz(R),1) Y;\n"
-          "TemporalMap(3+Sz(S),4) X;\n"
-          "TemporalMap(Sz(R),Sz(R)) R;\n"
-          "TemporalMap(Sz(S),Sz(S)) S;\n"
-          "Cluster(64);\n"
-          "SpatialMap(1,1) K;\n"},
-         {"M-KCXY-sX-c64iK-tK64C1Y4", "0x1.1071972aae202p+48",
-          "TemporalMap(64,64) K;\n"
-          "TemporalMap(1,1) C;\n"
-          "SpatialMap(Sz(S),1) X;\n"
-          "TemporalMap(3+Sz(R),4) Y;\n"
-          "TemporalMap(Sz(R),Sz(R)) R;\n"
-          "TemporalMap(Sz(S),Sz(S)) S;\n"
-          "Cluster(64);\n"
-          "SpatialMap(1,1) K;\n"},
-         {"M-CKYX-sY-c64iK-tK64C1X4", "0x1.1094235742537p+48",
-          "TemporalMap(1,1) C;\n"
-          "TemporalMap(64,64) K;\n"
-          "SpatialMap(Sz(R),1) Y;\n"
-          "TemporalMap(3+Sz(S),4) X;\n"
-          "TemporalMap(Sz(R),Sz(R)) R;\n"
-          "TemporalMap(Sz(S),Sz(S)) S;\n"
-          "Cluster(64);\n"
-          "SpatialMap(1,1) K;\n"},
-         {"M-CKXY-sX-c64iK-tK64C1Y4", "0x1.1094235742537p+48",
-          "TemporalMap(1,1) C;\n"
-          "TemporalMap(64,64) K;\n"
-          "SpatialMap(Sz(S),1) X;\n"
-          "TemporalMap(3+Sz(R),4) Y;\n"
-          "TemporalMap(Sz(R),Sz(R)) R;\n"
-          "TemporalMap(Sz(S),Sz(S)) S;\n"
-          "Cluster(64);\n"
-          "SpatialMap(1,1) K;\n"},
-         {"M-KCYX-sY-c64iK-tK64C1X1", "0x1.1104434a48a41p+48",
+         {"M-KCYX-sY-c64iK-tK64C1X1", "0x1.11c42329eed3p+48",
           "TemporalMap(64,64) K;\n"
           "TemporalMap(1,1) C;\n"
           "SpatialMap(Sz(R),1) Y;\n"
@@ -395,11 +359,47 @@ const GoldenSearch kGoldenSearches[] = {
           "TemporalMap(Sz(S),Sz(S)) S;\n"
           "Cluster(64);\n"
           "SpatialMap(1,1) K;\n"},
-         {"M-KCXY-sX-c64iK-tK64C1Y1", "0x1.1104434a48a41p+48",
+         {"M-KCXY-sX-c64iK-tK64C1Y1", "0x1.11c42329eed3p+48",
           "TemporalMap(64,64) K;\n"
           "TemporalMap(1,1) C;\n"
           "SpatialMap(Sz(S),1) X;\n"
           "TemporalMap(Sz(R),1) Y;\n"
+          "TemporalMap(Sz(R),Sz(R)) R;\n"
+          "TemporalMap(Sz(S),Sz(S)) S;\n"
+          "Cluster(64);\n"
+          "SpatialMap(1,1) K;\n"},
+         {"M-CKYX-sY-c64iK-tK64C1X1", "0x1.11e6a9072baep+48",
+          "TemporalMap(1,1) C;\n"
+          "TemporalMap(64,64) K;\n"
+          "SpatialMap(Sz(R),1) Y;\n"
+          "TemporalMap(Sz(S),1) X;\n"
+          "TemporalMap(Sz(R),Sz(R)) R;\n"
+          "TemporalMap(Sz(S),Sz(S)) S;\n"
+          "Cluster(64);\n"
+          "SpatialMap(1,1) K;\n"},
+         {"M-CKXY-sX-c64iK-tK64C1Y1", "0x1.11e6a9072baep+48",
+          "TemporalMap(1,1) C;\n"
+          "TemporalMap(64,64) K;\n"
+          "SpatialMap(Sz(S),1) X;\n"
+          "TemporalMap(Sz(R),1) Y;\n"
+          "TemporalMap(Sz(R),Sz(R)) R;\n"
+          "TemporalMap(Sz(S),Sz(S)) S;\n"
+          "Cluster(64);\n"
+          "SpatialMap(1,1) K;\n"},
+         {"M-KCYX-sY-c64iK-tK64C1X4", "0x1.1241a54b19c4bp+48",
+          "TemporalMap(64,64) K;\n"
+          "TemporalMap(1,1) C;\n"
+          "SpatialMap(Sz(R),1) Y;\n"
+          "TemporalMap(3+Sz(S),4) X;\n"
+          "TemporalMap(Sz(R),Sz(R)) R;\n"
+          "TemporalMap(Sz(S),Sz(S)) S;\n"
+          "Cluster(64);\n"
+          "SpatialMap(1,1) K;\n"},
+         {"M-KCXY-sX-c64iK-tK64C1Y4", "0x1.1241a54b19c4bp+48",
+          "TemporalMap(64,64) K;\n"
+          "TemporalMap(1,1) C;\n"
+          "SpatialMap(Sz(S),1) X;\n"
+          "TemporalMap(3+Sz(R),4) Y;\n"
           "TemporalMap(Sz(R),Sz(R)) R;\n"
           "TemporalMap(Sz(S),Sz(S)) S;\n"
           "Cluster(64);\n"

@@ -182,42 +182,55 @@ TEST(Performance, SparsityScalesComputeAndTraffic)
 TEST(Performance, SparseInputsCrossTheNocAtTheirDensity)
 {
     // Only nonzero inputs cross the NoC and the off-chip interface, as
-    // the cost engine and the simulator count them. So a NoC-bound
-    // layer at input density d must cost what the dense layer costs
-    // once its input NoC and DRAM volumes are scaled by d.
+    // the cost engine and the simulator count them. So every case of
+    // the traffic record at input density d moves d times the dense
+    // layer's input volumes, and the same weight and output volumes.
     const Layer dense = conv(64, 64, 56, 3, 1, 1);
     AcceleratorConfig cfg = AcceleratorConfig::paperStudy();
     cfg.noc = NocModel(1.0, 1.0);
     const Dataflow df = dataflows::kcPartitioned();
+    const BoundDataflow bound = bindDataflow(df, dense, cfg.num_pes);
+    const TensorInfo tensors = analyzeTensors(dense);
+    const std::vector<LevelReuse> reuse =
+        analyzeReuse(bound, tensors, false);
+    const FlatAnalysis flat =
+        analyzeFlat(bound, reuse, tensors, false, cfg);
+    const PerformanceResult base =
+        analyzePerformance(bound, reuse, flat, dense, cfg);
+    // The dense input is L2-resident, so the sparse one is too: both
+    // records apply the same residency correction, and density alone
+    // separates their DRAM volumes.
+    ASSERT_LT(base.dram_fill[TensorKind::Input],
+              base.dram_fill_model[TensorKind::Input]);
+
+    const auto expectScaled = [](const TrafficCase &got,
+                                 const TrafficCase &want, double d) {
+        EXPECT_EQ(got.advance, want.advance);
+        for (TensorKind t : {TensorKind::Weight, TensorKind::Output}) {
+            EXPECT_EQ(got.noc[t], want.noc[t]);
+            EXPECT_EQ(got.dram[t], want.dram[t]);
+        }
+        EXPECT_EQ(got.noc[TensorKind::Input],
+                  want.noc[TensorKind::Input] * d);
+        EXPECT_EQ(got.dram[TensorKind::Input],
+                  want.dram[TensorKind::Input] * d);
+    };
     for (double d : {0.25, 0.5, 0.8}) {
         SCOPED_TRACE(d);
         Layer sparse = dense;
         sparse.inputDensity(d);
-        const BoundDataflow bound = bindDataflow(df, sparse, cfg.num_pes);
-        const TensorInfo tensors = analyzeTensors(sparse);
-        const std::vector<LevelReuse> reuse =
-            analyzeReuse(bound, tensors, false);
-        const FlatAnalysis flat =
-            analyzeFlat(bound, reuse, tensors, false, cfg);
         const PerformanceResult got =
-            analyzePerformance(bound, reuse, flat, sparse, cfg, d);
+            analyzePerformance(bound, reuse, flat, sparse, cfg);
         EXPECT_EQ(got.bottleneck, "noc");
-
-        std::vector<LevelReuse> scaled_reuse = reuse;
-        TensorLevelTraffic &top =
-            scaled_reuse.front().traffic[TensorKind::Input];
-        top.chunk_volume *= d;
-        for (double &delta : top.delta_per_loop)
-            delta *= d;
-        FlatAnalysis scaled = flat;
-        scaled.pe_chunk[TensorKind::Input] *= d;
-        for (FlatLoop &fl : scaled.loops)
-            fl.delta_pe[TensorKind::Input] *= d;
-        const PerformanceResult want = analyzePerformance(
-            bound, scaled_reuse, scaled, dense, cfg, d);
-        EXPECT_NEAR(got.runtime, want.runtime, 1e-12 * want.runtime);
-        EXPECT_NEAR(got.noc_bw_requirement, want.noc_bw_requirement,
-                    1e-12 * want.noc_bw_requirement);
+        ASSERT_EQ(got.dram_fill[TensorKind::Input],
+                  base.dram_fill[TensorKind::Input] * d);
+        expectScaled(got.initial, base.initial, d);
+        ASSERT_EQ(got.cases.size(), base.cases.size());
+        for (std::size_t i = 0; i < got.cases.size(); ++i) {
+            SCOPED_TRACE(i);
+            expectScaled(got.cases[i], base.cases[i], d);
+        }
+        EXPECT_LT(got.runtime, base.runtime);
     }
 }
 

@@ -466,12 +466,14 @@ TEST(ThreadParity, ExplorerFourThreadsMatchesSerial)
 // ---------------------------------------------------------------- //
 
 /**
- * For density-1 layers, re-deriving energy from the activity counts
- * at the analyzed configuration's own capacities must reproduce the
- * analyzer's total exactly (same terms, same per-group residency
- * decision). Grouped convolutions exercise the cost.groups scaling:
+ * Re-deriving energy from the activity counts at the analyzed
+ * configuration's own capacities must reproduce the analyzer's total
+ * (same terms, same per-group residency decision on the stored
+ * elements). Grouped convolutions exercise the cost.groups scaling:
  * before the fix the per-group DRAM fill was compared against the
- * all-groups dram_reads, understating grouped DRAM energy.
+ * all-groups dram_reads, understating grouped DRAM energy. The
+ * transposed convolutions (dcgan, unet) store their zero-stuffed
+ * inputs at a density below one.
  */
 struct ConsistencyCase
 {
@@ -509,7 +511,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConsistencyCase{"resnext50", "S2B1_3x3", "KC-P"},
                       ConsistencyCase{"mobilenetv2", "B2_dw", "YR-P"},
                       ConsistencyCase{"mobilenetv2", "B2_expand",
-                                      "KC-P"}),
+                                      "KC-P"},
+                      ConsistencyCase{"dcgan", "TRCONV5", "KC-P"},
+                      ConsistencyCase{"unet", "UPCONV1", "KC-P"}),
     [](const ::testing::TestParamInfo<ConsistencyCase> &info) {
         std::string name = std::string(info.param.model) + '_' +
                            info.param.layer + '_' +
@@ -520,6 +524,38 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+TEST(EnergyConsistency, RepricedSumsMatchAnalysisAtOtherL2Sizes)
+{
+    // The DSE prices one analysis's sums at every swept L2 size. At
+    // each size the result must be the energy an analysis at that
+    // size reports: the DRAM fill, and its L2 writes, follow the
+    // residency rule there, not at the analyzed size.
+    const AcceleratorConfig cfg = AcceleratorConfig::paperStudy();
+    ASSERT_EQ(cfg.l2_bytes, Count(1) << 20);
+    const Analyzer analyzer(cfg);
+    for (const ConsistencyCase &cc :
+         {ConsistencyCase{"vgg16", "CONV11", "KC-P"},
+          ConsistencyCase{"dcgan", "TRCONV5", "KC-P"},
+          ConsistencyCase{"unet", "UPCONV2", "KC-P"}}) {
+        const Layer layer = zoo::byName(cc.model).layer(cc.layer);
+        const Dataflow df = dataflows::byName(cc.dataflow);
+        const CostResult::AccessSums sums =
+            analyzer.analyzeLayer(layer, df).cost.accessSums();
+        for (const Count l2 : {Count(16) << 10, Count(144) << 10}) {
+            AcceleratorConfig at = cfg;
+            at.l2_bytes = l2;
+            const LayerAnalysis la =
+                Analyzer(at).analyzeLayer(layer, df);
+            const double derived = dse::energyFromSums(
+                sums, at.l1_bytes, l2, at.precision_bytes,
+                at.noc.avgLatency(), EnergyModel());
+            EXPECT_NEAR(derived, la.energy(), 1e-9 * la.energy())
+                << cc.model << ' ' << cc.layer << ' ' << cc.dataflow
+                << " l2=" << l2;
+        }
+    }
+}
 
 TEST(EnergyConsistency, GroupScalingMattersForGroupedConvs)
 {
