@@ -23,6 +23,7 @@
 #include "src/common/table.hh"
 #include "src/core/analyzer.hh"
 #include "src/core/flat_analysis.hh"
+#include "src/core/performance_analysis.hh"
 #include "src/dataflows/catalog.hh"
 #include "src/model/zoo.hh"
 
@@ -36,6 +37,7 @@ struct Pipeline
     BoundDataflow bound;
     std::vector<LevelReuse> reuse;
     FlatAnalysis flat;
+    ComputeFloor compute;
 };
 
 Pipeline
@@ -48,6 +50,7 @@ run(const Layer &layer, const Dataflow &df,
     const bool dw = layer.type() == OpType::DepthwiseConv;
     p.reuse = analyzeReuse(p.bound, tensors, dw);
     p.flat = analyzeFlat(p.bound, p.reuse, tensors, dw, cfg);
+    p.compute = computeFloor(p.bound, layer, cfg);
     return p;
 }
 
@@ -71,8 +74,7 @@ main()
         // A naive model refetches the PE's weights on every PE step.
         const double naive = p.flat.pe_chunk[TensorKind::Weight] *
                              p.flat.noc_mult[TensorKind::Weight] *
-                             p.flat.total_pe_steps /
-                             (p.flat.total_pe_steps > 0 ? 1.0 : 1.0);
+                             p.compute.total_pe_steps;
         const double tensor = static_cast<double>(
             layer.tensorVolume(TensorKind::Weight));
         Table t({"quantity", "elements", "vs tensor size"});
@@ -97,10 +99,10 @@ main()
         const Pipeline p = run(layer, dataflows::yrPartitioned(), cfg);
         Table t({"quantity", "steady", "edge-aware", "ratio"});
         t.addRow({"psums per PE step",
-                  fixedFormat(p.flat.pe_psums_per_step, 1),
-                  fixedFormat(p.flat.pe_psums_avg, 2),
-                  fixedFormat(p.flat.pe_psums_avg /
-                                  p.flat.pe_psums_per_step,
+                  fixedFormat(p.compute.psums_per_step, 1),
+                  fixedFormat(p.compute.psums_avg, 2),
+                  fixedFormat(p.compute.psums_avg /
+                                  p.compute.psums_per_step,
                               3)});
         std::cout << "== A2: edge-chunk averaging (YR-P, AlexNet "
                      "CONV1, C=3) ==\n";
@@ -146,7 +148,7 @@ main()
             p.flat.l1_fill_per_pe[TensorKind::Weight];
         // Without residency every X' step re-sweeps the weight folds.
         const double refetch = p.flat.pe_chunk[TensorKind::Weight] *
-                               p.flat.total_pe_steps;
+                               p.compute.total_pe_steps;
         Table t({"quantity", "elements/PE"});
         t.addRow({"weight L1 fill with fold residency",
                   fixedFormat(resident, 1)});

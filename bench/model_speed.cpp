@@ -468,6 +468,8 @@ mapperSweepStudy()
         .value(static_cast<std::uint64_t>(res.stats.pruned_symmetry));
     w.key("pruned_capacity")
         .value(static_cast<std::uint64_t>(res.stats.pruned_capacity));
+    w.key("pruned_bound")
+        .value(static_cast<std::uint64_t>(res.stats.pruned_bound));
     w.key("evaluated")
         .value(static_cast<std::uint64_t>(res.stats.evaluated));
     w.key("covered_per_generated")

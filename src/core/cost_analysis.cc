@@ -220,7 +220,7 @@ analyzeCost(const BoundDataflow &bound, const std::vector<LevelReuse> &reuse,
     {
         const RegisterTraffic l0 =
             registerFileTraffic(bound.levels.back(), depthwise);
-        const double l0_execs = flat.total_pe_steps * flat.active_pes;
+        const double l0_execs = perf.total_pe_steps * flat.active_pes;
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input})
             cost.l1_reads[t] += l0.l1_reads[t] * l0_execs * density[t];
         cost.l1_writes[TensorKind::Output] += l0.psum_writes * l0_execs;

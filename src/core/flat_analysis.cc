@@ -95,6 +95,20 @@ loopCoupled(const BoundDataflow &bound, const FlatLoop &loop,
 
 } // namespace
 
+DimMap<double>
+edgeRatios(const BoundDataflow &bound)
+{
+    DimMap<double> ratio(1.0);
+    for (const auto &level : bound.levels) {
+        for (Dim d : kAllDims) {
+            const double steady = static_cast<double>(level.chunk[d]);
+            if (steady > 0.0)
+                ratio[d] *= level.avg_chunk[d] / steady;
+        }
+    }
+    return ratio;
+}
+
 FlatAnalysis
 analyzeFlat(const BoundDataflow &bound,
             const std::vector<LevelReuse> &reuse,
@@ -130,34 +144,11 @@ analyzeFlat(const BoundDataflow &bound,
                 static_cast<double>(fl.steps - 1) * outer;
             outer *= static_cast<double>(fl.steps);
         }
-        flat.total_pe_steps = outer;
     }
 
-    // ---- PE chunk volumes and per-step compute. ----
+    // ---- PE chunk volumes. ----
     const BoundLevel &pe_level = bound.levels.back();
-    const LevelReuse &pe_reuse = reuse.back();
-    flat.pe_psums_per_step = pe_reuse.psums_per_step;
-
-    // Cumulative edge ratios: how much smaller the average chunk is
-    // than the steady chunk along each dim, across all levels. Edge
-    // positions at an outer level shrink every inner scope, so the
-    // ratios compose multiplicatively (first-order edge correction).
-    for (Dim d : kAllDims)
-        flat.edge_ratio[d] = 1.0;
-    for (const auto &level : bound.levels) {
-        for (Dim d : kAllDims) {
-            const double steady = static_cast<double>(level.chunk[d]);
-            if (steady > 0.0)
-                flat.edge_ratio[d] *= level.avg_chunk[d] / steady;
-        }
-    }
-    {
-        double ratio = 1.0;
-        for (Dim d : kAllDims)
-            ratio *= flat.edge_ratio[d];
-        flat.pe_psums_avg = flat.pe_psums_per_step * ratio;
-    }
-
+    const DimMap<double> edge_ratio = edgeRatios(bound);
     TensorMap<StorageDims> storage;
     for (TensorKind t : kAllTensors) {
         storage[t] = tensorStorageDims(pe_level, t, depthwise);
@@ -168,7 +159,7 @@ analyzeFlat(const BoundDataflow &bound,
             // averages (the PE-level view only sees its own edges).
             sd.avg = std::min(
                 sd.chunk,
-                sd.chunk * flat.edge_ratio[sd.map_dim]);
+                sd.chunk * edge_ratio[sd.map_dim]);
         }
     }
 

@@ -66,18 +66,6 @@ struct FlatAnalysis
     /** Per-PE steady chunk volume per tensor. */
     TensorMap<double> pe_chunk;
 
-    /** Per-PE partial sums per innermost step (steady state). */
-    double pe_psums_per_step = 0.0;
-
-    /** Edge-averaged per-PE partial sums per step. */
-    double pe_psums_avg = 0.0;
-
-    /** Per-dim cumulative edge ratio (avg chunk / steady chunk). */
-    DimMap<double> edge_ratio;
-
-    /** Total PE steps for the whole layer (product of all loops). */
-    double total_pe_steps = 1.0;
-
     /** Average simultaneously active PEs. */
     double active_pes = 1.0;
 
@@ -111,6 +99,15 @@ struct FlatAnalysis
     /** Unique final outputs of the whole layer. */
     double final_outputs = 0.0;
 };
+
+/**
+ * Per-dim cumulative edge ratio (average chunk / steady chunk) across
+ * all levels. Edge positions at an outer level shrink every inner
+ * scope, so the ratios compose multiplicatively (first-order edge
+ * correction). The flat engine's PE chunk averages and computeFloor's
+ * edge-averaged partial sums both read it.
+ */
+DimMap<double> edgeRatios(const BoundDataflow &bound);
 
 /**
  * Flattened analysis entry point.

@@ -29,6 +29,54 @@ runtimeAt(const PerformanceResult &perf, const NocModel &noc)
     return std::max(runtime, perf.offchip_busy);
 }
 
+ComputeFloor
+computeFloor(const BoundDataflow &bound, const Layer &layer,
+             const AcceleratorConfig &config)
+{
+    ComputeFloor floor;
+
+    // Partial sums of one steady PE step: every (y, r) and (x, s)
+    // pair the PE's activation and filter chunks cover.
+    const BoundLevel &pe = bound.peLevel();
+    const Count pairs_y =
+        outputChunkSize(pe.chunk[Dim::Y], pe.extents[Dim::Y],
+                        pe.chunk[Dim::R], pe.extents[Dim::R],
+                        pe.stride) *
+        pe.chunk[Dim::R];
+    const Count pairs_x =
+        outputChunkSize(pe.chunk[Dim::X], pe.extents[Dim::X],
+                        pe.chunk[Dim::S], pe.extents[Dim::S],
+                        pe.stride) *
+        pe.chunk[Dim::S];
+    floor.psums_per_step = static_cast<double>(pe.chunk[Dim::N]) *
+                           static_cast<double>(pe.chunk[Dim::K]) *
+                           static_cast<double>(pe.chunk[Dim::C]) *
+                           static_cast<double>(pairs_y) *
+                           static_cast<double>(pairs_x);
+    const DimMap<double> edge = edgeRatios(bound);
+    double ratio = 1.0;
+    for (Dim d : kAllDims)
+        ratio *= edge[d];
+    floor.psums_avg = floor.psums_per_step * ratio;
+
+    // The steady value paces the initial step; the edge-averaged value
+    // integrates to the true compute-only runtime.
+    const double density =
+        layer.inputDensityVal() * layer.weightDensityVal();
+    const auto vector_width = static_cast<double>(config.vector_width);
+    floor.pe_compute =
+        std::ceil(std::max(1.0, floor.psums_per_step * density) /
+                  vector_width);
+    floor.pe_compute_avg = std::ceil(
+        std::max(1.0, floor.psums_avg * density) / vector_width);
+
+    for (const BoundLevel &level : bound.levels)
+        floor.total_pe_steps *= static_cast<double>(level.total_steps);
+    floor.compute_only_runtime =
+        floor.pe_compute_avg * floor.total_pe_steps;
+    return floor;
+}
+
 PerformanceResult
 analyzePerformance(const BoundDataflow &bound,
                    const std::vector<LevelReuse> &reuse,
@@ -46,21 +94,12 @@ analyzePerformance(const BoundDataflow &bound,
     TensorMap<double> density(1.0);
     density[TensorKind::Weight] = layer.weightDensityVal();
     density[TensorKind::Input] = layer.inputDensityVal();
-    const double compute_scale =
-        density[TensorKind::Input] * density[TensorKind::Weight];
 
-    // Per-PE compute delay of one flattened step. The steady value
-    // paces the initial step; the edge-averaged value integrates to
-    // the true compute-only runtime. Both are whole cycles: a PE
-    // cannot issue part of a vector operation.
-    result.pe_compute = std::ceil(
-        std::max(1.0, flat.pe_psums_per_step * compute_scale) /
-        static_cast<double>(config.vector_width));
-    result.pe_compute_avg = std::ceil(
-        std::max(1.0, flat.pe_psums_avg * compute_scale) /
-        static_cast<double>(config.vector_width));
-    result.compute_only_runtime =
-        result.pe_compute_avg * flat.total_pe_steps;
+    const ComputeFloor floor = computeFloor(bound, layer, config);
+    result.pe_compute = floor.pe_compute;
+    result.pe_compute_avg = floor.pe_compute_avg;
+    result.total_pe_steps = floor.total_pe_steps;
+    result.compute_only_runtime = floor.compute_only_runtime;
 
     // ---- DRAM <-> L2 side: level-0 transition profile. ----
     const LevelReuse &top = reuse.front();

@@ -59,6 +59,52 @@ struct TrafficCase
 };
 
 /**
+ * The compute side of a layer's runtime, from the binding alone: what
+ * a PE computes per flattened step, the step count, and the stall-free
+ * runtime they integrate to. `runtimeAt` adds non-negative NoC and
+ * DRAM terms to pe_compute plus, per case, max(., pe_compute_avg)
+ * times its advance; the advances sum to total_pe_steps - 1, and
+ * pe_compute >= pe_compute_avg. Every term is a whole number below
+ * 2^53 and floating-point addition is monotone, so no runtime the
+ * engine prices is below `compute_only_runtime`: the mapper's bound
+ * prune rests on that.
+ */
+struct ComputeFloor
+{
+    /** Partial sums one PE produces per steady step. */
+    double psums_per_step = 0.0;
+
+    /** The same, averaged over every level's edge chunks. */
+    double psums_avg = 0.0;
+
+    /** Steady per-step compute delay in whole cycles (paces the
+     *  initial step). */
+    double pe_compute = 0.0;
+
+    /** Edge-averaged per-step compute delay in whole cycles (steady
+     *  cases). */
+    double pe_compute_avg = 1.0;
+
+    /** Flattened nest steps of one group (every level's folds and
+     *  temporal steps). */
+    double total_pe_steps = 1.0;
+
+    /** pe_compute_avg x total_pe_steps: one group's runtime with no
+     *  communication stall. */
+    double compute_only_runtime = 0.0;
+};
+
+/**
+ * The compute floor of a bound mapping: the one derivation of the
+ * per-step compute delays and the step count, which
+ * analyzePerformance copies into its result. A PE runs whole vector
+ * operations, so both delays are whole cycles; only nonzero weight x
+ * input pairs are multiplied (paper Sec. 4.4).
+ */
+ComputeFloor computeFloor(const BoundDataflow &bound, const Layer &layer,
+                          const AcceleratorConfig &config);
+
+/**
  * Whole-layer performance result: the traffic record, the runtime it
  * prices to, and the chip-wide totals the cost engine converts into
  * buffer accesses.
@@ -68,8 +114,12 @@ struct PerformanceResult
     /** Total runtime in cycles. */
     double runtime = 0.0;
 
-    /** Ideal compute-only runtime (no communication stalls). */
+    /** Ideal compute-only runtime (no communication stalls; see
+     *  ComputeFloor). */
     double compute_only_runtime = 0.0;
+
+    /** Flattened nest steps (ComputeFloor::total_pe_steps). */
+    double total_pe_steps = 1.0;
 
     /** Average simultaneously active PEs. */
     double active_pes = 1.0;
@@ -88,11 +138,11 @@ struct PerformanceResult
     /** The flat loops that advance, in flat-loop order. */
     std::vector<TrafficCase> cases;
 
-    /** Steady per-step compute delay (ceil form, initial step). */
+    /** Steady per-step compute delay (ComputeFloor::pe_compute). */
     double pe_compute = 0.0;
 
-    /** Edge-averaged per-step compute delay, in whole cycles (steady
-     *  cases). */
+    /** Edge-averaged per-step compute delay
+     *  (ComputeFloor::pe_compute_avg). */
     double pe_compute_avg = 1.0;
 
     /** Off-chip delay of the initial fill (the off-chip interface is

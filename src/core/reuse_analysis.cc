@@ -181,23 +181,7 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
         out.total_steps *= static_cast<double>(loop.steps);
     }
 
-    // ---- Per-step compute and output volumes (steady state). ----
-    const Count pairs_y =
-        outputChunkSize(level.chunk[Dim::Y], level.extents[Dim::Y],
-                        level.chunk[Dim::R], level.extents[Dim::R],
-                        stride) *
-        level.chunk[Dim::R];
-    const Count pairs_x =
-        outputChunkSize(level.chunk[Dim::X], level.extents[Dim::X],
-                        level.chunk[Dim::S], level.extents[Dim::S],
-                        stride) *
-        level.chunk[Dim::S];
-    out.psums_per_step = static_cast<double>(level.chunk[Dim::N]) *
-                         static_cast<double>(level.chunk[Dim::K]) *
-                         static_cast<double>(level.chunk[Dim::C]) *
-                         static_cast<double>(pairs_y) *
-                         static_cast<double>(pairs_x);
-
+    // ---- Output volume of one level execution. ----
     out.outputs_per_exec =
         static_cast<double>(level.extents[Dim::N]) *
         static_cast<double>(depthwise ? level.extents[Dim::C]

@@ -104,9 +104,6 @@ struct LevelReuse
     /** Per-tensor traffic profiles. */
     TensorMap<TensorLevelTraffic> traffic;
 
-    /** Steady per-unit partial sums per step. */
-    double psums_per_step = 0.0;
-
     /** Unique outputs produced by one full level execution. */
     double outputs_per_exec = 0.0;
 

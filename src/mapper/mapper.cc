@@ -59,7 +59,8 @@ countSearch(const MapperStats &stats)
                     static_cast<std::uint64_t>(stats.evaluated));
     obs::addCounter("maestro_mapper_pruned_total",
                     static_cast<std::uint64_t>(stats.pruned_symmetry +
-                                               stats.pruned_capacity));
+                                               stats.pruned_capacity +
+                                               stats.pruned_bound));
 }
 
 /** What the stage engines read of one search, besides the bound
@@ -112,6 +113,27 @@ scoreBound(const BoundDataflow &bound, const StageInputs &in,
 /** A scored candidate: (objective value, enumeration index). The
  *  index breaks every tie, so the order is total. */
 using Ranked = std::pair<double, std::size_t>;
+
+/**
+ * True when a runtime search may skip `bound` without moving its
+ * class's ranking: the class heap `best` (a max-heap) holds top_k
+ * entries, and the candidate's compute floor, below which no runtime
+ * the engine prices can fall (ComputeFloor), already exceeds the worst
+ * of them. Scaled by 1 - 1e-9, so rounding can never drop a candidate
+ * that would rank.
+ */
+bool
+losesOnFloor(const BoundDataflow &bound, const StageInputs &in,
+             const std::vector<Ranked> &best, std::size_t top_k)
+{
+    if (best.empty() || best.size() < top_k)
+        return false;
+    // The group scaling layerRuntime applies to the runtime.
+    const double floor =
+        computeFloor(bound, in.layer, in.config).compute_only_runtime *
+        static_cast<double>(in.layer.groupsVal());
+    return floor * (1.0 - 1e-9) > best.front().first;
+}
 
 /** Keeps `entry` in `best`, a max-heap of the top_k smallest entries
  *  seen; it ranks exactly like a full sort cut to top_k. */
@@ -194,9 +216,10 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
 
     // One shard per class: candidates of different classes never
     // share a canonical key (see kSearchClasses), so each shard dedups
-    // against its own keys and ranks on its own, and no state crosses
-    // shards. The exact oracle walks the same classes without keys or
-    // cuts.
+    // against its own keys, ranks on its own and bounds against its
+    // own heap, and no state crosses shards. The exact oracle walks the
+    // same classes without keys, cuts or bounds.
+    const bool bound_prune = objective == Objective::Runtime;
     std::vector<ClassResult> classes(kSearchClasses);
     const auto shard = [&](std::size_t cls) {
         obs::ScopedSpan shard_span(kShardSite);
@@ -221,6 +244,11 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
                     l1LowerBoundBytes(*bound, layer, in.config) >
                         l1_bytes) {
                     ++out.counts.pruned_capacity;
+                    return;
+                }
+                if (bound_prune &&
+                    losesOnFloor(*bound, in, out.best, options.top_k)) {
+                    ++out.counts.pruned_bound;
                     return;
                 }
             }
@@ -249,6 +277,7 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
         stats.generated += c.counts.generated;
         stats.pruned_symmetry += c.counts.pruned_symmetry;
         stats.pruned_capacity += c.counts.pruned_capacity;
+        stats.pruned_bound += c.counts.pruned_bound;
         stats.evaluated += c.counts.evaluated;
         stats.rejected += c.counts.rejected;
         for (const Ranked &entry : c.best)
@@ -317,6 +346,7 @@ mapNetwork(const Analyzer &analyzer, const Network &network,
         net.stats.generated += entry.stats.generated;
         net.stats.pruned_symmetry += entry.stats.pruned_symmetry;
         net.stats.pruned_capacity += entry.stats.pruned_capacity;
+        net.stats.pruned_bound += entry.stats.pruned_bound;
         if (!entry.reused) {
             net.stats.evaluated += entry.stats.evaluated;
             net.stats.rejected += entry.stats.rejected;

@@ -13,20 +13,25 @@
  * for any num_threads.
  *
  * Oracle. With MapperOptions::exact the engine skips the symmetry
- * dedup and the capacity cut and evaluates every generated candidate
- * (capacity is still enforced post-evaluation when requested, from
- * the analyzer's own fits_l1). Because the prunes only remove
- * candidates that analyze bit-identically to a kept lower-index
- * representative (symmetry) or that the analyzer itself would reject
- * (capacity), the pruned search's bests match the oracle's bests
- * byte-for-byte, names included.
+ * dedup, the capacity cut and the bound prune and evaluates every
+ * generated candidate (capacity is still enforced post-evaluation when
+ * requested, from the analyzer's own fits_l1). Because the prunes only
+ * remove candidates that analyze bit-identically to a kept lower-index
+ * representative (symmetry), that the analyzer itself would reject
+ * (capacity), or whose runtime cannot beat the worst of their class's
+ * full top_k (bound), the pruned search's ranking is the oracle's with
+ * each symmetry duplicate dropped, byte-for-byte, names included.
  *
  * Evaluation path. Each class's shard builds its candidates one at a
  * time in enumeration order (forEachCandidate), binds each once and
  * takes its canonical key. It drops a candidate whose key it already
  * holds, or, under enforce_l1_capacity, one the capacity cut rejects;
  * candidates of different classes never share a key, so that is the
- * whole space's dedup. Every other candidate runs through the pure
+ * whole space's dedup. A runtime search then drops, once the class's
+ * top_k heap is full, a candidate whose compute floor (computeFloor,
+ * from the binding alone) exceeds the heap's worst value: its runtime
+ * is at least that floor, so it cannot enter the heap. Every other
+ * candidate runs through the pure
  * stage engines on that same binding (reuse -> flat -> performance),
  * like the DSE fast sweep: bit-identical to the memoizing pipeline by
  * assembleLayerAnalysis's contract, without thrashing the shared LRU
@@ -80,9 +85,10 @@ struct MapperOptions
      *  capacity cut; see search_space.hh). */
     bool enforce_l1_capacity = false;
 
-    /** Exhaustive oracle mode: no symmetry dedup, no capacity cut;
-     *  every generated candidate is evaluated. Bests are
-     *  byte-identical to the pruned search (see file comment). */
+    /** Exhaustive oracle mode: no symmetry dedup, no capacity cut,
+     *  no bound prune; every generated candidate is evaluated. Its
+     *  ranking, with symmetry duplicates dropped, is byte-identical
+     *  to the pruned search's (see file comment). */
     bool exact = false;
 
     /** Threads evaluating candidates (<= 1 = serial); results are
@@ -128,9 +134,16 @@ struct MapperStats
     /** Candidates dropped by the conservative L1 capacity cut. */
     std::size_t pruned_capacity = 0;
 
-    /** Candidates that survive both prunes (generated minus
-     *  pruned_symmetry and pruned_capacity) and so run the stage
-     *  engines; the same at any thread count. */
+    /** Candidates a runtime search dropped because their compute
+     *  floor already exceeded the worst entry of their class's full
+     *  top_k heap (never in exact mode, and 0 for the energy and EDP
+     *  objectives). */
+    std::size_t pruned_bound = 0;
+
+    /** Candidates that survive the three prunes (generated minus
+     *  pruned_symmetry, pruned_capacity and pruned_bound) and so run
+     *  the stage engines; all six counts are the same at any thread
+     *  count. */
     std::size_t evaluated = 0;
 
     /** Evaluated candidates rejected (bind/analysis failure, or L1

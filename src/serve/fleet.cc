@@ -310,7 +310,7 @@ constexpr Family kFamilies[] = {
      FamilyKind::Histogram, nullptr},
     {"maestro_mapper_pruned_total",
      "Candidate mappings pruned before evaluation (symmetry dedup "
-     "+ capacity cuts)",
+     "+ capacity cuts + runtime bound)",
      FamilyKind::Counter, nullptr},
     {"maestro_mapper_search_us",
      "Wall time of whole mapper searches in microseconds",

@@ -147,6 +147,8 @@ writeSearchStats(JsonWriter &w, const mapper::MapperStats &stats)
         .value(static_cast<std::uint64_t>(stats.pruned_symmetry));
     w.key("pruned_capacity")
         .value(static_cast<std::uint64_t>(stats.pruned_capacity));
+    w.key("pruned_bound")
+        .value(static_cast<std::uint64_t>(stats.pruned_bound));
     w.key("evaluated")
         .value(static_cast<std::uint64_t>(stats.evaluated));
     w.key("rejected")

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/flat_analysis.hh"
+#include "src/core/performance_analysis.hh"
 #include "src/dataflows/catalog.hh"
 
 namespace maestro
@@ -142,12 +143,21 @@ TEST(FlatAnalysis, ReductionHardwareCollapsesCommits)
 
 TEST(FlatAnalysis, TotalPeStepsMatchesLevelProduct)
 {
-    const Scenario s =
-        run(dataflows::yrPartitioned(), conv(64, 64, 56, 3, 1, 1), 256);
+    // computeFloor owns the step count; the flattened loops' advances
+    // must sum to one less (each step after the first advances one
+    // loop), which is what makes the compute floor a runtime bound.
+    const Layer layer = conv(64, 64, 56, 3, 1, 1);
+    const Scenario s = run(dataflows::yrPartitioned(), layer, 256);
     double expect = 1.0;
     for (const auto &ru : s.reuse)
         expect *= ru.total_steps;
-    EXPECT_DOUBLE_EQ(s.flat.total_pe_steps, expect);
+    const ComputeFloor floor =
+        computeFloor(s.bound, layer, AcceleratorConfig());
+    EXPECT_DOUBLE_EQ(floor.total_pe_steps, expect);
+    double advances = 0.0;
+    for (const FlatLoop &fl : s.flat.loops)
+        advances += fl.advance_count;
+    EXPECT_EQ(advances, floor.total_pe_steps - 1.0);
 }
 
 TEST(FlatAnalysis, ActivePesNeverExceedArray)

@@ -1,18 +1,21 @@
 /**
  * @file
- * Mapper v2 property tests: the pruned decoupled search must match
- * the exhaustive oracle (MapperOptions::exact) byte-for-byte in its
- * bests, and must be byte-identical at any thread count — these
- * tests drive sampled layers x objectives x {1, 4} threads and
- * compare every field with EXPECT_EQ (no tolerances), mirroring
+ * Mapper v2 property tests: the pruned decoupled search must rank
+ * exactly like the exhaustive oracle (MapperOptions::exact) once the
+ * oracle's symmetry duplicates are dropped, entry by entry at several
+ * top_k, and must be byte-identical at any thread count. These tests
+ * drive sampled layers x objectives x thread counts and compare every
+ * field with EXPECT_EQ (no tolerances), mirroring
  * tests/test_dse_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/error.hh"
@@ -92,67 +95,151 @@ constexpr mapper::Objective kObjectives[] = {
     mapper::Objective::Edp,
 };
 
+/** The top_k values every oracle comparison runs at. */
+constexpr std::size_t kTopKs[] = {1, 3, 10};
+
+/**
+ * The exhaustive oracle's search with its whole ranking, symmetry
+ * duplicates dropped: every candidate evaluated (exact mode, no top_k
+ * cut), then every entry whose canonical key a better-ranked entry
+ * holds removed.
+ * Where a key's holders analyze bit-identically, the first holder
+ * ranked is the lowest-index one, which is the one the pruned search
+ * keeps; where they differ, the comparison fails instead of hiding it.
+ */
+mapper::MapperResult
+oracleRanking(const Analyzer &analyzer, const Layer &layer,
+              mapper::Objective objective, mapper::MapperOptions options)
+{
+    options.exact = true;
+    options.top_k = std::numeric_limits<std::size_t>::max();
+    mapper::MapperResult oracle =
+        mapLayer(analyzer, layer, objective, options);
+    std::unordered_set<std::string> held;
+    std::erase_if(oracle.ranked, [&](const mapper::MappedDataflow &md) {
+        return !held.insert(mapper::canonicalMappingKey(bindDataflow(
+                                md.dataflow, layer,
+                                analyzer.config().num_pes)))
+                    .second;
+    });
+    return oracle;
+}
+
+/** Every ranked entry of `pruned` against the oracle's first top_k:
+ *  name, directives, metrics, objective value and index. */
+void
+expectOracleRanking(const mapper::MapperResult &pruned,
+                    const std::vector<mapper::MappedDataflow> &oracle,
+                    std::size_t top_k)
+{
+    SCOPED_TRACE("top_k " + std::to_string(top_k));
+    ASSERT_EQ(pruned.ranked.size(), std::min(top_k, oracle.size()));
+    for (std::size_t i = 0; i < pruned.ranked.size(); ++i) {
+        SCOPED_TRACE("rank " + std::to_string(i + 1));
+        expectSameMapping(pruned.ranked[i], oracle[i], "vs oracle");
+        EXPECT_EQ(pruned.ranked[i].index, oracle[i].index);
+    }
+}
+
+/**
+ * The paper's array, and one whose NoC and off-chip interface are so
+ * wide that every mapping is compute-bound: there the compute floor is
+ * almost the runtime, so the bound prune removes the most candidates
+ * and any loosening of its threshold drops a ranked one.
+ */
+std::vector<Analyzer>
+oracleArrays()
+{
+    AcceleratorConfig compute_bound = AcceleratorConfig::paperStudy();
+    compute_bound.noc = NocModel(1024.0, 0.0);
+    compute_bound.offchip = NocModel(1024.0, 0.0);
+    std::vector<Analyzer> arrays;
+    arrays.emplace_back(AcceleratorConfig::paperStudy());
+    arrays.emplace_back(compute_bound);
+    return arrays;
+}
+
 TEST(MapperEquivalence, PrunedBestsMatchExhaustiveOracle)
 {
-    const Analyzer analyzer(AcceleratorConfig::paperStudy());
-    for (const Layer &layer : sampleLayers()) {
-        std::vector<mapper::MappedDataflow> bests;
-        for (mapper::Objective objective : kObjectives) {
+    std::size_t bound_pruned[std::size(kTopKs)] = {};
+    for (const Analyzer &analyzer : oracleArrays()) {
+        SCOPED_TRACE(analyzer.config().noc.bandwidth());
+        for (const Layer &layer : sampleLayers()) {
+            std::vector<mapper::MappedDataflow> bests;
+            for (mapper::Objective objective : kObjectives) {
+                SCOPED_TRACE(layer.name());
+                SCOPED_TRACE(static_cast<int>(objective));
+                mapper::MapperOptions pruned;
+                pruned.space = smallSpace();
+                const mapper::MapperResult e =
+                    oracleRanking(analyzer, layer, objective, pruned);
+                EXPECT_EQ(e.stats.pruned_bound, 0u);
+
+                for (std::size_t k = 0; k < std::size(kTopKs); ++k) {
+                    pruned.top_k = kTopKs[k];
+                    const mapper::MapperResult p =
+                        mapLayer(analyzer, layer, objective, pruned);
+                    // The prunes must remove work, never a candidate
+                    // the oracle would rank.
+                    EXPECT_EQ(p.stats.generated, e.stats.generated);
+                    EXPECT_GT(p.stats.pruned_symmetry, 0u);
+                    EXPECT_LT(p.stats.evaluated, e.stats.evaluated);
+                    expectOracleRanking(p, e.ranked, kTopKs[k]);
+                    if (objective == mapper::Objective::Runtime)
+                        bound_pruned[k] += p.stats.pruned_bound;
+                    else
+                        EXPECT_EQ(p.stats.pruned_bound, 0u);
+                }
+                bests.push_back(e.best());
+            }
+            // Each objective's winner is at least as good on its own
+            // metric as the other objective's winner (kObjectives
+            // order: runtime, energy, edp).
             SCOPED_TRACE(layer.name());
-            mapper::MapperOptions pruned;
-            pruned.space = smallSpace();
-            mapper::MapperOptions exact = pruned;
-            exact.exact = true;
-
-            const mapper::MapperResult p =
-                mapLayer(analyzer, layer, objective, pruned);
-            const mapper::MapperResult e =
-                mapLayer(analyzer, layer, objective, exact);
-
-            // The prunes must remove work, never candidates the
-            // oracle would rank first.
-            EXPECT_EQ(p.stats.generated, e.stats.generated);
-            EXPECT_GT(p.stats.pruned_symmetry, 0u);
-            EXPECT_LT(p.stats.evaluated, e.stats.evaluated);
-            expectSameMapping(p.best(), e.best(), "best vs oracle");
-            bests.push_back(p.best());
+            EXPECT_LE(bests[1].energy, bests[0].energy);
+            EXPECT_LE(bests[0].runtime, bests[1].runtime);
         }
-        // Each objective's winner is at least as good on its own
-        // metric as the other objective's winner (kObjectives order:
-        // runtime, energy, edp).
-        SCOPED_TRACE(layer.name());
-        EXPECT_LE(bests[1].energy, bests[0].energy);
-        EXPECT_LE(bests[0].runtime, bests[1].runtime);
     }
+    // The bound prune must actually fire on the corpus at every top_k.
+    for (std::size_t k = 0; k < std::size(kTopKs); ++k)
+        EXPECT_GT(bound_pruned[k], 0u) << "top_k " << kTopKs[k];
 }
 
 TEST(MapperEquivalence, CapacityCutMatchesOracleUnderEnforcement)
 {
-    // A small L1 makes the conservative pre-bind cut fire; the best
+    // A small L1 makes the conservative pre-bind cut fire; the ranking
     // must still match the oracle, which rejects via the analyzer's
-    // own fits_l1 after evaluation.
-    AcceleratorConfig config = AcceleratorConfig::paperStudy();
-    config.l1_bytes = 512;
-    const Analyzer analyzer(config);
+    // own fits_l1 after evaluation. The bound prune then works on the
+    // candidates the cut lets through.
     std::size_t total_capacity_pruned = 0;
-    for (const Layer &layer : sampleLayers()) {
-        SCOPED_TRACE(layer.name());
-        mapper::MapperOptions pruned;
-        pruned.space = smallSpace();
-        pruned.enforce_l1_capacity = true;
-        mapper::MapperOptions exact = pruned;
-        exact.exact = true;
-
-        const mapper::MapperResult p = mapLayer(
-            analyzer, layer, mapper::Objective::Runtime, pruned);
-        const mapper::MapperResult e = mapLayer(
-            analyzer, layer, mapper::Objective::Runtime, exact);
-        total_capacity_pruned += p.stats.pruned_capacity;
-        expectSameMapping(p.best(), e.best(), "best vs oracle");
+    std::size_t total_bound_pruned = 0;
+    for (const Analyzer &array : oracleArrays()) {
+        SCOPED_TRACE(array.config().noc.bandwidth());
+        AcceleratorConfig config = array.config();
+        config.l1_bytes = 512;
+        const Analyzer analyzer(config);
+        for (const Layer &layer : sampleLayers()) {
+            SCOPED_TRACE(layer.name());
+            mapper::MapperOptions pruned;
+            pruned.space = smallSpace();
+            pruned.enforce_l1_capacity = true;
+            const mapper::MapperResult oracle = oracleRanking(
+                analyzer, layer, mapper::Objective::Runtime, pruned);
+            for (std::size_t top_k : kTopKs) {
+                pruned.top_k = top_k;
+                const mapper::MapperResult p = mapLayer(
+                    analyzer, layer, mapper::Objective::Runtime, pruned);
+                total_capacity_pruned += p.stats.pruned_capacity;
+                total_bound_pruned += p.stats.pruned_bound;
+                expectOracleRanking(p, oracle.ranked, top_k);
+            }
+        }
     }
-    // The cut must actually fire somewhere on the corpus (layers with
-    // working sets already under 512 bytes legitimately skip it).
+    // Both cuts must actually fire somewhere on the corpus (layers
+    // with working sets already under 512 bytes legitimately skip the
+    // capacity cut).
     EXPECT_GT(total_capacity_pruned, 0u);
+    EXPECT_GT(total_bound_pruned, 0u);
 }
 
 TEST(MapperEquivalence, ThreadCountIsByteInvariant)
@@ -194,6 +281,7 @@ TEST(MapperEquivalence, ThreadCountIsByteInvariant)
                               b.stats.pruned_symmetry);
                     EXPECT_EQ(a.stats.pruned_capacity,
                               b.stats.pruned_capacity);
+                    EXPECT_EQ(a.stats.pruned_bound, b.stats.pruned_bound);
                     EXPECT_EQ(a.stats.evaluated, b.stats.evaluated);
                     EXPECT_EQ(a.stats.rejected, b.stats.rejected);
                 }
@@ -251,7 +339,7 @@ TEST(Mapper, SymmetryAccountingAndCoverage)
     EXPECT_GT(res.stats.covered,
               static_cast<double>(res.stats.generated) * 100.0);
     EXPECT_EQ(res.stats.evaluated + res.stats.pruned_symmetry +
-                  res.stats.pruned_capacity,
+                  res.stats.pruned_capacity + res.stats.pruned_bound,
               res.stats.generated);
     EXPECT_GT(res.stats.per_second, 0.0);
     ASSERT_FALSE(res.ranked.empty());
@@ -371,7 +459,8 @@ TEST(Mapper, SmallArrayStatsAreFrozen)
         EXPECT_EQ(res.stats.generated, 13728u);
         EXPECT_EQ(res.stats.pruned_symmetry, 8256u);
         EXPECT_EQ(res.stats.pruned_capacity, 0u);
-        EXPECT_EQ(res.stats.evaluated, 5472u);
+        EXPECT_EQ(res.stats.pruned_bound, 4211u);
+        EXPECT_EQ(res.stats.evaluated, 1261u);
         EXPECT_EQ(res.stats.rejected, 0u);
     }
 }

@@ -6,10 +6,12 @@
  *
  * The values were captured from the mapper whose canonical keys and
  * candidate names were still formatted text. The pruned-vs-oracle
- * tests compare bests only, so a key that merges or splits
- * equivalence classes without moving the best passes them; here it
- * moves pruned_symmetry and the ranked list. Both modes name their
- * results the same way, so only frozen names catch a naming change.
+ * tests derive their oracle's dedup from the same canonical key, so a
+ * key that merges or splits equivalence classes moves both sides
+ * alike and passes them; here it moves pruned_symmetry and the ranked
+ * list. Both modes name their results the same way, so only frozen
+ * names catch a naming change. The runtime rows' pruned_bound and
+ * evaluated counts pin the bound prune's reach.
  */
 
 #include <gtest/gtest.h>
@@ -42,9 +44,9 @@ struct GoldenSearch
     mapper::Objective objective;
     bool enforce_l1;
 
-    /** generated, pruned_symmetry, pruned_capacity, evaluated,
-     *  rejected. */
-    std::size_t stats[5];
+    /** generated, pruned_symmetry, pruned_capacity, pruned_bound,
+     *  evaluated, rejected. */
+    std::size_t stats[6];
 
     std::vector<GoldenMapping> ranked;
 };
@@ -52,7 +54,7 @@ struct GoldenSearch
 // VGG16 CONV11 / runtime is the search benchmark's call.
 const GoldenSearch kGoldenSearches[] = {
     {"vgg16", "CONV11", mapper::Objective::Runtime, false,
-     {18720, 0, 0, 18720, 0},
+     {18720, 0, 0, 14035, 4685, 0},
      {
          {"M-KCYX-sK-tC8Y1X1", "0x1.c8f102ap+20",
           "SpatialMap(1,1) K;\n"
@@ -130,7 +132,7 @@ const GoldenSearch kGoldenSearches[] = {
           "SpatialMap(1,1) K;\n"},
      }},
     {"vgg16", "CONV1", mapper::Objective::Runtime, false,
-     {13728, 5824, 0, 7904, 0},
+     {13728, 5824, 0, 4940, 2964, 0},
      {
          {"M-KYXC-sY-c16iK-tK64C1X1", "0x1.4ac3dc2f05398p+18",
           "TemporalMap(64,64) K;\n"
@@ -224,7 +226,7 @@ const GoldenSearch kGoldenSearches[] = {
           "SpatialMap(1,1) K;\n"},
      }},
     {"mobilenetv2", "B2_dw", mapper::Objective::Energy, true,
-     {8736, 3744, 1200, 3792, 0},
+     {8736, 3744, 1200, 0, 3792, 0},
      {
          {"M-KCYX-sY-tK1C1X1", "0x1.1a60e570a3d7p+26",
           "TemporalMap(1,1) K;\n"
@@ -312,7 +314,7 @@ const GoldenSearch kGoldenSearches[] = {
           "TemporalMap(Sz(S),Sz(S)) S;\n"},
      }},
     {"alexnet", "CONV1", mapper::Objective::Edp, true,
-     {13728, 3744, 4320, 5664, 240},
+     {13728, 3744, 4320, 0, 5664, 240},
      {
          {"M-KCYX-sY-c64iK-tK64C3X4", "0x1.08ccd49a29191p+48",
           "TemporalMap(64,64) K;\n"
@@ -429,8 +431,9 @@ TEST(Mapper, GoldenSearchesMatchFrozenRankings)
         EXPECT_EQ(res.stats.generated, g.stats[0]);
         EXPECT_EQ(res.stats.pruned_symmetry, g.stats[1]);
         EXPECT_EQ(res.stats.pruned_capacity, g.stats[2]);
-        EXPECT_EQ(res.stats.evaluated, g.stats[3]);
-        EXPECT_EQ(res.stats.rejected, g.stats[4]);
+        EXPECT_EQ(res.stats.pruned_bound, g.stats[3]);
+        EXPECT_EQ(res.stats.evaluated, g.stats[4]);
+        EXPECT_EQ(res.stats.rejected, g.stats[5]);
         ASSERT_EQ(res.ranked.size(), g.ranked.size());
         for (std::size_t i = 0; i < g.ranked.size(); ++i) {
             SCOPED_TRACE(i);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "src/common/error.hh"
 #include "src/core/analyzer.hh"
 #include "src/core/cluster_analysis.hh"
 #include "src/core/flat_analysis.hh"
@@ -14,7 +17,9 @@
 #include "src/core/reuse_analysis.hh"
 #include "src/core/tensor_analysis.hh"
 #include "src/dataflows/catalog.hh"
+#include "src/mapper/search_space.hh"
 #include "src/model/zoo.hh"
+#include "src/sim/crossval.hh"
 
 namespace maestro
 {
@@ -45,6 +50,34 @@ analyze(const Layer &layer, const Dataflow &df,
     return Analyzer(cfg).analyzeLayer(layer, df);
 }
 
+/**
+ * The compute floor of one analysed mapping, from its binding alone,
+ * must equal the analysis's own compute_only_runtime x groups bit for
+ * bit, and the layer's runtime must not fall below it: the mapper's
+ * bound prune skips a candidate on exactly that floor. Returns false
+ * when the mapping does not analyse.
+ */
+bool
+checkComputeFloor(const Analyzer &analyzer, const Layer &layer,
+                  const Dataflow &df)
+{
+    LayerAnalysis la;
+    try {
+        la = analyzer.analyzeLayer(layer, df);
+    } catch (const Error &) {
+        return false;
+    }
+    const AcceleratorConfig &cfg = analyzer.config();
+    const double groups = static_cast<double>(layer.groupsVal());
+    const double floor =
+        computeFloor(bindDataflow(df, layer, cfg.num_pes), layer, cfg)
+            .compute_only_runtime *
+        groups;
+    EXPECT_EQ(floor, la.perf.compute_only_runtime * groups);
+    EXPECT_GE(la.runtime, floor);
+    return true;
+}
+
 TEST(Performance, RuntimeAtLeastComputeOnly)
 {
     const Layer layer = conv(64, 64, 56, 3, 1, 1);
@@ -54,6 +87,56 @@ TEST(Performance, RuntimeAtLeastComputeOnly)
                   la.perf.compute_only_runtime * (1.0 - 1e-9))
             << df.name();
     }
+
+    // Every candidate of a trimmed mapper space on five operator
+    // shapes (tests/test_mapper.cc's sample corpus).
+    mapper::SpaceOptions space_options;
+    space_options.cluster_sizes = {1, 4};
+    space_options.channel_tiles = {1, 8};
+    space_options.activation_tiles = {1, 2};
+    DimMap<Count> dw_dims(1);
+    dw_dims[Dim::C] = 16;
+    dw_dims[Dim::Y] = dw_dims[Dim::X] = 14;
+    dw_dims[Dim::R] = dw_dims[Dim::S] = 3;
+    DimMap<Count> fc_dims(1);
+    fc_dims[Dim::K] = 32;
+    fc_dims[Dim::C] = 24;
+    DimMap<Count> pw_dims(1);
+    pw_dims[Dim::K] = 24;
+    pw_dims[Dim::C] = 3;
+    pw_dims[Dim::Y] = pw_dims[Dim::X] = 14;
+    const Layer shapes[] = {
+        conv(16, 8, 18, 3),
+        Layer("dwconv", OpType::DepthwiseConv, dw_dims),
+        Layer("fc", OpType::FullyConnected, fc_dims),
+        conv(8, 4, 17, 5, 2),
+        Layer("pointwise", OpType::PointwiseConv, pw_dims),
+    };
+    const Analyzer paper(AcceleratorConfig::paperStudy());
+    std::size_t checked = 0;
+    for (const Layer &shape : shapes) {
+        SCOPED_TRACE(shape.name());
+        const mapper::SearchSpace space =
+            mapper::buildSearchSpace(shape, space_options);
+        for (std::size_t i = 0; i < mapper::candidateCount(space); ++i) {
+            SCOPED_TRACE(i);
+            checked += checkComputeFloor(paper, shape,
+                                         mapper::candidateAt(space, i));
+        }
+    }
+    EXPECT_GT(checked, 1000u);
+
+    // Seed 7's first 1000 crossval triples: sparse layers, vector
+    // widths and array sizes the mapper corpus does not reach.
+    checked = 0;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        const crossval::TripleSpec spec = crossval::sampleTriple(7, i);
+        SCOPED_TRACE(spec.describe());
+        checked += checkComputeFloor(Analyzer(spec.config()),
+                                     spec.layer(),
+                                     dataflows::byName(spec.dataflow));
+    }
+    EXPECT_GT(checked, 900u);
 }
 
 TEST(Performance, RuntimeAtLeastSerialOverActivePes)

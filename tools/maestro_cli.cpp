@@ -731,6 +731,7 @@ printSearchStats(const mapper::MapperStats &stats)
               << " mappings (" << stats.generated << " canonical, "
               << stats.pruned_symmetry << " symmetry-pruned, "
               << stats.pruned_capacity << " capacity-cut, "
+              << stats.pruned_bound << " bound-pruned, "
               << stats.evaluated << " evaluated, " << stats.rejected
               << " rejected) in " << fixedFormat(stats.seconds, 3)
               << " s = " << engFormat(stats.per_second)
