@@ -211,8 +211,9 @@ analyzeCost(const BoundDataflow &bound, const std::vector<LevelReuse> &reuse,
             cost.l2_reads[TensorKind::Output] += revisits;
             cost.noc_elements += revisits;
             cost.l1_writes[TensorKind::Output] +=
-                revisits * (flat.out_delivered_mult /
-                            std::max(1.0, flat.out_noc_mult));
+                revisits *
+                (flat.delivered_mult /
+                 std::max(1.0, flat.noc_mult[TensorKind::Output]));
         }
     }
 

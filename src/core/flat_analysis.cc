@@ -163,38 +163,35 @@ analyzeFlat(const BoundDataflow &bound,
         }
     }
 
-    // ---- Chip-wide spatial multipliers. ----
+    // ---- Chip-wide spatial multipliers. `unique` is the union of
+    //      all PEs' data, from which multicast (weights, inputs) and
+    //      fan-in reduction (outputs) gate what the NoC carries. ----
     flat.delivered_mult = 1.0;
-    for (TensorKind t : kAllTensors)
-        flat.unique_mult[t] = 1.0;
-    flat.out_unique_mult = 1.0;
+    TensorMap<double> unique_mult(1.0);
     for (std::size_t l = 0; l < bound.levels.size(); ++l) {
         const double active = bound.levels[l].active_units;
         flat.delivered_mult *= active;
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
             const double rho = reuse[l].traffic[t].spatial_unique_ratio;
-            flat.unique_mult[t] *= std::max(1.0, active * rho);
+            unique_mult[t] *= std::max(1.0, active * rho);
         }
         const TensorLevelTraffic &ot =
             reuse[l].traffic[TensorKind::Output];
         if (ot.spatial_reduction) {
-            flat.out_unique_mult *=
+            unique_mult[TensorKind::Output] *=
                 config.spatial_reduction ? 1.0 : active;
         } else {
-            flat.out_unique_mult *=
+            unique_mult[TensorKind::Output] *=
                 std::max(1.0, active * ot.spatial_unique_ratio);
         }
     }
     for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
-        const bool shared = flat.unique_mult[t] < flat.delivered_mult;
+        const bool shared = unique_mult[t] < flat.delivered_mult;
         flat.noc_mult[t] = (shared && config.spatial_multicast)
-                               ? flat.unique_mult[t]
+                               ? unique_mult[t]
                                : flat.delivered_mult;
     }
-    flat.out_noc_mult = flat.out_unique_mult;
-    flat.out_delivered_mult = flat.delivered_mult;
-    flat.unique_mult[TensorKind::Output] = flat.out_unique_mult;
-    flat.noc_mult[TensorKind::Output] = flat.out_noc_mult;
+    flat.noc_mult[TensorKind::Output] = unique_mult[TensorKind::Output];
 
     // ---- Per-loop per-PE deltas (transition model over the
     //      flattened nest). ----

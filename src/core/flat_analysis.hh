@@ -71,18 +71,12 @@ struct FlatAnalysis
 
     /**
      * Chip-wide multipliers turning a per-PE volume into
-     *  - unique: the union of all PEs' data (L2 footprint / reads),
-     *  - noc: elements the interconnect carries (multicast-gated),
-     *  - delivered: elements written into the PEs' L1s.
+     *  - noc: elements the interconnect carries (multicast-gated for
+     *    weights and inputs, fan-in reduction gated for outputs),
+     *  - delivered: elements written into the PEs' L1s (every tensor).
      */
-    TensorMap<double> unique_mult;
     TensorMap<double> noc_mult;
     double delivered_mult = 1.0;
-
-    /** Output-side multipliers (fan-in reduction gated). */
-    double out_unique_mult = 1.0;
-    double out_noc_mult = 1.0;
-    double out_delivered_mult = 1.0;
 
     /** Per-PE total L1 fill per tensor (V + sum of count x delta). */
     TensorMap<double> l1_fill_per_pe;

@@ -180,7 +180,8 @@ analyzePerformance(const BoundDataflow &bound,
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input})
             c.noc[t] = fl.delta_pe[t] * flat.noc_mult[t] * density[t];
         c.noc[TensorKind::Output] =
-            fl.delta_pe[TensorKind::Output] * flat.out_noc_mult;
+            fl.delta_pe[TensorKind::Output] *
+            flat.noc_mult[TensorKind::Output];
         if (fl.level == 0 && i < num_top_loops) {
             for (TensorKind t :
                  {TensorKind::Weight, TensorKind::Input}) {
@@ -217,7 +218,8 @@ analyzePerformance(const BoundDataflow &bound,
         result.l1_fill[t] =
             flat.l1_fill_per_pe[t] * flat.delivered_mult * density[t];
     }
-    result.output_commits = flat.egress_per_pe * flat.out_noc_mult;
+    result.output_commits =
+        flat.egress_per_pe * flat.noc_mult[TensorKind::Output];
 
     // ---- Bottleneck classification. ----
     if (result.runtime <= result.compute_only_runtime * 1.05) {

@@ -173,12 +173,10 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
         }
     }
     double outer_product = 1.0;
-    out.total_steps = 1.0;
     for (auto &loop : out.loops) {
         loop.advance_count =
             static_cast<double>(loop.steps - 1) * outer_product;
         outer_product *= static_cast<double>(loop.steps);
-        out.total_steps *= static_cast<double>(loop.steps);
     }
 
     // ---- Output volume of one level execution. ----

@@ -106,9 +106,6 @@ struct LevelReuse
 
     /** Unique outputs produced by one full level execution. */
     double outputs_per_exec = 0.0;
-
-    /** Total nest steps of one level execution. */
-    double total_steps = 1.0;
 };
 
 /**

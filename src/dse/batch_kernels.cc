@@ -61,17 +61,6 @@ batchRuntimes(const PerformanceResult &perf, const double *bandwidths,
 }
 
 void
-batchBusTerms(const double *bandwidths, std::size_t count,
-              double area_coeff, double power_coeff, double clock_ghz,
-              double *bus_area, double *bus_power)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        bus_area[i] = area_coeff * bandwidths[i];
-        bus_power[i] = power_coeff * bandwidths[i] * clock_ghz;
-    }
-}
-
-void
 batchFeasibleRow(const double *area_l2, const double *power_l2,
                  std::size_t n2, const double *bus_area,
                  const double *bus_power, std::size_t nbw,

@@ -13,12 +13,16 @@
  * branch-free inner loops the compiler autovectorizes (enforced by
  * the CI codegen check).
  *
+ * The budget rows the feasibility kernels take are AreaPowerModel's
+ * terms (src/hw/area_power.hh), filled by the explorer once per sweep
+ * (L2, bus) or per PE block (PE array + L1).
+ *
  * Byte-determinism discipline: every kernel replays the scalar path's
  * exact expressions in the exact association order, so the batch sweep
  * is bit-identical to `--dse-exact` at any thread count. In
  * particular:
- *  - bus terms keep the scalar `coeff * bw` / `(coeff * bw) * clock`
- *    association (never `(coeff * clock) * bw`),
+ *  - the budget probes add the model's terms in the association
+ *    AreaPowerModel::area/power compose them,
  *  - feasibility indicators evaluate the scalar walk's
  *    `area > budget || power > budget` comparisons verbatim
  *    (bitwise-| to stay branch-free),
@@ -52,18 +56,6 @@ void batchRuntimes(const PerformanceResult &perf,
                    double noc_latency, double groups, double *out);
 
 /**
- * Per-sweep bus area/power terms of the affine budget model:
- * bus_area[i] = area_coeff * bw[i],
- * bus_power[i] = (power_coeff * bw[i]) * clock_ghz
- * — the exact association of areaAtBw/powerAtBw, hoisted so the
- * feasibility kernel is a pure add/compare.
- */
-void batchBusTerms(const double *bandwidths, std::size_t count,
-                   double area_coeff, double power_coeff,
-                   double clock_ghz, double *bus_area,
-                   double *bus_power);
-
-/**
  * Budget-feasibility counts of one (PE count, L1) row:
  * hi2[ib] = |{ i2 : !(area_l2[i2] + bus_area[ib] > area_budget ||
  *                    power_l2[i2] + bus_power[ib] > power_budget) }|.
@@ -87,6 +79,9 @@ void batchFeasibleRow(const double *area_l2, const double *power_l2,
  *                       bus_area[ib]
  *   power(i1, i2, ib) = (power_l1[i1] + power_l2_term[i2]) +
  *                       bus_power[ib]
+ * where area_l1_fixed is AreaPowerModel's peArea + l2FixedArea,
+ * area_l2_term its l2CapacityArea, power_l1 its pePower,
+ * power_l2_term its l2Power and the bus rows its busArea/busPower,
  * with every array non-decreasing (ascending size/bandwidth lists,
  * nonnegative cost coefficients — the same precondition the sweep's
  * prefix screening already relies on). The feasible L2 set of a

@@ -56,94 +56,6 @@ countSweep(const DseResult &result)
                     static_cast<std::uint64_t>(result.valid_points));
 }
 
-/** KiB of a byte count (the area/power models are per-KiB). */
-double
-kibOf(Count bytes)
-{
-    return static_cast<double>(bytes) / 1024.0;
-}
-
-/**
- * Per-PE-count terms of the area/power model shared by every inner
- * (L1, L2, BW) choice. Both sweep strategies derive all budget figures
- * through the helpers below with identical expressions and association
- * order, so their results agree bit for bit.
- */
-struct PeBudgetTerms
-{
-    double pe_area = 0.0;
-    double pe_power = 0.0;
-    double arbiter_area = 0.0;
-    double arbiter_power = 0.0;
-};
-
-PeBudgetTerms
-peBudgetTerms(Count pes, const AreaPowerCoefficients &co,
-              const AcceleratorConfig &base)
-{
-    PeBudgetTerms t;
-    t.pe_area =
-        static_cast<double>(pes) *
-        (co.mac_area * static_cast<double>(base.vector_width) +
-         co.sram_area_fixed);
-    t.pe_power =
-        static_cast<double>(pes) *
-        (co.mac_power * static_cast<double>(base.vector_width) +
-         co.sram_power_fixed) *
-        base.clock_ghz;
-    t.arbiter_area = co.arbiter_area_coeff * static_cast<double>(pes) *
-                     static_cast<double>(pes);
-    t.arbiter_power = co.arbiter_power_coeff *
-                      static_cast<double>(pes) *
-                      static_cast<double>(pes) * base.clock_ghz;
-    return t;
-}
-
-double
-areaAtL1(const PeBudgetTerms &t, Count pes, double l1_kib,
-         const AreaPowerCoefficients &co)
-{
-    return t.pe_area + t.arbiter_area +
-           static_cast<double>(pes) * co.sram_area_per_kib * l1_kib;
-}
-
-double
-powerAtL1(const PeBudgetTerms &t, Count pes, double l1_kib,
-          const AreaPowerCoefficients &co, double clock_ghz)
-{
-    return t.pe_power + t.arbiter_power +
-           static_cast<double>(pes) * co.sram_power_per_kib * l1_kib *
-               clock_ghz;
-}
-
-double
-areaAtL2(double area_l1, double l2_kib, const AreaPowerCoefficients &co)
-{
-    return area_l1 + co.sram_area_fixed + co.sram_area_per_kib * l2_kib;
-}
-
-double
-powerAtL2(double power_l1, double l2_kib,
-          const AreaPowerCoefficients &co, double clock_ghz)
-{
-    return power_l1 +
-           (co.sram_power_fixed + co.sram_power_per_kib * l2_kib) *
-               clock_ghz;
-}
-
-double
-areaAtBw(double area_l2, double bw, const AreaPowerCoefficients &co)
-{
-    return area_l2 + co.bus_area_per_lane * bw;
-}
-
-double
-powerAtBw(double power_l2, double bw, const AreaPowerCoefficients &co,
-          double clock_ghz)
-{
-    return power_l2 + co.bus_power_per_lane * bw * clock_ghz;
-}
-
 /**
  * Serial traversal index of one grid point: the position the exact
  * pes -> l1 -> l2 -> bw loop nest visits it at. Used as the total-order
@@ -187,35 +99,32 @@ pairScalars(const LayerAnalysis &analysis)
 
 /**
  * Prices one grid point. Every DesignPoint either sweep strategy
- * reports is built here, so their bytes agree.
+ * reports is built here or from the same AreaPowerModel terms, so
+ * their bytes agree.
  */
 DesignPoint
 buildPoint(const DesignSpace &space, std::size_t pes_idx,
            std::size_t i1, std::size_t i2, std::size_t ibw,
-           const PairScalars &s, const AreaPowerCoefficients &co,
+           const PairScalars &s, const AreaPowerModel &area_power,
            const AcceleratorConfig &base, const EnergyModel &energy)
 {
-    const Count pes = space.pe_counts[pes_idx];
-    const Count l1 = space.l1_sizes[i1];
-    const Count l2 = space.l2_sizes[i2];
-    const double bw = space.noc_bandwidths[ibw];
-    const PeBudgetTerms terms = peBudgetTerms(pes, co, base);
-    const double area_l1 = areaAtL1(terms, pes, kibOf(l1), co);
-    const double power_l1 =
-        powerAtL1(terms, pes, kibOf(l1), co, base.clock_ghz);
+    AcceleratorConfig cfg = base;
+    cfg.num_pes = space.pe_counts[pes_idx];
+    cfg.l1_bytes = space.l1_sizes[i1];
+    cfg.l2_bytes = space.l2_sizes[i2];
+    cfg.noc = NocModel(space.noc_bandwidths[ibw], base.noc.avgLatency());
 
     DesignPoint point;
-    point.num_pes = pes;
-    point.l1_bytes = l1;
-    point.l2_bytes = l2;
-    point.noc_bandwidth = bw;
-    point.area = areaAtBw(areaAtL2(area_l1, kibOf(l2), co), bw, co);
-    point.power = powerAtBw(
-        powerAtL2(power_l1, kibOf(l2), co, base.clock_ghz), bw, co,
-        base.clock_ghz);
+    point.num_pes = cfg.num_pes;
+    point.l1_bytes = cfg.l1_bytes;
+    point.l2_bytes = cfg.l2_bytes;
+    point.noc_bandwidth = space.noc_bandwidths[ibw];
+    point.area = area_power.area(cfg);
+    point.power = area_power.power(cfg);
     point.runtime = s.runtime;
     point.throughput = s.total_macs / s.runtime;
-    point.energy = energyFromSums(s.sums, l1, l2, base.precision_bytes,
+    point.energy = energyFromSums(s.sums, cfg.l1_bytes, cfg.l2_bytes,
+                                  base.precision_bytes,
                                   base.noc.avgLatency(), energy);
     point.edp = point.energy * point.runtime;
     point.l1_required = s.l1_required;
@@ -352,38 +261,25 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
     obs::ScopedSpan explore_span(kExploreSite);
     DseResult result;
 
-    const AreaPowerCoefficients &co = area_power_.coefficients();
-    const double min_l2_kib = kibOf(space.l2_sizes.front());
+    const AreaPowerModel &ap = area_power_;
+    const Count vw = base_.vector_width;
+    const double clock = base_.clock_ghz;
     const double min_bw = space.noc_bandwidths.front();
     const std::size_t n1 = space.l1_sizes.size();
     const std::size_t n2 = space.l2_sizes.size();
     const std::size_t nbw = space.noc_bandwidths.size();
 
-    // Minimum area/power contributions of the non-PE axes (the first
-    // entry of each sorted list).
-    const double min_rest_area =
-        co.sram_area_fixed + co.sram_area_per_kib * min_l2_kib +
-        co.bus_area_per_lane * min_bw;
-    const double min_rest_power =
-        (co.sram_power_fixed + co.sram_power_per_kib * min_l2_kib +
-         co.bus_power_per_lane * min_bw) *
-        base_.clock_ghz;
+    // The subtree-skip remainder: the L2 and bus at the first entry of
+    // each sorted list, the least any (L2, BW) choice adds.
+    const double rest_area = ap.restArea(space.l2_sizes.front(), min_bw);
+    const double rest_power =
+        ap.restPower(space.l2_sizes.front(), min_bw, clock);
 
     auto makeConfig = [&](Count pes, double bw) {
         AcceleratorConfig cfg = base_;
         cfg.num_pes = pes;
         cfg.noc = NocModel(bw, base_.noc.avgLatency());
         return cfg;
-    };
-
-    /** PE counts surviving the PE-level budget check; the PE-level
-     *  subtree skip of the exact walk applies identically here. */
-    auto peSkipped = [&](Count pes) {
-        return area_power_.minAreaForPes(pes) + min_rest_area >
-                   options.area_budget_mm2 ||
-               area_power_.minPowerForPes(pes) * base_.clock_ghz +
-                       min_rest_power >
-                   options.power_budget_mw;
     };
 
     BestSet bests;
@@ -406,17 +302,15 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             const std::size_t pes_idx = static_cast<std::size_t>(rest);
             result.pareto.push_back(
                 buildPoint(space, pes_idx, i1, i2, ibw,
-                           scalarsAt(pes_idx, ibw), co, base_, energy_));
+                           scalarsAt(pes_idx, ibw), ap, base_, energy_));
         }
     };
 
     if (options.exact) {
         // ------------------------------------------------------------
         // Exact sweep: the brute-force grid walk, kept as the oracle.
+        // It is serial: its time is the walk, not the analyses.
         // ------------------------------------------------------------
-        const double inner_per_pe = static_cast<double>(n1) *
-                                    static_cast<double>(n2) *
-                                    static_cast<double>(nbw);
         const double inner_per_l1 =
             static_cast<double>(n2) * static_cast<double>(nbw);
         const double inner_per_l2 = static_cast<double>(nbw);
@@ -442,72 +336,33 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             return it->second;
         };
 
-        if (options.num_threads > 1) {
-            // Pre-populate the pipeline caches in parallel with a
-            // conservative superset of the pairs the sweep can reach
-            // (every bandwidth for every PE count that survives the
-            // PE-level budget check). Extra pairs cost throwaway work
-            // and missed ones fall back to the serial path, so the
-            // sweep below stays byte-identical to a single-threaded
-            // run. Failures are ignored here: the serial walk
-            // re-raises them deterministically if it actually needs
-            // the pair.
-            std::vector<std::pair<Count, double>> pairs;
-            for (Count pes : space.pe_counts) {
-                if (peSkipped(pes))
-                    continue;
-                for (double bw : space.noc_bandwidths)
-                    pairs.emplace_back(pes, bw);
-            }
-            ThreadPool::run(
-                options.num_threads, pairs.size(), [&](std::size_t i) {
-                    try {
-                        Analyzer analyzer(makeConfig(pairs[i].first,
-                                                     pairs[i].second),
-                                          energy_, pipeline_);
-                        analyzer.analyzeLayer(layer, dataflow);
-                    } catch (const std::exception &) {
-                        // Re-raised by the serial sweep when reachable.
-                    }
-                });
-        }
-
         std::size_t sample_counter = 0;
 
         for (std::size_t pes_idx = 0; pes_idx < space.pe_counts.size();
              ++pes_idx) {
             const Count pes = space.pe_counts[pes_idx];
-            if (peSkipped(pes)) {
-                // Every inner choice only adds area/power: skip the
-                // whole subtree (counted as explored, per the paper's
-                // method).
-                result.explored_points += inner_per_pe;
-                continue;
-            }
-            const PeBudgetTerms terms = peBudgetTerms(pes, co, base_);
-
             for (std::size_t i1 = 0; i1 < n1; ++i1) {
-                const double l1_kib = kibOf(space.l1_sizes[i1]);
-                const double area_l1 = areaAtL1(terms, pes, l1_kib, co);
-                const double power_l1 =
-                    powerAtL1(terms, pes, l1_kib, co, base_.clock_ghz);
-                if (area_l1 + min_rest_area > options.area_budget_mm2 ||
-                    power_l1 + min_rest_power >
-                        options.power_budget_mw) {
+                const Count l1 = space.l1_sizes[i1];
+                const double area_l1 = ap.peArea(pes, vw, l1);
+                const double power_l1 = ap.pePower(pes, vw, l1, clock);
+                if (area_l1 + rest_area > options.area_budget_mm2 ||
+                    power_l1 + rest_power > options.power_budget_mw) {
+                    // Every inner choice only adds area/power: skip the
+                    // whole subtree (counted as explored, per the
+                    // paper's method).
                     result.explored_points += inner_per_l1;
                     continue;
                 }
 
                 for (std::size_t i2 = 0; i2 < n2; ++i2) {
-                    const double l2_kib = kibOf(space.l2_sizes[i2]);
-                    const double area_l2 =
-                        areaAtL2(area_l1, l2_kib, co);
-                    const double power_l2 = powerAtL2(
-                        power_l1, l2_kib, co, base_.clock_ghz);
-                    if (areaAtBw(area_l2, min_bw, co) >
+                    const Count l2 = space.l2_sizes[i2];
+                    const double area_l2 = area_l1 + ap.l2FixedArea() +
+                                           ap.l2CapacityArea(l2);
+                    const double power_l2 =
+                        power_l1 + ap.l2Power(l2, clock);
+                    if (area_l2 + ap.busArea(min_bw) >
                             options.area_budget_mm2 ||
-                        powerAtBw(power_l2, min_bw, co,
-                                  base_.clock_ghz) >
+                        power_l2 + ap.busPower(min_bw, clock) >
                             options.power_budget_mw) {
                         result.explored_points += inner_per_l2;
                         continue;
@@ -516,18 +371,15 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                     for (std::size_t ibw = 0; ibw < nbw; ++ibw) {
                         const double bw = space.noc_bandwidths[ibw];
                         result.explored_points += 1.0;
-                        if (areaAtBw(area_l2, bw, co) >
+                        if (area_l2 + ap.busArea(bw) >
                                 options.area_budget_mm2 ||
-                            powerAtBw(power_l2, bw, co,
-                                      base_.clock_ghz) >
+                            power_l2 + ap.busPower(bw, clock) >
                                 options.power_budget_mw) {
                             continue;
                         }
 
                         const LayerAnalysis &eval = evaluate(pes, bw);
                         result.evaluated_points += 1.0;
-                        const Count l1 = space.l1_sizes[i1];
-                        const Count l2 = space.l2_sizes[i2];
                         if (eval.cost.l1_bytes_required >
                                 static_cast<double>(l1) ||
                             eval.cost.l2_bytes_required >
@@ -537,7 +389,7 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
 
                         const DesignPoint point = buildPoint(
                             space, pes_idx, i1, i2, ibw,
-                            pairScalars(eval), co, base_, energy_);
+                            pairScalars(eval), ap, base_, energy_);
                         const std::uint64_t order =
                             orderIndex(pes_idx, i1, i2, ibw, space);
 
@@ -577,7 +429,6 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
         {
             std::size_t pes_idx = 0;
             Count pes = 0;
-            PeBudgetTerms terms;
             std::size_t a_hi = 0;       ///< L1 indices passing (a)
             std::size_t bw_reached = 0; ///< BW prefix with any (c) pass
         };
@@ -590,20 +441,14 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
         for (std::size_t pes_idx = 0; pes_idx < space.pe_counts.size();
              ++pes_idx) {
             const Count pes = space.pe_counts[pes_idx];
-            if (peSkipped(pes))
-                continue;
             PeBlock blk;
             blk.pes_idx = pes_idx;
             blk.pes = pes;
-            blk.terms = peBudgetTerms(pes, co, base_);
             while (blk.a_hi < n1) {
-                const double l1_kib = kibOf(space.l1_sizes[blk.a_hi]);
-                if (areaAtL1(blk.terms, pes, l1_kib, co) +
-                            min_rest_area >
+                const Count l1 = space.l1_sizes[blk.a_hi];
+                if (ap.peArea(pes, vw, l1) + rest_area >
                         options.area_budget_mm2 ||
-                    powerAtL1(blk.terms, pes, l1_kib, co,
-                              base_.clock_ghz) +
-                            min_rest_power >
+                    ap.pePower(pes, vw, l1, clock) + rest_power >
                         options.power_budget_mw) {
                     break;
                 }
@@ -614,21 +459,18 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             // A (PEs, BW) pair reaches analysis iff the cheapest
             // corner (smallest L1, smallest L2) passes the final
             // budget check at that bandwidth.
-            const double area_l1_min =
-                areaAtL1(blk.terms, pes, kibOf(space.l1_sizes.front()),
-                         co);
-            const double power_l1_min =
-                powerAtL1(blk.terms, pes, kibOf(space.l1_sizes.front()),
-                          co, base_.clock_ghz);
             const double area_l2_min =
-                areaAtL2(area_l1_min, min_l2_kib, co);
+                ap.peArea(pes, vw, space.l1_sizes.front()) +
+                ap.l2FixedArea() +
+                ap.l2CapacityArea(space.l2_sizes.front());
             const double power_l2_min =
-                powerAtL2(power_l1_min, min_l2_kib, co, base_.clock_ghz);
+                ap.pePower(pes, vw, space.l1_sizes.front(), clock) +
+                ap.l2Power(space.l2_sizes.front(), clock);
             while (blk.bw_reached < nbw) {
                 const double bw = space.noc_bandwidths[blk.bw_reached];
-                if (areaAtBw(area_l2_min, bw, co) >
+                if (area_l2_min + ap.busArea(bw) >
                         options.area_budget_mm2 ||
-                    powerAtBw(power_l2_min, bw, co, base_.clock_ghz) >
+                    power_l2_min + ap.busPower(bw, clock) >
                         options.power_budget_mw) {
                     break;
                 }
@@ -757,21 +599,19 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             l1_sizes_d[i] = static_cast<double>(space.l1_sizes[i]);
         for (std::size_t i = 0; i < n2; ++i)
             l2_sizes_d[i] = static_cast<double>(space.l2_sizes[i]);
-        std::vector<double> bus_area(nbw), bus_power(nbw);
-        batchBusTerms(space.noc_bandwidths.data(), nbw,
-                      co.bus_area_per_lane, co.bus_power_per_lane,
-                      base_.clock_ghz, bus_area.data(),
-                      bus_power.data());
-        // L2 contributions of the affine budget model, split off so the
-        // feasibility kernel probes (area_l1 + fixed) + term[i2] — the
-        // exact parse-tree association of areaAtL2/powerAtL2.
+        // The budget rows of the model's terms, split so the
+        // feasibility kernel probes ((PE array + L1 + L2 fixed) + L2
+        // capacity) + bus for area and ((PE array + L1) + L2) + bus for
+        // power, the association AreaPowerModel::area/power compose.
         std::vector<double> area_l2_term(n2), power_l2_term(n2);
         for (std::size_t i2 = 0; i2 < n2; ++i2) {
-            const double l2_kib = kibOf(space.l2_sizes[i2]);
-            area_l2_term[i2] = co.sram_area_per_kib * l2_kib;
-            power_l2_term[i2] =
-                (co.sram_power_fixed + co.sram_power_per_kib * l2_kib) *
-                base_.clock_ghz;
+            area_l2_term[i2] = ap.l2CapacityArea(space.l2_sizes[i2]);
+            power_l2_term[i2] = ap.l2Power(space.l2_sizes[i2], clock);
+        }
+        std::vector<double> bus_area(nbw), bus_power(nbw);
+        for (std::size_t ib = 0; ib < nbw; ++ib) {
+            bus_area[ib] = ap.busArea(space.noc_bandwidths[ib]);
+            bus_power[ib] = ap.busPower(space.noc_bandwidths[ib], clock);
         }
 
         // Pair slots of one block are contiguous (pair_refs was built
@@ -859,14 +699,11 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                         art.scalars.l2_required);
                     const double lo2_d = static_cast<double>(lo2);
                     for (std::size_t i1 = 0; i1 < blk.a_hi; ++i1) {
-                        const double l1_kib =
-                            kibOf(space.l1_sizes[i1]);
-                        area_l1_fixed[i1] =
-                            areaAtL1(blk.terms, blk.pes, l1_kib, co) +
-                            co.sram_area_fixed;
+                        const Count l1 = space.l1_sizes[i1];
+                        area_l1_fixed[i1] = ap.peArea(blk.pes, vw, l1) +
+                                            ap.l2FixedArea();
                         power_l1_row[i1] =
-                            powerAtL1(blk.terms, blk.pes, l1_kib, co,
-                                      base_.clock_ghz);
+                            ap.pePower(blk.pes, vw, l1, clock);
                     }
                     sweepFeasibleCounts(
                         area_l1_fixed.data(), power_l1_row.data(),
@@ -909,18 +746,9 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                     };
                     EdgeCand cands[3];
                     std::size_t num_cands = 0;
-                    double area_l1_lo1 = 0.0, power_l1_lo1 = 0.0;
-                    if (lo1 < blk.a_hi) {
-                        const double l1_kib =
-                            kibOf(space.l1_sizes[lo1]);
-                        area_l1_lo1 =
-                            areaAtL1(blk.terms, blk.pes, l1_kib, co);
-                        power_l1_lo1 =
-                            powerAtL1(blk.terms, blk.pes, l1_kib, co,
-                                      base_.clock_ghz);
-                    }
                     // Lazily priced: only reachable from pairs with
-                    // valid > 0, which implies lo1 < a_hi and i2 < n2.
+                    // valid > 0, which implies lo1 < a_hi (so the L1
+                    // rows hold lo1) and i2 < n2.
                     auto candAt =
                         [&](std::size_t i2) -> const EdgeCand & {
                         for (std::size_t k = 0; k < num_cands; ++k) {
@@ -929,12 +757,8 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                         }
                         EdgeCand &c = cands[num_cands++];
                         c.i2 = i2;
-                        const double l2_kib =
-                            kibOf(space.l2_sizes[i2]);
-                        c.area_l2 = areaAtL2(area_l1_lo1, l2_kib, co);
-                        c.power_l2 =
-                            powerAtL2(power_l1_lo1, l2_kib, co,
-                                      base_.clock_ghz);
+                        c.area_l2 = area_l1_fixed[lo1] + area_l2_term[i2];
+                        c.power_l2 = power_l1_row[lo1] + power_l2_term[i2];
                         c.energy = energyFromSums(
                             art.scalars.sums, space.l1_sizes[lo1],
                             space.l2_sizes[i2], base_.precision_bytes,

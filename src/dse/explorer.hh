@@ -8,12 +8,17 @@
  * throughput/energy Pareto frontier over all valid points.
  *
  * Two of the paper's engineering points are reproduced:
- *  - invalid-design skipping: at each loop nest level the tool checks
+ *  - invalid-design skipping: at each L1 and L2 choice the tool checks
  *    the *minimum possible* area/power of all inner choices and skips
  *    the whole subtree when it already exceeds the budget, so the
  *    effective exploration rate far exceeds the evaluation rate;
  *  - designs are only valid when the swept buffers meet MAESTRO's
  *    reported buffer requirements (double-buffered working sets).
+ *
+ * Both strategies, their budget screens and every reported point price
+ * area and power with AreaPowerModel's terms (src/hw/area_power.hh),
+ * so a reported point's area and power are the bits
+ * AreaPowerModel::area/power return for its configuration.
  *
  * Two sweep strategies produce byte-identical best points and point
  * accounting (enforced by tests/test_dse_equivalence.cc):
@@ -35,7 +40,7 @@
  *
  *  - The **exact sweep** (DseOptions::exact) is the brute-force grid
  *    walk kept as the oracle: it evaluates every budget-feasible
- *    interior point individually.
+ *    interior point individually, serially.
  *
  * Ties are broken identically in both strategies by the serial
  * traversal index of the point (PEs, then L1, L2, BW ascending):
@@ -100,11 +105,10 @@ struct DseOptions
     std::size_t sample_stride = 997;
 
     /**
-     * Total concurrent threads for the sweep (<= 1 = serial). Results
-     * are bit-identical for any value. Fast sweep: (PEs, BW) pairs are
-     * sharded across the pool into per-pair slots and merged serially
-     * in pair order. Exact sweep: the parallel phase only pre-populates
-     * the shared pipeline caches; the grid walk stays serial.
+     * Total concurrent threads for the fast sweep (<= 1 = serial):
+     * (PEs, BW) pairs are sharded across the pool into per-pair slots
+     * and merged serially in pair order, so results are bit-identical
+     * for any value. The exact sweep is serial and ignores it.
      */
     std::size_t num_threads = 1;
 
@@ -171,8 +175,10 @@ class Explorer
   public:
     /**
      * @param base Template configuration (precision, support flags,
-     *             clock); the four swept fields are overwritten.
-     * @param area_power Area/power regression models.
+     *             vector width, clock); the four swept fields are
+     *             overwritten.
+     * @param area_power Area/power regression model every design is
+     *             priced with.
      * @param energy Energy table.
      * @param pipeline Analysis pipeline to evaluate through; pass an
      *        existing one to share stage caches with other sweeps

@@ -3,17 +3,6 @@
 namespace maestro
 {
 
-namespace
-{
-
-double
-kib(Count bytes)
-{
-    return static_cast<double>(bytes) / 1024.0;
-}
-
-} // namespace
-
 AreaPowerModel::AreaPowerModel(AreaPowerCoefficients coeffs)
     : coeffs_(coeffs)
 {
@@ -22,51 +11,19 @@ AreaPowerModel::AreaPowerModel(AreaPowerCoefficients coeffs)
 double
 AreaPowerModel::area(const AcceleratorConfig &config) const
 {
-    const double pes = static_cast<double>(config.num_pes);
-    const double pe_array =
-        pes * (coeffs_.mac_area * static_cast<double>(config.vector_width) +
-               coeffs_.sram_area_fixed +
-               coeffs_.sram_area_per_kib * kib(config.l1_bytes));
-    const double l2 = coeffs_.sram_area_fixed +
-                      coeffs_.sram_area_per_kib * kib(config.l2_bytes);
-    const double bus =
-        coeffs_.bus_area_per_lane * config.noc.bandwidth();
-    const double arbiter = coeffs_.arbiter_area_coeff * pes * pes;
-    return pe_array + l2 + bus + arbiter;
+    return peArea(config.num_pes, config.vector_width,
+                  config.l1_bytes) +
+           l2FixedArea() + l2CapacityArea(config.l2_bytes) +
+           busArea(config.noc.bandwidth());
 }
 
 double
 AreaPowerModel::power(const AcceleratorConfig &config) const
 {
-    const double pes = static_cast<double>(config.num_pes);
-    const double clock_scale = config.clock_ghz;
-    const double pe_array =
-        pes *
-        (coeffs_.mac_power * static_cast<double>(config.vector_width) +
-         coeffs_.sram_power_fixed +
-         coeffs_.sram_power_per_kib * kib(config.l1_bytes));
-    const double l2 = coeffs_.sram_power_fixed +
-                      coeffs_.sram_power_per_kib * kib(config.l2_bytes);
-    const double bus =
-        coeffs_.bus_power_per_lane * config.noc.bandwidth();
-    const double arbiter = coeffs_.arbiter_power_coeff * pes * pes;
-    return (pe_array + l2 + bus + arbiter) * clock_scale;
-}
-
-double
-AreaPowerModel::minAreaForPes(Count num_pes) const
-{
-    const double pes = static_cast<double>(num_pes);
-    return pes * (coeffs_.mac_area + coeffs_.sram_area_fixed) +
-           coeffs_.arbiter_area_coeff * pes * pes;
-}
-
-double
-AreaPowerModel::minPowerForPes(Count num_pes) const
-{
-    const double pes = static_cast<double>(num_pes);
-    return pes * (coeffs_.mac_power + coeffs_.sram_power_fixed) +
-           coeffs_.arbiter_power_coeff * pes * pes;
+    return pePower(config.num_pes, config.vector_width,
+                   config.l1_bytes, config.clock_ghz) +
+           l2Power(config.l2_bytes, config.clock_ghz) +
+           busPower(config.noc.bandwidth(), config.clock_ghz);
 }
 
 } // namespace maestro

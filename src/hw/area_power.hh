@@ -10,6 +10,17 @@
  * Eyeriss-like design (168 PEs, 0.5 KiB L1, 108 KiB L2) lands at the
  * paper's constraint point of 16 mm^2 / 450 mW, which the Fig. 13
  * reproduction uses as its area/power budget.
+ *
+ * This model is the one owner of the formula. It prices a design per
+ * axis, and area()/power(), both DSE sweeps and their budget screens
+ * compose the same terms in the same association:
+ *
+ *   area  = (((peArea + l2FixedArea) + l2CapacityArea) + busArea)
+ *   power = ((pePower + l2Power) + busPower)
+ *
+ * so a design's area and power are the same bits whichever of them
+ * computes it. The terms are inline: the sweeps call them from their
+ * loops.
  */
 
 #ifndef MAESTRO_HW_AREA_POWER_HH
@@ -59,18 +70,101 @@ class AreaPowerModel
     double power(const AcceleratorConfig &config) const;
 
     /**
-     * Lower bound on area for a PE count with the smallest possible
-     * buffers and NoC; used by the DSE's invalid-design skipping.
+     * Area of the PE array with its L1s: `num_pes` datapaths of
+     * `vector_width` MACs with their fixed SRAM periphery, plus the
+     * arbiter, then an L1 of `l1_bytes` per PE.
      */
-    double minAreaForPes(Count num_pes) const;
+    double
+    peArea(Count num_pes, Count vector_width, Count l1_bytes) const
+    {
+        const double pes = static_cast<double>(num_pes);
+        return pes * (coeffs_.mac_area *
+                          static_cast<double>(vector_width) +
+                      coeffs_.sram_area_fixed) +
+               coeffs_.arbiter_area_coeff * pes * pes +
+               pes * coeffs_.sram_area_per_kib * kib(l1_bytes);
+    }
 
-    /** Lower bound on power for a PE count (see minAreaForPes). */
-    double minPowerForPes(Count num_pes) const;
+    /** Power of the PE array with its L1s (see peArea). */
+    double
+    pePower(Count num_pes, Count vector_width, Count l1_bytes,
+            double clock_ghz) const
+    {
+        const double pes = static_cast<double>(num_pes);
+        return pes *
+                   (coeffs_.mac_power *
+                        static_cast<double>(vector_width) +
+                    coeffs_.sram_power_fixed) *
+                   clock_ghz +
+               coeffs_.arbiter_power_coeff * pes * pes * clock_ghz +
+               pes * coeffs_.sram_power_per_kib * kib(l1_bytes) *
+                   clock_ghz;
+    }
 
-    /** Coefficients in use. */
-    const AreaPowerCoefficients &coefficients() const { return coeffs_; }
+    /** The L2's per-instance area, added before its capacity part. */
+    double l2FixedArea() const { return coeffs_.sram_area_fixed; }
+
+    /** The L2's capacity area. */
+    double
+    l2CapacityArea(Count l2_bytes) const
+    {
+        return coeffs_.sram_area_per_kib * kib(l2_bytes);
+    }
+
+    /** The L2's power, per-instance and capacity parts together. */
+    double
+    l2Power(Count l2_bytes, double clock_ghz) const
+    {
+        return (coeffs_.sram_power_fixed +
+                coeffs_.sram_power_per_kib * kib(l2_bytes)) *
+               clock_ghz;
+    }
+
+    /** The bus's area at a NoC bandwidth (lanes). */
+    double
+    busArea(double bandwidth) const
+    {
+        return coeffs_.bus_area_per_lane * bandwidth;
+    }
+
+    /** The bus's power at a NoC bandwidth (lanes). */
+    double
+    busPower(double bandwidth, double clock_ghz) const
+    {
+        return coeffs_.bus_power_per_lane * bandwidth * clock_ghz;
+    }
+
+    /**
+     * The subtree-skip remainder: the area an L2 of `l2_bytes` and a
+     * bus of `bandwidth` add to a PE array. At the smallest swept L2
+     * and bandwidth, peArea() plus this is the sweeps' screen for
+     * every design at that PE count and L1.
+     */
+    double
+    restArea(Count l2_bytes, double bandwidth) const
+    {
+        return l2FixedArea() + l2CapacityArea(l2_bytes) +
+               busArea(bandwidth);
+    }
+
+    /** The subtree-skip remainder of power (see restArea). */
+    double
+    restPower(Count l2_bytes, double bandwidth, double clock_ghz) const
+    {
+        return (coeffs_.sram_power_fixed +
+                coeffs_.sram_power_per_kib * kib(l2_bytes) +
+                coeffs_.bus_power_per_lane * bandwidth) *
+               clock_ghz;
+    }
 
   private:
+    /** KiB of a byte count (the SRAM terms are per KiB). */
+    static double
+    kib(Count bytes)
+    {
+        return static_cast<double>(bytes) / 1024.0;
+    }
+
     AreaPowerCoefficients coeffs_;
 };
 

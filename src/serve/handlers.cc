@@ -1,5 +1,6 @@
 #include "src/serve/handlers.hh"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -90,11 +91,24 @@ writeDesignPoint(JsonWriter &w, const char *name,
     w.endObject();
 }
 
+/** The knob `key` as the caller spells it: `query parameter 'top_k'`
+ *  or `--top-k`. */
+std::string
+knobName(const std::string &key, KnobSpelling spelling)
+{
+    if (spelling == KnobSpelling::Query)
+        return msg("query parameter '", key, "'");
+    std::string flag = "--" + key;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    return flag;
+}
+
 /** Query-parameter integer in [lo, hi] with a clean Error. */
 std::size_t
 paramCount(const QueryParams &params, const std::string &key,
            std::size_t fallback, std::size_t lo = 1,
-           std::size_t hi = std::numeric_limits<std::size_t>::max())
+           std::size_t hi = std::numeric_limits<std::size_t>::max(),
+           KnobSpelling spelling = KnobSpelling::Query)
 {
     const auto it = params.find(key);
     if (it == params.end())
@@ -104,9 +118,9 @@ paramCount(const QueryParams &params, const std::string &key,
     if (v && *v >= lo && *v <= hi)
         return *v;
     if (hi != std::numeric_limits<std::size_t>::max())
-        throw Error(msg("query parameter '", key,
-                        "' must be an integer in [", lo, ", ", hi, "]"));
-    throw Error(msg("query parameter '", key, "' must be ",
+        throw Error(msg(knobName(key, spelling),
+                        " must be an integer in [", lo, ", ", hi, "]"));
+    throw Error(msg(knobName(key, spelling), " must be ",
                     lo == 0 ? "a non-negative" : "a positive",
                     " integer"));
 }
@@ -114,7 +128,7 @@ paramCount(const QueryParams &params, const std::string &key,
 /** Comma-separated Count list (e.g. ?clusters=1,4,16). */
 std::vector<Count>
 paramCountList(const QueryParams &params, const std::string &key,
-               std::vector<Count> fallback)
+               std::vector<Count> fallback, KnobSpelling spelling)
 {
     const auto it = params.find(key);
     if (it == params.end())
@@ -126,9 +140,8 @@ paramCountList(const QueryParams &params, const std::string &key,
         const std::size_t comma = std::min(v.find(',', pos), v.size());
         const std::optional<Count> entry =
             parseNumber<Count>(v.substr(pos, comma - pos));
-        fatalIf(!entry || *entry < 1, "query parameter '", key, "': '",
-                v, "' is not a comma-separated list of positive "
-                "integers");
+        fatalIf(!entry || *entry < 1, knobName(key, spelling), ": '", v,
+                "' is not a comma-separated list of positive integers");
         out.push_back(*entry);
         pos = comma + 1;
     }
@@ -173,13 +186,16 @@ writeMappedDataflow(JsonWriter &w, const mapper::MappedDataflow &md)
 } // namespace
 
 const Layer &
-singleLayer(const RequestInputs &in, const char *endpoint)
+singleLayer(const RequestInputs &in, const char *endpoint,
+            KnobSpelling spelling)
 {
     if (in.layer_name)
         return in.network.layer(*in.layer_name);
-    fatalIf(in.network.layers().size() != 1, endpoint,
-            " needs ?layer=NAME when the network has ",
-            in.network.layers().size(), " layers");
+    fatalIf(in.network.layers().size() != 1, endpoint, " needs ",
+            spelling == KnobSpelling::Query ? "?layer=NAME"
+                                            : "--layer NAME",
+            " when the network has ", in.network.layers().size(),
+            " layers");
     return in.network.layers().front();
 }
 
@@ -197,7 +213,8 @@ selectLayers(const RequestInputs &inputs)
 }
 
 TuneQuery
-tuneQuery(const QueryParams &params, std::size_t worker_threads)
+tuneQuery(const QueryParams &params, std::size_t worker_threads,
+          KnobSpelling spelling)
 {
     TuneQuery query;
     const auto obj_it = params.find("objective");
@@ -221,19 +238,21 @@ tuneQuery(const QueryParams &params, std::size_t worker_threads)
             "mode must be layer, network, or joint; got '", query.mode,
             "'");
 
+    constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
     mapper::MapperOptions &options = query.options;
-    options.top_k = paramCount(params, "top_k", options.top_k);
+    options.top_k =
+        paramCount(params, "top_k", options.top_k, 1, kNoCap, spelling);
     options.enforce_l1_capacity = paramSwitch(params, "enforce_l1");
     options.exact = paramSwitch(params, "exact");
     const std::size_t budget = std::max<std::size_t>(worker_threads, 1);
-    options.num_threads =
-        std::min(budget, paramCount(params, "threads", budget));
+    options.num_threads = std::min(
+        budget, paramCount(params, "threads", budget, 1, kNoCap, spelling));
     options.space.cluster_sizes = paramCountList(
-        params, "clusters", options.space.cluster_sizes);
+        params, "clusters", options.space.cluster_sizes, spelling);
     options.space.channel_tiles = paramCountList(
-        params, "tiles", options.space.channel_tiles);
+        params, "tiles", options.space.channel_tiles, spelling);
     options.space.activation_tiles = paramCountList(
-        params, "act_tiles", options.space.activation_tiles);
+        params, "act_tiles", options.space.activation_tiles, spelling);
     return query;
 }
 
@@ -365,9 +384,10 @@ dseJson(const RequestInputs &inputs, const QueryParams &params,
 std::string
 tuneJson(const RequestInputs &inputs, const QueryParams &params,
          const std::shared_ptr<AnalysisPipeline> &pipeline,
-         const EnergyModel &energy, std::size_t worker_threads)
+         const EnergyModel &energy, std::size_t worker_threads,
+         KnobSpelling spelling)
 {
-    const TuneQuery query = tuneQuery(params, worker_threads);
+    const TuneQuery query = tuneQuery(params, worker_threads, spelling);
     const mapper::Objective objective = query.objective;
     const std::string &obj = query.objective_name;
     const std::string &mode = query.mode;
@@ -408,7 +428,7 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
         w.endObject();
         w.key("winner").value(res.best_single.dataflow.toString());
     } else if (mode == "joint") {
-        const Layer &layer = singleLayer(inputs, "tune");
+        const Layer &layer = singleLayer(inputs, "tune", spelling);
         dse::DseOptions dse_options = dseBudgets(params);
         dse_options.num_threads = options.num_threads;
         const mapper::JointMapperResult res =
@@ -436,7 +456,7 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
         w.endObject();
         w.key("winner").value(res.best.mapping.dataflow.toString());
     } else {
-        const Layer &layer = singleLayer(inputs, "tune");
+        const Layer &layer = singleLayer(inputs, "tune", spelling);
         const mapper::MapperResult res =
             mapper::mapLayer(analyzer, layer, objective, options);
         w.key("layer").value(layer.name());
@@ -455,9 +475,9 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
 std::string
 simulateJson(const RequestInputs &inputs, const QueryParams &params,
              const std::shared_ptr<AnalysisPipeline> &pipeline,
-             const EnergyModel &energy)
+             const EnergyModel &energy, KnobSpelling spelling)
 {
-    const Layer &layer = singleLayer(inputs, "simulate");
+    const Layer &layer = singleLayer(inputs, "simulate", spelling);
 
     SimOptions options;
     options.exact = paramSwitch(params, "exact");

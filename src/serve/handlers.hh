@@ -18,6 +18,7 @@
 #ifndef MAESTRO_SERVE_HANDLERS_HH
 #define MAESTRO_SERVE_HANDLERS_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,17 +59,30 @@ struct RequestInputs
     std::optional<std::string> layer_name;
 };
 
+/**
+ * How the shared parsing names a knob in its errors: as the server's
+ * query parameter (`?layer=NAME`, `query parameter 'top_k'`) or as the
+ * CLI's flag (`--layer NAME`, `--top-k`).
+ */
+enum class KnobSpelling : std::uint8_t
+{
+    Query,
+    Flag,
+};
+
 /** The layers a request operates on: the selected one, else all
  *  (borrowed from inputs.network). */
 std::vector<const Layer *> selectLayers(const RequestInputs &inputs);
 
 /**
- * The one layer a dse or tune request operates on: the selected one,
- * else the network's only layer.
+ * The one layer a dse, tune or simulate request operates on: the
+ * selected one, else the network's only layer.
  *
- * @throws Error when none is selected and the network has several.
+ * @throws Error, naming the layer knob in `spelling`, when none is
+ *         selected and the network has several.
  */
-const Layer &singleLayer(const RequestInputs &in, const char *endpoint);
+const Layer &singleLayer(const RequestInputs &in, const char *endpoint,
+                         KnobSpelling spelling = KnobSpelling::Query);
 
 /**
  * Parses a DSL request body and resolves analysis inputs.
@@ -120,14 +134,16 @@ dseJson(const RequestInputs &inputs, const QueryParams &params,
  * `worker_threads` is the caller's evaluation-thread budget (the
  * server passes its worker pool size; the CLI passes --threads);
  * results are byte-identical for any value, so responses stay
- * reproducible across deployments.
+ * reproducible across deployments. Errors name the knobs in
+ * `spelling` (tuneQuery, singleLayer).
  *
  * @throws Error on bad parameters or when no mapping survives.
  */
 std::string
 tuneJson(const RequestInputs &inputs, const QueryParams &params,
          const std::shared_ptr<AnalysisPipeline> &pipeline,
-         const EnergyModel &energy, std::size_t worker_threads = 1);
+         const EnergyModel &energy, std::size_t worker_threads = 1,
+         KnobSpelling spelling = KnobSpelling::Query);
 
 /** A /tune request's mode, objective and mapper knobs. */
 struct TuneQuery
@@ -148,14 +164,16 @@ struct TuneQuery
  * ?top_k=, ?enforce_l1=on, ?exact=on, ?threads= (capped by
  * `worker_threads`) and the ?clusters=/?tiles=/?act_tiles= lists.
  * `tune` resolves its flags through this in both output formats, so
- * they accept and reject the same strings with the same messages.
+ * they accept and reject the same strings with the same messages;
+ * count and list errors name the knob in `spelling`.
  *
  * @throws Error on an unknown mode or objective, when a count or list
  *         is not strictly positive integers, or when a switch has a
  *         value other than `on`.
  */
 TuneQuery tuneQuery(const QueryParams &params,
-                    std::size_t worker_threads);
+                    std::size_t worker_threads,
+                    KnobSpelling spelling = KnobSpelling::Query);
 
 /**
  * The ?area= and ?power= budgets of /dse and of /tune's joint mode
@@ -174,7 +192,8 @@ dse::DseOptions dseBudgets(const QueryParams &params);
  * Query: ?layer= (required unless the network has one layer),
  * ?exact=on (walk every nest position — the oracle), ?max_steps=N
  * (finite and positive; work guard: nest steps on the exact path,
- * step classes on the periodic path).
+ * step classes on the periodic path). A missing layer is named in
+ * `spelling` (singleLayer).
  *
  * @throws Error on bad parameters, unbindable dataflows, or a
  *         tripped work guard.
@@ -182,7 +201,8 @@ dse::DseOptions dseBudgets(const QueryParams &params);
 std::string
 simulateJson(const RequestInputs &inputs, const QueryParams &params,
              const std::shared_ptr<AnalysisPipeline> &pipeline,
-             const EnergyModel &energy);
+             const EnergyModel &energy,
+             KnobSpelling spelling = KnobSpelling::Query);
 
 /** The most triples one /crossval request may ask for: the sweep
  *  allocates its triples up front. */

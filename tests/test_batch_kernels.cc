@@ -14,7 +14,9 @@
  * that its two-pointer prefix recovery equals the exhaustive
  * per-cell indicator sum whenever the inputs are monotone; the
  * randomized monotone grids here check it against batchFeasibleRow,
- * the evaluated-per-cell reference oracle.
+ * the evaluated-per-cell reference oracle. The budget rows themselves
+ * are AreaPowerModel's terms; a fast-sweep test checks the points it
+ * reports against the model.
  */
 
 #include <gtest/gtest.h>
@@ -332,25 +334,71 @@ TEST(BatchKernels, SweepFeasibleCountsMatchesExhaustiveReference)
 
 TEST(BatchKernels, BatchBusTermsKeepScalarAssociation)
 {
+    // The fast sweep's budget rows are AreaPowerModel's terms: every
+    // point it reports has exactly the area and power the model gives
+    // its configuration, for any coefficients, vector width and
+    // budgets.
+    const Network net = zoo::vgg16();
+    const Layer &layer = net.layer("CONV2");
+    const Dataflow df = dataflows::byName("KC-P");
+    dse::DesignSpace space;
+    space.pe_counts = {16, 64, 168, 256};
+    space.l1_sizes = {64, 512, 2048, 16384};
+    space.l2_sizes = {16384, 110592, 524288, 2097152};
+    space.noc_bandwidths = {1.0, 2.5, 7.25, 16.0, 33.0, 64.0};
+
     std::mt19937 rng(17);
-    std::uniform_real_distribution<double> unit(0.0, 2.0);
-    for (int trial = 0; trial < 50; ++trial) {
-        const double area_coeff = unit(rng);
-        const double power_coeff = unit(rng);
-        const double clock = 0.1 + unit(rng);
-        for (const std::size_t count : kLaneCounts) {
-            std::vector<double> bw(count), ba(count), bp(count);
-            for (auto &b : bw)
-                b = 1.0 + 100.0 * unit(rng);
-            dse::batchBusTerms(bw.data(), count, area_coeff,
-                               power_coeff, clock, ba.data(),
-                               bp.data());
-            for (std::size_t i = 0; i < count; ++i) {
-                EXPECT_EQ(ba[i], area_coeff * bw[i]);
-                EXPECT_EQ(bp[i], power_coeff * bw[i] * clock);
-            }
+    std::uniform_real_distribution<double> scale(0.25, 4.0);
+    std::uniform_real_distribution<double> slack(0.3, 3.0);
+    std::uniform_int_distribution<int> width(1, 4);
+    std::size_t checked = 0;
+    for (int trial = 0; trial < 12; ++trial) {
+        AreaPowerCoefficients co;
+        for (double *c :
+             {&co.mac_area, &co.sram_area_per_kib, &co.sram_area_fixed,
+              &co.bus_area_per_lane, &co.arbiter_area_coeff,
+              &co.mac_power, &co.sram_power_per_kib,
+              &co.sram_power_fixed, &co.bus_power_per_lane,
+              &co.arbiter_power_coeff})
+            *c *= scale(rng);
+        const AreaPowerModel model(co);
+        AcceleratorConfig base = AcceleratorConfig::paperStudy();
+        base.vector_width = width(rng);
+
+        dse::DseOptions options;
+        options.area_budget_mm2 = model.area(base) * slack(rng);
+        options.power_budget_mw = model.power(base) * slack(rng);
+        options.sample_stride = 1;
+        options.max_pareto_points = 0;
+        const dse::Explorer explorer(base, model);
+        const dse::DseResult r =
+            explorer.explore(layer, df, space, options);
+
+        std::vector<dse::DesignPoint> points = r.pareto;
+        points.insert(points.end(), r.samples.begin(), r.samples.end());
+        points.push_back(r.best_throughput);
+        points.push_back(r.best_energy);
+        points.push_back(r.best_edp);
+        for (const dse::DesignPoint &p : points) {
+            if (!p.valid)
+                continue;
+            AcceleratorConfig cfg = base;
+            cfg.num_pes = p.num_pes;
+            cfg.l1_bytes = p.l1_bytes;
+            cfg.l2_bytes = p.l2_bytes;
+            cfg.noc = NocModel(p.noc_bandwidth, base.noc.avgLatency());
+            EXPECT_EQ(p.area, model.area(cfg))
+                << "trial " << trial << ": " << p.num_pes << " PEs, L1 "
+                << p.l1_bytes << ", L2 " << p.l2_bytes << ", BW "
+                << p.noc_bandwidth;
+            EXPECT_EQ(p.power, model.power(cfg))
+                << "trial " << trial << ": " << p.num_pes << " PEs, L1 "
+                << p.l1_bytes << ", L2 " << p.l2_bytes << ", BW "
+                << p.noc_bandwidth;
+            ++checked;
         }
     }
+    EXPECT_GT(checked, 100u);
 }
 
 TEST(BatchKernels, ExplorerFastSweepThreadCountInvariance)

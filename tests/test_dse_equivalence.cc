@@ -7,6 +7,8 @@
  * accounting, and Pareto frontier, for any thread count — these tests
  * drive both strategies over randomized design spaces, layers, and
  * budgets and compare every field with EXPECT_EQ (no tolerances).
+ * Every point either strategy reports must also carry exactly the area
+ * and power AreaPowerModel gives its configuration.
  *
  * Also: an O(n^2) reference check and insertion-order invariance for
  * the streaming ParetoAccumulator.
@@ -70,6 +72,35 @@ expectEquivalent(const dse::DseResult &exact, const dse::DseResult &fast)
     }
 }
 
+/**
+ * Every point a sweep reports (bests, Pareto points, samples) has
+ * exactly the area and power AreaPowerModel gives its configuration.
+ */
+void
+expectModelPriced(const dse::DseResult &result,
+                  const AcceleratorConfig &base)
+{
+    const AreaPowerModel model;
+    const auto check = [&](const dse::DesignPoint &p, const char *what) {
+        if (!p.valid)
+            return;
+        AcceleratorConfig cfg = base;
+        cfg.num_pes = p.num_pes;
+        cfg.l1_bytes = p.l1_bytes;
+        cfg.l2_bytes = p.l2_bytes;
+        cfg.noc = NocModel(p.noc_bandwidth, base.noc.avgLatency());
+        EXPECT_EQ(p.area, model.area(cfg)) << what;
+        EXPECT_EQ(p.power, model.power(cfg)) << what;
+    };
+    check(result.best_throughput, "best_throughput");
+    check(result.best_energy, "best_energy");
+    check(result.best_edp, "best_edp");
+    for (const dse::DesignPoint &p : result.pareto)
+        check(p, "pareto");
+    for (const dse::DesignPoint &p : result.samples)
+        check(p, "sample");
+}
+
 /** Draws a sorted design space (a few hundred to ~20K points) from
  *  the generator; may include duplicate entries and fractional
  *  bandwidths. */
@@ -115,7 +146,8 @@ runEquivalenceSweep(const Layer &layer, const Dataflow &dataflow,
                     std::uint32_t seed)
 {
     std::mt19937 rng(seed);
-    const dse::Explorer explorer(AcceleratorConfig::paperStudy());
+    const AcceleratorConfig base = AcceleratorConfig::paperStudy();
+    const dse::Explorer explorer(base);
     const BudgetCase budgets[] = {
         {0.5, 10.0},     // tight: everything skipped
         {4.0, 120.0},    // partial
@@ -147,6 +179,9 @@ runEquivalenceSweep(const Layer &layer, const Dataflow &dataflow,
                              " area=", budget.area));
             expectEquivalent(exact, fast1);
             expectEquivalent(exact, fast4);
+            expectModelPriced(exact, base);
+            expectModelPriced(fast1, base);
+            expectModelPriced(fast4, base);
         }
     }
 }

@@ -137,7 +137,8 @@ TEST(FlatAnalysis, ReductionHardwareCollapsesCommits)
     Scenario without = run(dataflows::kcPartitioned(), layer, 256, cfg);
     // KC-P's inner level reduces across 64 PEs: without a fan-in tree
     // every partial goes up individually.
-    EXPECT_NEAR(without.flat.out_noc_mult / with.flat.out_noc_mult,
+    EXPECT_NEAR(without.flat.noc_mult[TensorKind::Output] /
+                    with.flat.noc_mult[TensorKind::Output],
                 64.0, 1e-9);
 }
 
@@ -149,8 +150,10 @@ TEST(FlatAnalysis, TotalPeStepsMatchesLevelProduct)
     const Layer layer = conv(64, 64, 56, 3, 1, 1);
     const Scenario s = run(dataflows::yrPartitioned(), layer, 256);
     double expect = 1.0;
-    for (const auto &ru : s.reuse)
-        expect *= ru.total_steps;
+    for (const auto &ru : s.reuse) {
+        for (const auto &loop : ru.loops)
+            expect *= static_cast<double>(loop.steps);
+    }
     const ComputeFloor floor =
         computeFloor(s.bound, layer, AcceleratorConfig());
     EXPECT_DOUBLE_EQ(floor.total_pe_steps, expect);
@@ -199,7 +202,7 @@ TEST(FlatAnalysis, EgressCoversFinalOutputs)
     for (const Dataflow &df : dataflows::table3()) {
         const Scenario s = run(df, layer, 64);
         const double commits =
-            s.flat.egress_per_pe * s.flat.out_noc_mult;
+            s.flat.egress_per_pe * s.flat.noc_mult[TensorKind::Output];
         EXPECT_GE(commits, s.flat.final_outputs * (1.0 - 1e-9))
             << df.name();
     }

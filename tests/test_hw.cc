@@ -110,10 +110,49 @@ TEST(AreaPower, EyerissLikeFitsPaperBudget)
 
 TEST(AreaPower, MinBoundsAreLowerBounds)
 {
+    // The DSE's subtree screen: a PE array with its L1s plus the
+    // remainder at the smallest L2 and bandwidth never exceeds the
+    // area or power of a design with a larger L2 or bandwidth. (At the
+    // smallest pair itself the screen adds the same terms as area()
+    // and power() in another order, so the two may differ in the last
+    // bit either way.)
     const AreaPowerModel model;
-    AcceleratorConfig cfg = AcceleratorConfig::paperStudy();
-    EXPECT_LE(model.minAreaForPes(cfg.num_pes), model.area(cfg));
-    EXPECT_LE(model.minPowerForPes(cfg.num_pes), model.power(cfg));
+    const Count min_l2 = 16 * 1024;
+    const double min_bw = 1.0;
+    for (const Count pes : {8, 168, 256, 512}) {
+        for (const Count vector_width : {1, 4}) {
+            for (const Count l1 : {64, 512, 16 * 1024}) {
+                for (const double clock : {1.0, 0.7}) {
+                    const double area_bound =
+                        model.peArea(pes, vector_width, l1) +
+                        model.restArea(min_l2, min_bw);
+                    const double power_bound =
+                        model.pePower(pes, vector_width, l1, clock) +
+                        model.restPower(min_l2, min_bw, clock);
+                    for (const Count l2 : {min_l2, Count{110592},
+                                           Count{2 << 20}}) {
+                        for (const double bw : {min_bw, 7.25, 64.0}) {
+                            if (l2 == min_l2 && bw == min_bw)
+                                continue;
+                            AcceleratorConfig cfg;
+                            cfg.num_pes = pes;
+                            cfg.vector_width = vector_width;
+                            cfg.l1_bytes = l1;
+                            cfg.l2_bytes = l2;
+                            cfg.noc = NocModel(bw, 1.0);
+                            cfg.clock_ghz = clock;
+                            EXPECT_LE(area_bound, model.area(cfg))
+                                << pes << " PEs, L2 " << l2 << ", BW "
+                                << bw;
+                            EXPECT_LE(power_bound, model.power(cfg))
+                                << pes << " PEs, L2 " << l2 << ", BW "
+                                << bw << ", clock " << clock;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Accelerator, ValidateRejectsBadConfigs)

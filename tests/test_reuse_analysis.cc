@@ -237,8 +237,7 @@ TEST(ReuseAnalysis, TotalStepsMatchesLoopProduct)
     double product = 1.0;
     for (const auto &loop : ru.loops)
         product *= static_cast<double>(loop.steps);
-    EXPECT_DOUBLE_EQ(ru.total_steps, product);
-    EXPECT_DOUBLE_EQ(ru.total_steps,
+    EXPECT_DOUBLE_EQ(product,
                      static_cast<double>(a.bound.levels[0].total_steps));
 }
 

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/error.hh"
 #include "src/common/version.hh"
 #include "src/frontend/serializer.hh"
 #include "src/model/zoo.hh"
@@ -1013,31 +1014,39 @@ TEST(Serve, SaturatedQueueAnswers503WithRetryAfter)
 
 TEST(Serve, DeadlineExpiryAnswers408ThenRecovers)
 {
+    // Both sides clear the deadline by a wide margin, so scheduling on
+    // a loaded host cannot flip either outcome: the slow request (a
+    // 2000-triple crossval, about 0.5 s of one core) runs about 10x
+    // the deadline, the quick one (one tiny layer under C-P, about
+    // 0.15 ms) about 1/300 of it.
     ServeOptions options;
     options.worker_threads = 2;
-    options.deadline_ms = 1; // far below the heavy payload's cost
+    options.deadline_ms = 50;
     TestServer server(options);
     const std::uint16_t port = server.port();
 
-    const ClientResponse slow =
-        oneShot(port, postRequest("/analyze", heavyPayload()));
-    EXPECT_EQ(slow.status, 408);
+    const ClientResponse slow = oneShot(
+        port, postRequest("/crossval?triples=2000", tinyNetwork(8)));
+    EXPECT_EQ(slow.status, 408) << slow.body;
     EXPECT_NE(slow.body.find("\"error\""), std::string::npos);
 
-    // The server keeps serving: a cheap request completes within
-    // the same deadline once a worker frees up.
+    // The server keeps serving: a cheap request completes within the
+    // same deadline on the worker the slow one does not hold.
     const std::string quick =
         postRequest("/analyze?dataflow=C-P", tinyNetwork(8));
+    std::vector<int> statuses;
     bool recovered = false;
     for (int attempt = 0; attempt < 100 && !recovered; ++attempt) {
         const ClientResponse r = oneShot(port, quick);
+        statuses.push_back(r.status);
         if (r.status == 200)
             recovered = true;
         else
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(50));
     }
-    EXPECT_TRUE(recovered);
+    EXPECT_TRUE(recovered) << "statuses of the quick attempts: "
+                           << testing::PrintToString(statuses);
 
     const std::string stats =
         oneShot(port, getRequest("/stats")).body;
@@ -1410,6 +1419,72 @@ TEST(Serve, QueryKnobsEndIn200Or400)
     zero.triples = 3;
     EXPECT_EQ(ok("/crossval?seed=0&triples=3"),
               crossval::crossvalJson(zero, crossval::runCrossval(zero)));
+}
+
+TEST(Serve, KnobErrorsNameTheCallersSpelling)
+{
+    // The parsing the server and the CLI share names each knob the way
+    // its caller spells it: the server's query parameter, the CLI's
+    // flag.
+    const auto errorOf = [](auto &&call) -> std::string {
+        try {
+            call();
+        } catch (const Error &e) {
+            return e.what();
+        }
+        return "(no error)";
+    };
+
+    struct KnobCase
+    {
+        const char *key;
+        const char *value;
+        const char *query_error;
+        const char *flag_error;
+    };
+    const KnobCase knobs[] = {
+        {"top_k", "0", "query parameter 'top_k' must be a positive integer",
+         "--top-k must be a positive integer"},
+        {"threads", "4abc",
+         "query parameter 'threads' must be a positive integer",
+         "--threads must be a positive integer"},
+        {"clusters", "4abc",
+         "query parameter 'clusters': '4abc' is not a comma-separated "
+         "list of positive integers",
+         "--clusters: '4abc' is not a comma-separated list of positive "
+         "integers"},
+        {"tiles", "1,,8",
+         "query parameter 'tiles': '1,,8' is not a comma-separated list "
+         "of positive integers",
+         "--tiles: '1,,8' is not a comma-separated list of positive "
+         "integers"},
+        {"act_tiles", "0",
+         "query parameter 'act_tiles': '0' is not a comma-separated list "
+         "of positive integers",
+         "--act-tiles: '0' is not a comma-separated list of positive "
+         "integers"},
+    };
+    for (const KnobCase &c : knobs) {
+        const QueryParams params{{c.key, c.value}};
+        EXPECT_EQ(errorOf([&] { tuneQuery(params, 4); }), c.query_error);
+        EXPECT_EQ(errorOf([&] {
+                      tuneQuery(params, 4, KnobSpelling::Flag);
+                  }),
+                  c.flag_error);
+    }
+
+    RequestInputs alexnet;
+    alexnet.network = zoo::alexnet();
+    for (const char *endpoint : {"dse", "tune", "simulate"}) {
+        EXPECT_EQ(errorOf([&] { singleLayer(alexnet, endpoint); }),
+                  std::string(endpoint) +
+                      " needs ?layer=NAME when the network has 8 layers");
+        EXPECT_EQ(errorOf([&] {
+                      singleLayer(alexnet, endpoint, KnobSpelling::Flag);
+                  }),
+                  std::string(endpoint) +
+                      " needs --layer NAME when the network has 8 layers");
+    }
 }
 
 // ---------------------------------------------------------------- //

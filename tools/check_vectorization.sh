@@ -70,7 +70,6 @@ check_kernel() {
 # compiler vectorizes, and its win is algorithmic (O(n1+n2) probes),
 # not SIMD.
 check_kernel batchRuntimes
-check_kernel batchBusTerms
 check_kernel batchFeasibleRow
 check_kernel batchAdd
 check_kernel batchAddValidWindow

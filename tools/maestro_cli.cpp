@@ -461,8 +461,8 @@ cmdSimulateJson(const Args &args, const serve::RequestInputs &in)
     if (args.has("max-steps"))
         params["max_steps"] = args.get("max-steps");
     auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::simulateJson(in, params, pipeline,
-                                     EnergyModel())
+    std::cout << serve::simulateJson(in, params, pipeline, EnergyModel(),
+                                     serve::KnobSpelling::Flag)
               << "\n";
     if (args.has("profile"))
         printProfile(pipeline->stats());
@@ -481,11 +481,8 @@ cmdSimulate(const Args &args, const serve::RequestInputs &in)
             "--format must be table or json");
     // Like the server's /simulate: a single-layer network needs no
     // explicit selection.
-    fatalIf(!in.layer_name && in.network.layers().size() != 1,
-            "simulate needs --layer");
-    const Layer &layer = in.layer_name
-                             ? in.network.layer(*in.layer_name)
-                             : in.network.layers().front();
+    const Layer &layer =
+        serve::singleLayer(in, "simulate", serve::KnobSpelling::Flag);
     const Analyzer analyzer(in.config);
     Table table({"dataflow", "analytical(cyc)", "simulated(cyc)",
                  "error(%)", "sim MACs", "sim active PEs",
@@ -679,7 +676,8 @@ cmdDse(const Args &args, const serve::RequestInputs &in)
  * The /tune query parameters equivalent to the tune flags. Both
  * output formats resolve their knobs from these through the server's
  * own parsing (serve::tuneQuery, serve::dseBudgets), so they accept
- * and reject the same strings with the same messages.
+ * and reject the same strings with the same messages; passing
+ * KnobSpelling::Flag makes those messages name the flags.
  */
 serve::QueryParams
 tuneParams(const Args &args, const serve::RequestInputs &in)
@@ -716,7 +714,8 @@ cmdTuneJson(const Args &args, const serve::RequestInputs &in,
 {
     auto pipeline = std::make_shared<AnalysisPipeline>();
     std::cout << serve::tuneJson(in, tuneParams(args, in), pipeline,
-                                 EnergyModel(), opts.num_threads)
+                                 EnergyModel(), opts.num_threads,
+                                 serve::KnobSpelling::Flag)
               << "\n";
     if (args.has("profile"))
         printProfile(pipeline->stats());
@@ -748,8 +747,8 @@ cmdTune(const Args &args, const serve::RequestInputs &in)
             "--format must be table or json");
 
     const serve::QueryParams params = tuneParams(args, in);
-    const serve::TuneQuery query =
-        serve::tuneQuery(params, opts.num_threads);
+    const serve::TuneQuery query = serve::tuneQuery(
+        params, opts.num_threads, serve::KnobSpelling::Flag);
     const mapper::Objective objective = query.objective;
     const std::string &obj = query.objective_name;
     const std::string &mode = query.mode;
@@ -779,7 +778,8 @@ cmdTune(const Args &args, const serve::RequestInputs &in)
         return 0;
     }
 
-    const Layer &layer = serve::singleLayer(in, "tune");
+    const Layer &layer =
+        serve::singleLayer(in, "tune", serve::KnobSpelling::Flag);
 
     if (mode == "joint") {
         dse::DseOptions dse_options = serve::dseBudgets(params);
