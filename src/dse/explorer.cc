@@ -269,11 +269,19 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
     const std::size_t n2 = space.l2_sizes.size();
     const std::size_t nbw = space.noc_bandwidths.size();
 
-    // The subtree-skip remainder: the L2 and bus at the first entry of
-    // each sorted list, the least any (L2, BW) choice adds.
-    const double rest_area = ap.restArea(space.l2_sizes.front(), min_bw);
-    const double rest_power =
-        ap.restPower(space.l2_sizes.front(), min_bw, clock);
+    // The subtree screen: the area and power of a (PEs, L1) corner's
+    // cheapest design, at the first entry of the sorted L2 and BW lists,
+    // summed in area()'s and power()'s association. Every other design
+    // of the subtree only adds to it, so the screen is exact.
+    const Count min_l2 = space.l2_sizes.front();
+    const auto screenArea = [&](double area_l1) {
+        return area_l1 + ap.l2FixedArea() + ap.l2CapacityArea(min_l2) +
+               ap.busArea(min_bw);
+    };
+    const auto screenPower = [&](double power_l1) {
+        return power_l1 + ap.l2Power(min_l2, clock) +
+               ap.busPower(min_bw, clock);
+    };
 
     auto makeConfig = [&](Count pes, double bw) {
         AcceleratorConfig cfg = base_;
@@ -345,8 +353,8 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
                 const Count l1 = space.l1_sizes[i1];
                 const double area_l1 = ap.peArea(pes, vw, l1);
                 const double power_l1 = ap.pePower(pes, vw, l1, clock);
-                if (area_l1 + rest_area > options.area_budget_mm2 ||
-                    power_l1 + rest_power > options.power_budget_mw) {
+                if (screenArea(area_l1) > options.area_budget_mm2 ||
+                    screenPower(power_l1) > options.power_budget_mw) {
                     // Every inner choice only adds area/power: skip the
                     // whole subtree (counted as explored, per the
                     // paper's method).
@@ -446,9 +454,9 @@ Explorer::explore(const Layer &layer, const Dataflow &dataflow,
             blk.pes = pes;
             while (blk.a_hi < n1) {
                 const Count l1 = space.l1_sizes[blk.a_hi];
-                if (ap.peArea(pes, vw, l1) + rest_area >
+                if (screenArea(ap.peArea(pes, vw, l1)) >
                         options.area_budget_mm2 ||
-                    ap.pePower(pes, vw, l1, clock) + rest_power >
+                    screenPower(ap.pePower(pes, vw, l1, clock)) >
                         options.power_budget_mw) {
                     break;
                 }

@@ -134,29 +134,6 @@ class AreaPowerModel
         return coeffs_.bus_power_per_lane * bandwidth * clock_ghz;
     }
 
-    /**
-     * The subtree-skip remainder: the area an L2 of `l2_bytes` and a
-     * bus of `bandwidth` add to a PE array. At the smallest swept L2
-     * and bandwidth, peArea() plus this is the sweeps' screen for
-     * every design at that PE count and L1.
-     */
-    double
-    restArea(Count l2_bytes, double bandwidth) const
-    {
-        return l2FixedArea() + l2CapacityArea(l2_bytes) +
-               busArea(bandwidth);
-    }
-
-    /** The subtree-skip remainder of power (see restArea). */
-    double
-    restPower(Count l2_bytes, double bandwidth, double clock_ghz) const
-    {
-        return (coeffs_.sram_power_fixed +
-                coeffs_.sram_power_per_kib * kib(l2_bytes) +
-                coeffs_.bus_power_per_lane * bandwidth) *
-               clock_ghz;
-    }
-
   private:
     /** KiB of a byte count (the SRAM terms are per KiB). */
     static double

@@ -1,18 +1,18 @@
 #include "src/serve/handlers.hh"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <utility>
 
 #include "src/common/error.hh"
 #include "src/common/json.hh"
+#include "src/common/thread_pool.hh"
 #include "src/common/version.hh"
 #include "src/dataflows/catalog.hh"
 #include "src/dse/explorer.hh"
 #include "src/mapper/mapper.hh"
-#include "src/frontend/parser.hh"
 #include "src/sim/crossval.hh"
-#include "src/sim/reference_sim.hh"
 
 namespace maestro
 {
@@ -21,21 +21,6 @@ namespace serve
 
 namespace
 {
-
-/** Query-parameter real, finite and positive like every real-valued
- *  CLI flag (parsePositive), with a clean Error otherwise. */
-double
-paramPositive(const QueryParams &params, const std::string &key,
-              double fallback)
-{
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    const std::optional<double> v = parsePositive(it->second);
-    fatalIf(!v, "query parameter '", key,
-            "' must be a positive number, found '", it->second, "'");
-    return *v;
-}
 
 /** Query-parameter switch: on when `on`, off when absent, a clean
  *  Error for any other value. */
@@ -103,28 +88,6 @@ knobName(const std::string &key, KnobSpelling spelling)
     return flag;
 }
 
-/** Query-parameter integer in [lo, hi] with a clean Error. */
-std::size_t
-paramCount(const QueryParams &params, const std::string &key,
-           std::size_t fallback, std::size_t lo = 1,
-           std::size_t hi = std::numeric_limits<std::size_t>::max(),
-           KnobSpelling spelling = KnobSpelling::Query)
-{
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    const std::optional<std::size_t> v =
-        parseNumber<std::size_t>(it->second);
-    if (v && *v >= lo && *v <= hi)
-        return *v;
-    if (hi != std::numeric_limits<std::size_t>::max())
-        throw Error(msg(knobName(key, spelling),
-                        " must be an integer in [", lo, ", ", hi, "]"));
-    throw Error(msg(knobName(key, spelling), " must be ",
-                    lo == 0 ? "a non-negative" : "a positive",
-                    " integer"));
-}
-
 /** Comma-separated Count list (e.g. ?clusters=1,4,16). */
 std::vector<Count>
 paramCountList(const QueryParams &params, const std::string &key,
@@ -146,6 +109,19 @@ paramCountList(const QueryParams &params, const std::string &key,
         pos = comma + 1;
     }
     return out;
+}
+
+/** The ?area= and ?power= budgets of /dse and /tune (DseOptions's
+ *  defaults when absent), the other options at their defaults. */
+dse::DseOptions
+dseBudgets(const QueryParams &params, KnobSpelling spelling)
+{
+    dse::DseOptions options;
+    options.area_budget_mm2 =
+        paramPositive(params, "area", options.area_budget_mm2, spelling);
+    options.power_budget_mw =
+        paramPositive(params, "power", options.power_budget_mw, spelling);
+    return options;
 }
 
 /** Writes the mapper's search accounting (no wall-clock fields —
@@ -185,6 +161,39 @@ writeMappedDataflow(JsonWriter &w, const mapper::MappedDataflow &md)
 
 } // namespace
 
+std::size_t
+paramCount(const QueryParams &params, const std::string &key,
+           std::size_t fallback, KnobSpelling spelling, std::size_t lo,
+           std::size_t hi)
+{
+    const auto it = params.find(key);
+    if (it == params.end())
+        return fallback;
+    const std::optional<std::size_t> v =
+        parseNumber<std::size_t>(it->second);
+    if (v && *v >= lo && *v <= hi)
+        return *v;
+    if (hi != std::numeric_limits<std::size_t>::max())
+        throw Error(msg(knobName(key, spelling),
+                        " must be an integer in [", lo, ", ", hi, "]"));
+    throw Error(msg(knobName(key, spelling), " must be ",
+                    lo == 0 ? "a non-negative" : "a positive",
+                    " integer"));
+}
+
+double
+paramPositive(const QueryParams &params, const std::string &key,
+              double fallback, KnobSpelling spelling)
+{
+    const auto it = params.find(key);
+    if (it == params.end())
+        return fallback;
+    const std::optional<double> v = parsePositive(it->second);
+    fatalIf(!v, knobName(key, spelling),
+            " must be a positive number, found '", it->second, "'");
+    return *v;
+}
+
 const Layer &
 singleLayer(const RequestInputs &in, const char *endpoint,
             KnobSpelling spelling)
@@ -197,19 +206,6 @@ singleLayer(const RequestInputs &in, const char *endpoint,
             " when the network has ", in.network.layers().size(),
             " layers");
     return in.network.layers().front();
-}
-
-std::vector<const Layer *>
-selectLayers(const RequestInputs &inputs)
-{
-    std::vector<const Layer *> out;
-    if (inputs.layer_name) {
-        out.push_back(&inputs.network.layer(*inputs.layer_name));
-    } else {
-        for (const Layer &l : inputs.network.layers())
-            out.push_back(&l);
-    }
-    return out;
 }
 
 TuneQuery
@@ -238,15 +234,13 @@ tuneQuery(const QueryParams &params, std::size_t worker_threads,
             "mode must be layer, network, or joint; got '", query.mode,
             "'");
 
-    constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
     mapper::MapperOptions &options = query.options;
-    options.top_k =
-        paramCount(params, "top_k", options.top_k, 1, kNoCap, spelling);
+    options.top_k = paramCount(params, "top_k", options.top_k, spelling);
     options.enforce_l1_capacity = paramSwitch(params, "enforce_l1");
     options.exact = paramSwitch(params, "exact");
     const std::size_t budget = std::max<std::size_t>(worker_threads, 1);
-    options.num_threads = std::min(
-        budget, paramCount(params, "threads", budget, 1, kNoCap, spelling));
+    options.num_threads =
+        std::min(budget, paramCount(params, "threads", budget, spelling));
     options.space.cluster_sizes = paramCountList(
         params, "clusters", options.space.cluster_sizes, spelling);
     options.space.channel_tiles = paramCountList(
@@ -256,29 +250,18 @@ tuneQuery(const QueryParams &params, std::size_t worker_threads,
     return query;
 }
 
-dse::DseOptions
-dseBudgets(const QueryParams &params)
-{
-    dse::DseOptions options;
-    options.area_budget_mm2 =
-        paramPositive(params, "area", options.area_budget_mm2);
-    options.power_budget_mw =
-        paramPositive(params, "power", options.power_budget_mw);
-    return options;
-}
-
 RequestInputs
-resolveRequest(const std::string &dsl, const QueryParams &params,
-               const AcceleratorConfig &default_config)
+resolveInputs(frontend::ParsedFile file, const QueryParams &params,
+              const AcceleratorConfig &default_config,
+              KnobSpelling spelling)
 {
-    fatalIf(dsl.empty(), "empty request body (expected MAESTRO DSL)");
-    const frontend::ParsedFile file = frontend::parseString(dsl);
-
-    RequestInputs in;
-    in.config = default_config;
     fatalIf(file.networks.empty(),
-            "request body defines no Network block");
-    in.network = file.networks.front();
+            spelling == KnobSpelling::Query
+                ? "request body defines no Network block"
+                : "provide --model <zoo-name> or --file with a Network "
+                  "block");
+    RequestInputs in;
+    in.network = std::move(file.networks.front());
 
     const auto layer_it = params.find("layer");
     if (layer_it != params.end())
@@ -286,46 +269,95 @@ resolveRequest(const std::string &dsl, const QueryParams &params,
 
     const auto df_it = params.find("dataflow");
     if (df_it != params.end()) {
-        const std::string &name = df_it->second;
-        if (file.dataflows.count(name))
-            in.dataflows.push_back(file.dataflows.at(name));
-        else
-            in.dataflows.push_back(dataflows::byName(name));
+        const auto file_df = file.dataflows.find(df_it->second);
+        in.dataflows.push_back(file_df != file.dataflows.end()
+                                   ? std::move(file_df->second)
+                                   : dataflows::byName(df_it->second));
     } else if (!file.dataflows.empty()) {
-        for (const auto &[name, df] : file.dataflows)
-            in.dataflows.push_back(df);
+        for (auto &[name, df] : file.dataflows)
+            in.dataflows.push_back(std::move(df));
     } else {
         in.dataflows = dataflows::table3();
     }
 
-    if (file.accelerator)
-        in.config = *file.accelerator;
+    in.config = file.accelerator ? *file.accelerator : default_config;
     in.config.validate();
     return in;
 }
 
-std::string
-analyzeJson(const RequestInputs &inputs,
-            const std::shared_ptr<AnalysisPipeline> &pipeline,
-            const EnergyModel &energy)
+RequestInputs
+resolveRequest(const std::string &dsl, const QueryParams &params,
+               const AcceleratorConfig &default_config)
+{
+    fatalIf(dsl.empty(), "empty request body (expected MAESTRO DSL)");
+    return resolveInputs(frontend::parseString(dsl), params,
+                         default_config);
+}
+
+AnalyzeRun
+analyzeRun(const RequestInputs &inputs,
+           const std::shared_ptr<AnalysisPipeline> &pipeline,
+           const EnergyModel &energy, std::size_t num_threads)
 {
     const Analyzer analyzer(inputs.config, energy, pipeline);
-    const std::vector<const Layer *> layers = selectLayers(inputs);
+    std::vector<const Layer *> layers;
+    if (inputs.layer_name) {
+        layers.push_back(&inputs.network.layer(*inputs.layer_name));
+    } else {
+        for (const Layer &l : inputs.network.layers())
+            layers.push_back(&l);
+    }
 
+    AnalyzeRun run;
+    run.dataflows.resize(inputs.dataflows.size());
+    if (num_threads <= 1) {
+        for (std::size_t d = 0; d < inputs.dataflows.size(); ++d) {
+            run.dataflows[d].reserve(layers.size());
+            for (const Layer *layer : layers) {
+                run.dataflows[d].push_back(
+                    analyzer.analyzeLayer(*layer, inputs.dataflows[d]));
+            }
+        }
+        return run;
+    }
+
+    // Each (dataflow, layer) job writes its own slot, so the analyses
+    // and the error reported are the serial loop's at any thread count.
+    const std::size_t n = layers.size();
+    for (std::vector<LayerAnalysis> &row : run.dataflows)
+        row.resize(n);
+    std::vector<std::exception_ptr> errors(inputs.dataflows.size() * n);
+    ThreadPool::run(num_threads, errors.size(), [&](std::size_t i) {
+        try {
+            run.dataflows[i / n][i % n] = analyzer.analyzeLayer(
+                *layers[i % n], inputs.dataflows[i / n]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    });
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+    return run;
+}
+
+std::string
+analyzeJson(const RequestInputs &inputs, const AnalyzeRun &run)
+{
     JsonWriter w;
     w.beginObject();
     w.key("endpoint").value("analyze");
     w.key("network").value(inputs.network.name());
     w.key("dataflows").beginArray();
-    for (const Dataflow &df : inputs.dataflows) {
+    for (std::size_t d = 0; d < inputs.dataflows.size(); ++d) {
         w.beginObject();
-        w.key("dataflow").value(df.name());
+        w.key("dataflow").value(inputs.dataflows[d].name());
         double total_runtime = 0.0;
         double total_onchip_energy = 0.0;
         double total_macs = 0.0;
         w.key("layers").beginArray();
-        for (const Layer *layer : layers) {
-            const LayerAnalysis la = analyzer.analyzeLayer(*layer, df);
+        for (const LayerAnalysis &la : run.dataflows[d]) {
             total_runtime += la.runtime;
             total_onchip_energy += la.onchipEnergy();
             total_macs += la.total_macs;
@@ -345,27 +377,45 @@ analyzeJson(const RequestInputs &inputs,
 }
 
 std::string
-dseJson(const RequestInputs &inputs, const QueryParams &params,
-        const std::shared_ptr<AnalysisPipeline> &pipeline,
-        const EnergyModel &energy)
+analyzeJson(const RequestInputs &inputs,
+            const std::shared_ptr<AnalysisPipeline> &pipeline,
+            const EnergyModel &energy)
 {
-    fatalIf(inputs.dataflows.size() != 1, "dse needs exactly one dataflow, got ",
-                inputs.dataflows.size(),
-                " (name one with ?dataflow=NAME)");
-    const Layer &layer = singleLayer(inputs, "dse");
+    return analyzeJson(inputs, analyzeRun(inputs, pipeline, energy));
+}
 
-    dse::DseOptions options = dseBudgets(params);
-    options.exact = paramSwitch(params, "exact");
-    const dse::Explorer explorer(inputs.config, AreaPowerModel(),
-                                 energy, pipeline);
-    const dse::DseResult res =
-        explorer.explore(layer, inputs.dataflows.front(),
-                         dse::DesignSpace::figure13(), options);
+DseRun
+dseRun(const RequestInputs &inputs, const QueryParams &params,
+       const std::shared_ptr<AnalysisPipeline> &pipeline,
+       const EnergyModel &energy, std::size_t num_threads,
+       KnobSpelling spelling)
+{
+    fatalIf(inputs.dataflows.size() != 1,
+            "dse needs exactly one dataflow, got ", inputs.dataflows.size(),
+            spelling == KnobSpelling::Query
+                ? " (name one with ?dataflow=NAME)"
+                : " (name one with --dataflow NAME)");
+    DseRun run;
+    run.layer = &singleLayer(inputs, "dse", spelling);
+    run.options = dseBudgets(params, spelling);
+    run.options.exact = paramSwitch(params, "exact");
+    run.options.num_threads = num_threads;
+    const dse::Explorer explorer(inputs.config, AreaPowerModel(), energy,
+                                 pipeline);
+    run.result = explorer.explore(*run.layer, inputs.dataflows.front(),
+                                  dse::DesignSpace::figure13(),
+                                  run.options);
+    return run;
+}
 
+std::string
+dseJson(const RequestInputs &inputs, const DseRun &run)
+{
+    const dse::DseResult &res = run.result;
     JsonWriter w;
     w.beginObject();
     w.key("endpoint").value("dse");
-    w.key("layer").value(layer.name());
+    w.key("layer").value(run.layer->name());
     w.key("dataflow").value(inputs.dataflows.front().name());
     w.key("explored_points").value(res.explored_points);
     w.key("evaluated_points").value(res.evaluated_points);
@@ -382,34 +432,61 @@ dseJson(const RequestInputs &inputs, const QueryParams &params,
 }
 
 std::string
-tuneJson(const RequestInputs &inputs, const QueryParams &params,
-         const std::shared_ptr<AnalysisPipeline> &pipeline,
-         const EnergyModel &energy, std::size_t worker_threads,
-         KnobSpelling spelling)
+dseJson(const RequestInputs &inputs, const QueryParams &params,
+        const std::shared_ptr<AnalysisPipeline> &pipeline,
+        const EnergyModel &energy)
 {
-    const TuneQuery query = tuneQuery(params, worker_threads, spelling);
-    const mapper::Objective objective = query.objective;
-    const std::string &obj = query.objective_name;
-    const std::string &mode = query.mode;
-    const mapper::MapperOptions &options = query.options;
-    const Analyzer analyzer(inputs.config, energy, pipeline);
+    return dseJson(inputs, dseRun(inputs, params, pipeline, energy));
+}
 
+TuneRun
+tuneRun(const RequestInputs &inputs, const QueryParams &params,
+        const std::shared_ptr<AnalysisPipeline> &pipeline,
+        const EnergyModel &energy, std::size_t worker_threads,
+        KnobSpelling spelling)
+{
+    TuneRun run;
+    run.query = tuneQuery(params, worker_threads, spelling);
+    dse::DseOptions dse_options = dseBudgets(params, spelling);
+    const mapper::MapperOptions &options = run.query.options;
+    const Analyzer analyzer(inputs.config, energy, pipeline);
+    if (run.query.mode == "network") {
+        run.result = mapper::mapNetwork(analyzer, inputs.network,
+                                        run.query.objective, options);
+        return run;
+    }
+    run.layer = &singleLayer(inputs, "tune", spelling);
+    if (run.query.mode == "joint") {
+        dse_options.num_threads = options.num_threads;
+        run.result = mapper::mapJoint(analyzer, *run.layer,
+                                      run.query.objective,
+                                      dse::DesignSpace::figure13(),
+                                      dse_options, options);
+    } else {
+        run.result = mapper::mapLayer(analyzer, *run.layer,
+                                      run.query.objective, options);
+    }
+    return run;
+}
+
+std::string
+tuneJson(const RequestInputs &inputs, const TuneRun &run)
+{
     JsonWriter w;
     w.beginObject();
     w.key("endpoint").value("tune");
-    w.key("mode").value(mode);
+    w.key("mode").value(run.query.mode);
 
-    if (mode == "network") {
-        const mapper::NetworkMapperResult res = mapper::mapNetwork(
-            analyzer, inputs.network, objective, options);
+    if (const auto *res =
+            std::get_if<mapper::NetworkMapperResult>(&run.result)) {
         w.key("network").value(inputs.network.name());
-        w.key("objective").value(obj);
+        w.key("objective").value(run.query.objective_name);
         w.key("unique_shapes")
-            .value(static_cast<std::uint64_t>(res.unique_shapes));
-        w.key("adaptive_total").value(res.adaptive_total);
-        writeSearchStats(w, res.stats);
+            .value(static_cast<std::uint64_t>(res->unique_shapes));
+        w.key("adaptive_total").value(res->adaptive_total);
+        writeSearchStats(w, res->stats);
         w.key("layers").beginArray();
-        for (const mapper::NetworkLayerBest &entry : res.layers) {
+        for (const mapper::NetworkLayerBest &entry : res->layers) {
             w.beginObject();
             w.key("layer").value(entry.layer);
             w.key("reused").value(entry.reused);
@@ -418,30 +495,24 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
             w.endObject();
         }
         w.endArray();
+        const mapper::NetworkDataflowScore &single = res->best_single;
         w.key("best_single").beginObject();
-        w.key("dataflow").value(res.best_single.dataflow.name());
-        w.key("runtime").value(res.best_single.runtime);
-        w.key("energy").value(res.best_single.energy);
-        w.key("edp").value(res.best_single.edp);
-        w.key("objective_value")
-            .value(res.best_single.objective_value);
+        w.key("dataflow").value(single.dataflow.name());
+        w.key("runtime").value(single.runtime);
+        w.key("energy").value(single.energy);
+        w.key("edp").value(single.edp);
+        w.key("objective_value").value(single.objective_value);
         w.endObject();
-        w.key("winner").value(res.best_single.dataflow.toString());
-    } else if (mode == "joint") {
-        const Layer &layer = singleLayer(inputs, "tune", spelling);
-        dse::DseOptions dse_options = dseBudgets(params);
-        dse_options.num_threads = options.num_threads;
-        const mapper::JointMapperResult res =
-            mapper::mapJoint(analyzer, layer, objective,
-                             dse::DesignSpace::figure13(),
-                             dse_options, options);
-        w.key("layer").value(layer.name());
-        w.key("objective").value(obj);
-        writeSearchStats(w, res.mapping.stats);
-        w.key("explored_points").value(res.explored_points);
-        w.key("valid_points").value(res.valid_points);
+        w.key("winner").value(single.dataflow.toString());
+    } else if (const auto *res =
+                   std::get_if<mapper::JointMapperResult>(&run.result)) {
+        w.key("layer").value(run.layer->name());
+        w.key("objective").value(run.query.objective_name);
+        writeSearchStats(w, res->mapping.stats);
+        w.key("explored_points").value(res->explored_points);
+        w.key("valid_points").value(res->valid_points);
         w.key("designs").beginArray();
-        for (const mapper::JointDesign &d : res.designs) {
+        for (const mapper::JointDesign &d : res->designs) {
             w.beginObject();
             w.key("dataflow").value(d.mapping.dataflow.name());
             w.key("objective_value").value(d.objective_value);
@@ -450,54 +521,62 @@ tuneJson(const RequestInputs &inputs, const QueryParams &params,
         }
         w.endArray();
         w.key("best").beginObject();
-        w.key("dataflow").value(res.best.mapping.dataflow.name());
-        w.key("objective_value").value(res.best.objective_value);
-        writeDesignPoint(w, "point", res.best.point);
+        w.key("dataflow").value(res->best.mapping.dataflow.name());
+        w.key("objective_value").value(res->best.objective_value);
+        writeDesignPoint(w, "point", res->best.point);
         w.endObject();
-        w.key("winner").value(res.best.mapping.dataflow.toString());
+        w.key("winner").value(res->best.mapping.dataflow.toString());
     } else {
-        const Layer &layer = singleLayer(inputs, "tune", spelling);
-        const mapper::MapperResult res =
-            mapper::mapLayer(analyzer, layer, objective, options);
-        w.key("layer").value(layer.name());
-        w.key("objective").value(obj);
-        writeSearchStats(w, res.stats);
+        const auto &layer_res = std::get<mapper::MapperResult>(run.result);
+        w.key("layer").value(run.layer->name());
+        w.key("objective").value(run.query.objective_name);
+        writeSearchStats(w, layer_res.stats);
         w.key("ranked").beginArray();
-        for (const mapper::MappedDataflow &md : res.ranked)
+        for (const mapper::MappedDataflow &md : layer_res.ranked)
             writeMappedDataflow(w, md);
         w.endArray();
-        w.key("winner").value(res.best().dataflow.toString());
+        w.key("winner").value(layer_res.best().dataflow.toString());
     }
     w.endObject();
     return w.str();
 }
 
-std::string
-simulateJson(const RequestInputs &inputs, const QueryParams &params,
-             const std::shared_ptr<AnalysisPipeline> &pipeline,
-             const EnergyModel &energy, KnobSpelling spelling)
+SimulateRun
+simulateRun(const RequestInputs &inputs, const QueryParams &params,
+            const std::shared_ptr<AnalysisPipeline> &pipeline,
+            const EnergyModel &energy, KnobSpelling spelling)
 {
-    const Layer &layer = singleLayer(inputs, "simulate", spelling);
-
-    SimOptions options;
-    options.exact = paramSwitch(params, "exact");
-    options.max_steps =
-        paramPositive(params, "max_steps", options.max_steps);
+    SimulateRun run;
+    run.layer = &singleLayer(inputs, "simulate", spelling);
+    run.options.exact = paramSwitch(params, "exact");
+    run.options.max_steps = paramPositive(params, "max_steps",
+                                          run.options.max_steps, spelling);
 
     const Analyzer analyzer(inputs.config, energy, pipeline);
+    run.dataflows.reserve(inputs.dataflows.size());
+    for (const Dataflow &df : inputs.dataflows) {
+        SimResult sim =
+            simulateLayer(*run.layer, df, inputs.config, run.options);
+        run.dataflows.push_back(
+            {sim, analyzer.analyzeLayer(*run.layer, df).runtime});
+    }
+    return run;
+}
 
+std::string
+simulateJson(const RequestInputs &inputs, const SimulateRun &run)
+{
     JsonWriter w;
     w.beginObject();
     w.key("endpoint").value("simulate");
-    w.key("layer").value(layer.name());
-    w.key("mode").value(options.exact ? "exact" : "periodic");
+    w.key("layer").value(run.layer->name());
+    w.key("mode").value(run.options.exact ? "exact" : "periodic");
     w.key("dataflows").beginArray();
-    for (const Dataflow &df : inputs.dataflows) {
-        const SimResult sim =
-            simulateLayer(layer, df, inputs.config, options);
-        const LayerAnalysis la = analyzer.analyzeLayer(layer, df);
+    for (std::size_t d = 0; d < inputs.dataflows.size(); ++d) {
+        const SimResult &sim = run.dataflows[d].sim;
+        const double runtime = run.dataflows[d].analytical_runtime;
         w.beginObject();
-        w.key("dataflow").value(df.name());
+        w.key("dataflow").value(inputs.dataflows[d].name());
         w.key("cycles").value(sim.cycles);
         w.key("steps").value(sim.steps);
         w.key("step_classes").value(sim.step_classes);
@@ -515,11 +594,10 @@ simulateJson(const RequestInputs &inputs, const QueryParams &params,
         w.key("dram_busy").value(sim.dram_busy);
         w.key("noc_busy").value(sim.noc_busy);
         w.key("compute_cycles").value(sim.compute_cycles);
-        w.key("analytical_runtime").value(la.runtime);
-        w.key("runtime_error").value(
-            sim.cycles > 0.0
-                ? (la.runtime - sim.cycles) / sim.cycles
-                : 0.0);
+        w.key("analytical_runtime").value(runtime);
+        w.key("runtime_error")
+            .value(sim.cycles > 0.0 ? (runtime - sim.cycles) / sim.cycles
+                                    : 0.0);
         w.endObject();
     }
     w.endArray();
@@ -528,20 +606,30 @@ simulateJson(const RequestInputs &inputs, const QueryParams &params,
 }
 
 std::string
+simulateJson(const RequestInputs &inputs, const QueryParams &params,
+             const std::shared_ptr<AnalysisPipeline> &pipeline,
+             const EnergyModel &energy)
+{
+    return simulateJson(inputs,
+                        simulateRun(inputs, params, pipeline, energy));
+}
+
+std::string
 crossvalRunJson(const QueryParams &params,
                 std::size_t worker_threads)
 {
     crossval::CrossvalOptions options;
-    options.seed = static_cast<std::uint64_t>(paramCount(
-        params, "seed", static_cast<std::size_t>(options.seed), 0));
+    options.seed = static_cast<std::uint64_t>(
+        paramCount(params, "seed", static_cast<std::size_t>(options.seed),
+                   KnobSpelling::Query, 0));
     options.triples = static_cast<std::uint64_t>(
-        paramCount(params, "triples", 100, 1, kMaxCrossvalTriples));
+        paramCount(params, "triples", 100, KnobSpelling::Query, 1,
+                   kMaxCrossvalTriples));
     // The report is byte-identical at any thread count, so capping
     // by the server's worker budget never changes response bytes.
     const std::size_t budget = std::max<std::size_t>(1, worker_threads);
-    options.threads = std::min<std::size_t>(
-        budget, static_cast<std::size_t>(
-                    paramCount(params, "threads", 1)));
+    options.threads =
+        std::min<std::size_t>(budget, paramCount(params, "threads", 1));
     options.max_steps =
         paramPositive(params, "max_steps", options.max_steps);
     const crossval::CrossvalReport report =

@@ -2,30 +2,39 @@
  * @file
  * Request handlers of the analysis server: MAESTRO DSL in, JSON out.
  *
- * Each handler is a pure function of its inputs plus the shared
- * AnalysisPipeline, so the same DSL payload produces byte-identical
- * JSON whether it arrives over a socket, through the CLI's
- * `--format json`, or from a unit test — the server's concurrency
- * and cache state never leak into response bodies (responses carry
- * no wall-clock fields; latency lives in GET /stats).
+ * Each analysis endpoint is one evaluation (analyzeRun, dseRun,
+ * tuneRun, simulateRun), a pure function of the resolved inputs, the
+ * query and the shared AnalysisPipeline, plus a JSON rendering of its
+ * result. The server, the CLI's `--format json` and the CLI's tables
+ * all render the same run, so a DSL payload produces byte-identical
+ * JSON whether it arrives over a socket, through the CLI, or from a
+ * unit test — the server's concurrency and cache state never leak
+ * into response bodies (responses carry no wall-clock fields; latency
+ * lives in GET /stats).
  *
  * The untrusted-input boundary is frontend::parseString: request
  * bodies are DSL text, and every parse/validation failure surfaces
  * as maestro::Error, which the router maps to a 400 with an
- * {"error": ...} body.
+ * {"error": ...} body. The CLI parses its flags with the same knob
+ * parsing, naming them as flags (KnobSpelling::Flag).
  */
 
 #ifndef MAESTRO_SERVE_HANDLERS_HH
 #define MAESTRO_SERVE_HANDLERS_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "src/core/analyzer.hh"
+#include "src/frontend/parser.hh"
 #include "src/mapper/mapper.hh"
 #include "src/serve/http.hh"
+#include "src/sim/reference_sim.hh"
 
 namespace maestro
 {
@@ -70,80 +79,101 @@ enum class KnobSpelling : std::uint8_t
     Flag,
 };
 
-/** The layers a request operates on: the selected one, else all
- *  (borrowed from inputs.network). */
-std::vector<const Layer *> selectLayers(const RequestInputs &inputs);
+/**
+ * Integer knob `key` in [lo, hi] (parseNumber), else `fallback` when
+ * absent. @throws Error naming the knob in `spelling` otherwise.
+ */
+std::size_t
+paramCount(const QueryParams &params, const std::string &key,
+           std::size_t fallback, KnobSpelling spelling = KnobSpelling::Query,
+           std::size_t lo = 1,
+           std::size_t hi = std::numeric_limits<std::size_t>::max());
 
 /**
- * The one layer a dse, tune or simulate request operates on: the
- * selected one, else the network's only layer.
- *
- * @throws Error, naming the layer knob in `spelling`, when none is
- *         selected and the network has several.
+ * Real knob `key`, finite and positive (parsePositive), else
+ * `fallback` when absent. @throws Error naming the knob otherwise.
  */
+double paramPositive(const QueryParams &params, const std::string &key,
+                     double fallback,
+                     KnobSpelling spelling = KnobSpelling::Query);
+
+/** The one layer of a dse, tune or simulate request: the selected
+ *  one, else the network's only layer. @throws Error, naming the layer
+ *  knob in `spelling`, when none is selected and there are several. */
 const Layer &singleLayer(const RequestInputs &in, const char *endpoint,
                          KnobSpelling spelling = KnobSpelling::Query);
 
 /**
- * Parses a DSL request body and resolves analysis inputs.
+ * Resolves a parsed DSL file and the request's knobs: the first
+ * Network; ?dataflow=NAME (the file's block of that name, else the
+ * catalog's), else the file's Dataflow blocks, else the Table-3
+ * catalog; the Accelerator block, else `default_config`; ?layer=NAME
+ * selects one layer.
  *
- * The body must define a Network; dataflows come from the body's
- * Dataflow blocks, or from the catalog via ?dataflow=NAME, else the
- * Table-3 catalog; an Accelerator block overrides `default_config`;
- * ?layer=NAME selects one layer.
- *
- * @throws Error on parse failures or unresolvable references.
+ * @throws Error when the file has no Network or a dataflow is unknown.
  */
+RequestInputs resolveInputs(frontend::ParsedFile file,
+                            const QueryParams &params,
+                            const AcceleratorConfig &default_config,
+                            KnobSpelling spelling = KnobSpelling::Query);
+
+/** Parses a DSL request body and resolves it (resolveInputs).
+ *  @throws Error on an empty body or a parse failure too. */
 RequestInputs resolveRequest(const std::string &dsl,
                              const QueryParams &params,
                              const AcceleratorConfig &default_config);
 
-/**
- * POST /analyze: per-layer analysis of every resolved dataflow.
- *
- * @throws Error for invalid layer/dataflow/hardware combinations.
- */
+// Each endpoint's evaluation (xRun) returns what its body renders
+// (xJson); a run borrows its layers from the inputs it ran on. A run
+// throws Error on a bad knob (named in `spelling`) or on inputs the
+// model rejects, and its result is the same at any thread count.
+
+/** POST /analyze: per resolved dataflow (request order), the selected
+ *  layers' analyses. A failure reports the first failing (dataflow,
+ *  layer) in request order. */
+struct AnalyzeRun
+{
+    std::vector<std::vector<LayerAnalysis>> dataflows;
+};
+
+AnalyzeRun analyzeRun(const RequestInputs &inputs,
+                      const std::shared_ptr<AnalysisPipeline> &pipeline,
+                      const EnergyModel &energy,
+                      std::size_t num_threads = 1);
+
+std::string analyzeJson(const RequestInputs &inputs, const AnalyzeRun &run);
+
+/** The /analyze body of a one-thread run. */
 std::string
 analyzeJson(const RequestInputs &inputs,
             const std::shared_ptr<AnalysisPipeline> &pipeline,
             const EnergyModel &energy);
 
 /**
- * POST /dse: hardware design-space exploration (Fig. 13 space) for
- * one layer under one dataflow. Query: ?layer= (required unless the
- * network has one layer), ?area=, ?power= (finite and positive, as
- * parsePositive checks), ?exact=on.
- *
- * @throws Error on bad parameters or infeasible sweeps.
+ * POST /dse: the Fig. 13 hardware sweep of one layer under one
+ * dataflow. Query: ?layer= (required unless the network has one
+ * layer), ?area=, ?power= (finite and positive), ?exact=on. The fast
+ * sweep shards over `num_threads`.
  */
+struct DseRun
+{
+    const Layer *layer = nullptr;
+    dse::DseOptions options;
+    dse::DseResult result;
+};
+
+DseRun dseRun(const RequestInputs &inputs, const QueryParams &params,
+              const std::shared_ptr<AnalysisPipeline> &pipeline,
+              const EnergyModel &energy, std::size_t num_threads = 1,
+              KnobSpelling spelling = KnobSpelling::Query);
+
+std::string dseJson(const RequestInputs &inputs, const DseRun &run);
+
+/** The /dse body of a one-thread run. */
 std::string
 dseJson(const RequestInputs &inputs, const QueryParams &params,
         const std::shared_ptr<AnalysisPipeline> &pipeline,
         const EnergyModel &energy);
-
-/**
- * POST /tune: mapping-space search (mapper v2).
- *
- * Query: ?mode=layer|network|joint (default layer), ?layer= (layer
- * and joint modes; required unless the network has one layer),
- * ?objective=runtime|energy|edp, ?top_k=N, ?enforce_l1=on,
- * ?exact=on (exhaustive oracle), ?threads=N (capped by the server's
- * worker budget), ?clusters=/?tiles=/?act_tiles= (comma lists
- * bounding the space), and ?area=/?power= budgets in joint mode.
- *
- * `worker_threads` is the caller's evaluation-thread budget (the
- * server passes its worker pool size; the CLI passes --threads);
- * results are byte-identical for any value, so responses stay
- * reproducible across deployments. Errors name the knobs in
- * `spelling` (tuneQuery, singleLayer).
- *
- * @throws Error on bad parameters or when no mapping survives.
- */
-std::string
-tuneJson(const RequestInputs &inputs, const QueryParams &params,
-         const std::shared_ptr<AnalysisPipeline> &pipeline,
-         const EnergyModel &energy, std::size_t worker_threads = 1,
-         KnobSpelling spelling = KnobSpelling::Query);
 
 /** A /tune request's mode, objective and mapper knobs. */
 struct TuneQuery
@@ -163,46 +193,76 @@ struct TuneQuery
  * Parses a /tune request's ?mode=, ?objective= and mapper knobs:
  * ?top_k=, ?enforce_l1=on, ?exact=on, ?threads= (capped by
  * `worker_threads`) and the ?clusters=/?tiles=/?act_tiles= lists.
- * `tune` resolves its flags through this in both output formats, so
- * they accept and reject the same strings with the same messages;
- * count and list errors name the knob in `spelling`.
- *
- * @throws Error on an unknown mode or objective, when a count or list
- *         is not strictly positive integers, or when a switch has a
- *         value other than `on`.
+ * @throws Error on an unknown mode or objective, a count or list that
+ *         is not positive integers, or a switch other than `on`.
  */
 TuneQuery tuneQuery(const QueryParams &params,
                     std::size_t worker_threads,
                     KnobSpelling spelling = KnobSpelling::Query);
 
 /**
- * The ?area= and ?power= budgets of /dse and of /tune's joint mode
- * (finite and positive; DseOptions's defaults when absent), the rest
- * of the options at their defaults. `dse` and `tune` resolve their
- * --area/--power flags through this too.
- *
- * @throws Error when a budget is not a finite positive number.
+ * POST /tune: mapping-space search (mapper v2) under tuneQuery's
+ * knobs, of ?layer= (layer and joint modes; required unless the
+ * network has one layer) or the whole network, with ?area=/?power=
+ * budgets (checked in every mode, used in joint mode).
+ * `worker_threads` is the caller's thread budget: the server's worker
+ * pool size, the CLI's --threads.
  */
-dse::DseOptions dseBudgets(const QueryParams &params);
+struct TuneRun
+{
+    TuneQuery query;
+
+    /** The tuned layer (layer and joint modes). */
+    const Layer *layer = nullptr;
+
+    std::variant<mapper::MapperResult, mapper::NetworkMapperResult,
+                 mapper::JointMapperResult>
+        result;
+};
+
+TuneRun tuneRun(const RequestInputs &inputs, const QueryParams &params,
+                const std::shared_ptr<AnalysisPipeline> &pipeline,
+                const EnergyModel &energy, std::size_t worker_threads = 1,
+                KnobSpelling spelling = KnobSpelling::Query);
+
+std::string tuneJson(const RequestInputs &inputs, const TuneRun &run);
 
 /**
- * POST /simulate: the periodic reference simulator on one layer,
- * cross-checked against the analytical model per dataflow.
- *
- * Query: ?layer= (required unless the network has one layer),
- * ?exact=on (walk every nest position — the oracle), ?max_steps=N
- * (finite and positive; work guard: nest steps on the exact path,
- * step classes on the periodic path). A missing layer is named in
- * `spelling` (singleLayer).
- *
- * @throws Error on bad parameters, unbindable dataflows, or a
- *         tripped work guard.
+ * POST /simulate: the reference simulator on one layer, per dataflow,
+ * with the analytical runtime beside it. Query: ?layer= (required
+ * unless the network has one layer), ?exact=on (walk every nest
+ * position — the oracle), ?max_steps=N (finite and positive; work
+ * guard: nest steps on the exact path, step classes on the periodic
+ * path).
  */
+struct SimulateRun
+{
+    /** One dataflow's simulation and analytical runtime. */
+    struct Entry
+    {
+        SimResult sim;
+        double analytical_runtime = 0.0;
+    };
+
+    const Layer *layer = nullptr;
+    SimOptions options;
+    std::vector<Entry> dataflows;
+};
+
+SimulateRun simulateRun(const RequestInputs &inputs,
+                        const QueryParams &params,
+                        const std::shared_ptr<AnalysisPipeline> &pipeline,
+                        const EnergyModel &energy,
+                        KnobSpelling spelling = KnobSpelling::Query);
+
+std::string simulateJson(const RequestInputs &inputs,
+                         const SimulateRun &run);
+
+/** The /simulate body of the request's run. */
 std::string
 simulateJson(const RequestInputs &inputs, const QueryParams &params,
              const std::shared_ptr<AnalysisPipeline> &pipeline,
-             const EnergyModel &energy,
-             KnobSpelling spelling = KnobSpelling::Query);
+             const EnergyModel &energy);
 
 /** The most triples one /crossval request may ask for: the sweep
  *  allocates its triples up front. */

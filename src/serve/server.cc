@@ -599,9 +599,11 @@ AnalysisServer::handleDse(const Call &call)
 Reply
 AnalysisServer::handleTune(const Call &call)
 {
+    const RequestInputs inputs = resolve(call);
     return {200,
-            tuneJson(resolve(call), call.params, context_.pipeline,
-                     context_.energy, options_.worker_threads),
+            tuneJson(inputs,
+                     tuneRun(inputs, call.params, context_.pipeline,
+                             context_.energy, options_.worker_threads)),
             {}};
 }
 

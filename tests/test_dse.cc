@@ -207,6 +207,57 @@ TEST(Explorer, ExactCacheDistinguishesCloseBandwidths)
               res.samples[1].noc_bandwidth);
 }
 
+TEST(Explorer, DesignAtTheBudgetIsScreenedIn)
+{
+    // A design whose area equals the budget fits it. At 104 PEs and a
+    // 15,936 B L1, the cheapest design (16 KiB L2, BW 1) sets such a
+    // budget, and both sweeps must evaluate every Fig. 13 design whose
+    // area() is within it, that one included.
+    const Network net = zoo::vgg16();
+    const AcceleratorConfig base = AcceleratorConfig::paperStudy();
+    const AreaPowerModel model;
+    const dse::DesignSpace space = dse::DesignSpace::figure13();
+    const auto withDesign = [&](Count pes, Count l1, Count l2, double bw) {
+        AcceleratorConfig cfg = base;
+        cfg.num_pes = pes;
+        cfg.l1_bytes = l1;
+        cfg.l2_bytes = l2;
+        cfg.noc = NocModel(bw, base.noc.avgLatency());
+        return cfg;
+    };
+    dse::DseOptions options;
+    options.area_budget_mm2 = model.area(withDesign(104, 15936, 16384, 1.0));
+    options.power_budget_mw = 1e9;
+
+    double fits = 0.0;
+    for (const Count pes : space.pe_counts) {
+        for (const Count l1 : space.l1_sizes) {
+            for (const Count l2 : space.l2_sizes) {
+                // Area grows with bandwidth, so the fits are a prefix.
+                for (const double bw : space.noc_bandwidths) {
+                    if (model.area(withDesign(pes, l1, l2, bw)) >
+                        options.area_budget_mm2)
+                        break;
+                    fits += 1.0;
+                }
+            }
+        }
+    }
+
+    const dse::Explorer explorer(base);
+    double valid = -1.0;
+    for (const bool exact : {false, true}) {
+        options.exact = exact;
+        const dse::DseResult res = explorer.explore(
+            net.layer("CONV2"), dataflows::kcPartitioned(), space, options);
+        EXPECT_EQ(res.evaluated_points, fits) << "exact " << exact;
+        if (valid >= 0.0) {
+            EXPECT_EQ(res.valid_points, valid);
+        }
+        valid = res.valid_points;
+    }
+}
+
 TEST(Explorer, EmptySpaceRejected)
 {
     const Network net = zoo::vgg16();

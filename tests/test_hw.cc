@@ -110,30 +110,29 @@ TEST(AreaPower, EyerissLikeFitsPaperBudget)
 
 TEST(AreaPower, MinBoundsAreLowerBounds)
 {
-    // The DSE's subtree screen: a PE array with its L1s plus the
-    // remainder at the smallest L2 and bandwidth never exceeds the
-    // area or power of a design with a larger L2 or bandwidth. (At the
-    // smallest pair itself the screen adds the same terms as area()
-    // and power() in another order, so the two may differ in the last
-    // bit either way.)
+    // The DSE's subtree screen: the PE array with its L1s plus the L2
+    // and bus at the smallest L2 and bandwidth, summed in area()'s and
+    // power()'s order. It is exactly the cheapest design's area and
+    // power, and never exceeds a design with a larger L2 or bandwidth.
     const AreaPowerModel model;
     const Count min_l2 = 16 * 1024;
     const double min_bw = 1.0;
-    for (const Count pes : {8, 168, 256, 512}) {
+    for (const Count pes : {8, 104, 168, 256, 512}) {
         for (const Count vector_width : {1, 4}) {
-            for (const Count l1 : {64, 512, 16 * 1024}) {
+            for (const Count l1 : {64, 512, 15936, 16 * 1024}) {
                 for (const double clock : {1.0, 0.7}) {
                     const double area_bound =
                         model.peArea(pes, vector_width, l1) +
-                        model.restArea(min_l2, min_bw);
+                        model.l2FixedArea() +
+                        model.l2CapacityArea(min_l2) +
+                        model.busArea(min_bw);
                     const double power_bound =
                         model.pePower(pes, vector_width, l1, clock) +
-                        model.restPower(min_l2, min_bw, clock);
+                        model.l2Power(min_l2, clock) +
+                        model.busPower(min_bw, clock);
                     for (const Count l2 : {min_l2, Count{110592},
                                            Count{2 << 20}}) {
                         for (const double bw : {min_bw, 7.25, 64.0}) {
-                            if (l2 == min_l2 && bw == min_bw)
-                                continue;
                             AcceleratorConfig cfg;
                             cfg.num_pes = pes;
                             cfg.vector_width = vector_width;
@@ -147,6 +146,13 @@ TEST(AreaPower, MinBoundsAreLowerBounds)
                             EXPECT_LE(power_bound, model.power(cfg))
                                 << pes << " PEs, L2 " << l2 << ", BW "
                                 << bw << ", clock " << clock;
+                            if (l2 == min_l2 && bw == min_bw) {
+                                EXPECT_EQ(area_bound, model.area(cfg))
+                                    << pes << " PEs, L1 " << l1;
+                                EXPECT_EQ(power_bound, model.power(cfg))
+                                    << pes << " PEs, L1 " << l1
+                                    << ", clock " << clock;
+                            }
                         }
                     }
                 }

@@ -572,10 +572,21 @@ serveInputs(const serve::QueryParams &params)
                                  AcceleratorConfig::paperStudy());
 }
 
+/** The /tune body of the request's run under a `threads` budget. */
+std::string
+tuneBody(const serve::RequestInputs &inputs,
+         const serve::QueryParams &params,
+         const std::shared_ptr<AnalysisPipeline> &pipeline,
+         const EnergyModel &energy, std::size_t threads)
+{
+    return serve::tuneJson(
+        inputs, serve::tuneRun(inputs, params, pipeline, energy, threads));
+}
+
 TEST(MapperServe, TuneHandlerUsesWorkerBudgetDeterministically)
 {
     // Regression for the server-side tuner ignoring the worker pool:
-    // tuneJson now takes the worker budget, and its response must be
+    // tuneRun takes the worker budget, and its response must be
     // byte-identical whatever budget it gets (trimmed space to keep
     // the handler fast).
     const serve::QueryParams params{
@@ -587,9 +598,9 @@ TEST(MapperServe, TuneHandlerUsesWorkerBudgetDeterministically)
     const auto pipeline = std::make_shared<AnalysisPipeline>();
     const EnergyModel energy;
     const std::string serial =
-        serve::tuneJson(inputs, params, pipeline, energy, 1);
+        tuneBody(inputs, params, pipeline, energy, 1);
     const std::string threaded =
-        serve::tuneJson(inputs, params, pipeline, energy, 4);
+        tuneBody(inputs, params, pipeline, energy, 4);
     EXPECT_EQ(serial, threaded);
     EXPECT_NE(serial.find("\"mode\":\"layer\""), std::string::npos);
     EXPECT_NE(serial.find("\"search\""), std::string::npos);
@@ -605,7 +616,7 @@ TEST(MapperServe, TuneHandlerHonorsRequestKnobs)
     const auto pipeline = std::make_shared<AnalysisPipeline>();
     const EnergyModel energy;
     const std::string body =
-        serve::tuneJson(inputs, params, pipeline, energy, 2);
+        tuneBody(inputs, params, pipeline, energy, 2);
     // top_k=2 keeps exactly two ranked entries.
     std::size_t entries = 0;
     for (std::size_t pos = body.find("\"dataflow\"");
@@ -616,12 +627,12 @@ TEST(MapperServe, TuneHandlerHonorsRequestKnobs)
     // Counts parse strictly: no zero, exponent, NaN, sign, or
     // trailing bytes (1e30 must never reach a size_t cast).
     for (const char *bad : {"0", "1e30", "nan", "inf", "-2", "2x"})
-        EXPECT_THROW(serve::tuneJson(inputs,
-                                     serve::QueryParams{
-                                         {"layer", "conv"},
-                                         {"top_k", bad},
-                                     },
-                                     pipeline, energy, 1),
+        EXPECT_THROW(tuneBody(inputs,
+                              serve::QueryParams{
+                                  {"layer", "conv"},
+                                  {"top_k", bad},
+                              },
+                              pipeline, energy, 1),
                      Error)
             << bad;
 }
@@ -637,14 +648,14 @@ TEST(MapperServe, TuneHandlerNetworkMode)
     const auto pipeline = std::make_shared<AnalysisPipeline>();
     const EnergyModel energy;
     const std::string body =
-        serve::tuneJson(inputs, params, pipeline, energy, 2);
+        tuneBody(inputs, params, pipeline, energy, 2);
     EXPECT_NE(body.find("\"mode\":\"network\""), std::string::npos);
     EXPECT_NE(body.find("\"unique_shapes\":2"), std::string::npos);
     EXPECT_NE(body.find("\"best_single\""), std::string::npos);
     EXPECT_NE(body.find("\"winner\""), std::string::npos);
     // Byte-identical across worker budgets.
     EXPECT_EQ(body,
-              serve::tuneJson(inputs, params, pipeline, energy, 4));
+              tuneBody(inputs, params, pipeline, energy, 4));
 }
 
 } // namespace

@@ -42,6 +42,7 @@
 
 #include "src/common/error.hh"
 #include "src/common/version.hh"
+#include "src/dataflows/catalog.hh"
 #include "src/frontend/serializer.hh"
 #include "src/model/zoo.hh"
 #include "src/obs/metrics.hh"
@@ -1382,6 +1383,8 @@ TEST(Serve, QueryKnobsEndIn200Or400)
         "/tune?enforce_l1=1",
         "/tune?exact=true",
         "/tune?mode=joint&area=nan",
+        "/tune?area=nan",
+        "/tune?mode=network&power=0",
         "/crossval?max_steps=nan",
         "/crossval?max_steps=-1",
         "/crossval?seed=-1",
@@ -1485,6 +1488,118 @@ TEST(Serve, KnobErrorsNameTheCallersSpelling)
                   std::string(endpoint) +
                       " needs --layer NAME when the network has 8 layers");
     }
+}
+
+// ---------------------------------------------------------------- //
+//          One request path: an evaluation, then its render         //
+// ---------------------------------------------------------------- //
+
+/** A two-level dataflow whose sizes only some layers bind: its K map
+ *  is Sz(S) - 2 wide and its cluster Sz(R) - 2. */
+Dataflow
+shapeSensitiveDataflow()
+{
+    return Dataflow(
+        "probe",
+        {Directive::spatial(Dim::K, SizeExpr::sizeOf(Dim::S, -2),
+                            SizeExpr::of(1)),
+         Directive::cluster(SizeExpr::sizeOf(Dim::R, -2)),
+         Directive::spatial(Dim::C, SizeExpr::of(1), SizeExpr::of(1))});
+}
+
+/** A conv layer with an R x S filter. */
+Layer
+filterLayer(const char *name, Count r, Count s)
+{
+    DimMap<Count> d(1);
+    d[Dim::K] = 8;
+    d[Dim::C] = 4;
+    d[Dim::R] = r;
+    d[Dim::S] = s;
+    d[Dim::Y] = 16;
+    d[Dim::X] = 16;
+    return Layer(name, OpType::Conv2D, d);
+}
+
+TEST(ServeRun, AnalyzeReportsTheFirstFailureInRequestOrder)
+{
+    // Two layers fail under the probe dataflow, with different errors:
+    // a 3x2 filter maps K zero wide, a 2x3 filter clusters zero PEs.
+    // Whichever job fails first on the clock, the run reports the
+    // first failing (dataflow, layer) in request order.
+    const auto errorOf = [](const RequestInputs &in,
+                            std::size_t threads) -> std::string {
+        try {
+            analyzeRun(in, std::make_shared<AnalysisPipeline>(),
+                       EnergyModel(), threads);
+        } catch (const Error &e) {
+            return e.what();
+        }
+        return "(no error)";
+    };
+    const auto inputs = [](std::vector<Layer> layers) {
+        RequestInputs in;
+        in.network = Network("probed");
+        for (Layer &layer : layers)
+            in.network.addLayer(std::move(layer));
+        in.dataflows = {dataflows::byName("C-P"),
+                        shapeSensitiveDataflow()};
+        return in;
+    };
+    const Layer ok = filterLayer("ok", 3, 3);
+    const Layer narrow_map = filterLayer("narrow_map", 3, 2);
+    const Layer no_cluster = filterLayer("no_cluster", 2, 3);
+    const RequestInputs map_first = inputs({ok, narrow_map, no_cluster});
+    const RequestInputs cluster_first =
+        inputs({ok, no_cluster, narrow_map});
+
+    const std::string map_error = errorOf(map_first, 1);
+    const std::string cluster_error = errorOf(cluster_first, 1);
+    EXPECT_NE(map_error.find("map size for K evaluates to 0"),
+              std::string::npos)
+        << map_error;
+    EXPECT_NE(cluster_error.find("cluster size evaluates to 0"),
+              std::string::npos)
+        << cluster_error;
+    for (int round = 0; round < 8; ++round) {
+        EXPECT_EQ(errorOf(map_first, 4), map_error);
+        EXPECT_EQ(errorOf(cluster_first, 4), cluster_error);
+    }
+}
+
+TEST(ServeRun, AnalyzeRunRendersTheHandlersBytes)
+{
+    const RequestInputs in = resolveRequest(
+        frontend::serialize(zoo::vgg16()), {},
+        AcceleratorConfig::paperStudy());
+    const std::string handler = analyzeJson(
+        in, std::make_shared<AnalysisPipeline>(), EnergyModel());
+    for (const std::size_t threads : {1, 4}) {
+        EXPECT_EQ(analyzeJson(in, analyzeRun(in,
+                                             std::make_shared<
+                                                 AnalysisPipeline>(),
+                                             EnergyModel(), threads)),
+                  handler)
+            << threads << " threads";
+    }
+}
+
+TEST(ServeRun, DseJsonIsTheSameAtOneAndThreeThreads)
+{
+    const QueryParams params{{"layer", "CONV2"}, {"dataflow", "KC-P"}};
+    const RequestInputs in =
+        resolveRequest(frontend::serialize(zoo::vgg16()), params,
+                       AcceleratorConfig::paperStudy());
+    const auto bodyAt = [&](std::size_t threads) {
+        return dseJson(in, dseRun(in, params,
+                                  std::make_shared<AnalysisPipeline>(),
+                                  EnergyModel(), threads));
+    };
+    const std::string serial = bodyAt(1);
+    EXPECT_EQ(bodyAt(3), serial);
+    EXPECT_EQ(serial, dseJson(in, params,
+                              std::make_shared<AnalysisPipeline>(),
+                              EnergyModel()));
 }
 
 // ---------------------------------------------------------------- //

@@ -19,6 +19,10 @@
  * blocks. Hardware defaults to the paper's 256-PE study config,
  * overridable with --pes/--noc-bw/... or a file's Accelerator block.
  *
+ * analyze, simulate, dse and tune run their endpoint's evaluation
+ * (src/serve/handlers) once and print its JSON (`--format json`, the
+ * server's body for equal inputs) or a table of the same result.
+ *
  * Examples:
  *   maestro analyze --model vgg16 --layer CONV11 --dataflow KC-P
  *   maestro analyze --model mobilenetv2 --dataflow YR-P
@@ -28,11 +32,10 @@
  *   maestro tune --model vgg16 --layer CONV11 --objective energy
  *   maestro serve --port 8080 --threads 4 --queue 64
  *
- * Shared options: --threads N runs analyzer evaluations on N worker
+ * Shared options: --threads N runs the command's units of work on N
  * threads (results are bit-identical to --threads 1); --stats on
  * prints pipeline cache hit/miss counters and evaluation throughput
- * after the command's normal output. `--format json` emits the
- * matching endpoint's JSON (byte-identical for equal inputs).
+ * after analyze's and dse's tables.
  *
  * Observability: --trace OUT.json captures spans (pipeline stages,
  * fork-join batches, DSE shards) into a Chrome trace-event file
@@ -40,35 +43,32 @@
  * table to stderr. Neither changes the command's stdout bytes.
  * `maestro --version` prints the build version.
  *
- * Exit codes: 0 success, 1 runtime error (including a malformed or
- * out-of-range flag value), 2 usage error (missing or
- * unknown subcommand; usage goes to stderr).
+ * Exit codes: 0 success, 1 runtime error (including a flag the
+ * command does not take, or a malformed or out-of-range flag value),
+ * 2 usage error (missing or unknown subcommand; usage goes to
+ * stderr).
  */
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "src/common/error.hh"
 #include "src/common/table.hh"
 #include "src/common/version.hh"
-#include "src/core/analyzer.hh"
-#include "src/dataflows/catalog.hh"
-#include "src/dse/explorer.hh"
-#include "src/mapper/mapper.hh"
-#include "src/frontend/parser.hh"
 #include "src/model/zoo.hh"
 #include "src/obs/obs.hh"
 #include "src/obs/shared_metrics.hh"
+#include "src/serve/handlers.hh"
 #include "src/serve/server.hh"
 #include "src/serve/workers.hh"
 #include "src/sim/crossval.hh"
-#include "src/sim/reference_sim.hh"
 
 namespace
 {
@@ -78,6 +78,9 @@ using namespace maestro;
 constexpr int kExitOk = 0;
 constexpr int kExitError = 1;
 constexpr int kExitUsage = 2;
+
+/** Errors from the shared knob parsing name the CLI's flags. */
+constexpr serve::KnobSpelling kFlag = serve::KnobSpelling::Flag;
 
 const char *const kUsage =
     "usage: maestro <analyze|simulate|crossval|dse|tune|serve> "
@@ -110,11 +113,11 @@ const char *const kUsage =
     "against)\n"
     "  serve     [--port P] [--host ADDR] [--threads N] "
     "[--queue N] [--deadline-ms N]\n"
-    "            [--workers N] [--jobs N] [--jobs-per-client N] "
-    "[--client-share N]\n"
-    "            [--client-weights a=4,b=1] [--cache-entries N] "
-    "[--cache-bytes N]\n"
-    "            [--drain-linger-ms N]\n"
+    "            [--max-connections N] [--workers N] [--jobs N] "
+    "[--jobs-per-client N]\n"
+    "            [--client-share N] [--client-weights a=4,b=1] "
+    "[--cache-entries N]\n"
+    "            [--cache-bytes N] [--drain-linger-ms N]\n"
     "            [--access-log PATH] [--access-log-max-bytes N] "
     "[--events-ring N]\n"
     "            [--metrics-max-clients N] [--status-port P]\n"
@@ -130,85 +133,132 @@ const char *const kUsage =
     "rotated at\n"
     "             --access-log-max-bytes; GET /events tails the "
     "last N)\n"
+    "analyze, simulate, dse and tune also take --model, --file, "
+    "--layer, --dataflow,\n"
+    "  --pes, --noc-bw, --l1 and --l2; any other flag is an error\n"
     "shared: [--threads N] [--stats on] [--trace OUT.json] "
-    "[--profile]\n"
+    "[--profile] [--format table|json]\n"
     "  maestro --version prints the build version\n";
 
-/** Parsed command line: subcommand plus --key value options. */
+/** One flag a command takes. */
+struct FlagSpec
+{
+    /** The flag without its leading "--". */
+    std::string_view name;
+
+    /** The endpoint query key the flag becomes; empty for a flag the
+     *  CLI reads itself. */
+    std::string_view query = {};
+
+    /** Takes no value (reads "on"). */
+    bool is_switch = false;
+};
+
+/** Flags every command takes. */
+constexpr FlagSpec kSharedFlags[] = {
+    {"threads"}, {"stats"}, {"trace"}, {"profile", {}, true}, {"format"}};
+
+/** The inputs of the analysis commands (resolveCliInputs). */
+constexpr FlagSpec kInputFlags[] = {
+    {"model"}, {"file"},   {"layer", "layer"}, {"dataflow", "dataflow"},
+    {"pes"},   {"noc-bw"}, {"l1"},             {"l2"}};
+
+constexpr FlagSpec kSimulateFlags[] = {{"sim-exact", "exact", true},
+                                       {"max-steps", "max_steps"}};
+
+constexpr FlagSpec kCrossvalFlags[] = {
+    {"triples"}, {"seed"}, {"check", {}, true}};
+
+constexpr FlagSpec kDseFlags[] = {
+    {"area", "area"}, {"power", "power"}, {"dse-exact", "exact", true}};
+
+constexpr FlagSpec kTuneFlags[] = {
+    {"objective", "objective"}, {"mode", "mode"}, {"top-k", "top_k"},
+    {"enforce-l1", "enforce_l1", true}, {"tune-exact", "exact", true},
+    {"clusters", "clusters"}, {"tiles", "tiles"},
+    {"act-tiles", "act_tiles"}, {"area", "area"}, {"power", "power"}};
+
+constexpr FlagSpec kServeFlags[] = {
+    {"port"}, {"host"}, {"queue"}, {"deadline-ms"}, {"max-connections"},
+    {"workers"}, {"jobs"}, {"jobs-per-client"}, {"client-share"},
+    {"client-weights"}, {"cache-entries"}, {"cache-bytes"},
+    {"drain-linger-ms"}, {"access-log"}, {"access-log-max-bytes"},
+    {"events-ring"}, {"metrics-max-clients"}, {"status-port"}};
+
+/** A subcommand and the flags it takes besides kSharedFlags. */
+struct Command
+{
+    std::string_view name;
+    std::span<const FlagSpec> flags;
+
+    /** Also takes kInputFlags and runs its endpoint's evaluation. */
+    bool analysis = false;
+};
+
+constexpr Command kCommands[] = {
+    {"analyze", {}, true},        {"simulate", kSimulateFlags, true},
+    {"crossval", kCrossvalFlags}, {"dse", kDseFlags, true},
+    {"tune", kTuneFlags, true},   {"serve", kServeFlags},
+};
+
+/** Parsed command line: the subcommand, its flags, and the endpoint
+ *  query they spell. */
 struct Args
 {
-    std::string command;
-    std::map<std::string, std::string> options;
+    const Command *command = nullptr;
 
-    bool has(const std::string &key) const { return options.count(key); }
+    /** Flag values by flag name (no leading "--"); switches read
+     *  "on". The CLI's own numeric flags parse from here through
+     *  serve::paramCount / paramPositive. */
+    serve::QueryParams options;
+
+    /** The flags that are endpoint knobs, by their query names. */
+    serve::QueryParams query;
+
+    bool has(const char *key) const { return options.count(key) > 0; }
 
     std::string
-    get(const std::string &key, const std::string &fallback = "") const
+    get(const char *key, const char *fallback = "") const
     {
         const auto it = options.find(key);
         return it == options.end() ? fallback : it->second;
     }
-
-    /**
-     * Integer flag --key in [lo, hi]; `fallback` when absent. Every
-     * numeric flag parses through serve::parseNumber, as the server
-     * parses query numbers.
-     * @throws Error naming the flag on any other value.
-     */
-    template <typename T>
-    T
-    getInt(const std::string &key, T fallback, T lo,
-           T hi = std::numeric_limits<T>::max()) const
-    {
-        const auto it = options.find(key);
-        if (it == options.end())
-            return fallback;
-        const std::optional<T> v = serve::parseNumber<T>(it->second);
-        if (v && *v >= lo && *v <= hi)
-            return *v;
-        if (hi == std::numeric_limits<T>::max())
-            throw Error(msg("--", key, " must be an integer >= ", lo,
-                            ", found '", it->second, "'"));
-        throw Error(msg("--", key, " must be an integer in [", lo, ", ",
-                        hi, "], found '", it->second, "'"));
-    }
-
-    /**
-     * Real flag --key, which must be finite and positive (every
-     * real-valued flag is a positive quantity); `fallback` when
-     * absent. @throws Error naming the flag on any other value.
-     */
-    double
-    getPositive(const std::string &key, double fallback) const
-    {
-        const auto it = options.find(key);
-        if (it == options.end())
-            return fallback;
-        const std::optional<double> v = serve::parsePositive(it->second);
-        fatalIf(!v, "--", key, " must be a positive number, found '",
-                it->second, "'");
-        return *v;
-    }
 };
 
+/** `name`'s spec among the flags `command` takes, else null. */
+const FlagSpec *
+findFlag(const Command &command, std::string_view name)
+{
+    const std::span<const FlagSpec> groups[] = {
+        command.flags, kSharedFlags,
+        command.analysis ? kInputFlags : std::span<const FlagSpec>()};
+    for (const std::span<const FlagSpec> group : groups) {
+        for (const FlagSpec &flag : group) {
+            if (flag.name == name)
+                return &flag;
+        }
+    }
+    return nullptr;
+}
+
+/** @throws Error naming the first flag `command` does not take. */
 Args
-parseArgs(int argc, char **argv)
+parseArgs(const Command &command, int argc, char **argv)
 {
     Args args;
-    args.command = argv[1];
+    args.command = &command;
     for (int i = 2; i < argc; ++i) {
-        const std::string key = argv[i];
-        fatalIf(key.rfind("--", 0) != 0,
-                msg("expected --option, found '", key, "'"));
-        // Valueless switches.
-        if (key == "--dse-exact" || key == "--profile" ||
-            key == "--enforce-l1" || key == "--tune-exact" ||
-            key == "--sim-exact" || key == "--check") {
-            args.options[key.substr(2)] = "on";
-            continue;
-        }
-        fatalIf(i + 1 >= argc, msg("missing value for ", key));
-        args.options[key.substr(2)] = argv[++i];
+        const std::string_view arg = argv[i];
+        fatalIf(arg.rfind("--", 0) != 0, "expected --option, found '",
+                arg, "'");
+        const FlagSpec *flag = findFlag(command, arg.substr(2));
+        fatalIf(!flag, "unknown flag ", arg, " for ", command.name);
+        fatalIf(!flag->is_switch && i + 1 >= argc, "missing value for ",
+                arg);
+        const std::string value = flag->is_switch ? "on" : argv[++i];
+        args.options[std::string(flag->name)] = value;
+        if (!flag->query.empty())
+            args.query[std::string(flag->query)] = value;
     }
     return args;
 }
@@ -226,70 +276,40 @@ parseDslArg(const std::string &path)
 }
 
 /**
- * Everything an analysis subcommand needs, resolved from the
- * arguments into the inputs the server resolves from a request.
+ * An analysis command's inputs: the --file DSL with the --model
+ * network placed before its own, resolved as a request body is
+ * (serve::resolveInputs), then the --pes/--noc-bw/--l1/--l2 hardware
+ * overrides.
  */
 serve::RequestInputs
-resolveInputs(const Args &args)
+resolveCliInputs(const Args &args)
 {
-    serve::RequestInputs in;
-    std::optional<frontend::ParsedFile> file;
+    frontend::ParsedFile file;
     if (args.has("file"))
         file = parseDslArg(args.get("file"));
-
     if (args.has("model")) {
-        in.network = zoo::byName(args.get("model"));
-    } else if (file && !file->networks.empty()) {
-        in.network = file->networks.front();
-    } else {
-        throw Error("provide --model <zoo-name> or --file with a "
-                    "Network block");
+        file.networks.insert(file.networks.begin(),
+                             zoo::byName(args.get("model")));
     }
+    serve::RequestInputs in = serve::resolveInputs(
+        std::move(file), args.query, AcceleratorConfig::paperStudy(),
+        kFlag);
 
-    if (args.has("layer"))
-        in.layer_name = args.get("layer");
-
-    if (args.has("dataflow")) {
-        const std::string name = args.get("dataflow");
-        if (file && file->dataflows.count(name)) {
-            in.dataflows.push_back(file->dataflows.at(name));
-        } else {
-            in.dataflows.push_back(dataflows::byName(name));
-        }
-    } else if (file && !file->dataflows.empty()) {
-        for (const auto &[name, df] : file->dataflows)
-            in.dataflows.push_back(df);
-    } else {
-        in.dataflows = dataflows::table3();
-    }
-
-    if (file && file->accelerator)
-        in.config = *file->accelerator;
-    in.config.num_pes = args.getInt<Count>("pes", in.config.num_pes, 1);
+    AcceleratorConfig &config = in.config;
+    const auto count = [&](const char *flag, Count &field) {
+        field = static_cast<Count>(serve::paramCount(
+            args.options, flag, static_cast<std::size_t>(field), kFlag));
+    };
+    count("pes", config.num_pes);
     if (args.has("noc-bw")) {
-        in.config.noc = NocModel(args.getPositive("noc-bw", 32.0),
-                                 in.config.noc.avgLatency());
+        config.noc =
+            NocModel(serve::paramPositive(args.options, "noc-bw", 0.0, kFlag),
+                     config.noc.avgLatency());
     }
-    in.config.l1_bytes = args.getInt<Count>("l1", in.config.l1_bytes, 1);
-    in.config.l2_bytes = args.getInt<Count>("l2", in.config.l2_bytes, 1);
-    in.config.validate();
+    count("l1", config.l1_bytes);
+    count("l2", config.l2_bytes);
+    config.validate();
     return in;
-}
-
-/** Shared --threads/--stats options. */
-struct RunOptions
-{
-    std::size_t num_threads = 1;
-    bool print_stats = false;
-};
-
-RunOptions
-runOptions(const Args &args)
-{
-    RunOptions opts;
-    opts.num_threads = args.getInt<std::size_t>("threads", 1, 1);
-    opts.print_stats = args.get("stats", "off") != "off";
-    return opts;
 }
 
 /** Prints per-stage cache counters and evaluation throughput. */
@@ -361,56 +381,22 @@ printProfile(const PipelineStats &stats)
     table.print(std::cerr);
 }
 
-/**
- * analyze --format json: the server's /analyze JSON from the same
- * code path (serve::analyzeJson), so CLI and server bodies are
- * byte-identical for equal inputs.
- */
-int
-cmdAnalyzeJson(const Args &args, const serve::RequestInputs &in)
+/** analyze's table: one per dataflow, with its totals. */
+void
+printAnalyze(const serve::RequestInputs &in, const serve::AnalyzeRun &run)
 {
-    auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::analyzeJson(in, pipeline, EnergyModel())
-              << "\n";
-    if (args.has("profile"))
-        printProfile(pipeline->stats());
-    return kExitOk;
-}
-
-int
-cmdAnalyze(const Args &args, const serve::RequestInputs &in)
-{
-    if (args.get("format", "table") == "json")
-        return cmdAnalyzeJson(args, in);
-    fatalIf(args.get("format", "table") != "table",
-            "--format must be table or json");
-    const RunOptions opts = runOptions(args);
-    const Analyzer analyzer(in.config);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const Dataflow &df : in.dataflows) {
-        std::cout << "== dataflow " << df.name() << " ==\n";
+    for (std::size_t d = 0; d < in.dataflows.size(); ++d) {
+        std::cout << "== dataflow " << in.dataflows[d].name() << " ==\n";
         Table table({"layer", "runtime(cyc)", "MACs/cyc", "util",
                      "energy(MACs)", "L1 req(B)", "L2 req(KB)",
                      "BW req", "bottleneck"});
         double total_runtime = 0.0;
         double total_energy = 0.0;
-        const std::vector<const Layer *> layers =
-            serve::selectLayers(in);
-        std::vector<Analyzer::BatchJob> jobs;
-        jobs.reserve(layers.size());
-        for (const Layer *layer : layers)
-            jobs.push_back({*layer, df});
-        const std::vector<Analyzer::BatchEval> evals =
-            analyzer.evaluateBatch(jobs, opts.num_threads);
-        for (std::size_t i = 0; i < layers.size(); ++i) {
-            const Layer *layer = layers[i];
-            fatalIf(!evals[i].ok, msg("layer '", layer->name(),
-                                      "': ", evals[i].error));
-            const LayerAnalysis &la = evals[i].analysis;
+        for (const LayerAnalysis &la : run.dataflows[d]) {
             total_runtime += la.runtime;
             total_energy += la.onchipEnergy();
             table.addRow(
-                {layer->name(), engFormat(la.runtime),
+                {la.layer_name, engFormat(la.runtime),
                  fixedFormat(la.throughput, 1),
                  fixedFormat(la.utilization, 2),
                  engFormat(la.onchipEnergy()),
@@ -424,96 +410,219 @@ cmdAnalyze(const Args &args, const serve::RequestInputs &in)
                   << " cycles, " << engFormat(total_energy)
                   << " MAC-units energy\n\n";
     }
-    if (opts.print_stats) {
-        const auto t1 = std::chrono::steady_clock::now();
-        printPipelineStats(
-            analyzer.pipelineStats(),
-            std::chrono::duration<double>(t1 - t0).count());
-    }
-    if (args.has("profile"))
-        printProfile(analyzer.pipelineStats());
-    return 0;
 }
 
-/** Simulator options shared by the table and JSON paths. */
-SimOptions
-simOptions(const Args &args)
+/** simulate's table: analytical vs simulated cycles per dataflow. */
+void
+printSimulate(const serve::RequestInputs &in,
+              const serve::SimulateRun &run)
 {
-    SimOptions options;
-    options.exact = args.has("sim-exact");
-    options.max_steps = args.getPositive("max-steps", options.max_steps);
-    return options;
+    Table table({"dataflow", "analytical(cyc)", "simulated(cyc)",
+                 "error(%)", "sim MACs", "sim active PEs",
+                 "steps/class"});
+    for (std::size_t d = 0; d < in.dataflows.size(); ++d) {
+        const SimResult &sim = run.dataflows[d].sim;
+        const double runtime = run.dataflows[d].analytical_runtime;
+        table.addRow(
+            {in.dataflows[d].name(), engFormat(runtime),
+             engFormat(sim.cycles),
+             fixedFormat(100.0 * (runtime - sim.cycles) / sim.cycles, 2),
+             engFormat(sim.macs), fixedFormat(sim.avg_active_pes, 1),
+             engFormat(sim.steps) + "/" + engFormat(sim.step_classes)});
+    }
+    table.print(std::cout);
+}
+
+/** dse's table: the sweep summary and its best designs; with --stats
+ *  on, its counters. */
+void
+printDse(const serve::DseRun &run, bool stats,
+         const PipelineStats &pipeline)
+{
+    const dse::DseResult &res = run.result;
+    std::cout << "explored " << engFormat(res.explored_points) << " ("
+              << engFormat(res.valid_points) << " valid) in "
+              << fixedFormat(res.seconds, 2) << " s ("
+              << engFormat(res.rate) << " designs/s, "
+              << (run.options.exact ? "exact" : "fast") << " sweep)\n";
+    Table table({"objective", "PEs", "L1(B)", "L2(KB)", "BW",
+                 "area", "power", "MACs/cyc", "energy"});
+    auto add = [&](const char *name, const dse::DesignPoint &p) {
+        table.addRow({name, std::to_string(p.num_pes),
+                      std::to_string(p.l1_bytes),
+                      fixedFormat(p.l2_bytes / 1024.0, 0),
+                      fixedFormat(p.noc_bandwidth, 0),
+                      fixedFormat(p.area, 2), fixedFormat(p.power, 0),
+                      fixedFormat(p.throughput, 1),
+                      engFormat(p.energy)});
+    };
+    add("throughput", res.best_throughput);
+    add("energy", res.best_energy);
+    add("EDP", res.best_edp);
+    table.print(std::cout);
+    if (!stats)
+        return;
+    std::cout << "\ndse: " << engFormat(res.evaluated_points)
+              << " evaluated, " << engFormat(res.valid_points)
+              << " valid, " << fixedFormat(res.evaluated_pairs, 0)
+              << " (PEs,BW) pairs analyzed, frontier "
+              << res.frontier_size << " -> " << res.pareto.size()
+              << " kept, " << res.samples.size() << " samples\n";
+    if (run.options.exact) {
+        printPipelineStats(pipeline, res.seconds);
+    } else {
+        std::cout << "(fast sweep runs the stage engines "
+                     "directly; pipeline caches unused)\n";
+    }
+}
+
+/** One search-stats summary line of a tune run. */
+void
+printSearchStats(const mapper::MapperStats &stats)
+{
+    std::cout << "covered " << engFormat(stats.covered)
+              << " mappings (" << stats.generated << " canonical, "
+              << stats.pruned_symmetry << " symmetry-pruned, "
+              << stats.pruned_capacity << " capacity-cut, "
+              << stats.pruned_bound << " bound-pruned, "
+              << stats.evaluated << " evaluated, " << stats.rejected
+              << " rejected) in " << fixedFormat(stats.seconds, 3)
+              << " s = " << engFormat(stats.per_second)
+              << " mappings/s\n\n";
+}
+
+/** tune's table for the run's mode. */
+void
+printTune(const serve::RequestInputs &in, const serve::TuneRun &run)
+{
+    const std::string &obj = run.query.objective_name;
+    if (const auto *res =
+            std::get_if<mapper::NetworkMapperResult>(&run.result)) {
+        std::cout << "tuned network " << in.network.name() << " ("
+                  << res->unique_shapes << " unique shapes, objective "
+                  << obj << ")\n";
+        printSearchStats(res->stats);
+        Table table({"layer", "best dataflow", "objective", "reused"});
+        for (const auto &entry : res->layers) {
+            table.addRow({entry.layer, entry.best.dataflow.name(),
+                          engFormat(entry.best.objective_value),
+                          entry.reused ? "yes" : "no"});
+        }
+        table.print(std::cout);
+        std::cout << "\nper-layer-best total: "
+                  << engFormat(res->adaptive_total)
+                  << "\nbest single dataflow ("
+                  << engFormat(res->best_single.objective_value)
+                  << "):\n"
+                  << res->best_single.dataflow.toString();
+        return;
+    }
+    if (const auto *res =
+            std::get_if<mapper::JointMapperResult>(&run.result)) {
+        std::cout << "joint-tuned " << run.layer->name() << " (objective "
+                  << obj << ", " << res->designs.size()
+                  << " shortlisted mappings, "
+                  << engFormat(res->explored_points)
+                  << " design points)\n";
+        printSearchStats(res->mapping.stats);
+        Table table({"dataflow", "PEs", "NoC BW", "objective"});
+        for (const auto &d : res->designs) {
+            table.addRow({d.mapping.dataflow.name(),
+                          std::to_string(d.point.num_pes),
+                          fixedFormat(d.point.noc_bandwidth, 1),
+                          engFormat(d.objective_value)});
+        }
+        table.print(std::cout);
+        std::cout << "\nwinning mapping (at " << res->best.point.num_pes
+                  << " PEs, BW " << res->best.point.noc_bandwidth
+                  << "):\n"
+                  << res->best.mapping.dataflow.toString();
+        return;
+    }
+    const auto &res = std::get<mapper::MapperResult>(run.result);
+    std::cout << "tuned " << run.layer->name() << " (objective " << obj
+              << (run.query.options.exact ? ", exhaustive oracle" : "")
+              << ")\n";
+    printSearchStats(res.stats);
+    Table table({"rank", "dataflow", "runtime", "energy", "util"});
+    int rank = 1;
+    for (const auto &md : res.ranked) {
+        table.addRow({std::to_string(rank++), md.dataflow.name(),
+                      engFormat(md.runtime), engFormat(md.energy),
+                      fixedFormat(md.utilization, 2)});
+    }
+    table.print(std::cout);
+    std::cout << "\nwinning dataflow:\n" << res.best().dataflow.toString();
 }
 
 /**
- * simulate --format json: the server's /simulate JSON from the same
- * code path (serve::simulateJson), so CLI and server bodies are
- * byte-identical for equal inputs.
+ * analyze, simulate, dse and tune: runs the endpoint's evaluation once
+ * on the resolved inputs and the query the flags spell, then prints
+ * its JSON body or a table of the same run.
  */
 int
-cmdSimulateJson(const Args &args, const serve::RequestInputs &in)
+cmdAnalysis(const Args &args, bool json)
 {
-    serve::QueryParams params;
-    if (in.layer_name)
-        params["layer"] = *in.layer_name;
-    if (args.has("sim-exact"))
-        params["exact"] = "on";
-    if (args.has("max-steps"))
-        params["max_steps"] = args.get("max-steps");
-    auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::simulateJson(in, params, pipeline, EnergyModel(),
-                                     serve::KnobSpelling::Flag)
-              << "\n";
+    const std::size_t threads =
+        serve::paramCount(args.options, "threads", 1, kFlag);
+    const bool stats = args.get("stats", "off") != "off";
+    const serve::RequestInputs in = resolveCliInputs(args);
+    const auto pipeline = std::make_shared<AnalysisPipeline>();
+    const EnergyModel energy;
+    const std::string_view command = args.command->name;
+
+    if (command == "analyze") {
+        const auto t0 = std::chrono::steady_clock::now();
+        const serve::AnalyzeRun run =
+            serve::analyzeRun(in, pipeline, energy, threads);
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+        if (json) {
+            std::cout << serve::analyzeJson(in, run) << "\n";
+        } else {
+            printAnalyze(in, run);
+            if (stats)
+                printPipelineStats(pipeline->stats(), seconds);
+        }
+    } else if (command == "simulate") {
+        const serve::SimulateRun run =
+            serve::simulateRun(in, args.query, pipeline, energy, kFlag);
+        if (json)
+            std::cout << serve::simulateJson(in, run) << "\n";
+        else
+            printSimulate(in, run);
+    } else if (command == "dse") {
+        const serve::DseRun run = serve::dseRun(
+            in, args.query, pipeline, energy, threads, kFlag);
+        if (json)
+            std::cout << serve::dseJson(in, run) << "\n";
+        else
+            printDse(run, stats, pipeline->stats());
+    } else {
+        const serve::TuneRun run = serve::tuneRun(
+            in, args.query, pipeline, energy, threads, kFlag);
+        if (json)
+            std::cout << serve::tuneJson(in, run) << "\n";
+        else
+            printTune(in, run);
+    }
     if (args.has("profile"))
         printProfile(pipeline->stats());
     return kExitOk;
 }
 
 int
-cmdSimulate(const Args &args, const serve::RequestInputs &in)
+cmdCrossval(const Args &args, bool json)
 {
-    // Validated up front so both formats reject a bad --max-steps
-    // alike (the JSON path hands the text to the server's parser).
-    const SimOptions options = simOptions(args);
-    if (args.get("format", "table") == "json")
-        return cmdSimulateJson(args, in);
-    fatalIf(args.get("format", "table") != "table",
-            "--format must be table or json");
-    // Like the server's /simulate: a single-layer network needs no
-    // explicit selection.
-    const Layer &layer =
-        serve::singleLayer(in, "simulate", serve::KnobSpelling::Flag);
-    const Analyzer analyzer(in.config);
-    Table table({"dataflow", "analytical(cyc)", "simulated(cyc)",
-                 "error(%)", "sim MACs", "sim active PEs",
-                 "steps/class"});
-    for (const Dataflow &df : in.dataflows) {
-        const LayerAnalysis la = analyzer.analyzeLayer(layer, df);
-        const SimResult sim =
-            simulateLayer(layer, df, in.config, options);
-        table.addRow(
-            {df.name(), engFormat(la.runtime), engFormat(sim.cycles),
-             fixedFormat(100.0 * (la.runtime - sim.cycles) /
-                             sim.cycles,
-                         2),
-             engFormat(sim.macs),
-             fixedFormat(sim.avg_active_pes, 1),
-             engFormat(sim.steps) + "/" +
-                 engFormat(sim.step_classes)});
-    }
-    table.print(std::cout);
-    return 0;
-}
-
-int
-cmdCrossval(const Args &args)
-{
-    const RunOptions opts = runOptions(args);
     crossval::CrossvalOptions options;
-    options.seed = args.getInt<std::uint64_t>("seed", options.seed, 0);
-    options.triples =
-        args.getInt<std::uint64_t>("triples", options.triples, 1);
-    options.threads = opts.num_threads;
+    options.threads = serve::paramCount(args.options, "threads", 1, kFlag);
+    options.seed = serve::paramCount(
+        args.options, "seed", static_cast<std::size_t>(options.seed),
+        kFlag, 0);
+    options.triples = serve::paramCount(
+        args.options, "triples", static_cast<std::size_t>(options.triples),
+        kFlag);
 
     const auto t0 = std::chrono::steady_clock::now();
     const crossval::CrossvalReport report =
@@ -523,11 +632,9 @@ cmdCrossval(const Args &args)
                                       t0)
             .count();
 
-    if (args.get("format", "table") == "json") {
+    if (json) {
         std::cout << crossval::crossvalJson(options, report) << "\n";
     } else {
-        fatalIf(args.get("format", "table") != "table",
-                "--format must be table or json");
         std::cout << "crossval: " << report.evaluated << " of "
                   << report.requested << " triples evaluated ("
                   << report.skipped << " skipped) in "
@@ -575,257 +682,6 @@ cmdCrossval(const Args &args)
     return kExitOk;
 }
 
-/**
- * Copies the --area/--power budgets into `params` as query text,
- * checked first so both output formats reject a bad one alike.
- */
-void
-addBudgetParams(const Args &args, serve::QueryParams &params)
-{
-    for (const char *budget : {"area", "power"}) {
-        if (args.has(budget)) {
-            args.getPositive(budget, 0.0);
-            params[budget] = args.get(budget);
-        }
-    }
-}
-
-/**
- * dse --format json: the server's /dse JSON from the same code path
- * (serve::dseJson), so CLI and server bodies are byte-identical for
- * equal inputs.
- */
-int
-cmdDseJson(const Args &args, const serve::RequestInputs &in)
-{
-    serve::QueryParams params;
-    addBudgetParams(args, params);
-    if (args.has("dse-exact"))
-        params["exact"] = "on";
-    auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::dseJson(in, params, pipeline, EnergyModel())
-              << "\n";
-    if (args.has("profile"))
-        printProfile(pipeline->stats());
-    return kExitOk;
-}
-
-int
-cmdDse(const Args &args, const serve::RequestInputs &in)
-{
-    fatalIf(!in.layer_name, "dse needs --layer");
-    fatalIf(in.dataflows.size() != 1,
-            "dse needs exactly one --dataflow");
-    const RunOptions opts = runOptions(args);
-    if (args.get("format", "table") == "json")
-        return cmdDseJson(args, in);
-    fatalIf(args.get("format", "table") != "table",
-            "--format must be table or json");
-    const Layer &layer = in.network.layer(*in.layer_name);
-    serve::QueryParams params;
-    addBudgetParams(args, params);
-    dse::DseOptions options = serve::dseBudgets(params);
-    options.num_threads = opts.num_threads;
-    options.exact = args.has("dse-exact");
-    auto pipeline = std::make_shared<AnalysisPipeline>();
-    const dse::Explorer explorer(in.config, AreaPowerModel(),
-                                 EnergyModel(), pipeline);
-    const dse::DseResult res = explorer.explore(
-        layer, in.dataflows.front(), dse::DesignSpace::figure13(),
-        options);
-    std::cout << "explored " << engFormat(res.explored_points) << " ("
-              << engFormat(res.valid_points) << " valid) in "
-              << fixedFormat(res.seconds, 2) << " s ("
-              << engFormat(res.rate) << " designs/s, "
-              << (options.exact ? "exact" : "fast") << " sweep)\n";
-    Table table({"objective", "PEs", "L1(B)", "L2(KB)", "BW",
-                 "area", "power", "MACs/cyc", "energy"});
-    auto add = [&](const char *name, const dse::DesignPoint &p) {
-        table.addRow({name, std::to_string(p.num_pes),
-                      std::to_string(p.l1_bytes),
-                      fixedFormat(p.l2_bytes / 1024.0, 0),
-                      fixedFormat(p.noc_bandwidth, 0),
-                      fixedFormat(p.area, 2), fixedFormat(p.power, 0),
-                      fixedFormat(p.throughput, 1),
-                      engFormat(p.energy)});
-    };
-    add("throughput", res.best_throughput);
-    add("energy", res.best_energy);
-    add("EDP", res.best_edp);
-    table.print(std::cout);
-    if (opts.print_stats) {
-        std::cout << "\ndse: " << engFormat(res.evaluated_points)
-                  << " evaluated, " << engFormat(res.valid_points)
-                  << " valid, " << fixedFormat(res.evaluated_pairs, 0)
-                  << " (PEs,BW) pairs analyzed, frontier "
-                  << res.frontier_size << " -> " << res.pareto.size()
-                  << " kept, " << res.samples.size() << " samples\n";
-        if (options.exact) {
-            printPipelineStats(pipeline->stats(), res.seconds);
-        } else {
-            std::cout << "(fast sweep runs the stage engines "
-                         "directly; pipeline caches unused)\n";
-        }
-    }
-    if (args.has("profile"))
-        printProfile(pipeline->stats());
-    return 0;
-}
-
-/**
- * The /tune query parameters equivalent to the tune flags. Both
- * output formats resolve their knobs from these through the server's
- * own parsing (serve::tuneQuery, serve::dseBudgets), so they accept
- * and reject the same strings with the same messages; passing
- * KnobSpelling::Flag makes those messages name the flags.
- */
-serve::QueryParams
-tuneParams(const Args &args, const serve::RequestInputs &in)
-{
-    serve::QueryParams params;
-    params["objective"] = args.get("objective", "runtime");
-    params["mode"] = args.get("mode", "layer");
-    if (in.layer_name)
-        params["layer"] = *in.layer_name;
-    if (args.has("top-k"))
-        params["top_k"] = args.get("top-k");
-    if (args.has("clusters"))
-        params["clusters"] = args.get("clusters");
-    if (args.has("tiles"))
-        params["tiles"] = args.get("tiles");
-    if (args.has("act-tiles"))
-        params["act_tiles"] = args.get("act-tiles");
-    if (args.has("enforce-l1"))
-        params["enforce_l1"] = "on";
-    if (args.has("tune-exact"))
-        params["exact"] = "on";
-    addBudgetParams(args, params);
-    return params;
-}
-
-/**
- * tune --format json: the server's /tune JSON from the same code
- * path (serve::tuneJson), so CLI and server bodies are
- * byte-identical for equal inputs.
- */
-int
-cmdTuneJson(const Args &args, const serve::RequestInputs &in,
-            const RunOptions &opts)
-{
-    auto pipeline = std::make_shared<AnalysisPipeline>();
-    std::cout << serve::tuneJson(in, tuneParams(args, in), pipeline,
-                                 EnergyModel(), opts.num_threads,
-                                 serve::KnobSpelling::Flag)
-              << "\n";
-    if (args.has("profile"))
-        printProfile(pipeline->stats());
-    return kExitOk;
-}
-
-/** One search-stats summary line of a tune run. */
-void
-printSearchStats(const mapper::MapperStats &stats)
-{
-    std::cout << "covered " << engFormat(stats.covered)
-              << " mappings (" << stats.generated << " canonical, "
-              << stats.pruned_symmetry << " symmetry-pruned, "
-              << stats.pruned_capacity << " capacity-cut, "
-              << stats.pruned_bound << " bound-pruned, "
-              << stats.evaluated << " evaluated, " << stats.rejected
-              << " rejected) in " << fixedFormat(stats.seconds, 3)
-              << " s = " << engFormat(stats.per_second)
-              << " mappings/s\n\n";
-}
-
-int
-cmdTune(const Args &args, const serve::RequestInputs &in)
-{
-    const RunOptions opts = runOptions(args);
-    if (args.get("format", "table") == "json")
-        return cmdTuneJson(args, in, opts);
-    fatalIf(args.get("format", "table") != "table",
-            "--format must be table or json");
-
-    const serve::QueryParams params = tuneParams(args, in);
-    const serve::TuneQuery query = serve::tuneQuery(
-        params, opts.num_threads, serve::KnobSpelling::Flag);
-    const mapper::Objective objective = query.objective;
-    const std::string &obj = query.objective_name;
-    const std::string &mode = query.mode;
-    const mapper::MapperOptions &options = query.options;
-    const Analyzer analyzer(in.config);
-
-    if (mode == "network") {
-        const mapper::NetworkMapperResult res = mapper::mapNetwork(
-            analyzer, in.network, objective, options);
-        std::cout << "tuned network " << in.network.name() << " ("
-                  << res.unique_shapes << " unique shapes, objective "
-                  << obj << ")\n";
-        printSearchStats(res.stats);
-        Table table({"layer", "best dataflow", "objective", "reused"});
-        for (const auto &entry : res.layers) {
-            table.addRow({entry.layer, entry.best.dataflow.name(),
-                          engFormat(entry.best.objective_value),
-                          entry.reused ? "yes" : "no"});
-        }
-        table.print(std::cout);
-        std::cout << "\nper-layer-best total: "
-                  << engFormat(res.adaptive_total)
-                  << "\nbest single dataflow ("
-                  << engFormat(res.best_single.objective_value)
-                  << "):\n"
-                  << res.best_single.dataflow.toString();
-        return 0;
-    }
-
-    const Layer &layer =
-        serve::singleLayer(in, "tune", serve::KnobSpelling::Flag);
-
-    if (mode == "joint") {
-        dse::DseOptions dse_options = serve::dseBudgets(params);
-        dse_options.num_threads = opts.num_threads;
-        const mapper::JointMapperResult res = mapper::mapJoint(
-            analyzer, layer, objective, dse::DesignSpace::figure13(),
-            dse_options, options);
-        std::cout << "joint-tuned " << layer.name() << " (objective "
-                  << obj << ", " << res.designs.size()
-                  << " shortlisted mappings, "
-                  << engFormat(res.explored_points)
-                  << " design points)\n";
-        printSearchStats(res.mapping.stats);
-        Table table({"dataflow", "PEs", "NoC BW", "objective"});
-        for (const auto &d : res.designs) {
-            table.addRow({d.mapping.dataflow.name(),
-                          std::to_string(d.point.num_pes),
-                          fixedFormat(d.point.noc_bandwidth, 1),
-                          engFormat(d.objective_value)});
-        }
-        table.print(std::cout);
-        std::cout << "\nwinning mapping (at " << res.best.point.num_pes
-                  << " PEs, BW " << res.best.point.noc_bandwidth
-                  << "):\n"
-                  << res.best.mapping.dataflow.toString();
-        return 0;
-    }
-
-    const mapper::MapperResult res =
-        mapper::mapLayer(analyzer, layer, objective, options);
-    std::cout << "tuned " << layer.name() << " (objective " << obj
-              << (options.exact ? ", exhaustive oracle" : "") << ")\n";
-    printSearchStats(res.stats);
-    Table table({"rank", "dataflow", "runtime", "energy", "util"});
-    int rank = 1;
-    for (const auto &md : res.ranked) {
-        table.addRow({std::to_string(rank++), md.dataflow.name(),
-                      engFormat(md.runtime), engFormat(md.energy),
-                      fixedFormat(md.utilization, 2)});
-    }
-    table.print(std::cout);
-    std::cout << "\nwinning dataflow:\n"
-              << res.best().dataflow.toString();
-    return 0;
-}
-
 /** Parses --client-weights "alice=4,bob=1" into the weights map. */
 std::map<std::string, std::uint32_t>
 parseClientWeights(const std::string &spec)
@@ -858,39 +714,46 @@ parseClientWeights(const std::string &spec)
 int
 cmdServe(const Args &args)
 {
-    using Size = std::size_t;
+    constexpr std::size_t kIntMax = std::numeric_limits<int>::max();
+    const serve::QueryParams &flags = args.options;
+    const auto count = [&](const char *flag, std::size_t fallback,
+                           std::size_t lo = 1,
+                           std::size_t hi =
+                               std::numeric_limits<std::size_t>::max()) {
+        return serve::paramCount(flags, flag, fallback, kFlag, lo, hi);
+    };
     serve::ServeOptions opts;
-    opts.host = args.get("host", opts.host);
-    opts.port = static_cast<std::uint16_t>(
-        args.getInt<int>("port", opts.port, 0, 65535));
-    opts.worker_threads =
-        args.getInt<Size>("threads", opts.worker_threads, 1);
-    opts.queue_capacity =
-        args.getInt<Size>("queue", opts.queue_capacity, 1);
-    opts.deadline_ms = args.getInt<int>("deadline-ms", opts.deadline_ms, 1);
-    opts.max_connections =
-        args.getInt<Size>("max-connections", opts.max_connections, 1);
-    opts.job_capacity = args.getInt<Size>("jobs", opts.job_capacity, 1);
-    opts.jobs_per_client =
-        args.getInt<Size>("jobs-per-client", opts.jobs_per_client, 0);
-    opts.client_share =
-        args.getInt<Size>("client-share", opts.client_share, 0);
+    opts.host = args.get("host", opts.host.c_str());
+    opts.port =
+        static_cast<std::uint16_t>(count("port", opts.port, 0, 65535));
+    opts.worker_threads = count("threads", opts.worker_threads);
+    opts.queue_capacity = count("queue", opts.queue_capacity);
+    opts.deadline_ms = static_cast<int>(
+        count("deadline-ms", static_cast<std::size_t>(opts.deadline_ms), 1,
+              kIntMax));
+    opts.max_connections = count("max-connections", opts.max_connections);
+    opts.job_capacity = count("jobs", opts.job_capacity);
+    opts.jobs_per_client = count("jobs-per-client", opts.jobs_per_client, 0);
+    opts.client_share = count("client-share", opts.client_share, 0);
     opts.result_cache_entries =
-        args.getInt<Size>("cache-entries", opts.result_cache_entries, 0);
-    opts.result_cache_bytes =
-        args.getInt<Size>("cache-bytes", opts.result_cache_bytes, 0);
-    opts.drain_linger_ms =
-        args.getInt<int>("drain-linger-ms", opts.drain_linger_ms, 0);
+        count("cache-entries", opts.result_cache_entries, 0);
+    opts.result_cache_bytes = count("cache-bytes", opts.result_cache_bytes, 0);
+    opts.drain_linger_ms = static_cast<int>(
+        count("drain-linger-ms",
+              static_cast<std::size_t>(opts.drain_linger_ms), 0, kIntMax));
     opts.client_weights = parseClientWeights(args.get("client-weights"));
-    opts.access_log = args.get("access-log", opts.access_log);
-    opts.access_log_max_bytes = args.getInt<Size>(
-        "access-log-max-bytes", opts.access_log_max_bytes, 0);
-    opts.events_ring = args.getInt<Size>("events-ring", opts.events_ring, 0);
-    opts.metrics_max_clients = args.getInt<Size>(
-        "metrics-max-clients", opts.metrics_max_clients, 0);
+    opts.access_log = args.get("access-log", opts.access_log.c_str());
+    opts.access_log_max_bytes =
+        count("access-log-max-bytes", opts.access_log_max_bytes, 0);
+    opts.events_ring = count("events-ring", opts.events_ring, 0);
+    opts.metrics_max_clients =
+        count("metrics-max-clients", opts.metrics_max_clients, 0);
 
-    const Size workers = args.getInt<Size>("workers", 1, 1);
-    const int status_port = args.getInt<int>("status-port", -1, 0, 65535);
+    const std::size_t workers = count("workers", 1);
+    const int status_port =
+        args.has("status-port")
+            ? static_cast<int>(count("status-port", 0, 0, 65535))
+            : -1;
     fatalIf(status_port >= 0 && workers < 2,
             "--status-port needs --workers >= 2 (a single-process "
             "server already serves the fleet view on its own port)");
@@ -913,21 +776,26 @@ main(int argc, char **argv)
         std::cerr << kUsage;
         return kExitUsage;
     }
-    const std::string command = argv[1];
-    if (command == "--version" || command == "version") {
+    const std::string_view name = argv[1];
+    if (name == "--version" || name == "version") {
         std::cout << "maestro " << kVersion << "\n";
         return kExitOk;
     }
-    const bool known = command == "analyze" || command == "simulate" ||
-                       command == "crossval" || command == "dse" ||
-                       command == "tune" || command == "serve";
-    if (!known) {
-        std::cerr << "error: unknown command '" << command << "'\n"
+    const Command *command = nullptr;
+    for (const Command &c : kCommands) {
+        if (c.name == name)
+            command = &c;
+    }
+    if (command == nullptr) {
+        std::cerr << "error: unknown command '" << name << "'\n"
                   << kUsage;
         return kExitUsage;
     }
     try {
-        const Args args = parseArgs(argc, argv);
+        const Args args = parseArgs(*command, argc, argv);
+        const std::string format = args.get("format", "table");
+        fatalIf(format != "table" && format != "json",
+                "--format must be table or json");
 
         // Observability opt-ins, enabled before any analysis work:
         // --profile records site latencies, --trace additionally
@@ -939,20 +807,10 @@ main(int argc, char **argv)
         if (!trace_path.empty())
             obs::Tracer::instance().start();
 
-        const int rc = [&] {
-            if (args.command == "serve")
-                return cmdServe(args);
-            if (args.command == "crossval")
-                return cmdCrossval(args);
-            const serve::RequestInputs in = resolveInputs(args);
-            if (args.command == "analyze")
-                return cmdAnalyze(args, in);
-            if (args.command == "simulate")
-                return cmdSimulate(args, in);
-            if (args.command == "dse")
-                return cmdDse(args, in);
-            return cmdTune(args, in);
-        }();
+        const int rc = command->analysis ? cmdAnalysis(args, format == "json")
+                       : name == "crossval"
+                           ? cmdCrossval(args, format == "json")
+                           : cmdServe(args);
 
         if (!trace_path.empty()) {
             obs::Tracer &tracer = obs::Tracer::instance();
