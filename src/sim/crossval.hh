@@ -100,7 +100,7 @@ struct CrossvalGate
     double max_macs_pct = 0.01;
     /** Cycles: paper Fig. 9 reports a 3.9% mean error. The tail bound
      *  needs a sample of thousands of triples to mean anything (1.5%
-     *  of 200 is 3 triples), so CI runs 2,000 per seed. */
+     *  of 200 is 3 triples), so CI runs 5,000 per seed. */
     double mean_cycles_pct = 3.0;
     double tail_cycles_fraction = 0.015;
     double mean_l2_pct = 25.0;

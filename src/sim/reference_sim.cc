@@ -125,6 +125,7 @@ fastLeaves(const sim::StepEngine &engine, const BoundDataflow &bound,
     sim::Nest cur(bound);
     sim::Nest prev(bound);
     std::vector<Count> prev_pos;
+    sim::StepState prev_state;
     std::vector<LeafTally> leaves;
     tree.enumerate(
         max_classes,
@@ -137,7 +138,7 @@ fastLeaves(const sim::StepEngine &engine, const BoundDataflow &bound,
                 c = engine.step(cur, nullptr, nullptr);
             } else {
                 prev.setPositions(prev_pos);
-                const sim::StepState prev_state = engine.stateAt(prev);
+                engine.stateAt(prev, prev_state);
                 c = engine.step(cur, &prev_state, nullptr);
             }
             leaves.push_back({count, c});

@@ -24,35 +24,44 @@ double
 Rect::volume() const
 {
     double v = 1.0;
-    for (const auto &iv : dims)
-        v *= static_cast<double>(std::max<Count>(0, iv.size));
+    for (std::size_t i = 0; i < rank; ++i)
+        v *= static_cast<double>(std::max<Count>(0, dims[i].size));
     return v;
 }
 
 double
 Rect::newVolume(const Rect &prev) const
 {
-    if (prev.dims.size() != dims.size())
+    if (prev.rank != rank)
         return volume();
     double ov = 1.0;
-    for (std::size_t i = 0; i < dims.size(); ++i)
+    for (std::size_t i = 0; i < rank; ++i)
         ov *= static_cast<double>(overlap(dims[i], prev.dims[i]));
     return volume() - ov;
 }
 
 Nest::Nest(const BoundDataflow &bound)
+    : fold_loop_(bound.levels.size(), kNoLoop),
+      dim_loop_(bound.levels.size(), DimMap<std::size_t>(kNoLoop))
 {
     for (std::size_t l = 0; l < bound.levels.size(); ++l) {
         const BoundLevel &level = bound.levels[l];
         for (std::size_t i = 0; i < level.directives.size(); ++i) {
             if (i == level.first_spatial && level.spatial_folds > 1) {
+                fold_loop_[l] = loops_.size();
                 loops_.push_back(
                     {l, true, Dim::N, level.spatial_folds, nullptr});
             }
             const BoundDirective &bd = level.directives[i];
-            if (!bd.spatial() && bd.iterating())
+            if (!bd.spatial() && bd.iterating()) {
+                // dimPos reads a (level, dim)'s first loop.
+                if (dim_loop_[l][bd.dim] == kNoLoop)
+                    dim_loop_[l][bd.dim] = loops_.size();
                 loops_.push_back({l, false, bd.dim, bd.steps, &bd});
+            }
         }
+        if (l == 0)
+            level0_loops_ = loops_.size();
     }
     pos_.assign(loops_.size(), 0);
 }
@@ -100,33 +109,11 @@ Nest::decrement(std::vector<Count> &pos) const
     return false;
 }
 
-Count
-Nest::foldPos(std::size_t level) const
-{
-    for (std::size_t i = 0; i < loops_.size(); ++i) {
-        if (loops_[i].is_fold && loops_[i].level == level)
-            return pos_[i];
-    }
-    return 0;
-}
-
-Count
-Nest::dimPos(std::size_t level, Dim dim) const
-{
-    for (std::size_t i = 0; i < loops_.size(); ++i) {
-        if (!loops_[i].is_fold && loops_[i].level == level &&
-            loops_[i].dim == dim) {
-            return pos_[i];
-        }
-    }
-    return 0;
-}
-
 bool
 Nest::level0Changed(const std::vector<Count> &prev) const
 {
-    for (std::size_t i = 0; i < loops_.size(); ++i) {
-        if (loops_[i].level == 0 && pos_[i] != prev[i])
+    for (std::size_t i = 0; i < level0_loops_; ++i) {
+        if (pos_[i] != prev[i])
             return true;
     }
     return false;
@@ -134,8 +121,15 @@ Nest::level0Changed(const std::vector<Count> &prev) const
 
 ChunkResolver::ChunkResolver(const BoundDataflow &bound,
                              const Layer &layer, bool depthwise)
-    : bound_(bound), depthwise_(depthwise)
+    : bound_(bound), directive_(bound.levels.size()),
+      depthwise_(depthwise)
 {
+    for (std::size_t l = 0; l < bound.levels.size(); ++l) {
+        for (const auto &bd : bound.levels[l].directives) {
+            if (directive_[l][bd.dim] == nullptr)
+                directive_[l][bd.dim] = &bd;
+        }
+    }
     stride_ = layer.type() == OpType::TransposedConv
                   ? 1
                   : layer.strideVal();
@@ -145,61 +139,68 @@ ChunkResolver::ChunkResolver(const BoundDataflow &bound,
     out_x_ = convOutputs(layer.effectiveDim(Dim::X), s_full_, stride_);
 }
 
+void
+ChunkResolver::narrow(Interval &iv, const Nest &nest, std::size_t l,
+                      Dim d) const
+{
+    const BoundDirective *dir = directive_[l][d];
+    if (dir == nullptr) [[unlikely]]
+        panicWith("missing directive in sim");
+    // A spatial directive's position is unit 0's in the current fold.
+    const Count p = dir->spatial()
+                        ? nest.foldPos(l) * bound_.levels[l].num_units
+                        : nest.dimPos(l, d);
+    const Count extent = iv.size;
+    Count local_start = p * dir->offset_in;
+    if (local_start > std::max<Count>(0, extent - 1))
+        local_start = std::max<Count>(0, extent - 1);
+    iv.start += local_start;
+    iv.size = std::min<Count>(dir->size, extent - local_start);
+}
+
 Interval
 ChunkResolver::dimInterval(const Nest &nest, Dim d,
                            std::size_t depth) const
 {
-    Interval iv;
-    iv.start = 0;
-    iv.size = bound_.levels[0].extents[d];
+    Interval iv{0, bound_.levels[0].extents[d]};
+    for (std::size_t l = 0; l < depth; ++l)
+        narrow(iv, nest, l, d);
+    return iv;
+}
+
+DimMap<Interval>
+ChunkResolver::intervals(const Nest &nest, std::size_t depth) const
+{
+    DimMap<Interval> iv;
+    for (Dim d : kAllDims)
+        iv[d] = {0, bound_.levels[0].extents[d]};
     for (std::size_t l = 0; l < depth; ++l) {
-        const BoundLevel &level = bound_.levels[l];
-        const BoundDirective *dir = nullptr;
-        for (const auto &bd : level.directives) {
-            if (bd.dim == d) {
-                dir = &bd;
-                break;
-            }
-        }
-        panicIf(dir == nullptr, "missing directive in sim");
-        Count p;
-        if (dir->spatial()) {
-            p = nest.foldPos(l) * level.num_units; // unit 0
-        } else {
-            p = nest.dimPos(l, d);
-        }
-        const Count extent = iv.size;
-        Count local_start = p * dir->offset_in;
-        if (local_start > std::max<Count>(0, extent - 1))
-            local_start = std::max<Count>(0, extent - 1);
-        const Count size =
-            std::min<Count>(dir->size, extent - local_start);
-        iv.start += local_start;
-        iv.size = size;
+        for (Dim d : kAllDims)
+            narrow(iv[d], nest, l, d);
     }
     return iv;
 }
 
 Rect
-ChunkResolver::weightRect(const Nest &nest, std::size_t depth) const
+ChunkResolver::weightRect(const DimMap<Interval> &iv) const
 {
     Rect r;
     if (!depthwise_)
-        r.dims.push_back(dimInterval(nest, Dim::K, depth));
-    r.dims.push_back(dimInterval(nest, Dim::C, depth));
-    r.dims.push_back(dimInterval(nest, Dim::R, depth));
-    r.dims.push_back(dimInterval(nest, Dim::S, depth));
+        r.push(iv[Dim::K]);
+    r.push(iv[Dim::C]);
+    r.push(iv[Dim::R]);
+    r.push(iv[Dim::S]);
     return r;
 }
 
 Rect
-ChunkResolver::inputRect(const Nest &nest, std::size_t depth) const
+ChunkResolver::inputRect(const DimMap<Interval> &iv) const
 {
     Rect r;
-    r.dims.push_back(dimInterval(nest, Dim::N, depth));
-    r.dims.push_back(dimInterval(nest, Dim::C, depth));
-    r.dims.push_back(dimInterval(nest, Dim::Y, depth));
-    r.dims.push_back(dimInterval(nest, Dim::X, depth));
+    r.push(iv[Dim::N]);
+    r.push(iv[Dim::C]);
+    r.push(iv[Dim::Y]);
+    r.push(iv[Dim::X]);
     return r;
 }
 
@@ -233,36 +234,26 @@ ChunkResolver::outputInterval(const Interval &act, const Interval &filt,
 }
 
 Rect
-ChunkResolver::outputRect(const Nest &nest, std::size_t depth) const
+ChunkResolver::outputRect(const DimMap<Interval> &iv) const
 {
     Rect r;
-    r.dims.push_back(dimInterval(nest, Dim::N, depth));
-    r.dims.push_back(
-        dimInterval(nest, depthwise_ ? Dim::C : Dim::K, depth));
-    r.dims.push_back(outputInterval(dimInterval(nest, Dim::Y, depth),
-                                    dimInterval(nest, Dim::R, depth),
-                                    r_full_, out_y_));
-    r.dims.push_back(outputInterval(dimInterval(nest, Dim::X, depth),
-                                    dimInterval(nest, Dim::S, depth),
-                                    s_full_, out_x_));
+    r.push(iv[Dim::N]);
+    r.push(iv[depthwise_ ? Dim::C : Dim::K]);
+    r.push(outputInterval(iv[Dim::Y], iv[Dim::R], r_full_, out_y_));
+    r.push(outputInterval(iv[Dim::X], iv[Dim::S], s_full_, out_x_));
     return r;
 }
 
 double
-ChunkResolver::peMacs(const Nest &nest) const
+ChunkResolver::peMacs(const DimMap<Interval> &iv) const
 {
-    const std::size_t depth = bound_.levels.size();
-    const Interval n = dimInterval(nest, Dim::N, depth);
-    const Interval k = dimInterval(nest, Dim::K, depth);
-    const Interval c = dimInterval(nest, Dim::C, depth);
     const double pairs_y =
-        axisPairs(dimInterval(nest, Dim::Y, depth),
-                  dimInterval(nest, Dim::R, depth), r_full_, out_y_);
+        axisPairs(iv[Dim::Y], iv[Dim::R], r_full_, out_y_);
     const double pairs_x =
-        axisPairs(dimInterval(nest, Dim::X, depth),
-                  dimInterval(nest, Dim::S, depth), s_full_, out_x_);
-    return static_cast<double>(n.size) * static_cast<double>(k.size) *
-           static_cast<double>(c.size) * pairs_y * pairs_x;
+        axisPairs(iv[Dim::X], iv[Dim::S], s_full_, out_x_);
+    return static_cast<double>(iv[Dim::N].size) *
+           static_cast<double>(iv[Dim::K].size) *
+           static_cast<double>(iv[Dim::C].size) * pairs_y * pairs_x;
 }
 
 double
@@ -384,17 +375,17 @@ StepEngine::activeUnits(const Nest &nest, std::size_t l) const
         remaining, steps > 1 ? 0 : 1, level.num_units));
 }
 
-StepState
-StepEngine::stateAt(const Nest &nest) const
+void
+StepEngine::stateAt(const Nest &nest, StepState &out) const
 {
-    StepState s;
-    s.pos = nest.positions();
-    s.pe[TensorKind::Weight] = resolver_.weightRect(nest, depth_);
-    s.pe[TensorKind::Input] = resolver_.inputRect(nest, depth_);
-    s.pe[TensorKind::Output] = resolver_.outputRect(nest, depth_);
-    s.top[TensorKind::Weight] = resolver_.weightRect(nest, 1);
-    s.top[TensorKind::Input] = resolver_.inputRect(nest, 1);
-    return s;
+    out.pos = nest.positions();
+    const DimMap<Interval> pe_iv = resolver_.intervals(nest, depth_);
+    out.pe[TensorKind::Weight] = resolver_.weightRect(pe_iv);
+    out.pe[TensorKind::Input] = resolver_.inputRect(pe_iv);
+    out.pe[TensorKind::Output] = resolver_.outputRect(pe_iv);
+    const DimMap<Interval> top_iv = resolver_.intervals(nest, 1);
+    out.top[TensorKind::Weight] = resolver_.weightRect(top_iv);
+    out.top[TensorKind::Input] = resolver_.inputRect(top_iv);
 }
 
 StepContribution
@@ -405,15 +396,16 @@ StepEngine::step(const Nest &nest, const StepState *prev,
     StepContribution c;
 
     // Per-step active-unit counts and chip-wide sharing multipliers.
-    std::vector<double> act(depth_, 1.0);
-    for (std::size_t l = 0; l < depth_; ++l)
-        act[l] = std::max(1.0, activeUnits(nest, l));
-
+    // `repl` is the product of every level's active units: the step's
+    // active PEs.
+    double act0 = 1.0;
     double repl = 1.0;
     TensorMap<double> unique_mult(1.0);
     double out_mult = 1.0;
     for (std::size_t l = 0; l < depth_; ++l) {
-        const double a = act[l];
+        const double a = std::max(1.0, activeUnits(nest, l));
+        if (l == 0)
+            act0 = a;
         repl *= a;
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
             unique_mult[t] *= std::max(1.0, a * unique_ratio_[t][l]);
@@ -432,10 +424,11 @@ StepEngine::step(const Nest &nest, const StepState *prev,
     }
 
     // Representative-PE chunks and their new data.
+    const DimMap<Interval> pe_iv = resolver_.intervals(nest, depth_);
     TensorMap<Rect> pe;
-    pe[TensorKind::Weight] = resolver_.weightRect(nest, depth_);
-    pe[TensorKind::Input] = resolver_.inputRect(nest, depth_);
-    pe[TensorKind::Output] = resolver_.outputRect(nest, depth_);
+    pe[TensorKind::Weight] = resolver_.weightRect(pe_iv);
+    pe[TensorKind::Input] = resolver_.inputRect(pe_iv);
+    pe[TensorKind::Output] = resolver_.outputRect(pe_iv);
 
     double noc_in = 0.0;
     for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
@@ -464,8 +457,9 @@ StepEngine::step(const Nest &nest, const StepState *prev,
         first || nest.level0Changed(prev->pos);
     TensorMap<Rect> top;
     if (level0_changed) {
-        top[TensorKind::Weight] = resolver_.weightRect(nest, 1);
-        top[TensorKind::Input] = resolver_.inputRect(nest, 1);
+        const DimMap<Interval> top_iv = resolver_.intervals(nest, 1);
+        top[TensorKind::Weight] = resolver_.weightRect(top_iv);
+        top[TensorKind::Input] = resolver_.inputRect(top_iv);
         for (TensorKind t : {TensorKind::Weight, TensorKind::Input}) {
             const double fresh = first
                                      ? top[t].volume()
@@ -474,7 +468,7 @@ StepEngine::step(const Nest &nest, const StepState *prev,
                                     ? layer_.inputDensityVal()
                                     : layer_.weightDensityVal();
             const double mult =
-                std::max(1.0, act[0] * unique_ratio_[t][0]);
+                std::max(1.0, act0 * unique_ratio_[t][0]);
             if (t == TensorKind::Weight)
                 c.dram_fill_w += fresh * mult * dens;
             else
@@ -483,12 +477,9 @@ StepEngine::step(const Nest &nest, const StepState *prev,
     }
 
     // Per-step delay.
-    const double macs_pe = resolver_.peMacs(nest) * density_;
-    double active = 1.0;
-    for (std::size_t l = 0; l < depth_; ++l)
-        active *= act[l];
-    c.macs = macs_pe * active;
-    c.active = active;
+    const double macs_pe = resolver_.peMacs(pe_iv) * density_;
+    c.macs = macs_pe * repl;
+    c.active = repl;
 
     const double compute =
         std::ceil(std::max(1.0, macs_pe) / vector_width_);
@@ -504,8 +495,8 @@ StepEngine::step(const Nest &nest, const StepState *prev,
 
     if (out != nullptr) {
         out->pos = nest.positions();
-        out->pe = std::move(pe);
-        out->top = level0_changed ? std::move(top) : prev->top;
+        out->pe = pe;
+        out->top = level0_changed ? top : prev->top;
     }
     return c;
 }

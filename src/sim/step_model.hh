@@ -19,9 +19,11 @@
 #ifndef MAESTRO_SIM_STEP_MODEL_HH
 #define MAESTRO_SIM_STEP_MODEL_HH
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
+#include "src/common/error.hh"
 #include "src/core/cluster_analysis.hh"
 #include "src/hw/accelerator.hh"
 #include "src/model/layer.hh"
@@ -55,10 +57,22 @@ struct SimLoop
     const BoundDirective *directive = nullptr;
 };
 
-/** A tensor's concrete chunk as a list of per-storage-dim intervals. */
+/**
+ * A tensor's concrete chunk: one interval per storage dim, held in
+ * place (no tensor has more than four storage dims).
+ */
 struct Rect
 {
-    std::vector<Interval> dims;
+    std::array<Interval, 4> dims{};
+    std::size_t rank = 0; ///< storage dims in use
+
+    /** Appends the next storage dim's interval. */
+    void push(const Interval &iv)
+    {
+        if (rank == dims.size()) [[unlikely]]
+            panicWith("sim rect has more than four storage dims");
+        dims[rank++] = iv;
+    }
 
     double volume() const;
 
@@ -95,10 +109,18 @@ class Nest
     bool decrement(std::vector<Count> &pos) const;
 
     /** Fold position of a level (0 when it has no fold loop). */
-    Count foldPos(std::size_t level) const;
+    Count foldPos(std::size_t level) const
+    {
+        const std::size_t i = fold_loop_[level];
+        return i == kNoLoop ? 0 : pos_[i];
+    }
 
     /** Temporal position of a dim at a level (0 when not iterating). */
-    Count dimPos(std::size_t level, Dim dim) const;
+    Count dimPos(std::size_t level, Dim dim) const
+    {
+        const std::size_t i = dim_loop_[level][dim];
+        return i == kNoLoop ? 0 : pos_[i];
+    }
 
     /** True when any level-0 loop differs from `prev`. */
     bool level0Changed(const std::vector<Count> &prev) const;
@@ -106,8 +128,16 @@ class Nest
     const std::vector<Count> &positions() const { return pos_; }
 
   private:
+    static constexpr std::size_t kNoLoop = static_cast<std::size_t>(-1);
+
     std::vector<SimLoop> loops_;
     std::vector<Count> pos_;
+    /** Per level: index of its fold loop, or kNoLoop. */
+    std::vector<std::size_t> fold_loop_;
+    /** Per level and dim: index of its temporal loop, or kNoLoop. */
+    std::vector<DimMap<std::size_t>> dim_loop_;
+    /** Loops [0, level0_loops_) are level 0's. */
+    std::size_t level0_loops_ = 0;
 };
 
 /**
@@ -127,11 +157,17 @@ class ChunkResolver
     Interval dimInterval(const Nest &nest, Dim d,
                          std::size_t depth) const;
 
-    /** Weight chunk at the given depth. */
-    Rect weightRect(const Nest &nest, std::size_t depth) const;
+    /**
+     * Every dimension's `dimInterval` at once: one pass down the
+     * levels narrows all seven.
+     */
+    DimMap<Interval> intervals(const Nest &nest, std::size_t depth) const;
 
-    /** Input chunk at the given depth. */
-    Rect inputRect(const Nest &nest, std::size_t depth) const;
+    /** Weight chunk of one resolution (`intervals`). */
+    Rect weightRect(const DimMap<Interval> &iv) const;
+
+    /** Input chunk of one resolution. */
+    Rect inputRect(const DimMap<Interval> &iv) const;
 
     /**
      * Output positions along one axis touched/owned by an
@@ -140,14 +176,15 @@ class ChunkResolver
     Interval outputInterval(const Interval &act, const Interval &filt,
                             Count filt_full, Count out_extent) const;
 
-    /** Output chunk at the given depth. */
-    Rect outputRect(const Nest &nest, std::size_t depth) const;
+    /** Output chunk of one resolution. */
+    Rect outputRect(const DimMap<Interval> &iv) const;
 
     /**
-     * Exact MACs of the representative PE at the current step:
-     * valid (y, r) pairs enumerated over the filter chunk.
+     * Exact MACs of the representative PE, from its resolution at
+     * the PE depth: valid (y, r) pairs enumerated over the filter
+     * chunk.
      */
-    double peMacs(const Nest &nest) const;
+    double peMacs(const DimMap<Interval> &iv) const;
 
     Count stride() const { return stride_; }
     Count filterFull(Dim d) const
@@ -156,10 +193,16 @@ class ChunkResolver
     }
 
   private:
+    /** Narrows `iv` to level `l`'s chunk of `d` at the nest's position. */
+    void narrow(Interval &iv, const Nest &nest, std::size_t l,
+                Dim d) const;
+
     double axisPairs(const Interval &act, const Interval &filt,
                      Count filt_full, Count out_extent) const;
 
     const BoundDataflow &bound_;
+    /** Per level and dim: its first directive (null when absent). */
+    std::vector<DimMap<const BoundDirective *>> directive_;
     bool depthwise_;
     Count stride_ = 1;
     Count r_full_ = 1;
@@ -239,11 +282,12 @@ class StepEngine
                           StepState *out) const;
 
     /**
-     * Synthesizes the carried state for an arbitrary position (the
-     * fast path derives a class representative's predecessor state
-     * without walking to it). The nest must already be positioned.
+     * Synthesizes the carried state for an arbitrary position into
+     * `out` (the fast path derives a class representative's
+     * predecessor state without walking to it, reusing one state for
+     * every class). The nest must already be positioned.
      */
-    StepState stateAt(const Nest &nest) const;
+    void stateAt(const Nest &nest, StepState &out) const;
 
     /**
      * Concrete spatial position count of one level given the current

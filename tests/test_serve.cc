@@ -1016,8 +1016,8 @@ TEST(Serve, SaturatedQueueAnswers503WithRetryAfter)
 TEST(Serve, DeadlineExpiryAnswers408ThenRecovers)
 {
     // Both sides clear the deadline by a wide margin, so scheduling on
-    // a loaded host cannot flip either outcome: the slow request (a
-    // 2000-triple crossval, about 0.5 s of one core) runs about 10x
+    // a loaded host cannot flip either outcome: the slow request (an
+    // 8000-triple crossval, about 0.5 s of one core) runs about 10x
     // the deadline, the quick one (one tiny layer under C-P, about
     // 0.15 ms) about 1/300 of it.
     ServeOptions options;
@@ -1027,7 +1027,7 @@ TEST(Serve, DeadlineExpiryAnswers408ThenRecovers)
     const std::uint16_t port = server.port();
 
     const ClientResponse slow = oneShot(
-        port, postRequest("/crossval?triples=2000", tinyNetwork(8)));
+        port, postRequest("/crossval?triples=8000", tinyNetwork(8)));
     EXPECT_EQ(slow.status, 408) << slow.body;
     EXPECT_NE(slow.body.find("\"error\""), std::string::npos);
 

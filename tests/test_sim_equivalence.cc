@@ -19,6 +19,7 @@
 #include "src/dataflows/catalog.hh"
 #include "src/sim/crossval.hh"
 #include "src/sim/reference_sim.hh"
+#include "tests/sim_cases.hh"
 
 namespace maestro
 {
@@ -155,6 +156,23 @@ TEST(SimEquivalence, HandpickedEdgeCases)
             ++checked;
     }
     EXPECT_GE(checked, static_cast<int>(specs.size()) - 2);
+}
+
+TEST(SimEquivalence, ThreeLevelDataflowMatchesWalker)
+{
+    // The catalog's dataflows have at most two levels. Here every one
+    // of three levels folds, so the chunk resolver reads fold and
+    // temporal positions below the first cluster level.
+    const simtest::SimCase three = simtest::threeLevelCase();
+    const SimResult fast =
+        simulateLayer(three.layer, three.dataflow, three.config);
+    SimOptions exact_opts;
+    exact_opts.exact = true;
+    const SimResult exact = simulateLayer(three.layer, three.dataflow,
+                                          three.config, exact_opts);
+    EXPECT_EQ(fast.steps, 2048.0);
+    EXPECT_LT(fast.step_classes, fast.steps);
+    expectIdentical(fast, exact, "three-level dataflow");
 }
 
 TEST(SimEquivalence, StridedYxPCoversAllOutputs)
