@@ -86,6 +86,15 @@ bindMapDirective(const Directive &directive,
 BoundDataflow
 bindDataflow(const Dataflow &dataflow, const Layer &layer, Count num_pes)
 {
+    BoundDataflow bound;
+    bindDataflow(dataflow, layer, num_pes, bound);
+    return bound;
+}
+
+void
+bindDataflow(const Dataflow &dataflow, const Layer &layer, Count num_pes,
+             BoundDataflow &out)
+{
     dataflow.validate();
     fatalIf(num_pes <= 0, "bindDataflow: num_pes must be positive");
 
@@ -107,9 +116,10 @@ bindDataflow(const Dataflow &dataflow, const Layer &layer, Count num_pes)
         ++num_levels;
     }
 
-    BoundDataflow bound;
-    bound.total_pes = 1;
-    bound.levels.reserve(num_levels);
+    // Levels kept from an earlier bind keep their directive capacity;
+    // every field of every level is rewritten below.
+    out.total_pes = 1;
+    out.levels.resize(num_levels);
     DimMap<Count> extents = layer_dims;
 
     // Each level spans the directives up to the next Cluster(c) (or
@@ -129,12 +139,17 @@ bindDataflow(const Dataflow &dataflow, const Layer &layer, Count num_pes)
                 ? std::min(dirs[end].size.eval(layer_dims), parent_units)
                 : 1;
 
-        BoundLevel &level = bound.levels.emplace_back();
+        BoundLevel &level = out.levels[lvl];
         level.num_units = parent_units / cluster_size;
         level.extents = extents;
+        level.chunk = DimMap<Count>();
+        level.avg_chunk = DimMap<double>();
+        level.spatial_shift = DimMap<Count>();
         level.stride = stride;
+        level.first_spatial = BoundLevel::kNoSpatial;
+        level.directives.clear();
         level.directives.reserve(kNumDims);
-        bound.total_pes *= level.num_units;
+        out.total_pes *= level.num_units;
 
         DimMap<bool> mapped(false);
         for (std::size_t i = begin; i < end; ++i) {
@@ -199,7 +214,6 @@ bindDataflow(const Dataflow &dataflow, const Layer &layer, Count num_pes)
         parent_units = cluster_size;
         begin = end + 1;
     }
-    return bound;
 }
 
 } // namespace maestro

@@ -150,6 +150,17 @@ struct BoundDataflow
 BoundDataflow bindDataflow(const Dataflow &dataflow, const Layer &layer,
                            Count num_pes);
 
+/**
+ * The same binding, written into caller-owned storage: a search binds
+ * candidate after candidate into one BoundDataflow, and its levels
+ * keep their directive capacity across binds. Every field of every
+ * level is rewritten, so nothing carries over from an earlier bind. A
+ * bind that throws leaves `out` partly written, for the next bind to
+ * overwrite.
+ */
+void bindDataflow(const Dataflow &dataflow, const Layer &layer,
+                  Count num_pes, BoundDataflow &out);
+
 } // namespace maestro
 
 #endif // MAESTRO_CORE_CLUSTER_ANALYSIS_HH

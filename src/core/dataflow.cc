@@ -76,6 +76,17 @@ Dataflow::add(Directive directive)
     return *this;
 }
 
+void
+Dataflow::setMapSize(std::size_t index, SizeExpr size, SizeExpr offset)
+{
+    panicIf(index >= directives_.size() ||
+                directives_[index].kind == DirectiveKind::Cluster,
+            "setMapSize: directive ", index, " of ", directives_.size(),
+            " is not a map");
+    directives_[index].size = size;
+    directives_[index].offset = offset;
+}
+
 std::size_t
 Dataflow::numLevels() const
 {

@@ -130,6 +130,14 @@ class Dataflow
     /** The ordered directive list. */
     const std::vector<Directive> &directives() const { return directives_; }
 
+    /**
+     * Rewrites the size and offset of the map directive at `index`,
+     * keeping its kind and dim, so a search can retile one directive
+     * list in place instead of building a new one per candidate.
+     * Aborts when `index` is out of range or names a Cluster.
+     */
+    void setMapSize(std::size_t index, SizeExpr size, SizeExpr offset);
+
     /** Number of cluster levels (1 + number of Cluster directives). */
     std::size_t numLevels() const;
 

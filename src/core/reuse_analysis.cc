@@ -153,7 +153,6 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
 {
     LevelReuse out;
     const Count stride = level.stride;
-    out.loops.reserve(level.directives.size() + 1);
 
     // ---- Nest loops (iterating temporal directives + fold loop). ----
     for (std::size_t i = 0; i < level.directives.size(); ++i) {
@@ -237,8 +236,7 @@ analyzeLevelReuse(const BoundLevel &level, const TensorInfo &tensors,
 
         // Temporal deltas per nest loop (transition model; see .hh).
         t.delta_per_loop.assign(out.loops.size(), 0.0);
-        std::vector<std::size_t> coupled_loops;
-        coupled_loops.reserve(out.loops.size());
+        LevelLoops<std::size_t> coupled_loops;
         bool coupled_temporal = false;
         for (std::size_t i = 0; i < out.loops.size(); ++i) {
             const LoopInfo &loop = out.loops[i];

@@ -25,11 +25,9 @@
 #ifndef MAESTRO_CORE_REUSE_ANALYSIS_HH
 #define MAESTRO_CORE_REUSE_ANALYSIS_HH
 
-#include <array>
-#include <cstddef>
 #include <vector>
 
-#include "src/common/error.hh"
+#include "src/common/inline_list.hh"
 #include "src/core/cluster_analysis.hh"
 #include "src/core/tensor_analysis.hh"
 
@@ -59,6 +57,14 @@ struct LoopInfo
 };
 
 /**
+ * One entry per loop of a level's nest, held inline. Binding leaves
+ * every dim one directive per level, so a nest holds at most one loop
+ * per dim plus the fold loop: never more than kNumDims + 1 = 8.
+ */
+template <typename T>
+using LevelLoops = InlineList<T, kNumDims + 1>;
+
+/**
  * Spatio-temporal traffic profile of one tensor at one level.
  */
 struct TensorLevelTraffic
@@ -83,7 +89,7 @@ struct TensorLevelTraffic
     bool spatial_reduction = false;
 
     /** Per-loop per-unit new-data volume when that loop advances. */
-    std::vector<double> delta_per_loop;
+    LevelLoops<double> delta_per_loop;
 
     /**
      * Total per-unit traffic across one full level execution:
@@ -99,7 +105,7 @@ struct TensorLevelTraffic
 struct LevelReuse
 {
     /** Nest loops outermost-first (only iterating ones). */
-    std::vector<LoopInfo> loops;
+    LevelLoops<LoopInfo> loops;
 
     /** Per-tensor traffic profiles. */
     TensorMap<TensorLevelTraffic> traffic;
@@ -128,30 +134,7 @@ struct StorageDimView
  * tensor has at most four storage dims, and the engines build these
  * per tensor, per level and per fold loop, so they stay off the heap.
  */
-class StorageDims
-{
-  public:
-    /** Most storage dims any tensor has. */
-    static constexpr std::size_t kCapacity = 4;
-
-    void
-    push_back(const StorageDimView &view)
-    {
-        panicIf(size_ == kCapacity, "StorageDims: more than ",
-                kCapacity, " views");
-        views_[size_++] = view;
-    }
-
-    std::size_t size() const { return size_; }
-    StorageDimView *begin() { return views_.data(); }
-    StorageDimView *end() { return views_.data() + size_; }
-    const StorageDimView *begin() const { return views_.data(); }
-    const StorageDimView *end() const { return views_.data() + size_; }
-
-  private:
-    std::array<StorageDimView, kCapacity> views_{};
-    std::size_t size_ = 0;
-};
+using StorageDims = InlineList<StorageDimView, 4>;
 
 /**
  * Output positions covered by an activation chunk given a filter

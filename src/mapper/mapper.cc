@@ -225,38 +225,42 @@ mapLayer(const Analyzer &analyzer, const Layer &layer,
         obs::ScopedSpan shard_span(kShardSite);
         shard_span.arg("class", cls);
         ClassResult &out = classes[cls];
-        std::unordered_set<std::string> held;
+        // The shard's own storage: every candidate binds into `bound`
+        // and keys into `held`, so neither allocates per candidate.
+        MappingKeySet held;
+        BoundDataflow bound;
         const auto visit = [&](const Dataflow &df, std::size_t index) {
             ++out.counts.generated;
             // A candidate that does not bind is evaluated and
             // rejected, never deduped or cut.
-            std::optional<BoundDataflow> bound;
+            bool bound_ok = false;
             try {
-                bound = bindDataflow(df, layer, in.config.num_pes);
+                bindDataflow(df, layer, in.config.num_pes, bound);
+                bound_ok = true;
             } catch (const std::exception &) {
             }
-            if (bound && !options.exact) {
-                if (!held.insert(canonicalMappingKey(*bound)).second) {
+            if (bound_ok && !options.exact) {
+                if (!held.insert(bound)) {
                     ++out.counts.pruned_symmetry;
                     return;
                 }
                 if (options.enforce_l1_capacity &&
-                    l1LowerBoundBytes(*bound, layer, in.config) >
+                    l1LowerBoundBytes(bound, layer, in.config) >
                         l1_bytes) {
                     ++out.counts.pruned_capacity;
                     return;
                 }
                 if (bound_prune &&
-                    losesOnFloor(*bound, in, out.best, options.top_k)) {
+                    losesOnFloor(bound, in, out.best, options.top_k)) {
                     ++out.counts.pruned_bound;
                     return;
                 }
             }
             ++out.counts.evaluated;
             std::optional<double> value;
-            if (bound) {
+            if (bound_ok) {
                 try {
-                    value = scoreBound(*bound, in, objective,
+                    value = scoreBound(bound, in, objective,
                                        options.enforce_l1_capacity);
                 } catch (const std::exception &) {
                 }

@@ -23,16 +23,21 @@
  * each symmetry duplicate dropped, byte-for-byte, names included.
  *
  * Evaluation path. Each class's shard builds its candidates one at a
- * time in enumeration order (forEachCandidate), binds each once and
- * takes its canonical key. It drops a candidate whose key it already
- * holds, or, under enforce_l1_capacity, one the capacity cut rejects;
+ * time in enumeration order (forEachCandidate, which retiles one
+ * directive list per on-chip choice in place), binds each once into
+ * the shard's own BoundDataflow and keys it into the shard's own
+ * MappingKeySet, so building, binding and keying a candidate
+ * allocates nothing once that storage has grown; shards share none of
+ * it. A shard drops a candidate whose key it already holds, or, under
+ * enforce_l1_capacity, one the capacity cut rejects;
  * candidates of different classes never share a key, so that is the
  * whole space's dedup. A runtime search then drops, once the class's
  * top_k heap is full, a candidate whose compute floor (computeFloor,
  * from the binding alone) exceeds the heap's worst value: its runtime
  * is at least that floor, so it cannot enter the heap. Every other
- * candidate runs through the pure
- * stage engines on that same binding (reuse -> flat -> performance),
+ * candidate runs through the pure stage engines on that same binding
+ * (reuse -> flat -> performance; the reuse engine's per-level lists
+ * are inline, so scoring a candidate's runtime allocates six times),
  * like the DSE fast sweep: bit-identical to the memoizing pipeline by
  * assembleLayerAnalysis's contract, without thrashing the shared LRU
  * caches with tens of thousands of one-shot mappings. Cost and

@@ -1,9 +1,12 @@
 #include "src/mapper/search_space.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <string_view>
 
 #include "src/common/error.hh"
+#include "src/common/hash.hh"
 #include "src/core/reuse_analysis.hh"
 
 namespace maestro
@@ -89,19 +92,67 @@ temporalDirective(Dim d, Count t)
 }
 
 /**
- * Appends `value` as an LEB128 varint: seven bits per byte, low
- * groups first, the high bit set on every byte but the last. Taken
- * over the two's-complement bits, so it is injective on all of Count.
+ * Writes `value` at `out` as an LEB128 varint: seven bits per byte,
+ * low groups first, the high bit set on every byte but the last.
+ * Taken over the two's-complement bits, so it is injective on all of
+ * Count; at most kMaxVarintBytes bytes. Returns the end of the write.
  */
-void
-appendVarint(std::string &out, Count value)
+char *
+putVarint(char *out, Count value)
 {
     auto bits = static_cast<std::uint64_t>(value);
     while (bits >= 0x80) {
-        out.push_back(static_cast<char>((bits & 0x7f) | 0x80));
+        *out++ = static_cast<char>((bits & 0x7f) | 0x80);
         bits >>= 7;
     }
-    out.push_back(static_cast<char>(bits));
+    *out++ = static_cast<char>(bits);
+    return out;
+}
+
+/** Most bytes a varint of 64 bits takes (ceil(64 / 7)). */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/** Most bytes one level's key takes: the unit count, then a tag and
+ *  six varints for each of at most kNumDims directives (binding leaves
+ *  one per dim), then the closing zero. */
+constexpr std::size_t kMaxLevelKeyBytes =
+    kMaxVarintBytes + kNumDims * (1 + 6 * kMaxVarintBytes) + 1;
+
+/** Appends the key of one bound level to `key`: encoded into a bounded
+ *  local buffer and appended once (see canonicalMappingKey). */
+void
+appendLevelKey(std::string &key, const BoundLevel &level)
+{
+    panicIf(level.directives.size() > kNumDims, "mapping key: ",
+            level.directives.size(), " directives in one level");
+    char buf[kMaxLevelKeyBytes];
+    char *end = putVarint(buf, level.num_units);
+    for (const BoundDirective &bd : level.directives) {
+        // Full-extent single-step temporal maps are loop-order inert:
+        // they contribute only their (extent-sized) chunk, exactly
+        // like the binder's inferred maps (see header).
+        if (!bd.spatial() && bd.steps <= 1 &&
+            bd.size >= level.extents[bd.dim])
+            continue;
+        *end++ = static_cast<char>(1 + 2 * static_cast<int>(bd.dim) +
+                                   (bd.spatial() ? 1 : 0));
+        end = putVarint(end, bd.size);
+        end = putVarint(end, bd.offset_in);
+        end = putVarint(end, bd.offset_out);
+        end = putVarint(end, bd.out_space ? 1 : 0);
+        end = putVarint(end, bd.steps);
+        end = putVarint(end, bd.edge_size);
+    }
+    *end++ = '\0';
+    key.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+/** Appends the canonical mapping key of `bound` to `key`. */
+void
+appendMappingKey(std::string &key, const BoundDataflow &bound)
+{
+    for (const BoundLevel &level : bound.levels)
+        appendLevelKey(key, level);
 }
 
 /** The search class of an on-chip choice, in [0, kSearchClasses):
@@ -131,22 +182,12 @@ tupleCount(const SearchSpace &space, const OnChipChoice &oc)
 }
 
 /**
- * The candidate of on-chip choice `oc` at tile tuple `tuple`: an
- * odometer over the tiled dims in their loop-order positions,
- * innermost tile fastest.
+ * The directive list of on-chip choice `oc`, its tiled maps at tile 1
+ * until setTiles retiles them.
  */
 Dataflow
-buildCandidate(const SearchSpace &space, const OnChipChoice &oc,
-               std::size_t tuple)
+onChipDataflow(const OnChipChoice &oc)
 {
-    const std::array<Dim, 3> tiled = tiledDims(oc);
-    DimMap<Count> tiles;
-    for (std::size_t i = tiled.size(); i-- > 0;) {
-        const std::vector<Count> &ladder = space.ladders[tiled[i]];
-        tiles[tiled[i]] = ladder[tuple % ladder.size()];
-        tuple /= ladder.size();
-    }
-
     std::vector<Directive> dirs;
     dirs.reserve(oc.cluster_size > 1 ? 8 : 6);
     for (std::size_t pos = 0; pos < oc.order.size(); ++pos) {
@@ -154,7 +195,7 @@ buildCandidate(const SearchSpace &space, const OnChipChoice &oc,
         if (pos == oc.spatial_pos)
             dirs.push_back(spatialDirective(d));
         else
-            dirs.push_back(temporalDirective(d, tiles[d]));
+            dirs.push_back(temporalDirective(d, 1));
     }
     dirs.push_back(Directive::temporal(Dim::R, sz(Dim::R), sz(Dim::R)));
     dirs.push_back(Directive::temporal(Dim::S, sz(Dim::S), sz(Dim::S)));
@@ -163,6 +204,27 @@ buildCandidate(const SearchSpace &space, const OnChipChoice &oc,
         dirs.push_back(spatialDirective(oc.inner_spatial));
     }
     return Dataflow(std::string(), std::move(dirs));
+}
+
+/**
+ * Retiles `df`, built by onChipDataflow(oc), in place to the candidate
+ * at tile tuple `tuple`: an odometer over the tiled dims in their
+ * loop-order positions, innermost tile fastest.
+ */
+void
+setTiles(Dataflow &df, const SearchSpace &space, const OnChipChoice &oc,
+         std::size_t tuple)
+{
+    for (std::size_t pos = oc.order.size(); pos-- > 0;) {
+        if (pos == oc.spatial_pos)
+            continue;
+        const Dim d = oc.order[pos];
+        const std::vector<Count> &ladder = space.ladders[d];
+        const Directive tiled =
+            temporalDirective(d, ladder[tuple % ladder.size()]);
+        df.setMapSize(pos, tiled.size, tiled.offset);
+        tuple /= ladder.size();
+    }
 }
 
 } // namespace
@@ -265,9 +327,15 @@ forEachCandidate(
     std::size_t first = 0;
     for (const OnChipChoice &oc : space.onchip) {
         const std::size_t tuples = tupleCount(space, oc);
-        if (searchClass(oc) == cls)
-            for (std::size_t tuple = 0; tuple < tuples; ++tuple)
-                visit(buildCandidate(space, oc, tuple), first + tuple);
+        if (searchClass(oc) == cls) {
+            // One directive list per on-chip choice, retiled in place
+            // for each tile tuple.
+            Dataflow df = onChipDataflow(oc);
+            for (std::size_t tuple = 0; tuple < tuples; ++tuple) {
+                setTiles(df, space, oc, tuple);
+                visit(df, first + tuple);
+            }
+        }
         first += tuples;
     }
 }
@@ -277,8 +345,11 @@ candidateAt(const SearchSpace &space, std::size_t index)
 {
     for (const OnChipChoice &oc : space.onchip) {
         const std::size_t tuples = tupleCount(space, oc);
-        if (index < tuples)
-            return buildCandidate(space, oc, index);
+        if (index < tuples) {
+            Dataflow df = onChipDataflow(oc);
+            setTiles(df, space, oc, index);
+            return df;
+        }
         index -= tuples;
     }
     throw Error("candidate index out of range");
@@ -330,27 +401,60 @@ canonicalMappingKey(const BoundDataflow &bound)
     // allocation of exactly its size.
     thread_local std::string key;
     key.clear();
-    for (const BoundLevel &level : bound.levels) {
-        appendVarint(key, level.num_units);
-        for (const BoundDirective &bd : level.directives) {
-            // Full-extent single-step temporal maps are loop-order
-            // inert: they contribute only their (extent-sized) chunk,
-            // exactly like the binder's inferred maps (see header).
-            if (!bd.spatial() && bd.steps <= 1 &&
-                bd.size >= level.extents[bd.dim])
-                continue;
-            key.push_back(static_cast<char>(
-                1 + 2 * static_cast<int>(bd.dim) + (bd.spatial() ? 1 : 0)));
-            appendVarint(key, bd.size);
-            appendVarint(key, bd.offset_in);
-            appendVarint(key, bd.offset_out);
-            appendVarint(key, bd.out_space ? 1 : 0);
-            appendVarint(key, bd.steps);
-            appendVarint(key, bd.edge_size);
-        }
-        key.push_back('\0');
-    }
+    appendMappingKey(key, bound);
     return key;
+}
+
+bool
+MappingKeySet::insert(const BoundDataflow &bound)
+{
+    if (2 * (size_ + 1) > slots_.size())
+        grow();
+    // The key is encoded at the arena's end and kept there only when
+    // it is new.
+    const std::size_t offset = arena_.size();
+    appendMappingKey(arena_, bound);
+    const std::string_view key(arena_.data() + offset,
+                               arena_.size() - offset);
+    const std::uint64_t hash = hashBytes(key);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash >> shift_;; i = (i + 1) & mask) {
+        Slot &slot = slots_[i];
+        if (slot.length == 0) {
+            slot = {hash, offset, key.size()};
+            ++size_;
+            return true;
+        }
+        if (slot.hash == hash &&
+            std::string_view(arena_.data() + slot.offset, slot.length) ==
+                key) {
+            arena_.resize(offset);
+            return false;
+        }
+    }
+}
+
+void
+MappingKeySet::grow()
+{
+    // Doubles the index and re-places every held key by its stored
+    // hash; slots hold arena offsets, so keys never move. The first
+    // call sizes both for a few hundred keys of a few dozen bytes, so
+    // a class of a thousand keys grows each only a few times.
+    std::vector<Slot> old = std::move(slots_);
+    if (old.empty())
+        arena_.reserve(4096);
+    slots_.assign(old.empty() ? 256 : 2 * old.size(), Slot{});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot &slot : old) {
+        if (slot.length == 0)
+            continue;
+        std::size_t i = slot.hash >> shift_;
+        while (slots_[i].length != 0)
+            i = (i + 1) & mask;
+        slots_[i] = slot;
+    }
 }
 
 double

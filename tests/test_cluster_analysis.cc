@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/common/error.hh"
 #include "src/core/cluster_analysis.hh"
 #include "src/dataflows/catalog.hh"
+#include "tests/sim_cases.hh"
 
 namespace maestro
 {
@@ -223,6 +227,89 @@ TEST(ClusterAnalysis, TotalStepsIncludesFolds)
     const BoundLevel &level = bound.levels[0];
     // Loops: K (4 steps), fold (4), Y' (6), X' (6).
     EXPECT_EQ(level.total_steps, 4 * 4 * 6 * 6);
+}
+
+/** The bits of a double, so a comparison fails on any bit change. */
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Every field of every level of `got` against `want`; `avg_chunk`
+ *  and `active_units` compared as bits. */
+void
+expectSameBinding(const BoundDataflow &got, const BoundDataflow &want)
+{
+    EXPECT_EQ(got.total_pes, want.total_pes);
+    ASSERT_EQ(got.levels.size(), want.levels.size());
+    for (std::size_t l = 0; l < want.levels.size(); ++l) {
+        SCOPED_TRACE("level " + std::to_string(l));
+        const BoundLevel &a = got.levels[l];
+        const BoundLevel &b = want.levels[l];
+        EXPECT_EQ(a.num_units, b.num_units);
+        EXPECT_TRUE(a.extents == b.extents);
+        EXPECT_TRUE(a.chunk == b.chunk);
+        for (Dim d : kAllDims)
+            EXPECT_EQ(bits(a.avg_chunk[d]), bits(b.avg_chunk[d]))
+                << dimName(d);
+        EXPECT_TRUE(a.spatial_shift == b.spatial_shift);
+        ASSERT_EQ(a.directives.size(), b.directives.size());
+        for (std::size_t i = 0; i < b.directives.size(); ++i) {
+            SCOPED_TRACE("directive " + std::to_string(i));
+            const BoundDirective &x = a.directives[i];
+            const BoundDirective &y = b.directives[i];
+            EXPECT_EQ(x.kind, y.kind);
+            EXPECT_EQ(x.dim, y.dim);
+            EXPECT_EQ(x.size, y.size);
+            EXPECT_EQ(x.offset_in, y.offset_in);
+            EXPECT_EQ(x.offset_out, y.offset_out);
+            EXPECT_EQ(x.out_space, y.out_space);
+            EXPECT_EQ(x.steps, y.steps);
+            EXPECT_EQ(x.edge_size, y.edge_size);
+            EXPECT_EQ(x.inferred, y.inferred);
+        }
+        EXPECT_EQ(a.spatial_steps, b.spatial_steps);
+        EXPECT_EQ(a.spatial_folds, b.spatial_folds);
+        EXPECT_EQ(bits(a.active_units), bits(b.active_units));
+        EXPECT_EQ(a.total_steps, b.total_steps);
+        EXPECT_EQ(a.stride, b.stride);
+        EXPECT_EQ(a.first_spatial, b.first_spatial);
+    }
+}
+
+TEST(ClusterAnalysis, ReusedStorageCarriesNoStaleState)
+{
+    // One BoundDataflow takes three levels, then one, then a bind that
+    // throws after writing level 0 (its inner map size evaluates to
+    // 0), then two: each successful bind must equal a fresh one.
+    const simtest::SimCase three = simtest::threeLevelCase();
+    const Layer &layer = three.layer;
+    const Count pes = three.config.num_pes;
+    const Dataflow bad(
+        "Bad", {Directive::spatial(Dim::K, SizeExpr::of(1),
+                                   SizeExpr::of(1)),
+                Directive::cluster(SizeExpr::of(4)),
+                Directive::spatial(Dim::C, SizeExpr::sizeOf(Dim::R, -3),
+                                   SizeExpr::of(1))});
+    ASSERT_EQ(layer.effectiveDim(Dim::R), 3);
+
+    BoundDataflow reused;
+    bindDataflow(three.dataflow, layer, pes, reused);
+    ASSERT_EQ(reused.levels.size(), 3u);
+    expectSameBinding(reused, bindDataflow(three.dataflow, layer, pes));
+
+    bindDataflow(dataflows::cPartitioned(), layer, pes, reused);
+    ASSERT_EQ(reused.levels.size(), 1u);
+    expectSameBinding(reused,
+                      bindDataflow(dataflows::cPartitioned(), layer, pes));
+
+    EXPECT_THROW(bindDataflow(bad, layer, pes, reused), Error);
+
+    bindDataflow(dataflows::kcPartitioned(), layer, pes, reused);
+    ASSERT_EQ(reused.levels.size(), 2u);
+    expectSameBinding(reused,
+                      bindDataflow(dataflows::kcPartitioned(), layer, pes));
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common utilities: error helpers and the table /
- * number formatting used by every bench harness.
+ * Unit tests for the common utilities: error helpers, the inline
+ * list, and the table / number formatting used by every bench harness.
  */
 
 #include <sstream>
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/error.hh"
+#include "src/common/inline_list.hh"
 #include "src/common/table.hh"
 
 namespace maestro
@@ -30,6 +31,25 @@ TEST(Errors, FatalIfThrowsOnlyWhenTrue)
 TEST(Errors, MsgConcatenatesStreamables)
 {
     EXPECT_EQ(msg("a", 1, "-", 2.5), "a1-2.5");
+}
+
+TEST(InlineListDeathTest, HoldsItsCapacityAndPanicsPastIt)
+{
+    // A push or assign past the capacity must abort, never write past
+    // the array.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    InlineList<int, 2> list;
+    EXPECT_TRUE(list.empty());
+    list.push_back(1);
+    list.push_back(2);
+    EXPECT_EQ(list.size(), 2u);
+    EXPECT_EQ(list[1], 2);
+    EXPECT_EQ(list.back(), 2);
+    EXPECT_DEATH(list.push_back(3), "more than 2 elements");
+    EXPECT_DEATH(list.assign(3, 0), "3 elements, more than 2");
+    list.assign(1, 7);
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list[0], 7);
 }
 
 TEST(Table, AlignedRendering)

@@ -399,7 +399,10 @@ TEST(Mapper, CandidateKeysStayInTheirClass)
     // Each class's shard dedups against its own keys, which is exact
     // only if every holder of a canonical key lies in one class. At 16
     // PEs Cluster(16) and Cluster(64) bind alike, so splitting a class
-    // by cluster size would break this there.
+    // by cluster size would break this there. The shards' key set, fed
+    // the same stream (duplicates included) through one reused
+    // binding, must call exactly the same candidates new as the
+    // string keys of fresh bindings.
     const Network vgg = zoo::vgg16();
     const Network mobilenet = zoo::mobilenetV2();
     const Network resnet = zoo::resnet50();
@@ -415,6 +418,8 @@ TEST(Mapper, CandidateKeysStayInTheirClass)
             SCOPED_TRACE(layer->name());
             SCOPED_TRACE(pes);
             std::unordered_map<std::string, std::size_t> key_class;
+            mapper::MappingKeySet keys;
+            BoundDataflow reused;
             std::vector<int> seen(mapper::candidateCount(space), 0);
             for (std::size_t cls = 0; cls < mapper::kSearchClasses;
                  ++cls) {
@@ -430,8 +435,12 @@ TEST(Mapper, CandidateKeysStayInTheirClass)
                         duplicates += fresh ? 0 : 1;
                         EXPECT_EQ(it->second, cls)
                             << "candidate " << index;
+                        bindDataflow(df, *layer, pes, reused);
+                        EXPECT_EQ(keys.insert(reused), fresh)
+                            << "candidate " << index;
                     });
             }
+            EXPECT_EQ(keys.size(), key_class.size());
             // The classes cover the cross product exactly once.
             EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
                       static_cast<std::ptrdiff_t>(seen.size()));

@@ -284,9 +284,12 @@ heavyPayload()
 }
 
 /**
- * Single conv sized so an exact-walk simulation (~8K nest steps)
- * holds a worker busy for ~100ms: slow enough to overlap concurrent
- * clients deterministically, fast enough not to stall ctest.
+ * Single conv sized so its exact-walk C-P simulation (774,400 nest
+ * steps) holds a worker busy for about 0.4 s at the walker's rate of
+ * about 1.9M steps/s (4-vCPU guest, Release): over ten times the 30 ms
+ * stagger the concurrency tests leave before their next client, so
+ * that client meets the busy worker, yet short enough not to stall
+ * ctest.
  */
 std::string
 midNetwork()
@@ -294,8 +297,8 @@ midNetwork()
     return "Network mid {\n"
            "  Layer conv {\n"
            "    Type: CONV;\n"
-           "    Dimensions { K: 16; C: 16; R: 3; S: 3; "
-           "Y: 24; X: 24; }\n"
+           "    Dimensions { K: 64; C: 16; R: 3; S: 3; "
+           "Y: 112; X: 112; }\n"
            "  }\n"
            "}\n";
 }
